@@ -4,36 +4,93 @@ Subcommands: excite, filter, estimate, fit, mel, loudness, metrics,
 condition, demo.  Options resolve as defaults < config file (--config or
 $HARMEX_CONFIG) < explicit flags, and every run writes its fully-resolved
 configuration next to its outputs so it can be reproduced from that file.
+
+``COMMANDS`` maps each option key to (coercer, default), the default read
+from the library signature that owns it; from it come the flags (``--`` +
+key, ``_`` -> ``-``), the typing of flag and config values, and the run
+manifest keys.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
+from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import conditioning as cond
-from . import ltv, metrics, signal_core, spectral, tensor_io, wav_io
+from . import ltv, metrics, spectral, tensor_io, wav_io
 from .errors import ConfigError, HarmexError
 from .signal_core import (
-    AudioSignal,
-    ExcitationConfig,
-    F0Track,
-    PhaseInit,
-    gaussian_noise,
-    interpolate_f0,
-    read_f0_track,
-    sine_excitation,
-    write_f0_track,
+    DEFAULT_HOP_SECONDS, DEFAULT_SAMPLE_RATE, ExcitationConfig, F0Track, PhaseInit,
+    gaussian_noise, interpolate_f0, read_f0_track, sine_excitation, write_f0_track,
 )
 from .spectral import StftConfig
+from .wav_io import WavEncoding, WavSpec
 
 CONFIG_ENV = "HARMEX_CONFIG"
+
+
+# ------------------------------------------------------------------ coercers
+# Each takes a flag string or a JSON config value and returns the typed
+# value, raising TypeError, ValueError or OverflowError on anything else.
+
+
+def _number(kind, *accepted):
+    def coerce(value):
+        if isinstance(value, bool) or not isinstance(value, (str, *accepted)):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        value = kind(value)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        return value
+
+    return coerce
+
+
+_int = _number(int, int)
+_float = _number(float, int, float)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _csv(item):
+    """Comma-separated string -> tuple; the run manifest joins it back."""
+
+    def coerce(value):
+        if not isinstance(value, str):
+            raise TypeError(f"expected a comma-separated string, got {value!r}")
+        return tuple(item(part.strip()) for part in value.split(",") if part.strip())
+
+    return coerce
+
+
+def _channel(name: str) -> str:
+    if name not in cond.CHANNEL_ORDER:
+        raise ValueError(f"unknown channel {name!r}, expected one of {cond.CHANNEL_ORDER}")
+    return name
+
+
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _from(fn, **coercers) -> dict:
+    return {name: (coerce, _default(fn, name)) for name, coerce in coercers.items()}
+
+
+# ------------------------------------------------------------ config, manifest
 
 
 def _load_config(path: str | None) -> dict:
@@ -43,244 +100,123 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config file not found", path=path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON config: {exc}", path=path)
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
+        raise ConfigError(f"cannot load config: {exc}", path=path)
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object", path=path)
     return config
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, config: dict) -> dict:
-    """defaults < config file < explicit flags (argparse leaves unset as None)."""
-    resolved = dict(defaults)
-    for key in defaults:
-        if key in config:
-            resolved[key] = config[key]
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
+def _resolve(options: dict, args: argparse.Namespace, config: dict) -> dict:
+    """defaults < config file < flags; flag and config values share one coercer."""
+    resolved = {}
+    for key, (coerce, default) in options.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+            if key not in config or (value is None and default is None):
+                resolved[key] = value
+                continue
+        try:
+            resolved[key] = coerce(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {key}: {exc}") from None
     return resolved
 
 
-def _write_run_config(path, subcommand: str, resolved: dict) -> None:
-    payload = {"subcommand": subcommand}
-    payload.update({k: v for k, v in sorted(resolved.items())})
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+def _jsonable(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return value
 
 
-def _stft_config(resolved: dict) -> StftConfig:
-    return StftConfig(
-        fft_size=int(resolved["fft_size"]),
-        win_size=int(resolved["win_size"]),
-        hop_size=int(resolved["hop_size"]),
-    )
-
-
-def _wav_spec(resolved: dict, sample_rate: float) -> wav_io.WavSpec:
-    return wav_io.WavSpec(
-        sample_rate=sample_rate, encoding=wav_io.WavEncoding(resolved["encoding"])
-    )
+def _write_run_config(path, subcommand: str, entries: dict) -> None:
+    payload = {"subcommand": subcommand, **{k: _jsonable(entries[k]) for k in sorted(entries)}}
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------- subcommands
+# Each takes the parsed arguments and the resolved options and returns any
+# entries it adds to the run manifest.
 
 
-def _cmd_excite(args, config):
-    defaults = {
-        "sample_rate": 16000,
-        "hop": 0.010,
-        "amplitude": 0.1,
-        "phase_init": "zero",
-        "seed": 0,
-        "k_max": None,
-        "encoding": "float32",
-        "n_samples": None,
-    }
-    r = _resolve(args, defaults, config)
-    track = read_f0_track(args.f0_file, hop_seconds=float(r["hop"]))
-    fs = float(r["sample_rate"])
-    n_samples = r["n_samples"] or int(round(len(track) * float(r["hop"]) * fs))
-    sample_f0 = interpolate_f0(track, fs, int(n_samples))
-    cfg = ExcitationConfig(
-        amplitude=float(r["amplitude"]),
-        phase_init=PhaseInit.SEEDED_RANDOM if r["phase_init"] == "random" else PhaseInit.ZERO,
-        seed=int(r["seed"]),
-        k_max_cap=int(r["k_max"]) if r["k_max"] else None,
-    )
-    excitation = sine_excitation(sample_f0, cfg)
-    wav_io.write_wav(args.out, excitation, _wav_spec(r, fs))
-    _write_run_config(f"{args.out}.run.json", "excite", {**r, "f0_file": args.f0_file, "out": args.out})
-    return 0
+def _cmd_excite(args, r):
+    track = read_f0_track(args.f0_file, hop_seconds=r["hop"])
+    fs = r["sample_rate"]
+    n_samples = r["n_samples"]
+    if n_samples is None:
+        n_samples = int(round(len(track) * r["hop"] * fs))
+    cfg = ExcitationConfig(r["amplitude"], r["phase_init"], r["seed"], r["k_max"])
+    excitation = sine_excitation(interpolate_f0(track, fs, n_samples), cfg)
+    info = wav_io.write_wav(args.out, excitation, WavSpec(fs, r["encoding"]))
+    return {"clipped": info.clipped}
 
 
-def _cmd_filter(args, config):
-    defaults = {"encoding": "float32", "interpolate_taps": True}
-    r = _resolve(args, defaults, config)
+def _cmd_filter(args, r):
     x = wav_io.read_wav(args.wav_file)
-    coeffs = ltv.read_coeffs(args.coeff_file)
-    y = ltv.apply_ltv(x, coeffs, interpolate_taps=bool(r["interpolate_taps"]))
-    wav_io.write_wav(args.out, y, _wav_spec(r, x.sample_rate))
-    _write_run_config(
-        f"{args.out}.run.json",
-        "filter",
-        {**r, "wav_file": args.wav_file, "coeff_file": args.coeff_file, "out": args.out},
-    )
-    return 0
+    y = ltv.apply_ltv(x, ltv.read_coeffs(args.coeff_file), r["interpolate_taps"])
+    info = wav_io.write_wav(args.out, y, WavSpec(x.sample_rate, r["encoding"]))
+    return {"clipped": info.clipped}
 
 
-def _cmd_estimate(args, config):
-    defaults = {
-        "sample_rate": 16000,
-        "fft_size": 1024,
-        "win_size": 640,
-        "hop_size": 160,
-        "f_min": 0.0,
-        "f_max": 8000.0,
-        "n_taps": 64,
-        "floor_db": -50.0,
-    }
-    r = _resolve(args, defaults, config)
+def _cmd_estimate(args, r):
     frames, hop_seconds = tensor_io.read_feature_file(args.mel_file)
-    cfg = _stft_config(r)
-    mel = spectral.MelSpectrogram(
-        frames.astype(np.float64),
-        cfg,
-        float(r["sample_rate"]),
-        (float(r["f_min"]), float(r["f_max"])),
-    )
-    coeffs = ltv.estimate_coeffs_from_mel(mel, n_taps=int(r["n_taps"]), floor_db=float(r["floor_db"]))
-    ltv.write_coeffs(args.out, coeffs)
-    _write_run_config(
-        f"{args.out}.run.json",
-        "estimate",
-        {**r, "mel_file": args.mel_file, "out": args.out, "hop_seconds": hop_seconds},
-    )
-    return 0
+    stft = StftConfig(r["fft_size"], r["win_size"], r["hop_size"])
+    if not math.isclose(hop_seconds, stft.hop_size / r["sample_rate"]):
+        rate = f"hop_size/sample_rate = {stft.hop_size}/{r['sample_rate']}"
+        raise ConfigError(f"mel file hop {hop_seconds} s differs from {rate}", path=args.mel_file)
+    mel = spectral.MelSpectrogram(frames, stft, r["sample_rate"], (r["f_min"], r["f_max"]))
+    ltv.write_coeffs(args.out, ltv.estimate_coeffs_from_mel(mel, r["n_taps"], r["floor_db"]))
+    return {"hop_seconds": hop_seconds}
 
 
-def _cmd_fit(args, config):
-    defaults = {"n_taps": 64, "ridge_lambda": 1e-6, "hop": 0.010}
-    r = _resolve(args, defaults, config)
+def _cmd_fit(args, r):
     excitation = wav_io.read_wav(args.excitation_wav)
     target = wav_io.read_wav(args.target_wav)
-    cfg = ltv.FitConfig(
-        n_taps=int(r["n_taps"]),
-        ridge_lambda=float(r["ridge_lambda"]),
-        frame_hop_seconds=float(r["hop"]),
-    )
-    coeffs = ltv.fit_coeffs_least_squares(excitation, target, cfg)
-    ltv.write_coeffs(args.out, coeffs)
-    _write_run_config(
-        f"{args.out}.run.json",
-        "fit",
-        {**r, "excitation_wav": args.excitation_wav, "target_wav": args.target_wav, "out": args.out},
-    )
-    return 0
+    cfg = ltv.FitConfig(r["n_taps"], r["ridge_lambda"], r["hop"])
+    ltv.write_coeffs(args.out, ltv.fit_coeffs_least_squares(excitation, target, cfg))
 
 
-def _cmd_mel(args, config):
-    defaults = {
-        "fft_size": 1024,
-        "win_size": 640,
-        "hop_size": 160,
-        "n_mels": 80,
-        "f_min": 0.0,
-        "f_max": 8000.0,
-    }
-    r = _resolve(args, defaults, config)
+def _cmd_mel(args, r):
     x = wav_io.read_wav(args.wav_file)
-    mel = spectral.mel_spectrogram(
-        x,
-        _stft_config(r),
-        n_mels=int(r["n_mels"]),
-        f_min=float(r["f_min"]),
-        f_max=float(r["f_max"]),
-    )
+    stft = StftConfig(r["fft_size"], r["win_size"], r["hop_size"])
+    mel = spectral.mel_spectrogram(x, stft, r["n_mels"], r["f_min"], r["f_max"])
     tensor_io.write_feature_file(args.out, mel.frames, mel.hop_seconds)
-    _write_run_config(f"{args.out}.run.json", "mel", {**r, "wav_file": args.wav_file, "out": args.out})
-    return 0
 
 
-def _cmd_loudness(args, config):
-    defaults = {"hop_size": 160}
-    r = _resolve(args, defaults, config)
-    x = wav_io.read_wav(args.wav_file)
-    track = spectral.loudness(x, hop=int(r["hop_size"]))
+def _cmd_loudness(args, r):
+    track = spectral.loudness(wav_io.read_wav(args.wav_file), hop=r["hop_size"])
     tensor_io.write_feature_file(args.out, track.values[:, None], track.hop_seconds)
-    _write_run_config(
-        f"{args.out}.run.json", "loudness", {**r, "wav_file": args.wav_file, "out": args.out}
-    )
-    return 0
 
 
-def _cmd_metrics(args, config):
-    defaults = {"hop": 0.010, "search_cents": 200.0, "energy_threshold_db": -40.0}
-    r = _resolve(args, defaults, config)
+def _cmd_metrics(args, r):
     x = wav_io.read_wav(args.wav_x)
     y = wav_io.read_wav(args.wav_y)
     result = {}
     if args.mr_stft:
         loss = metrics.mr_stft_loss(x, y)
-        result["mr_stft_sc"] = loss.sc
-        result["mr_stft_mag"] = loss.mag
-        result["mr_stft_total"] = loss.total
+        result.update(mr_stft_sc=loss.sc, mr_stft_mag=loss.mag, mr_stft_total=loss.total)
     if args.mel_mae:
         result["mel_mae"] = metrics.mel_mae(spectral.mel_spectrogram(x), spectral.mel_spectrogram(y))
     if args.pitch_jitter or args.uv_error:
         if not args.f0:
             raise ConfigError("--pitch-jitter/--uv-error need an --f0 track")
-        track = read_f0_track(args.f0, hop_seconds=float(r["hop"]))
+        track = read_f0_track(args.f0, hop_seconds=r["hop"])
         if args.pitch_jitter:
-            result["pitch_jitter_cents"] = metrics.pitch_jitter(
-                x, track, search_cents=float(r["search_cents"])
-            )
+            result["pitch_jitter_cents"] = metrics.pitch_jitter(x, track, r["search_cents"])
         if args.uv_error:
-            result["uv_error_rate"] = metrics.uv_error_rate(
-                x, track, energy_threshold_db=float(r["energy_threshold_db"])
-            )
+            result["uv_error_rate"] = metrics.uv_error_rate(x, track, r["energy_threshold_db"])
     print(json.dumps(result))
-    return 0
 
 
-def _cmd_condition(args, config):
-    defaults = {"factors": "8,6,5", "channels": None}
-    r = _resolve(args, defaults, config)
-    signals = {}
-    for name, path in (
-        ("noise", args.noise_wav),
-        ("raw_excitation", args.raw_wav),
-        ("filtered_excitation", args.filtered_wav),
-    ):
-        if path:
-            signals[name] = wav_io.read_wav(path)
-    if r["channels"]:
-        wanted = [c.strip() for c in str(r["channels"]).split(",") if c.strip()]
-        unknown = set(wanted) - set(cond.CHANNEL_ORDER)
-        if unknown:
-            raise ConfigError(f"unknown channels: {sorted(unknown)}")
-        signals = {k: v for k, v in signals.items() if k in wanted}
-    bundle = cond.stack_channels(**signals)
-    factors = tuple(int(f) for f in str(r["factors"]).split(","))
-    pyramid = cond.downsample_multiscale(bundle, factors)
-    written = cond.export_conditioning(pyramid, args.out_prefix)
-    _write_run_config(
-        f"{args.out_prefix}_run.json",
-        "condition",
-        {
-            **r,
-            "noise_wav": args.noise_wav,
-            "raw_wav": args.raw_wav,
-            "filtered_wav": args.filtered_wav,
-            "out_prefix": args.out_prefix,
-            "written": written,
-        },
-    )
-    return 0
+def _cmd_condition(args, r):
+    paths = zip(cond.CHANNEL_ORDER, (args.noise_wav, args.raw_wav, args.filtered_wav))
+    wanted = r["channels"] or cond.CHANNEL_ORDER
+    signals = {name: wav_io.read_wav(path) for name, path in paths if path and name in wanted}
+    pyramid = cond.downsample_multiscale(cond.stack_channels(**signals), r["factors"])
+    return {"written": cond.export_conditioning(pyramid, args.out_prefix)}
 
 
 def _demo_formant_coeffs(n_frames: int, stft: StftConfig, fs: float, rng) -> ltv.LtvFirCoeffs:
@@ -303,29 +239,24 @@ def _demo_formant_coeffs(n_frames: int, stft: StftConfig, fs: float, rng) -> ltv
     return ltv.LtvFirCoeffs(taps, stft.hop_size / fs, fs)
 
 
-def _cmd_demo(args, config):
-    defaults = {"sample_rate": 16000, "seed": 1234, "duration": 2.0, "hop": 0.010}
-    r = _resolve(args, defaults, config)
+def _cmd_demo(args, r):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fs = float(r["sample_rate"])
-    hop_s = float(r["hop"])
-    rng = np.random.default_rng(int(r["seed"]))
+    fs, hop_s, duration, seed = r["sample_rate"], r["hop"], r["duration"], r["seed"]
 
-    n_frames = int(round(float(r["duration"]) / hop_s))
+    n_frames = int(round(duration / hop_s))
     frame_t = np.arange(n_frames) * hop_s
     f0 = 220.0 * (1.0 + 0.02 * np.sin(2 * math.pi * 5.0 * frame_t))
-    voiced = (frame_t >= 0.2) & (frame_t <= float(r["duration"]) - 0.2)
+    voiced = (frame_t >= 0.2) & (frame_t <= duration - 0.2)
     track = F0Track(np.where(voiced, f0, 0.0), hop_s)
     write_f0_track(out / "f0.txt", track)
 
-    n_samples = int(round(float(r["duration"]) * fs))
-    sample_f0 = interpolate_f0(track, fs, n_samples)
-    excitation = sine_excitation(sample_f0, ExcitationConfig(seed=int(r["seed"])))
+    n_samples = int(round(duration * fs))
+    excitation = sine_excitation(interpolate_f0(track, fs, n_samples), ExcitationConfig(seed=seed))
     wav_io.write_wav(out / "excitation.wav", excitation)
 
     stft = StftConfig(hop_size=int(round(hop_s * fs)))
-    envelope = _demo_formant_coeffs(n_frames, stft, fs, rng)
+    envelope = _demo_formant_coeffs(n_frames, stft, fs, np.random.default_rng(seed))
     target = ltv.apply_ltv(excitation, envelope)
     wav_io.write_wav(out / "target.wav", target)
 
@@ -345,22 +276,79 @@ def _cmd_demo(args, config):
         "pitch_jitter_cents": metrics.pitch_jitter(excitation, track),
         "uv_error_rate": metrics.uv_error_rate(excitation, track),
     }
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    (out / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
 
-    noise = gaussian_noise(n_samples, fs, int(r["seed"]) + 1)
-    bundle = cond.stack_channels(
-        noise=noise, raw_excitation=excitation, filtered_excitation=filtered
-    )
-    pyramid = cond.downsample_multiscale(bundle)
-    cond.export_conditioning(pyramid, out / "conditioning")
-
-    _write_run_config(out / "run_config.json", "demo", {**r, "out_dir": str(out)})
-    return 0
+    bundle = cond.stack_channels(gaussian_noise(n_samples, fs, seed + 1), excitation, filtered)
+    cond.export_conditioning(cond.downsample_multiscale(bundle), out / "conditioning")
 
 
-# --------------------------------------------------------------------- parser
+# ---------------------------------------------------------------------- table
+
+
+class Command(NamedTuple):
+    """One subcommand.  Bare ``files`` are positional inputs; of the ``--``
+    ones, ``--out*`` is required.  ``switches`` are not config keys."""
+
+    run: Callable[[argparse.Namespace, dict], dict | None]
+    help: str
+    files: tuple[str, ...]
+    options: dict
+    manifest: str | None = "{out}.run.json"
+    switches: tuple[str, ...] = ()
+
+
+_STFT = _from(StftConfig, fft_size=_int, win_size=_int, hop_size=_int)
+_MEL_RANGE = _from(spectral.mel_spectrogram, f_min=_float, f_max=_float)
+_ENCODING = _from(WavSpec, encoding=WavEncoding)
+_SAMPLE_RATE = {"sample_rate": (_float, DEFAULT_SAMPLE_RATE)}
+_HOP = {"hop": (_float, DEFAULT_HOP_SECONDS)}
+
+COMMANDS = {
+    "excite": Command(
+        _cmd_excite, "synthesize sine excitation from an f0 track file", ("f0_file", "--out"), {
+            **_SAMPLE_RATE, **_HOP,
+            **_from(ExcitationConfig, amplitude=_float, phase_init=PhaseInit, seed=_int),
+            "k_max": (_int, _default(ExcitationConfig, "k_max_cap")),
+            "n_samples": (_int, None),  # None: the length the f0 track covers
+            **_ENCODING,
+        }),
+    "filter": Command(
+        _cmd_filter, "apply a coefficient file to a WAV", ("wav_file", "coeff_file", "--out"),
+        {**_ENCODING, **_from(ltv.apply_ltv, interpolate_taps=_bool)}),
+    "estimate": Command(
+        _cmd_estimate, "mel feature file -> minimum-phase coefficients", ("mel_file", "--out"), {
+            **_SAMPLE_RATE, **_STFT, **_MEL_RANGE,
+            **_from(ltv.estimate_coeffs_from_mel, n_taps=_int, floor_db=_float),
+        }),
+    "fit": Command(
+        _cmd_fit, "least-squares coefficients from excitation and target WAVs",
+        ("excitation_wav", "target_wav", "--out"), {
+            **_from(ltv.FitConfig, n_taps=_int, ridge_lambda=_float),
+            "hop": (_float, _default(ltv.FitConfig, "frame_hop_seconds")),
+        }),
+    "mel": Command(
+        _cmd_mel, "WAV -> log-mel feature file", ("wav_file", "--out"),
+        {**_STFT, **_from(spectral.mel_spectrogram, n_mels=_int), **_MEL_RANGE}),
+    "loudness": Command(
+        _cmd_loudness, "WAV -> log-RMS feature file", ("wav_file", "--out"),
+        {"hop_size": (_int, _default(spectral.loudness, "hop"))}),
+    "metrics": Command(
+        _cmd_metrics, "compare two WAVs; emits one JSON line", ("wav_x", "wav_y", "--f0"), {
+            **_HOP,
+            **_from(metrics.pitch_jitter, search_cents=_float),
+            **_from(metrics.uv_error_rate, energy_threshold_db=_float),
+        }, manifest=None, switches=("--mr-stft", "--mel-mae", "--pitch-jitter", "--uv-error")),
+    "condition": Command(
+        _cmd_condition, "stack channels and export multi-scale tensors",
+        ("--noise-wav", "--raw-wav", "--filtered-wav", "--out-prefix"), {
+            **_from(cond.downsample_multiscale, factors=_csv(_int)),
+            "channels": (_csv(_channel), None),  # None: every channel given
+        }, manifest="{out_prefix}_run.json"),
+    "demo": Command(
+        _cmd_demo, "end-to-end synthetic-vowel walkthrough", ("--out-dir",), {
+            **_SAMPLE_RATE, "seed": (_int, 1234), "duration": (_float, 2.0), **_HOP,
+        }, manifest="{out_dir}/run_config.json"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,120 +358,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help=f"JSON config file (or ${CONFIG_ENV})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("excite", help="synthesize sine excitation from an f0 track file")
-    p.add_argument("f0_file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float)
-    p.add_argument("--hop", type=float, help="f0 frame hop in seconds")
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--phase-init", dest="phase_init", choices=["zero", "random"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--encoding", choices=["float32", "pcm16"])
-    p.set_defaults(func=_cmd_excite)
-
-    p = sub.add_parser("filter", help="apply a coefficient file to a WAV")
-    p.add_argument("wav_file")
-    p.add_argument("coeff_file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--encoding", choices=["float32", "pcm16"])
-    p.add_argument(
-        "--no-interp-taps", dest="interpolate_taps", action="store_false", default=None
-    )
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("estimate", help="mel feature file -> minimum-phase coefficients")
-    p.add_argument("mel_file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float)
-    p.add_argument("--fft-size", dest="fft_size", type=int)
-    p.add_argument("--win-size", dest="win_size", type=int)
-    p.add_argument("--hop-size", dest="hop_size", type=int)
-    p.add_argument("--f-min", dest="f_min", type=float)
-    p.add_argument("--f-max", dest="f_max", type=float)
-    p.add_argument("--n-taps", dest="n_taps", type=int)
-    p.add_argument("--floor-db", dest="floor_db", type=float)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("fit", help="least-squares coefficients from excitation and target WAVs")
-    p.add_argument("excitation_wav")
-    p.add_argument("target_wav")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-taps", dest="n_taps", type=int)
-    p.add_argument("--ridge-lambda", dest="ridge_lambda", type=float)
-    p.add_argument("--hop", type=float)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("mel", help="WAV -> log-mel feature file")
-    p.add_argument("wav_file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--fft-size", dest="fft_size", type=int)
-    p.add_argument("--win-size", dest="win_size", type=int)
-    p.add_argument("--hop-size", dest="hop_size", type=int)
-    p.add_argument("--n-mels", dest="n_mels", type=int)
-    p.add_argument("--f-min", dest="f_min", type=float)
-    p.add_argument("--f-max", dest="f_max", type=float)
-    p.set_defaults(func=_cmd_mel)
-
-    p = sub.add_parser("loudness", help="WAV -> log-RMS feature file")
-    p.add_argument("wav_file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--hop-size", dest="hop_size", type=int)
-    p.set_defaults(func=_cmd_loudness)
-
-    p = sub.add_parser("metrics", help="compare two WAVs; emits one JSON line")
-    p.add_argument("wav_x")
-    p.add_argument("wav_y")
-    p.add_argument("--f0", help="reference f0 track for pitch/voicing metrics")
-    p.add_argument("--hop", type=float)
-    p.add_argument("--mr-stft", dest="mr_stft", action="store_true")
-    p.add_argument("--mel-mae", dest="mel_mae", action="store_true")
-    p.add_argument("--pitch-jitter", dest="pitch_jitter", action="store_true")
-    p.add_argument("--uv-error", dest="uv_error", action="store_true")
-    p.add_argument("--search-cents", dest="search_cents", type=float)
-    p.add_argument("--energy-threshold-db", dest="energy_threshold_db", type=float)
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("condition", help="stack channels and export multi-scale tensors")
-    p.add_argument("--noise-wav", dest="noise_wav")
-    p.add_argument("--raw-wav", dest="raw_wav")
-    p.add_argument("--filtered-wav", dest="filtered_wav")
-    p.add_argument("--factors")
-    p.add_argument("--channels")
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
-    p.set_defaults(func=_cmd_condition)
-
-    p = sub.add_parser("demo", help="end-to-end synthetic-vowel walkthrough")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--duration", type=float)
-    p.add_argument("--hop", type=float)
-    p.set_defaults(func=_cmd_demo)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.files:
+            if arg.startswith("--"):
+                p.add_argument(arg, required=arg.startswith("--out"))
+            else:
+                p.add_argument(arg)
+        for arg in command.switches:
+            p.add_argument(arg, action="store_true")
+        for key, (coerce, _) in command.options.items():
+            if coerce is _bool:  # the one on/off option, named for turning it off
+                p.add_argument("--no-interp-taps", dest=key, action="store_false", default=None)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.subcommand]
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
-    except HarmexError as exc:
-        print(
-            json.dumps({"category": exc.category, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        resolved = _resolve(command.options, args, _load_config(args.config))
+        extra = command.run(args, resolved) or {}
+        if command.manifest:
+            names = [arg.lstrip("-").replace("-", "_") for arg in command.files]
+            files = {name: getattr(args, name) for name in names}
+            path = command.manifest.format_map(vars(args))
+            _write_run_config(path, args.subcommand, {**resolved, **files, **extra})
+    except (HarmexError, OSError) as exc:
+        category = getattr(exc, "category", "io")
+        print(json.dumps({"category": category, "message": str(exc)}), file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(
-            json.dumps({"category": "io", "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -94,9 +94,9 @@ def decimation_taps(factor: int) -> np.ndarray:
     Cutoff 0.45/factor of the incoming rate, 8*factor + 1 taps, normalized
     to unit DC gain.  In terms of the output rate ``fs_in / factor``: at
     most 0.5 dB is lost up to 0.3 x the output rate, and the response is
-    -6 dB at the 0.45 x output-rate cutoff.  ``_decimate`` pads with edge
-    replication, which leaves a transient in the first and last few (about
-    four) output samples of a signal that is not constant at its ends.
+    -6 dB at the 0.45 x output-rate cutoff.  ``_decimate`` pads with an odd
+    reflection about each end sample, so constants and linear ramps decimate
+    exactly and out-of-band tones leave only a small edge transient.
     """
     if factor < 1:
         raise ConfigError("decimation factor must be >= 1")
@@ -114,8 +114,8 @@ def _decimate(x: np.ndarray, factor: int) -> np.ndarray:
         return x[: len(x) // factor].copy()
     taps = decimation_taps(factor)
     half = len(taps) // 2
-    # edge-replicated padding keeps constant signals exactly constant
-    padded = np.pad(x, (half, half), mode="edge")
+    # exact for ramps: odd reflection continues them, and the taps are symmetric
+    padded = np.pad(x, (half, half), mode="reflect", reflect_type="odd")
     filtered = np.convolve(padded, taps, mode="valid")
     return filtered[::factor][: len(x) // factor]
 

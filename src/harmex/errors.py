@@ -5,6 +5,8 @@ CLI emits on stderr, so batch scripts can dispatch on failures without
 parsing prose.
 """
 
+import math
+
 
 class HarmexError(Exception):
     """Base class for all harmex errors."""
@@ -58,3 +60,13 @@ class UndefinedMetricError(DomainError):
     """A metric has an empty support (e.g. no voiced frames)."""
 
     category = "undefined-metric"
+
+
+def check_positive(name, value, *, allow_zero=False, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is finite and > 0 (>= 0 if allow_zero).
+
+    A bare ``value <= 0`` test lets NaN through, so every such check is here.
+    """
+    if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise error(f"{name} must be finite and {bound}, got {value!r}")

@@ -18,17 +18,16 @@ Coefficient sources:
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError, LengthMismatchError
+from . import tensor_io
+from .errors import ConfigError, DomainError, LengthMismatchError, check_positive
 from .signal_core import AudioSignal
 from .spectral import MelSpectrogram, mel_filterbank, n_frames_for
 
 LTVF_MAGIC = b"LTVF"
-LTVF_VERSION = 1
 
 LOG10_FACTOR = 10.0 / math.log(10.0)  # natural-log power -> dB
 
@@ -48,8 +47,8 @@ class LtvFirCoeffs:
             raise ConfigError("need at least one tap")
         if not np.all(np.isfinite(t)):
             raise DomainError("filter coefficients must be finite")
-        if self.hop_seconds <= 0:
-            raise ConfigError("hop_seconds must be > 0")
+        check_positive("hop_seconds", self.hop_seconds)
+        check_positive("sample_rate", self.sample_rate)
 
     @property
     def n_frames(self) -> int:
@@ -75,10 +74,8 @@ class FitConfig:
     def __post_init__(self):
         if self.n_taps < 1:
             raise ConfigError("n_taps must be >= 1")
-        if self.ridge_lambda < 0:
-            raise ConfigError("ridge_lambda must be >= 0")
-        if self.frame_hop_seconds <= 0:
-            raise ConfigError("frame_hop_seconds must be > 0")
+        check_positive("ridge_lambda", self.ridge_lambda, allow_zero=True)
+        check_positive("frame_hop_seconds", self.frame_hop_seconds)
 
 
 def _check_geometry(x: AudioSignal, h: LtvFirCoeffs) -> int:
@@ -257,37 +254,10 @@ def frequency_response(h: LtvFirCoeffs, frame: int, n_fft: int) -> np.ndarray:
 
 
 def write_coeffs(path, h: LtvFirCoeffs) -> None:
-    """Binary coefficient file: LTVF magic, geometry header, f32 rows."""
-    with open(path, "wb") as fh:
-        fh.write(
-            struct.pack(
-                "<4sIIIdd",
-                LTVF_MAGIC,
-                LTVF_VERSION,
-                h.n_frames,
-                h.n_taps,
-                h.hop_seconds,
-                h.sample_rate,
-            )
-        )
-        fh.write(np.ascontiguousarray(h.taps, dtype="<f4").tobytes())
+    """Binary ``LTVF`` coefficient file; the layout is in ``tensor_io``."""
+    tensor_io.write_tensor(path, LTVF_MAGIC, h.taps, h.hop_seconds, h.sample_rate)
 
 
 def read_coeffs(path) -> LtvFirCoeffs:
-    header_size = struct.calcsize("<4sIIIdd")
-    with open(path, "rb") as fh:
-        header = fh.read(header_size)
-        if len(header) != header_size:
-            raise FormatError("truncated coefficient file", path=path)
-        magic, version, n_frames, n_taps, hop_seconds, sample_rate = struct.unpack(
-            "<4sIIIdd", header
-        )
-        if magic != LTVF_MAGIC:
-            raise FormatError(f"bad magic {magic!r}", path=path)
-        if version != LTVF_VERSION:
-            raise FormatError(f"unsupported version {version}", path=path)
-        payload = fh.read(4 * n_frames * n_taps)
-    if len(payload) != 4 * n_frames * n_taps:
-        raise FormatError("truncated coefficient payload", path=path)
-    taps = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_taps)
-    return LtvFirCoeffs(taps.astype(np.float64), hop_seconds, sample_rate)
+    taps, scalars = tensor_io.read_tensor(path, LTVF_MAGIC, ("hop_seconds", "sample_rate"))
+    return LtvFirCoeffs(taps.astype(np.float64), *scalars)

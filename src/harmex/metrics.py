@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     LengthMismatchError,
     UndefinedMetricError,
+    check_positive,
 )
 from .signal_core import AudioSignal, F0Track
 from .spectral import MelSpectrogram, StftConfig, stft_magnitude
@@ -49,10 +50,8 @@ class LossWeights:
     beta: float = 4.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError("loss weights must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise DomainError("loss weights must be >= 0")
+        check_positive("alpha", self.alpha, allow_zero=True, error=DomainError)
+        check_positive("beta", self.beta, allow_zero=True, error=DomainError)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, DomainError, LengthMismatchError
+from .errors import AliasingError, ConfigError, DomainError, LengthMismatchError, check_positive
 
 TAU = 2.0 * math.pi
 
@@ -44,8 +44,7 @@ class F0Track:
             raise ConfigError("f0 track must be one-dimensional")
         if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise DomainError("f0 values must be finite and >= 0")
-        if self.hop_seconds <= 0:
-            raise ConfigError("hop_seconds must be > 0")
+        check_positive("hop_seconds", self.hop_seconds)
 
     def __len__(self):
         return len(self.values)
@@ -67,8 +66,7 @@ class SampleF0:
         object.__setattr__(self, "values", v)
         if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise DomainError("f0 values must be finite and >= 0")
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be > 0")
+        check_positive("sample_rate", self.sample_rate)
 
     def __len__(self):
         return len(self.values)
@@ -88,8 +86,7 @@ class AudioSignal:
             raise ConfigError("audio must be mono (one-dimensional)")
         if not np.all(np.isfinite(s)):
             raise DomainError("audio samples must be finite")
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be > 0")
+        check_positive("sample_rate", self.sample_rate)
 
     def __len__(self):
         return len(self.samples)
@@ -115,8 +112,7 @@ class ExcitationConfig:
     k_max_cap: int | None = None
 
     def __post_init__(self):
-        if not (self.amplitude > 0):
-            raise ConfigError("amplitude must be > 0")
+        check_positive("amplitude", self.amplitude)
         if self.k_max_cap is not None and self.k_max_cap < 1:
             raise ConfigError("k_max_cap must be >= 1")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import get_window
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_positive
 from .signal_core import AudioSignal
 
 MEL_FLOOR = 1e-5
@@ -160,8 +160,7 @@ def mel_spectrogram(
 
 def loudness(x: AudioSignal, hop: int = 160, floor: float = MEL_FLOOR) -> LoudnessTrack:
     """Per-frame log-RMS over consecutive hop-sized frames."""
-    if hop <= 0:
-        raise ConfigError("hop must be > 0")
+    check_positive("hop", hop)
     frames = n_frames_for(len(x), hop)
     padded = np.pad(x.samples, (0, frames * hop - len(x)))
     rms = np.sqrt(np.mean(padded.reshape(frames, hop) ** 2, axis=1))

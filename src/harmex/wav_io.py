@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, check_positive
 from .signal_core import AudioSignal
 
 
@@ -23,8 +23,7 @@ class WavSpec:
     encoding: WavEncoding = WavEncoding.FLOAT32
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise FormatError("sample_rate must be > 0")
+        check_positive("sample_rate", self.sample_rate, error=FormatError)
 
 
 @dataclass(frozen=True)

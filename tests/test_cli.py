@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -182,3 +183,103 @@ class TestDemo:
             assert (out / name).exists(), name
         report = json.loads((out / "metrics.json").read_text())
         assert report["mr_stft_filtered_vs_target"] < report["mr_stft_raw_vs_target"]
+
+
+@pytest.fixture
+def inputs(tmp_path, f0_file, capsys):
+    """Input files for the bad-input cases below, built through the CLI."""
+    from harmex import LtvFirCoeffs, write_coeffs
+
+    wav = tmp_path / "exc.wav"
+    assert run(capsys, "excite", str(f0_file), "--out", str(wav))[0] == 0
+    mel80 = tmp_path / "mel80.hmx"
+    assert run(capsys, "mel", str(wav), "--out", str(mel80), "--hop-size", "80")[0] == 0
+    nan_hop = tmp_path / "nan_hop.ltvf"
+    write_coeffs(nan_hop, LtvFirCoeffs(np.zeros((100, 4)), 0.010, 16000))
+    raw = bytearray(nan_hop.read_bytes())
+    struct.pack_into("<d", raw, 16, float("nan"))  # hop_seconds follows magic + 3 u32
+    nan_hop.write_bytes(bytes(raw))
+    return {"f0": f0_file, "wav": wav, "mel80": mel80, "nan_hop": nan_hop,
+            "out": tmp_path / "out.wav", "dir": tmp_path}
+
+
+EXCITE = ("excite", "{f0}", "--out", "{out}")
+CONDITION = ("condition", "--raw-wav", "{wav}", "--out-prefix", "{out}")
+
+
+@pytest.mark.parametrize(
+    "argv, config, category",
+    [
+        (EXCITE + ("--hop", "nan"), None, "config"),
+        (EXCITE, {"seed": "abc"}, "config"),
+        (EXCITE, {"amplitude": [1]}, "config"),
+        (EXCITE + ("--k-max", "0"), None, "config"),
+        (EXCITE, {"phase_init": "bogus"}, "config"),
+        (CONDITION + ("--factors", "8,x"), None, "config"),
+        (CONDITION, {"factors": [8, 6]}, "config"),
+        (("excite", "{f0}", "--out", "{dir}"), None, "io"),
+        (("filter", "{wav}", "{nan_hop}", "--out", "{out}"), None, "format"),
+        (("estimate", "{mel80}", "--out", "{out}"), None, "config"),
+    ],
+    ids=[
+        "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
+        "factors-not-int", "factors-list", "out-is-dir", "ltvf-nan-hop", "mel-hop-mismatch",
+    ],
+)
+def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, config, category):
+    argv = [a.format(**inputs) for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + argv
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["category"] == category
+
+
+MANIFEST_SUFFIXES = ("run.json", "run_config.json")
+REPLAYS = {  # subcommand: (input arguments, non-default options, output flag, output name)
+    "excite": (["{f0}"], ["--amplitude", "0.3", "--phase-init", "random", "--seed", "7",
+                          "--k-max", "5", "--encoding", "pcm16"], "--out", "exc.wav"),
+    "filter": (["{wav}", "{ltvf}"], ["--encoding", "pcm16", "--no-interp-taps"], "--out", "y.wav"),
+    "estimate": (["{mel}"], ["--n-taps", "32", "--floor-db", "-40"], "--out", "est.ltvf"),
+    "fit": (["{wav}", "{wav}"], ["--n-taps", "16", "--ridge-lambda", "0.001", "--hop", "0.02"],
+            "--out", "fit.ltvf"),
+    "mel": (["{wav}"], ["--fft-size", "512", "--win-size", "320", "--hop-size", "80",
+                        "--n-mels", "40", "--f-max", "7000"], "--out", "mel.hmx"),
+    "loudness": (["{wav}"], ["--hop-size", "80"], "--out", "loud.hmx"),
+    "condition": (["--raw-wav", "{wav}", "--noise-wav", "{wav}"],
+                  ["--factors", "4,5", "--channels", "raw_excitation"], "--out-prefix", "cond"),
+    "demo": ([], ["--duration", "0.6", "--seed", "7", "--hop", "0.005"], "--out-dir", "demo"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(REPLAYS))
+def test_run_manifest_replays_byte_identically(tmp_path, f0_file, capsys, subcommand):
+    """Feeding a run's manifest back as --config, with no option flags, redoes the run."""
+    src = tmp_path / "in"
+    src.mkdir()
+    files = {"f0": f0_file, "wav": src / "exc.wav", "mel": src / "mel.hmx", "ltvf": src / "c.ltvf"}
+    assert run(capsys, "excite", str(f0_file), "--out", str(files["wav"]))[0] == 0
+    assert run(capsys, "mel", str(files["wav"]), "--out", str(files["mel"]))[0] == 0
+    assert run(capsys, "fit", str(files["wav"]), str(files["wav"]), "--out", str(files["ltvf"]))[0] == 0
+
+    inputs, options, out_flag, out_name = REPLAYS[subcommand]
+    inputs = [subcommand] + [a.format(**files) for a in inputs]
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    assert run(capsys, *inputs, *options, out_flag, str(first / out_name))[0] == 0
+    manifest = next(p for p in first.rglob("*.json") if p.name.endswith(MANIFEST_SUFFIXES))
+    assert run(capsys, "--config", str(manifest), *inputs, out_flag, str(second / out_name))[0] == 0
+
+    def outputs(d):
+        return {
+            p.relative_to(d): p.read_bytes()
+            for p in d.rglob("*")
+            if p.is_file() and not p.name.endswith(MANIFEST_SUFFIXES)
+        }
+
+    assert outputs(first) and outputs(first) == outputs(second)

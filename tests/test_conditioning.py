@@ -79,6 +79,15 @@ class TestDownsampleMultiscale:
         for level in pyramid.levels:
             np.testing.assert_allclose(level.channels["raw_excitation"], 0.37, atol=1e-9)
 
+    def test_linear_ramp_decimates_exactly(self):
+        # a straight line through both ends must not bend at the edges
+        ramp = np.linspace(-1.0, 1.0, 4801)
+        pyramid = downsample_multiscale(stack_channels(noise=AudioSignal(ramp, FS)))
+        for level in pyramid.levels:
+            c = level.cumulative_factor
+            expected = ramp[::c][: len(ramp) // c]
+            np.testing.assert_allclose(level.channels["noise"], expected, rtol=0, atol=1e-12)
+
     def test_floor_chain_lengths(self):
         bundle = stack_channels(raw_excitation=AudioSignal(np.zeros(4800), FS))
         pyramid = downsample_multiscale(bundle, (8, 6, 5))

@@ -262,3 +262,39 @@ class TestCoeffFile:
 
         with pytest.raises(FormatError):
             read_coeffs(path)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FitConfig(ridge_lambda=NAN),
+        lambda: FitConfig(frame_hop_seconds=INF),
+        lambda: LtvFirCoeffs(np.ones((2, 2)), NAN, FS),
+        lambda: LtvFirCoeffs(np.ones((2, 2)), 0.010, NAN),
+        lambda: LtvFirCoeffs(np.ones((2, 2)), 0.010, 0.0),
+        lambda: AudioSignal(np.zeros(3), INF),
+    ],
+    ids=["ridge-nan", "fit-hop-inf", "coeff-hop-nan", "coeff-rate-nan", "coeff-rate-0", "audio-rate-inf"],
+)
+def test_non_finite_or_nonpositive_settings_rejected(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
+@pytest.mark.parametrize("offset, value", [(16, NAN), (16, -0.01), (24, INF), (24, 0.0)])
+def test_coeff_file_rejects_bad_header_scalars(tmp_path, offset, value):
+    """hop_seconds sits at byte 16 and sample_rate at byte 24 of the header."""
+    import struct
+
+    from harmex import FormatError
+
+    path = tmp_path / "c.ltvf"
+    write_coeffs(path, delta_coeffs(10, 4))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_coeffs(path)
