@@ -106,22 +106,29 @@ def apply_ltv(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = True) ->
     y[n] = sum_t h_n[t] * x[n - t], where h_n is the tap vector at sample n:
     linearly interpolated between frame centers (default) or held constant
     across each frame (interpolate_taps=False).
+
+    Each frame is one contraction of its lagged rows, ``a = lag @ h_f`` when
+    held and ``a + w * (b - a)`` with ``b = lag @ h_{f+1}`` when interpolated
+    (``w``: offset from the frame center in hops).  Equal taps make ``b - a``
+    exactly zero, so constant taps stay exactly LTI (``(1 - w) * a + w * b``
+    would round).  Frames go in blocks of about 1 MiB of lagged signal.
     """
     hop = _check_geometry(x, h)
-    n = len(x)
-    sample_pos = np.arange(n, dtype=np.float64)
-    centers = np.arange(h.n_frames) * float(hop)
-    frame_of = np.minimum(np.arange(n) // hop, h.n_frames - 1)
-
-    lag = _lagged(x.samples, h.n_taps)
-    y = np.zeros(n)
-    for t in range(h.n_taps):
-        if interpolate_taps:
-            tap_n = np.interp(sample_pos, centers, h.taps[:, t])
-        else:
-            tap_n = h.taps[frame_of, t]
-        y += tap_n * lag[:, t]
-    return AudioSignal(y, x.sample_rate)
+    n, n_taps, last = len(x), h.n_taps, h.n_frames - 1
+    head = min(last * hop, n)  # samples before the last frame center
+    head_frames = -(-head // hop)  # x is zero-padded to fill the last head frame
+    lag = _lagged(np.concatenate([x.samples, np.zeros(head_frames * hop - head)]), n_taps)
+    y = np.empty(len(lag))
+    y[head:n] = lag[head:n] @ h.taps[last]  # held in both modes past the last center
+    pairs = np.stack([h.taps[:-1], h.taps[1:]], -1) if interpolate_taps else h.taps[:, :, None]
+    w = np.arange(hop) / hop
+    step = max(1, (1 << 17) // (hop * n_taps))  # frames per block
+    for f0 in range(0, head_frames, step):
+        f1 = min(f0 + step, head_frames)
+        ab = lag[f0 * hop : f1 * hop].reshape(f1 - f0, hop, n_taps) @ pairs[f0:f1]
+        a = ab[..., 0]
+        y[f0 * hop : f1 * hop] = (a + w * (ab[..., 1] - a) if interpolate_taps else a).ravel()
+    return AudioSignal(y[:n], x.sample_rate)
 
 
 def fit_coeffs_least_squares(
@@ -194,6 +201,15 @@ def _contract_roots_inside(h: np.ndarray) -> np.ndarray:
     return h * rho ** np.arange(len(h))
 
 
+def _fill_uncovered(log_power: np.ndarray, covered: np.ndarray) -> None:
+    """Fill uncovered bins of every frame at once, as per-frame ``np.interp``."""
+    cov, gaps = np.flatnonzero(covered), np.flatnonzero(~covered)
+    j = np.searchsorted(cov, gaps)
+    lo, hi = cov[np.maximum(j - 1, 0)], cov[np.minimum(j, len(cov) - 1)]  # equal outside
+    slope = (log_power[:, hi] - log_power[:, lo]) / np.maximum(hi - lo, 1)
+    log_power[:, gaps] = slope * (gaps - lo) + log_power[:, lo]
+
+
 def estimate_coeffs_from_mel(
     mel: MelSpectrogram, n_taps: int = 64, floor_db: float = -50.0
 ) -> LtvFirCoeffs:
@@ -226,13 +242,7 @@ def estimate_coeffs_from_mel(
     log_power[:, covered] = ((mel.frames - band_comp) @ fbank[:, covered]) / coverage[
         covered
     ]
-    if not covered.all():
-        # bins outside the mel range inherit the nearest covered level
-        bin_idx = np.arange(cfg.n_bins)
-        for f in range(mel.n_frames):
-            log_power[f, ~covered] = np.interp(
-                bin_idx[~covered], bin_idx[covered], log_power[f, covered]
-            )
+    _fill_uncovered(log_power, covered)  # bins outside the mel range
 
     mag_db = np.maximum(LOG10_FACTOR * log_power, floor_db)
     magnitude = 10.0 ** (mag_db / 20.0)

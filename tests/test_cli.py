@@ -199,8 +199,10 @@ def inputs(tmp_path, f0_file, capsys):
     raw = bytearray(nan_hop.read_bytes())
     struct.pack_into("<d", raw, 16, float("nan"))  # hop_seconds follows magic + 3 u32
     nan_hop.write_bytes(bytes(raw))
+    utf16_f0 = tmp_path / "utf16_f0.txt"
+    utf16_f0.write_bytes("100.0\n".encode("utf-16"))  # starts with the \xff\xfe mark
     return {"f0": f0_file, "wav": wav, "mel80": mel80, "nan_hop": nan_hop,
-            "out": tmp_path / "out.wav", "dir": tmp_path}
+            "utf16_f0": utf16_f0, "out": tmp_path / "out.wav", "dir": tmp_path}
 
 
 EXCITE = ("excite", "{f0}", "--out", "{out}")
@@ -220,10 +222,12 @@ CONDITION = ("condition", "--raw-wav", "{wav}", "--out-prefix", "{out}")
         (("excite", "{f0}", "--out", "{dir}"), None, "io"),
         (("filter", "{wav}", "{nan_hop}", "--out", "{out}"), None, "format"),
         (("estimate", "{mel80}", "--out", "{out}"), None, "config"),
+        (("excite", "{utf16_f0}", "--out", "{out}"), None, "config"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
         "factors-not-int", "factors-list", "out-is-dir", "ltvf-nan-hop", "mel-hop-mismatch",
+        "f0-not-utf8",
     ],
 )
 def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, config, category):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmex import (
     AudioSignal,
@@ -13,13 +15,15 @@ from harmex import (
     fit_coeffs_least_squares,
     frequency_response,
     gaussian_noise,
+    mel_filterbank,
     minimum_phase_fir,
     read_coeffs,
     write_coeffs,
 )
-from harmex.ltv import _lagged
-from harmex.spectral import MelSpectrogram
+from harmex.ltv import _fill_uncovered, _lagged
+from harmex.spectral import MelSpectrogram, n_frames_for
 from conftest import FS, HOP, make_excitation
+from reference import apply_ltv_loop, fill_uncovered_loop
 
 N_TAPS = 64
 
@@ -84,6 +88,34 @@ class TestApplyLtv:
         f = 4
         sl = slice(f * HOP, (f + 1) * HOP)
         np.testing.assert_allclose(y.samples[sl], lag[sl] @ taps[f], atol=1e-12)
+
+
+class TestApplyLtvMatchesTapLoop:
+    """The per-frame contractions against the per-tap pass they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 1500),
+        hop=st.integers(1, 200),
+        n_taps=st.integers(1, 96),
+        frame_slack=st.sampled_from([-1, 0, 1]),
+        interpolate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1000, hop=160, n_taps=1, frame_slack=0, interpolate=True, seed=0)
+    @example(n=999, hop=16, n_taps=64, frame_slack=-1, interpolate=True, seed=1)
+    @example(n=1001, hop=160, n_taps=64, frame_slack=1, interpolate=False, seed=2)
+    def test_matches_loop(self, n, hop, n_taps, frame_slack, interpolate, seed):
+        n_frames = max(1, n_frames_for(n, hop) + frame_slack)
+        rng = np.random.default_rng(seed)
+        h = LtvFirCoeffs(rng.uniform(-1, 1, size=(n_frames, n_taps)), hop / FS, FS)
+        x = AudioSignal(rng.uniform(-1, 1, size=n), FS)
+        np.testing.assert_allclose(
+            apply_ltv(x, h, interpolate).samples,
+            apply_ltv_loop(x, h, interpolate).samples,
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestFitLeastSquares:
@@ -212,6 +244,16 @@ class TestEstimateFromMel:
         resp = frequency_response(h, 0, 1024)
         band = (freqs >= 300) & (freqs <= 5000)
         assert np.max(np.abs(resp[band] - mag_db[band])) < 3.0
+
+
+def test_uncovered_bins_match_per_frame_interp(rng):
+    """f_min > 0 and f_max < fs/2 leave bins uncovered at both ends."""
+    covered = mel_filterbank(40, 1024, FS, 300.0, 6000.0).sum(axis=0) > 0
+    assert (~covered).sum() > 10 and not covered[0] and not covered[-1]
+    log_power = rng.normal(size=(50, len(covered)))
+    filled = log_power.copy()
+    _fill_uncovered(filled, covered)
+    np.testing.assert_allclose(filled, fill_uncovered_loop(log_power, covered), rtol=0, atol=1e-12)
 
 
 class TestFrequencyResponse:
