@@ -221,21 +221,17 @@ def _cmd_condition(args, r):
 
 def _demo_formant_coeffs(n_frames: int, stft: StftConfig, fs: float, rng) -> ltv.LtvFirCoeffs:
     """Slowly drifting formant-like spectral envelopes, one FIR per frame."""
-    n_bins = stft.n_bins
-    freqs = np.arange(n_bins) * fs / stft.fft_size
+    freqs = np.arange(stft.n_bins) * fs / stft.fft_size
     centers = np.array([700.0, 1200.0, 2600.0])
     widths = np.array([130.0, 180.0, 280.0])
     gains_db = np.array([0.0, -6.0, -12.0])
     drift = rng.uniform(-0.08, 0.08, size=3)
 
-    taps = np.zeros((n_frames, 64))
-    for f in range(n_frames):
-        sweep = centers * (1.0 + drift * math.sin(2 * math.pi * f / max(n_frames, 1)))
-        mag_db = np.full(n_bins, -45.0)
-        for c, w, g in zip(sweep, widths, gains_db):
-            mag_db = np.maximum(mag_db, g - 0.5 * ((freqs - c) / w) ** 2)
-        mag_db -= 20.0 * (freqs / fs)  # gentle spectral tilt
-        taps[f] = ltv.minimum_phase_fir(10 ** (mag_db / 20.0), 64, stft.fft_size)
+    phase = np.sin(2 * math.pi * np.arange(n_frames) / max(n_frames, 1))
+    sweep = centers * (1.0 + drift * phase[:, None])  # frames x formants
+    peaks = gains_db[:, None] - 0.5 * ((freqs - sweep[..., None]) / widths[:, None]) ** 2
+    mag_db = np.maximum(peaks.max(axis=1), -45.0) - 20.0 * (freqs / fs)  # gentle spectral tilt
+    taps = ltv.minimum_phase_fir(10 ** (mag_db / 20.0), 64, stft.fft_size)
     return ltv.LtvFirCoeffs(taps, stft.hop_size / fs, fs)
 
 

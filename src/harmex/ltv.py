@@ -31,6 +31,18 @@ LTVF_MAGIC = b"LTVF"
 
 LOG10_FACTOR = 10.0 / math.log(10.0)  # natural-log power -> dB
 
+# Minimum-phase estimator (see ``minimum_phase_fir``).  The block sizes keep
+# each transient near 1 MiB or below: 16 rows of 1024-point cepstra, and 32
+# rows of 2049 complex bins in the angle search.
+CEPSTRUM_BLOCK = 16
+GATE_MARGIN = 1e-6  # the gate tests radius 1 - GATE_MARGIN
+BISECT_STEPS = 12
+ANGLE_FFT = 4096
+ANGLE_CHUNK = 32
+NEWTON_STEPS = 8
+CERTIFY_TOL = 1e-12
+CONTRACT_MARGIN = 1e-9  # contracted zeros end at radius 1 - CONTRACT_MARGIN
+
 
 @dataclass(frozen=True)
 class LtvFirCoeffs:
@@ -175,30 +187,146 @@ def fit_coeffs_least_squares(
 def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
     """Minimum-phase FIR taps whose response approximates ``magnitude``.
 
-    ``magnitude`` is a linear magnitude over fft_size//2 + 1 bins.  The taps
-    come from the real-cepstrum construction, truncated to n_taps; if the
-    truncation pushes any zero outside the unit circle, the tap sequence is
-    exponentially contracted just enough to pull every zero back inside.
+    ``magnitude`` is a linear magnitude over fft_size//2 + 1 bins, one row
+    per frame; a single 1-D row gives 1-D taps.  The taps come from the
+    real-cepstrum construction, computed CEPSTRUM_BLOCK rows at a time and
+    truncated to n_taps (at most fft_size).  If the truncation pushes any
+    zero of a row outside the unit circle, that row is exponentially
+    contracted just enough to pull every zero back inside: see
+    ``_contract_roots_inside`` for the Schur-Cohn gate at radius
+    1 - GATE_MARGIN, the bracket-angle-Newton radius with its two-sided
+    certificate, and the companion-matrix ``eigvals`` fallback.
     """
-    mag = np.maximum(np.asarray(magnitude, dtype=np.float64), 1e-12)
-    cep = np.fft.irfft(np.log(mag), fft_size)
+    if not 1 <= n_taps <= fft_size:
+        raise ConfigError(f"n_taps={n_taps} outside [1, fft_size={fft_size}]")
+    mag = np.asarray(magnitude, dtype=np.float64)
+    if mag.ndim not in (1, 2) or mag.shape[-1] != fft_size // 2 + 1:
+        raise ConfigError(f"magnitude shape {mag.shape}: need rows of {fft_size // 2 + 1} bins")
+    rows = np.atleast_2d(mag)
     fold = np.zeros(fft_size)
     fold[0] = 1.0
     fold[1 : fft_size // 2] = 2.0
     fold[fft_size // 2] = 1.0
-    h = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:n_taps]
-    return _contract_roots_inside(h)
+    h = np.empty((len(rows), n_taps))
+    for b in range(0, len(rows), CEPSTRUM_BLOCK):
+        block = slice(b, b + CEPSTRUM_BLOCK)
+        cep = np.fft.irfft(np.log(np.maximum(rows[block], 1e-12)), fft_size)
+        h[block] = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:, :n_taps]
+    h = _contract_roots_inside(h)
+    return h if mag.ndim > 1 else h[0]
 
 
 def _contract_roots_inside(h: np.ndarray) -> np.ndarray:
-    if len(h) < 2:
+    """Pull every row's zeros inside the unit circle, as ``np.roots`` would.
+
+    Each row is a polynomial in z^-1 whose largest zero radius r is the
+    largest ``|np.roots(row)|``.  A row with r > 1 becomes h[n] * rho^n with
+    rho = (1 - CONTRACT_MARGIN) / r, which scales every zero by rho exactly.
+
+    Gate: one batched Schur-Cohn step-down decides, for every row, whether
+    all zeros lie within radius 1 - GATE_MARGIN; those rows are kept as they
+    are.  The margin sends every row whose r rounds close to 1 through the
+    radius search, so the gate never disagrees with ``np.roots`` rounding at
+    the unit circle.  The remaining rows get r from ``_zero_radius``.
+    """
+    if h.shape[1] < 2:
         return h
-    max_radius = float(np.abs(np.roots(h)).max(initial=0.0))
-    if max_radius <= 1.0:
-        return h
-    # h[n] * rho^n has its zeros at rho * (original zeros), exactly
-    rho = (1.0 - 1e-9) / max_radius
-    return h * rho ** np.arange(len(h))
+    todo = np.flatnonzero(~_zeros_within(h, np.full(len(h), 1.0 - GATE_MARGIN)))
+    r = _zero_radius(h[todo])
+    grow = r > 1.0
+    out = h.copy()
+    rho = (1.0 - CONTRACT_MARGIN) / r[grow]
+    out[todo[grow]] = h[todo[grow]] * rho[:, None] ** np.arange(h.shape[1])
+    return out
+
+
+def _zeros_within(h: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Per row: do all zeros of sum_n h[n] z^-n lie strictly inside ``radius``?
+
+    Schur-Cohn (Jury) step-down on the monic polynomial h[n] radius^-n: with
+    k its constant coefficient, every zero is inside the unit circle iff
+    |k| < 1 and every zero of (a - k * reversed(a)) / z is.  Rows that
+    overflow or meet a zero leading tap come out False.
+    """
+    n = np.arange(h.shape[1])[:, None]
+    a = np.ascontiguousarray(h.T) * radius ** -n  # taps x rows
+    inside = np.ones(len(h), dtype=bool)
+    with np.errstate(all="ignore"):  # rows already found outside may overflow
+        a = a / a[0]
+        for m in range(len(a) - 1, 0, -1):
+            k = a[m]
+            inside &= np.abs(k) < 1.0
+            a = (a[:m] - k * a[m:0:-1]) / (1.0 - k * k)
+    return inside
+
+
+def _zero_radius(h: np.ndarray) -> np.ndarray:
+    """Largest zero radius of each row that failed the gate (r >= 1 - GATE_MARGIN).
+
+    Bracket: BISECT_STEPS geometric bisections of [1 - GATE_MARGIN, Cauchy
+    bound] with ``_zeros_within``.  Angle: the deepest dip of |H| on the
+    outer circle of the bracket, sampled at ANGLE_FFT points, ANGLE_CHUNK
+    rows per transform.  Newton: NEWTON_STEPS complex Horner steps from that
+    point give a zero z.  Certificate, two-sided: all zeros lie within
+    |z| (1 + CERTIFY_TOL), not all lie within |z| (1 - CERTIFY_TOL), and that
+    interval lies on one side of 1, so a row is contracted exactly when
+    ``np.roots`` says it must be.  A one-sided certificate would accept a
+    Newton point that stalled outside every zero and over-contract the row.
+    Rows that are not certified take ``_roots_radius``, which is exact.
+    """
+    with np.errstate(all="ignore"):  # a zero leading tap gives nan: not certified
+        lo = np.full(len(h), 1.0 - GATE_MARGIN)
+        hi = 1.0 + np.abs(h[:, 1:] / h[:, :1]).max(axis=1)  # Cauchy bound
+        for _ in range(BISECT_STEPS):
+            mid = np.sqrt(lo * hi)
+            inside = _zeros_within(h, mid)
+            hi, lo = np.where(inside, mid, hi), np.where(inside, lo, mid)
+
+        dip = np.empty(len(h), dtype=np.intp)
+        n = np.arange(h.shape[1])
+        for b in range(0, len(h), ANGLE_CHUNK):
+            on_circle = h[b : b + ANGLE_CHUNK] * hi[b : b + ANGLE_CHUNK, None] ** -n
+            dip[b : b + ANGLE_CHUNK] = np.abs(np.fft.rfft(on_circle, ANGLE_FFT)).argmin(axis=1)
+        z = hi * np.exp(2j * np.pi / ANGLE_FFT * dip)
+
+        for _ in range(NEWTON_STEPS):
+            p, dp = h[:, 0].astype(complex), np.zeros(len(h), dtype=complex)
+            for c in h[:, 1:].T:
+                dp = dp * z + p
+                p = p * z + c
+            z = z - p / dp
+
+        r = np.abs(z)
+        below, above = r * (1.0 - CERTIFY_TOL), r * (1.0 + CERTIFY_TOL)
+        certified = (
+            ((above < 1.0) | (below > 1.0))
+            & _zeros_within(h, above)
+            & ~_zeros_within(h, below)
+        )
+    r[~certified] = _roots_radius(h[~certified])
+    return r
+
+
+def _roots_radius(h: np.ndarray) -> np.ndarray:
+    """``max |np.roots(row)|`` per row (0 if none), bit for bit.
+
+    Like ``np.roots``, each row is trimmed of leading and trailing zeros and
+    its companion matrix goes to ``eigvals``: one batched call per trimmed
+    length.  Rows with a non-finite tap get nan.
+    """
+    r = np.where(np.isfinite(h).all(axis=1), 0.0, np.nan)
+    nonzero = h != 0
+    first = nonzero.argmax(axis=1)
+    size = h.shape[1] - nonzero[:, ::-1].argmax(axis=1) - first
+    size[~nonzero.any(axis=1) | np.isnan(r)] = 0
+    for m in np.unique(size[size > 1]):
+        rows = np.flatnonzero(size == m)
+        p = h[rows[:, None], first[rows, None] + np.arange(m)]
+        companion = np.zeros((len(rows), m - 1, m - 1))
+        companion[:, 0] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+        r[rows] = np.abs(np.linalg.eigvals(companion)).max(axis=1)
+    return r
 
 
 def _fill_uncovered(log_power: np.ndarray, covered: np.ndarray) -> None:
@@ -215,10 +343,21 @@ def estimate_coeffs_from_mel(
 ) -> LtvFirCoeffs:
     """Minimum-phase FIR per frame from a log-mel envelope.
 
+    The envelope (``_mel_magnitude``) is turned into taps by the
+    real-cepstrum method of ``minimum_phase_fir``, all frames in one call.
+    """
+    # an envelope beyond float64 gives non-finite taps, which LtvFirCoeffs rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        taps = minimum_phase_fir(_mel_magnitude(mel, floor_db), n_taps, mel.config.fft_size)
+    return LtvFirCoeffs(taps, mel.hop_seconds, mel.sample_rate)
+
+
+def _mel_magnitude(mel: MelSpectrogram, floor_db: float = -50.0) -> np.ndarray:
+    """Linear magnitude envelope per frame (frames x bins) from log-mel energies.
+
     Log-mel energies are spread back onto the linear-frequency grid with the
     transpose of the (peak-normalized) filterbank, normalized by per-bin
-    coverage; the resulting log-magnitude is floored at floor_db and turned
-    into taps by the real-cepstrum method.
+    coverage; the resulting log-magnitude is floored at floor_db.
 
     Each band's energy is the envelope integrated over a triangle whose area
     grows with frequency, which would tilt the reconstruction upward by the
@@ -228,8 +367,6 @@ def estimate_coeffs_from_mel(
     keeping the round trip from a smooth spectral envelope within a few dB.
     """
     cfg = mel.config
-    if n_taps > 2 * cfg.fft_size:
-        raise ConfigError(f"n_taps={n_taps} too large for fft_size={cfg.fft_size}")
     fbank = mel_filterbank(
         mel.n_mels, cfg.fft_size, mel.sample_rate, mel.mel_range[0], mel.mel_range[1]
     )
@@ -245,12 +382,7 @@ def estimate_coeffs_from_mel(
     _fill_uncovered(log_power, covered)  # bins outside the mel range
 
     mag_db = np.maximum(LOG10_FACTOR * log_power, floor_db)
-    magnitude = 10.0 ** (mag_db / 20.0)
-
-    taps = np.zeros((mel.n_frames, n_taps))
-    for f in range(mel.n_frames):
-        taps[f] = minimum_phase_fir(magnitude[f], n_taps, cfg.fft_size)
-    return LtvFirCoeffs(taps, mel.hop_seconds, mel.sample_rate)
+    return 10.0 ** (mag_db / 20.0)
 
 
 def frequency_response(h: LtvFirCoeffs, frame: int, n_fft: int) -> np.ndarray:

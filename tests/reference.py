@@ -8,8 +8,9 @@ import numpy as np
 
 from harmex import AudioSignal, ExcitationConfig, LtvFirCoeffs, PhaseInit, SampleF0
 from harmex.errors import AliasingError
-from harmex.ltv import _check_geometry, _lagged
+from harmex.ltv import _check_geometry, _lagged, _mel_magnitude
 from harmex.signal_core import TAU, _voiced_runs
+from harmex.spectral import MelSpectrogram
 
 
 def sine_excitation_loop(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) -> AudioSignal:
@@ -66,3 +67,28 @@ def fill_uncovered_loop(log_power: np.ndarray, covered: np.ndarray) -> np.ndarra
     for f in range(len(out)):
         out[f, ~covered] = np.interp(bin_idx[~covered], bin_idx[covered], out[f, covered])
     return out
+
+
+def contract_roots_loop(h: np.ndarray) -> np.ndarray:
+    """``ltv._contract_roots_inside`` with one ``np.roots`` call per row."""
+    out = h.copy()
+    for f, row in enumerate(h):
+        max_radius = float(np.abs(np.roots(row)).max(initial=0.0))
+        if len(row) > 1 and max_radius > 1.0:
+            # row[n] * rho^n has its zeros at rho * (original zeros), exactly
+            out[f] = row * ((1.0 - 1e-9) / max_radius) ** np.arange(len(row))
+    return out
+
+
+def estimate_taps_loop(mel: MelSpectrogram, n_taps: int = 64, floor_db: float = -50.0) -> np.ndarray:
+    """``ltv.estimate_coeffs_from_mel`` taps, one real cepstrum and one ``np.roots`` per frame."""
+    fft_size = mel.config.fft_size
+    fold = np.zeros(fft_size)
+    fold[0] = 1.0
+    fold[1 : fft_size // 2] = 2.0
+    fold[fft_size // 2] = 1.0
+    taps = np.zeros((mel.n_frames, n_taps))
+    for f, magnitude in enumerate(_mel_magnitude(mel, floor_db)):
+        cep = np.fft.irfft(np.log(np.maximum(magnitude, 1e-12)), fft_size)
+        taps[f] = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:n_taps]
+    return contract_roots_loop(taps)

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from harmex import read_coeffs, read_feature_file, read_wav
+from harmex import read_coeffs, read_feature_file, read_wav, write_feature_file
 from harmex.cli import main
 
 
@@ -194,6 +194,11 @@ def inputs(tmp_path, f0_file, capsys):
     assert run(capsys, "excite", str(f0_file), "--out", str(wav))[0] == 0
     mel80 = tmp_path / "mel80.hmx"
     assert run(capsys, "mel", str(wav), "--out", str(mel80), "--hop-size", "80")[0] == 0
+    mel = tmp_path / "mel.hmx"
+    assert run(capsys, "mel", str(wav), "--out", str(mel))[0] == 0
+    frames, hop = read_feature_file(mel)
+    loud_mel = tmp_path / "loud_mel.hmx"
+    write_feature_file(loud_mel, np.where(np.arange(frames.shape[1]) == 40, 3e38, frames), hop)
     nan_hop = tmp_path / "nan_hop.ltvf"
     write_coeffs(nan_hop, LtvFirCoeffs(np.zeros((100, 4)), 0.010, 16000))
     raw = bytearray(nan_hop.read_bytes())
@@ -201,8 +206,9 @@ def inputs(tmp_path, f0_file, capsys):
     nan_hop.write_bytes(bytes(raw))
     utf16_f0 = tmp_path / "utf16_f0.txt"
     utf16_f0.write_bytes("100.0\n".encode("utf-16"))  # starts with the \xff\xfe mark
-    return {"f0": f0_file, "wav": wav, "mel80": mel80, "nan_hop": nan_hop,
-            "utf16_f0": utf16_f0, "out": tmp_path / "out.wav", "dir": tmp_path}
+    return {"f0": f0_file, "wav": wav, "mel": mel, "mel80": mel80, "loud_mel": loud_mel,
+            "nan_hop": nan_hop, "utf16_f0": utf16_f0, "out": tmp_path / "out.wav",
+            "dir": tmp_path}
 
 
 EXCITE = ("excite", "{f0}", "--out", "{out}")
@@ -223,11 +229,13 @@ CONDITION = ("condition", "--raw-wav", "{wav}", "--out-prefix", "{out}")
         (("filter", "{wav}", "{nan_hop}", "--out", "{out}"), None, "format"),
         (("estimate", "{mel80}", "--out", "{out}"), None, "config"),
         (("excite", "{utf16_f0}", "--out", "{out}"), None, "config"),
+        (("estimate", "{mel}", "--n-taps", "1500", "--out", "{out}"), None, "config"),
+        (("estimate", "{loud_mel}", "--out", "{out}"), None, "domain"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
         "factors-not-int", "factors-list", "out-is-dir", "ltvf-nan-hop", "mel-hop-mismatch",
-        "f0-not-utf8",
+        "f0-not-utf8", "n-taps-above-fft-size", "mel-overflow",
     ],
 )
 def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, config, category):

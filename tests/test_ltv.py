@@ -20,10 +20,10 @@ from harmex import (
     read_coeffs,
     write_coeffs,
 )
-from harmex.ltv import _fill_uncovered, _lagged
+from harmex.ltv import _contract_roots_inside, _fill_uncovered, _lagged, _zero_radius
 from harmex.spectral import MelSpectrogram, n_frames_for
 from conftest import FS, HOP, make_excitation
-from reference import apply_ltv_loop, fill_uncovered_loop
+from reference import apply_ltv_loop, contract_roots_loop, estimate_taps_loop, fill_uncovered_loop
 
 N_TAPS = 64
 
@@ -246,6 +246,95 @@ class TestEstimateFromMel:
         assert np.max(np.abs(resp[band] - mag_db[band])) < 3.0
 
 
+MEL_RESYNTH_S5_U1_ROW_86 = [
+    -10.3958, -10.2308, -9.8378, -9.0455, -7.9347, -5.5008, -1.0024, 2.5129, 3.2620, 1.9309,
+    -3.0156, -6.0870, -5.4682, -1.2291, 3.2950, 4.2211, 2.1413, -4.0074, -4.8577, 1.0255,
+    4.6702, 4.7614, 0.4566, -5.0300, -3.1685, 0.7541, 0.3896, -5.4422, -9.7792, -3.9948,
+    -3.3519, -7.1376, -4.3883, -0.1315, -0.7349, -3.8551, 3.2350, 3.7550, -1.1835, 1.1799,
+    1.7893, -3.0925, 0.2027, -0.1443, -2.9189, -0.8187, -3.6017, -4.8956, -5.6875, -0.4464,
+    -0.2185, 2.3223, 2.5894, -0.1539, -0.0065, -0.9363, -1.4296, -1.1355, -1.9668, -1.4946,
+    -1.4278, -1.8170, -1.4975, -1.4611, -1.8455, -1.8869, -1.9154, -2.2154, -2.6783, -2.9411,
+    -3.1480, -3.1968, -3.0459, -2.8203, -2.6302, -2.5120, -2.5050, -2.6321, -2.8398, -3.0708,
+]
+
+
+class TestEstimateMatchesRootsLoop:
+    """The batched estimator against one cepstrum and one ``np.roots`` per frame."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        level=st.floats(-12.0, 0.0),
+        depth=st.floats(0.0, 4.5),
+        smooth=st.integers(1, 24),
+        n_frames=st.integers(1, 24),
+        n_taps=st.integers(2, 128),
+        floor_db=st.floats(-90.0, -20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(level=-4.0, depth=4.0, smooth=1, n_frames=24, n_taps=64, floor_db=-50.0, seed=0)
+    def test_matches_loop(self, level, depth, smooth, n_frames, n_taps, floor_db, seed):
+        """Frames of mean ``level`` whose bands stray by ``depth``, ``smooth`` bands at a time.
+
+        The ranges cover the benchmark's log-mel frames (means -11.5 to 0,
+        band spread up to 4.3, taps below 0.3).  Far louder frames give taps
+        near 15, where the oracle's own rounding exceeds the tolerance: on
+        one such frame ``np.roots`` put the radius 7e-15 (relative) off a
+        50-digit root, while the batched radius was exact.
+        """
+        noise = np.random.default_rng(seed).normal(size=(n_frames, 80 + smooth - 1))
+        bands = np.lib.stride_tricks.sliding_window_view(noise, smooth, axis=1).mean(axis=-1)
+        mel = MelSpectrogram(level + depth * np.sqrt(smooth) * bands, StftConfig(), FS)
+        np.testing.assert_allclose(
+            estimate_coeffs_from_mel(mel, n_taps, floor_db).taps,
+            estimate_taps_loop(mel, n_taps, floor_db),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_frame_that_defeats_a_one_sided_certificate(self):
+        """Newton ends outside every zero of this frame; only the lower bound catches it.
+
+        Log-mel row 86 of the ``mel_resynth`` benchmark input for seed 5,
+        utterance 1 (``bench/workloads.py::make_utterance``), rounded to 4
+        decimals.  Accepting the Newton radius on "all zeros inside" alone
+        over-contracts its taps by about 7e-3.
+        """
+        mel = MelSpectrogram(np.array([MEL_RESYNTH_S5_U1_ROW_86]), StftConfig(), FS)
+        np.testing.assert_allclose(
+            estimate_coeffs_from_mel(mel).taps, estimate_taps_loop(mel), rtol=0, atol=1e-12
+        )
+
+
+def conjugate_pair(radius, angle):
+    return [radius * np.exp(1j * angle), radius * np.exp(-1j * angle)]
+
+
+class TestZeroRadius:
+    """The certified radius of rows that fail the gate, on polynomials with known zeros."""
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            conjugate_pair(1.3, 0.7) + [0.9, -0.5] + conjugate_pair(0.95, 2.5),
+            conjugate_pair(1.1, 0.4) + conjugate_pair(1.1 * (1 + 1e-9), 2.2) + [0.5, -0.7],
+            conjugate_pair(1.0, 1.3) + [0.5, -0.3],
+        ],
+        ids=["conjugate-pair-largest", "moduli-1e-9-apart", "on-unit-circle"],
+    )
+    def test_matches_np_roots(self, zeros):
+        h = np.poly(zeros)[None]
+        radius = np.abs(np.roots(h[0])).max()
+        np.testing.assert_allclose(_zero_radius(h), radius, rtol=1e-12)
+        np.testing.assert_allclose(
+            _contract_roots_inside(h), contract_roots_loop(h), rtol=0, atol=1e-12
+        )
+
+    def test_zero_inside_gate_margin_is_not_contracted(self):
+        h = np.poly([1 - 1e-7, -0.3] + conjugate_pair(0.5, 1.0))[None]
+        np.testing.assert_allclose(_zero_radius(h), 1 - 1e-7, rtol=1e-12)
+        np.testing.assert_array_equal(_contract_roots_inside(h), h)
+
+
 def test_uncovered_bins_match_per_frame_interp(rng):
     """f_min > 0 and f_max < fs/2 leave bins uncovered at both ends."""
     covered = mel_filterbank(40, 1024, FS, 300.0, 6000.0).sum(axis=0) > 0
@@ -282,6 +371,14 @@ class TestMinimumPhaseFir:
         h = minimum_phase_fir(mag, 32, 1024)
         resp = np.abs(np.fft.rfft(h, 1024))
         np.testing.assert_allclose(resp, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "shape, n_taps",
+        [((513,), 0), ((513,), -3), ((513,), 1025), ((512,), 64), ((2, 3, 513), 64)],
+    )
+    def test_bad_n_taps_or_bin_count_rejected(self, shape, n_taps):
+        with pytest.raises(ConfigError):
+            minimum_phase_fir(np.ones(shape), n_taps, 1024)
 
 
 class TestCoeffFile:
