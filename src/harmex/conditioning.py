@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import ConfigError, DomainError
 from .signal_core import AudioSignal
+from .spectral import hann
 from .tensor_io import write_feature_file
 
 CHANNEL_ORDER = ("noise", "raw_excitation", "filtered_excitation")
@@ -105,7 +105,7 @@ def decimation_taps(factor: int) -> np.ndarray:
     n_taps = 8 * factor + 1
     m = np.arange(n_taps) - (n_taps - 1) / 2
     cutoff = 0.45 / factor
-    taps = 2 * cutoff * np.sinc(2 * cutoff * m) * get_window("hann", n_taps, fftbins=False)
+    taps = 2 * cutoff * np.sinc(2 * cutoff * m) * hann(n_taps, periodic=False)
     return taps / taps.sum()
 
 

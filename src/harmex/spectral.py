@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import ConfigError, DomainError, check_positive
 from .signal_core import AudioSignal
@@ -90,6 +89,20 @@ def n_frames_for(n_samples: int, hop: int) -> int:
     return math.ceil(n_samples / hop)
 
 
+def hann(m: int, periodic: bool) -> np.ndarray:
+    """Hann window of length ``m``: periodic for FFT frames, else symmetric.
+
+    Uses the cosine-sum form ``0.5 + 0.5 cos(t)``, ``t`` from -pi to pi over
+    ``m`` points (``m + 1`` with the last dropped when periodic); see Harris,
+    "On the use of windows for harmonic analysis with the DFT", Proc. IEEE
+    1978.  Lengths 0 and 1 give all ones.
+    """
+    if m <= 1:
+        return np.ones(m)
+    t = np.linspace(-np.pi, np.pi, m + 1 if periodic else m)
+    return (0.5 + 0.5 * np.cos(t))[:m]
+
+
 def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Magnitude STFT with centered, reflect-padded, Hann-windowed frames."""
     n = len(x)
@@ -103,7 +116,7 @@ def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray
     mode = "reflect" if n > max(pad_left, pad_right) else "constant"
     xp = np.pad(x.samples, (pad_left, pad_right), mode=mode)
 
-    window = get_window("hann", win, fftbins=True)
+    window = hann(win, periodic=True)
     starts = np.arange(frames) * hop
     segs = np.lib.stride_tricks.sliding_window_view(xp, win)[starts]
     return np.abs(np.fft.rfft(segs * window, n=fft, axis=1))

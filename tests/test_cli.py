@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harmex
 from harmex import read_coeffs, read_feature_file, read_wav, write_feature_file
 from harmex.cli import main
 
@@ -295,3 +300,20 @@ def test_run_manifest_replays_byte_identically(tmp_path, f0_file, capsys, subcom
         }
 
     assert outputs(first) and outputs(first) == outputs(second)
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    """scipy.signal alone took 1.4 s of every CLI call's start-up; keep it out."""
+    probe = (
+        "import json, sys\n"
+        "import harmex, harmex.cli\n"
+        "code = harmex.cli.main(['demo', '--out-dir', sys.argv[1]])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'code': code, 'scipy': loaded}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(harmex.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "scipy": []}

@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from harmex import (
     AudioSignal,
@@ -15,6 +20,28 @@ from harmex import (
 )
 
 FS = 16000
+ENCODINGS = {WavEncoding.PCM16: np.int16, WavEncoding.FLOAT32: np.float32}
+
+
+def wav_bytes(fmt: bytes, data: bytes, *extra: tuple[bytes, bytes], order: str = "<") -> bytes:
+    """A RIFF (``order`` "<") or RIFX (">") WAVE file: fmt, extra chunks, data."""
+    chunks = b""
+    for chunk_id, body in ((b"fmt ", fmt), *extra, (b"data", data)):
+        chunks += struct.pack(order + "4sI", chunk_id, len(body)) + body + b"\0" * (len(body) % 2)
+    magic = b"RIFF" if order == "<" else b"RIFX"
+    return magic + struct.pack(order + "I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def scipy_reference(path) -> AudioSignal:
+    """``wavfile.read``'s samples, PCM16 scaled by 1/32767 as read_wav scales it."""
+    rate, data = wavfile.read(path)
+    samples = data.astype(np.float64)
+    return AudioSignal(samples / 32767.0 if data.dtype.kind == "i" else samples, rate)
+
+
+def assert_same_signal(got: AudioSignal, want: AudioSignal):
+    assert got.sample_rate == want.sample_rate
+    np.testing.assert_array_equal(got.samples, want.samples)
 
 
 class TestWavIo:
@@ -30,8 +57,6 @@ class TestWavIo:
     def test_pcm16_full_scale(self, tmp_path):
         path = tmp_path / "p.wav"
         write_wav(path, AudioSignal(np.array([1.0, -1.0, 0.0]), FS), WavSpec(FS, WavEncoding.PCM16))
-        from scipy.io import wavfile
-
         _, raw = wavfile.read(path)
         assert list(raw) == [32767, -32767, 0]
 
@@ -46,14 +71,10 @@ class TestWavIo:
         path = tmp_path / "c.wav"
         info = write_wav(path, AudioSignal(np.array([1.5, 0.0]), FS), WavSpec(FS, WavEncoding.PCM16))
         assert info.clipped == 1
-        from scipy.io import wavfile
-
         _, raw = wavfile.read(path)
         assert raw[0] == 32767
 
     def test_stereo_rejected(self, tmp_path):
-        from scipy.io import wavfile
-
         path = tmp_path / "s.wav"
         wavfile.write(path, FS, np.zeros((100, 2), dtype=np.int16))
         with pytest.raises(FormatError):
@@ -70,6 +91,128 @@ class TestWavIo:
             read_wav(tmp_path / "missing.wav")
 
 
+class TestWavCodecMatchesScipy:
+    """``wavfile`` is the oracle the struct codec replaced."""
+
+    @pytest.mark.parametrize("encoding", list(ENCODINGS))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1001, 16000])
+    def test_writer_bytes(self, tmp_path, encoding, n):
+        x = AudioSignal(np.clip(gaussian_noise(n, FS, n).samples * 0.3, -1, 1), FS)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        write_wav(ours, x, WavSpec(FS, encoding))
+        if encoding is WavEncoding.PCM16:
+            data = np.clip(np.rint(x.samples * 32767.0), -32767, 32767).astype(np.int16)
+        else:
+            data = x.samples.astype(np.float32)
+        wavfile.write(theirs, FS, data)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+    def test_reader_on_scipy_files(self, tmp_path, dtype):
+        path = tmp_path / "s.wav"
+        data = gaussian_noise(777, 22050, 4).samples * 0.3
+        wavfile.write(path, 22050, (data * 32767).astype(dtype) if dtype is np.int16 else data.astype(dtype))
+        assert_same_signal(read_wav(path), scipy_reference(path))
+
+    def test_reader_skips_odd_sized_list_chunk(self, tmp_path):
+        path = tmp_path / "list.wav"
+        fmt = struct.pack("<HHIIHH", 1, 1, FS, 2 * FS, 2, 16)
+        data = np.arange(-5, 6, dtype="<i2").tobytes()
+        path.write_bytes(wav_bytes(fmt, data, (b"LIST", b"INFOx")))
+        assert_same_signal(read_wav(path), scipy_reference(path))
+        np.testing.assert_array_equal(read_wav(path).samples * 32767, np.arange(-5, 6))
+
+    def test_reader_big_endian_rifx(self, tmp_path):
+        path = tmp_path / "rifx.wav"
+        fmt = struct.pack(">HHIIHH", 1, 1, FS, 2 * FS, 2, 16)
+        path.write_bytes(wav_bytes(fmt, np.arange(-3, 4, dtype=">i2").tobytes(), order=">"))
+        assert_same_signal(read_wav(path), scipy_reference(path))
+
+    @pytest.mark.parametrize("tag, dtype", [(1, "<i2"), (3, "<f4")])
+    def test_reader_extensible(self, tmp_path, tag, dtype):
+        path = tmp_path / "ext.wav"
+        width = np.dtype(dtype).itemsize
+        guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, FS, width * FS, width, 8 * width, 22, 8 * width, 4) + guid
+        path.write_bytes(wav_bytes(fmt, np.linspace(-0.5, 0.5, 9).astype(dtype).tobytes()))
+        assert_same_signal(read_wav(path), scipy_reference(path))
+
+    @pytest.mark.parametrize("encoding", list(ENCODINGS))
+    def test_largest_rate_that_fits(self, tmp_path, encoding):
+        rate = 0xFFFFFFFF // np.dtype(ENCODINGS[encoding]).itemsize
+        path = tmp_path / "r.wav"
+        write_wav(path, AudioSignal(np.zeros(4), FS), WavSpec(rate, encoding))
+        assert read_wav(path).sample_rate == rate
+        assert_same_signal(read_wav(path), scipy_reference(path))
+
+
+def _riff_with(fmt_fields=(1, 1, FS, 2 * FS, 2, 16), data=b"\0\0" * 4):
+    return wav_bytes(struct.pack("<HHIIHH", *fmt_fields), data)
+
+
+class TestWavRejects:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            _riff_with((1, 2, FS, 4 * FS, 4, 16)),  # stereo
+            _riff_with((1, 1, FS, FS, 1, 8), b"\x80" * 4),  # uint8
+            _riff_with((1, 1, FS, 4 * FS, 4, 32)),  # int32
+            _riff_with((1, 1, FS, 3 * FS, 2, 16)),  # byte rate != rate x block align
+            _riff_with((1, 1, 0, 0, 2, 16)),  # rate 0
+            _riff_with((6, 1, FS, FS, 1, 8)),  # A-law
+            _riff_with((3, 1, FS, 4 * FS, 4, 32), np.array([0, np.nan], "<f4").tobytes()),
+            _riff_with()[:30],  # truncated header
+            _riff_with()[:-3],  # data chunk shorter than declared
+            wav_bytes(b"\0" * 14, b""),  # fmt chunk too short
+            _riff_with()[:12],  # no chunks
+            b"RIFF\0\0\0\0WAVEdata\0\0\0\0",  # data before fmt
+            b"OggS" + bytes(40),
+            b"",
+        ],
+        ids=[
+            "stereo", "uint8", "int32", "byte-rate", "rate-0", "alaw", "float-nan",
+            "truncated-header", "short-data", "short-fmt", "no-chunks", "data-before-fmt",
+            "not-riff", "empty",
+        ],
+    )
+    def test_malformed_raises_format_error(self, tmp_path, raw):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            read_wav(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        encoding=st.sampled_from(list(ENCODINGS)),
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=6),
+        keep=st.integers(0, 10**6),
+    )
+    def test_mutated_bytes_read_or_format_error(self, tmp_path_factory, encoding, edits, keep):
+        path = tmp_path_factory.mktemp("mutated") / "m.wav"
+        write_wav(path, AudioSignal(np.linspace(-1, 1, 7), FS), WavSpec(FS, encoding))
+        raw = bytearray(path.read_bytes())
+        for pos, value in edits:
+            raw[pos % len(raw)] = value
+        path.write_bytes(bytes(raw[: keep % (len(raw) + 1)]))
+        try:
+            assert isinstance(read_wav(path), AudioSignal)
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize(
+        "spec",
+        [(0.4, WavEncoding.FLOAT32), (5e9, WavEncoding.PCM16), (2**31, WavEncoding.FLOAT32)],
+        ids=["rounds-to-0", "above-u32", "byte-rate-above-u32"],
+    )
+    def test_rate_that_does_not_fit_the_header(self, tmp_path, spec):
+        path, x = tmp_path / "r.wav", AudioSignal(np.zeros(4), spec[0])
+        with pytest.raises(FormatError):
+            write_wav(path, x, WavSpec(*spec))
+        with pytest.raises(FormatError):  # the Float32 spec write_wav derives from x
+            write_wav(path, x)
+        assert not path.exists()
+
+
 class TestFeatureFile:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         data = rng.normal(size=(37, 5)).astype(np.float32)
@@ -84,8 +227,6 @@ class TestFeatureFile:
         write_feature_file(path, np.zeros((160, 2)), 1 / FS)
         raw = path.read_bytes()
         assert raw[:4] == b"HMX1"
-        import struct
-
         _, version, n_frames, n_dims, hop = struct.unpack("<4sIIId", raw[: struct.calcsize("<4sIIId")])
         assert (version, n_frames, n_dims) == (1, 160, 2)
         assert hop == pytest.approx(1 / FS)

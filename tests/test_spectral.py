@@ -15,13 +15,20 @@ from harmex import (
     mel_spectrogram,
     stft_magnitude,
 )
-from harmex.spectral import MEL_FLOOR, n_frames_for
+from harmex.spectral import MEL_FLOOR, hann, n_frames_for
 from conftest import FS
 
 
 def sine(freq, n, amp=0.5, fs=FS):
     t = np.arange(n) / fs
     return AudioSignal(amp * np.sin(2 * np.pi * freq * t), fs)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_hann_equals_scipy_bit_for_bit(periodic):
+    for m in range(1, 2500):
+        want = get_window("hann", m, fftbins=periodic)
+        np.testing.assert_array_equal(hann(m, periodic), want, err_msg=f"M={m}")
 
 
 class TestStftMagnitude:
