@@ -162,14 +162,21 @@ def _cmd_filter(args, r):
 
 
 def _cmd_estimate(args, r):
-    frames, hop_seconds = tensor_io.read_feature_file(args.mel_file)
+    frames, header = tensor_io.read_hmx(args.mel_file)
+    hop_seconds = header.pop("hop_seconds")
+    if header:  # a version-2 file: its own geometry, which no given option may contradict
+        for key, value in header.items():
+            if key in args.given and r[key] != value:
+                message = f"{key}={r[key]} contradicts the mel file's {value}"
+                raise ConfigError(message, path=args.mel_file)
+        r = {**r, **header}
     stft = StftConfig(r["fft_size"], r["win_size"], r["hop_size"])
     if not math.isclose(hop_seconds, stft.hop_size / r["sample_rate"]):
         rate = f"hop_size/sample_rate = {stft.hop_size}/{r['sample_rate']}"
         raise ConfigError(f"mel file hop {hop_seconds} s differs from {rate}", path=args.mel_file)
     mel = spectral.MelSpectrogram(frames, stft, r["sample_rate"], (r["f_min"], r["f_max"]))
     ltv.write_coeffs(args.out, ltv.estimate_coeffs_from_mel(mel, r["n_taps"], r["floor_db"]))
-    return {"hop_seconds": hop_seconds}
+    return {"hop_seconds": hop_seconds, **header}
 
 
 def _cmd_fit(args, r):
@@ -183,7 +190,7 @@ def _cmd_mel(args, r):
     x = wav_io.read_wav(args.wav_file)
     stft = StftConfig(r["fft_size"], r["win_size"], r["hop_size"])
     mel = spectral.mel_spectrogram(x, stft, r["n_mels"], r["f_min"], r["f_max"])
-    tensor_io.write_feature_file(args.out, mel.frames, mel.hop_seconds)
+    tensor_io.write_mel_file(args.out, mel)
 
 
 def _cmd_loudness(args, r):
@@ -256,8 +263,7 @@ def _cmd_demo(args, r):
     target = ltv.apply_ltv(excitation, envelope)
     wav_io.write_wav(out / "target.wav", target)
 
-    mel = spectral.mel_spectrogram(target, stft)
-    tensor_io.write_feature_file(out / "target_mel.hmx", mel.frames, mel.hop_seconds)
+    tensor_io.write_mel_file(out / "target_mel.hmx", spectral.mel_spectrogram(target, stft))
     loud = spectral.loudness(target, hop=stft.hop_size)
     tensor_io.write_feature_file(out / "target_loudness.hmx", loud.values[:, None], loud.hop_seconds)
 
@@ -375,7 +381,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.subcommand]
     try:
-        resolved = _resolve(command.options, args, _load_config(args.config))
+        config = _load_config(args.config)
+        resolved = _resolve(command.options, args, config)
+        # the options set by a flag or the config file, not by a default
+        args.given = {k for k in command.options if getattr(args, k) is not None or k in config}
         extra = command.run(args, resolved) or {}
         if command.manifest:
             names = [arg.lstrip("-").replace("-", "_") for arg in command.files]

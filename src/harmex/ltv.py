@@ -401,5 +401,5 @@ def write_coeffs(path, h: LtvFirCoeffs) -> None:
 
 
 def read_coeffs(path) -> LtvFirCoeffs:
-    taps, scalars = tensor_io.read_tensor(path, LTVF_MAGIC, ("hop_seconds", "sample_rate"))
-    return LtvFirCoeffs(taps.astype(np.float64), *scalars)
+    taps, header = tensor_io.read_tensor(path, LTVF_MAGIC, {1: ("hop_seconds", "sample_rate")})
+    return LtvFirCoeffs(taps.astype(np.float64), **header)

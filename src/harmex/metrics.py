@@ -9,9 +9,10 @@ classic GAN-vocoder failure modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -25,6 +26,8 @@ from .signal_core import AudioSignal, F0Track
 from .spectral import MelSpectrogram, StftConfig, stft_magnitude
 
 MAG_FLOOR = 1e-7
+# refine_pitch gathers at most this many samples (2 MiB) per block of frames
+_GATHER_SAMPLES = 1 << 18
 
 DEFAULT_RESOLUTIONS = (
     StftConfig(fft_size=512, win_size=240, hop_size=50),
@@ -111,11 +114,47 @@ def combined_loss(l_dec: float, l_adv: float, l_stft: float, w: LossWeights = Lo
     return w.alpha * l_dec + w.beta * l_adv + l_stft
 
 
-def _centered_segment(x: np.ndarray, center: int, length: int) -> np.ndarray | None:
-    start = center - length // 2
-    if start < 0 or start + length > len(x):
-        return None
-    return x[start : start + length]
+def _hop_samples(track: F0Track, fs: float) -> int:
+    """The track's hop in whole samples; a hop that rounds below one is an error."""
+    hop = track.hop_seconds * fs
+    if not (math.isfinite(hop) and round(hop) >= 1):
+        raise ConfigError(f"hop of {track.hop_seconds} s is not at least one sample at fs={fs}")
+    return int(round(hop))
+
+
+def _search_ratio(search_cents: float) -> float:
+    if not 0.0 < search_cents <= 1200.0:  # also rejects NaN
+        raise ConfigError(f"search_cents must be in (0, 1200], got {search_cents!r}")
+    return 2.0 ** (search_cents / 1200.0)
+
+
+def _peak_lags(segs: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
+    """Sub-sample lag of each row's normalized autocorrelation peak.
+
+    Each row of ``segs`` is 2 * lag_hi samples: its first lag_hi (one
+    max-period window) are correlated with the windows shifted by lag_lo ..
+    lag_hi.  A peak pinned to either end of that range gives NaN, and so
+    does a silent row, whose correlations are all 0.
+    """
+    base = segs[:, :lag_hi]
+    shifted = sliding_window_view(segs, lag_hi, axis=1)[:, lag_lo : lag_hi + 1]
+    # per-window energies: differencing a cumulative sum would cancel when a
+    # loud stretch precedes a quiet one
+    energy = np.einsum("fij,fij->fi", shifted, shifted)
+    denom = np.sqrt(np.einsum("fj,fj->f", base, base)[:, None] * energy)
+    num = np.einsum("fij,fj->fi", shifted, base)
+    corr = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0)
+
+    best = np.argmax(corr, axis=1)
+    rows = np.arange(len(corr))
+    mid = np.clip(best, 1, corr.shape[1] - 2)
+    c_prev, c_0, c_next = corr[rows, mid - 1], corr[rows, mid], corr[rows, mid + 1]
+    # parabolic sub-sample refinement
+    curvature = c_prev - 2.0 * c_0 + c_next
+    delta = np.divide(
+        0.5 * (c_prev - c_next), curvature, out=np.zeros_like(curvature), where=curvature != 0
+    )
+    return np.where(best == mid, lag_lo + best + delta, np.nan)
 
 
 def refine_pitch(
@@ -123,51 +162,44 @@ def refine_pitch(
 ) -> np.ndarray:
     """Per-frame pitch refined by autocorrelation around the reference.
 
-    Returns one value per frame: the refined Hz for voiced frames where the
-    search succeeds, NaN elsewhere (unvoiced, window out of range, or the
-    correlation peak pinned to the search boundary).
+    Each voiced frame correlates a one-max-period window with its copies
+    shifted by every lag within ``search_cents`` (0 < search_cents <= 1200)
+    of the reference period, normalized by both window energies (de
+    Cheveigné & Kawahara, "YIN", JASA 2002), and refines the best lag by a
+    parabola.  Returns one value per frame: the refined Hz for voiced frames
+    where the search succeeds, NaN elsewhere (unvoiced, window out of range,
+    silent, or the correlation peak pinned to the search boundary).
+    Frames sharing a lag range are computed together.
     """
     fs = x.sample_rate
-    hop = int(round(ref_f0.hop_seconds * fs))
-    s = x.samples
+    hop = _hop_samples(ref_f0, fs)
+    ratio = _search_ratio(search_cents)
     out = np.full(len(ref_f0), np.nan)
-    ratio = 2.0 ** (search_cents / 1200.0)
 
-    for m, f_ref in enumerate(ref_f0.values):
-        if f_ref <= 0:
-            continue
-        lag_lo = max(2, int(math.floor(fs / (f_ref * ratio))))
-        lag_hi = int(math.ceil(fs / (f_ref / ratio)))
-        window = lag_hi  # correlation window, one max-period long
-        seg = _centered_segment(s, m * hop, window + lag_hi)
-        if seg is None or not seg.any():
-            continue
+    frames = np.flatnonzero(ref_f0.values > 0)
+    f_ref = ref_f0.values[frames]
+    lag_lo = np.maximum(2.0, np.floor(fs / (f_ref * ratio)))
+    lag_hi = np.ceil(fs / (f_ref / ratio))  # also the window: one max-period
+    start = frames * hop - lag_hi  # each segment is 2 * lag_hi centered on its frame
+    ok = (lag_hi - lag_lo >= 2) & (start >= 0) & (start + 2 * lag_hi <= len(x))
+    frames, start = frames[ok], start[ok].astype(np.intp)
+    lag_ranges = np.stack([lag_lo[ok], lag_hi[ok]], axis=1).astype(np.intp)
+    ranges, group = np.unique(lag_ranges, axis=0, return_inverse=True)
 
-        base = seg[:window]
-        base_energy = float(base @ base)
-        lags = np.arange(lag_lo, lag_hi + 1)
-        corr = np.empty(len(lags))
-        for i, lag in enumerate(lags):
-            shifted = seg[lag : lag + window]
-            denom = math.sqrt(base_energy * float(shifted @ shifted))
-            corr[i] = (base @ shifted) / denom if denom > 0 else 0.0
-
-        best = int(np.argmax(corr))
-        if best == 0 or best == len(lags) - 1:
-            continue  # peak pinned to the search boundary
-        # parabolic sub-sample refinement
-        c_prev, c_0, c_next = corr[best - 1], corr[best], corr[best + 1]
-        denom = c_prev - 2.0 * c_0 + c_next
-        delta = 0.5 * (c_prev - c_next) / denom if denom != 0 else 0.0
-        out[m] = fs / (lags[best] + delta)
+    for g, (lo, hi) in enumerate(ranges.tolist()):
+        members = np.flatnonzero(group.reshape(-1) == g)
+        step = max(1, _GATHER_SAMPLES // (2 * hi))  # frames per gathered block
+        for chunk in np.split(members, range(step, len(members), step)):
+            segs = sliding_window_view(x.samples, 2 * hi)[start[chunk]]
+            out[frames[chunk]] = fs / _peak_lags(segs, lo, hi)
     return out
 
 
 def pitch_jitter(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200.0) -> float:
     """Mean |cents step| between consecutive refined pitch estimates."""
+    refined = refine_pitch(x, ref_f0, search_cents)  # rejects a bad search or hop first
     if not np.any(ref_f0.voiced_mask):
         raise UndefinedMetricError("no voiced frames in the reference track")
-    refined = refine_pitch(x, ref_f0, search_cents)
     ok = np.isfinite(refined)
     pair = ok[:-1] & ok[1:]
     if not pair.any():
@@ -176,29 +208,40 @@ def pitch_jitter(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200.0) -
     return float(np.mean(steps))
 
 
+def _voicing_decisions(
+    x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float = -40.0
+) -> np.ndarray:
+    """One bool per frame of ``ref_f0``: the voicing ``uv_error_rate`` decides."""
+    hop = _hop_samples(ref_f0, x.sample_rate)
+    n, n_frames, half = len(x), len(ref_f0), hop // 2
+    peak = float(np.max(np.abs(x.samples), initial=0.0))
+
+    decided = np.zeros(n_frames, dtype=bool)
+    if peak > 0 and half > 0 and n_frames > 0:
+        threshold = peak * 10.0 ** (energy_threshold_db / 20.0)
+        # squared samples, zero-padded so every window is 2*half long
+        padded = np.zeros(half + max(n, (n_frames - 1) * hop + half))
+        padded[half : half + n] = x.samples**2
+        energy = sliding_window_view(padded, 2 * half)[::hop][:n_frames].sum(axis=1)
+        centers = np.arange(n_frames) * hop
+        count = np.minimum(centers + half, n) - np.maximum(centers - half, 0)
+        inside = count > 0
+        decided[inside] = np.sqrt(energy[inside] / count[inside]) > threshold
+    return decided
+
+
 def uv_error_rate(
     x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float = -40.0
 ) -> float:
     """Fraction of frames whose energy-based voicing disagrees with the track.
 
-    A frame is decided voiced when its RMS (window centered on the frame) is
-    above ``energy_threshold_db`` relative to the signal peak.
+    A frame is decided voiced when its RMS is above ``energy_threshold_db``
+    relative to the signal peak.  Frame m's window is samples
+    [m*hop - hop//2, m*hop + hop//2) clipped to the signal; a frame whose
+    clipped window is empty is decided unvoiced.  The track's hop must be
+    at least one sample.
     """
     if len(ref_f0) == 0:
         raise DomainError("empty reference track")
-    fs = x.sample_rate
-    hop = int(round(ref_f0.hop_seconds * fs))
-    peak = float(np.max(np.abs(x.samples), initial=0.0))
-
-    decided = np.zeros(len(ref_f0), dtype=bool)
-    if peak > 0:
-        threshold = peak * 10.0 ** (energy_threshold_db / 20.0)
-        half = hop // 2
-        for m in range(len(ref_f0)):
-            lo = max(0, m * hop - half)
-            hi = min(len(x), m * hop + half)
-            if hi <= lo:
-                continue
-            rms = math.sqrt(float(np.mean(x.samples[lo:hi] ** 2)))
-            decided[m] = rms > threshold
+    decided = _voicing_decisions(x, ref_f0, energy_threshold_db)
     return float(np.mean(decided != ref_f0.voiced_mask))

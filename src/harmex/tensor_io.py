@@ -1,11 +1,15 @@
 """The one binary codec, for feature tensors and LTV coefficient files.
 
-Layout (little-endian): 4-byte magic, u32 version (1), u32 n_rows,
-u32 n_cols, one f64 per header scalar, then n_rows x n_cols f32 row-major.
-``HMX1`` feature tensors have frames x dims and one scalar, hop_seconds;
-``LTVF`` coefficient files have frames x taps and two, hop_seconds then
-sample_rate.  Readers raise ``FormatError`` on a bad magic or version, a
-short file, or a header scalar that is not finite and > 0.
+Layout (little-endian): 4-byte magic, u32 version, u32 n_rows,
+u32 n_cols, one f64 per header scalar of that version, then
+n_rows x n_cols f32 row-major.  ``LTVF`` coefficient files (version 1)
+have frames x taps and two scalars, hop_seconds then sample_rate.
+``HMX1`` feature tensors have frames x dims; version 1 has one scalar,
+hop_seconds, and version 2, written for mel spectrograms, follows it with
+the analysis geometry: sample_rate, fft_size, win_size, hop_size, f_min,
+f_max.  Readers raise ``FormatError`` on a bad magic or version, a short
+file, or a header scalar that is not finite and > 0 (f_min may be 0; the
+three sizes must be whole numbers below 2**31).
 """
 
 from __future__ import annotations
@@ -19,44 +23,82 @@ import numpy as np
 from .errors import FormatError, check_positive
 
 HMX_MAGIC = b"HMX1"
-VERSION = 1
+HMX_LAYOUTS = {
+    1: ("hop_seconds",),
+    2: ("hop_seconds", "sample_rate", "fft_size", "win_size", "hop_size", "f_min", "f_max"),
+}
+_PREFIX = struct.Struct("<4sIII")
 
 
-def write_tensor(path, magic: bytes, data: np.ndarray, *scalars: float) -> None:
+def write_tensor(path, magic: bytes, data: np.ndarray, *scalars: float, version: int = 1) -> None:
     data = np.atleast_2d(np.asarray(data))
     if data.ndim != 2:
         raise FormatError("tensor data must be 2-D (n_rows x n_cols)", path=path)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(f"<4sIII{len(scalars)}d", magic, VERSION, *data.shape, *scalars))
+        fh.write(_PREFIX.pack(magic, version, *data.shape))
+        fh.write(struct.pack(f"<{len(scalars)}d", *scalars))
         fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
-def read_tensor(path, magic: bytes, names: tuple[str, ...]) -> tuple[np.ndarray, tuple]:
-    """Returns (n_rows x n_cols float32 array, header scalars named by ``names``)."""
-    header = struct.Struct(f"<4sIII{len(names)}d")
+def read_tensor(path, magic: bytes, layouts: dict[int, tuple[str, ...]]) -> tuple[np.ndarray, dict]:
+    """Returns (n_rows x n_cols float32 array, header scalars by name).
+
+    ``layouts`` maps each readable version to the names of its scalars.
+    """
+    bad = partial(FormatError, path=path)
     with open(path, "rb") as fh:
-        raw = fh.read(header.size)
-        if len(raw) != header.size:
-            raise FormatError("truncated header", path=path)
-        found, version, n_rows, n_cols, *scalars = header.unpack(raw)
+        raw = fh.read(_PREFIX.size)
+        if len(raw) != _PREFIX.size:
+            raise bad("truncated header")
+        found, version, n_rows, n_cols = _PREFIX.unpack(raw)
         if found != magic:
-            raise FormatError(f"bad magic {found!r}, expected {magic!r}", path=path)
-        if version != VERSION:
-            raise FormatError(f"unsupported version {version}", path=path)
-        for name, value in zip(names, scalars):
-            check_positive(name, value, error=partial(FormatError, path=path))
+            raise bad(f"bad magic {found!r}, expected {magic!r}")
+        if version not in layouts:
+            raise bad(f"unsupported version {version}")
+        names = layouts[version]
+        raw = fh.read(8 * len(names))
+        if len(raw) != 8 * len(names):
+            raise bad("truncated header")
+        header = dict(zip(names, struct.unpack(f"<{len(names)}d", raw)))
+        for name, value in header.items():
+            check_positive(name, value, allow_zero=name == "f_min", error=bad)
         n_bytes = 4 * n_rows * n_cols
-        if os.fstat(fh.fileno()).st_size - header.size < n_bytes:
-            raise FormatError("truncated payload", path=path)
+        if os.fstat(fh.fileno()).st_size - fh.tell() < n_bytes:
+            raise bad("truncated payload")
         payload = fh.read(n_bytes)
-    return np.frombuffer(payload, dtype="<f4").reshape(n_rows, n_cols), tuple(scalars)
+    return np.frombuffer(payload, dtype="<f4").reshape(n_rows, n_cols), header
 
 
 def write_feature_file(path, data: np.ndarray, hop_seconds: float) -> None:
+    """A version-1 ``HMX1`` file: frames and their hop."""
     write_tensor(path, HMX_MAGIC, data, hop_seconds)
 
 
+def write_mel_file(path, mel) -> None:
+    """A version-2 ``HMX1`` file: a ``MelSpectrogram``'s frames, hop and geometry."""
+    cfg = mel.config
+    geometry = (mel.sample_rate, cfg.fft_size, cfg.win_size, cfg.hop_size, *mel.mel_range)
+    write_tensor(path, HMX_MAGIC, mel.frames, mel.hop_seconds, *geometry, version=2)
+
+
+def read_hmx(path) -> tuple[np.ndarray, dict]:
+    """Returns (n_frames x n_dims float32 array, header) for either version.
+
+    The header always has hop_seconds; a version-2 file adds the mel
+    geometry, with the three sizes as ints.
+    """
+    data, header = read_tensor(path, HMX_MAGIC, HMX_LAYOUTS)
+    for name in ("fft_size", "win_size", "hop_size"):
+        if name in header:
+            value = header[name]
+            if not (value.is_integer() and value < 2**31):
+                message = f"{name} must be a whole number below 2**31, got {value!r}"
+                raise FormatError(message, path=path)
+            header[name] = int(value)
+    return data, header
+
+
 def read_feature_file(path) -> tuple[np.ndarray, float]:
-    """Returns (n_frames x n_dims float32 array, hop_seconds)."""
-    data, (hop_seconds,) = read_tensor(path, HMX_MAGIC, ("hop_seconds",))
-    return data, hop_seconds
+    """Returns (n_frames x n_dims float32 array, hop_seconds) for either version."""
+    data, header = read_hmx(path)
+    return data, header["hop_seconds"]

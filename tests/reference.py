@@ -4,11 +4,14 @@ Each function here is the straightforward loop a library fast path replaced;
 the tests use them as oracles for differential checks.
 """
 
+import math
+
 import numpy as np
 
-from harmex import AudioSignal, ExcitationConfig, LtvFirCoeffs, PhaseInit, SampleF0
+from harmex import AudioSignal, ExcitationConfig, F0Track, LtvFirCoeffs, PhaseInit, SampleF0
 from harmex.errors import AliasingError
 from harmex.ltv import _check_geometry, _lagged, _mel_magnitude
+from harmex.metrics import _hop_samples, _search_ratio
 from harmex.signal_core import TAU, _voiced_runs
 from harmex.spectral import MelSpectrogram
 
@@ -92,3 +95,62 @@ def estimate_taps_loop(mel: MelSpectrogram, n_taps: int = 64, floor_db: float = 
         cep = np.fft.irfft(np.log(np.maximum(magnitude, 1e-12)), fft_size)
         taps[f] = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:n_taps]
     return contract_roots_loop(taps)
+
+
+def refine_pitch_loop(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200.0) -> np.ndarray:
+    """``metrics.refine_pitch`` with one normalized correlation per lag."""
+    fs = x.sample_rate
+    hop = _hop_samples(ref_f0, fs)
+    ratio = _search_ratio(search_cents)
+    s = x.samples
+    out = np.full(len(ref_f0), np.nan)
+
+    for m, f_ref in enumerate(ref_f0.values):
+        if f_ref <= 0:
+            continue
+        lag_lo = max(2, int(math.floor(fs / (f_ref * ratio))))
+        lag_hi = int(math.ceil(fs / (f_ref / ratio)))
+        window = lag_hi  # correlation window, one max-period long
+        start = m * hop - (window + lag_hi) // 2
+        if lag_hi - lag_lo < 2 or start < 0 or start + window + lag_hi > len(s):
+            continue
+        seg = s[start : start + window + lag_hi]
+        if not seg.any():
+            continue
+
+        base = seg[:window]
+        base_energy = float(base @ base)
+        lags = np.arange(lag_lo, lag_hi + 1)
+        corr = np.empty(len(lags))
+        for i, lag in enumerate(lags):
+            shifted = seg[lag : lag + window]
+            denom = math.sqrt(base_energy * float(shifted @ shifted))
+            corr[i] = (base @ shifted) / denom if denom > 0 else 0.0
+
+        best = int(np.argmax(corr))
+        if best == 0 or best == len(lags) - 1:
+            continue  # peak pinned to the search boundary
+        # parabolic sub-sample refinement
+        c_prev, c_0, c_next = corr[best - 1], corr[best], corr[best + 1]
+        denom = c_prev - 2.0 * c_0 + c_next
+        delta = 0.5 * (c_prev - c_next) / denom if denom != 0 else 0.0
+        out[m] = fs / (lags[best] + delta)
+    return out
+
+
+def voicing_decisions_loop(x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float = -40.0) -> np.ndarray:
+    """``metrics._voicing_decisions`` with one RMS per frame."""
+    hop = _hop_samples(ref_f0, x.sample_rate)
+    peak = float(np.max(np.abs(x.samples), initial=0.0))
+    decided = np.zeros(len(ref_f0), dtype=bool)
+    if peak > 0:
+        threshold = peak * 10.0 ** (energy_threshold_db / 20.0)
+        half = hop // 2
+        for m in range(len(ref_f0)):
+            lo = max(0, m * hop - half)
+            hi = min(len(x), m * hop + half)
+            if hi <= lo:
+                continue
+            rms = math.sqrt(float(np.mean(x.samples[lo:hi] ** 2)))
+            decided[m] = rms > threshold
+    return decided

@@ -123,6 +123,32 @@ class TestFeatureCommands:
         out = tmp_path / "shaped.wav"
         assert run(capsys, "filter", str(exc), str(coeff), "--out", str(out))[0] == 0
 
+    @pytest.mark.parametrize("options", [["--f-max", "7000"], ["--hop-size", "80", "--f-min", "50"]])
+    def test_estimate_takes_the_mel_file_geometry(self, tmp_path, f0_file, capsys, options):
+        """A default estimate on a non-default mel file gives the taps of that file's geometry."""
+        from harmex import MelSpectrogram, StftConfig, estimate_coeffs_from_mel
+        from harmex.tensor_io import read_hmx
+
+        exc = tmp_path / "exc.wav"
+        run(capsys, "excite", str(f0_file), "--out", str(exc))
+        mel = tmp_path / "mel.hmx"
+        assert run(capsys, "mel", str(exc), "--out", str(mel), *options)[0] == 0
+        coeff = tmp_path / "est.ltvf"
+        assert run(capsys, "estimate", str(mel), "--out", str(coeff))[0] == 0
+
+        frames, g = read_hmx(mel)
+        stft = StftConfig(g["fft_size"], g["win_size"], g["hop_size"])
+        expected = estimate_coeffs_from_mel(
+            MelSpectrogram(frames, stft, g["sample_rate"], (g["f_min"], g["f_max"]))
+        )
+        h = read_coeffs(coeff)
+        np.testing.assert_array_equal(h.taps, expected.taps.astype(np.float32))
+        assert h.hop_seconds == expected.hop_seconds
+        manifest = json.loads((tmp_path / "est.ltvf.run.json").read_text())
+        assert {k: manifest[k] for k in ("f_min", "f_max", "hop_size")} == {
+            k: g[k] for k in ("f_min", "f_max", "hop_size")
+        }
+
     def test_loudness(self, tmp_path, f0_file, capsys):
         exc = tmp_path / "exc.wav"
         run(capsys, "excite", str(f0_file), "--out", str(exc))
@@ -199,6 +225,8 @@ def inputs(tmp_path, f0_file, capsys):
     assert run(capsys, "excite", str(f0_file), "--out", str(wav))[0] == 0
     mel80 = tmp_path / "mel80.hmx"
     assert run(capsys, "mel", str(wav), "--out", str(mel80), "--hop-size", "80")[0] == 0
+    mel80_v1 = tmp_path / "mel80_v1.hmx"  # no geometry: estimate takes it from its options
+    write_feature_file(mel80_v1, *read_feature_file(mel80))
     mel = tmp_path / "mel.hmx"
     assert run(capsys, "mel", str(wav), "--out", str(mel))[0] == 0
     frames, hop = read_feature_file(mel)
@@ -211,13 +239,15 @@ def inputs(tmp_path, f0_file, capsys):
     nan_hop.write_bytes(bytes(raw))
     utf16_f0 = tmp_path / "utf16_f0.txt"
     utf16_f0.write_bytes("100.0\n".encode("utf-16"))  # starts with the \xff\xfe mark
-    return {"f0": f0_file, "wav": wav, "mel": mel, "mel80": mel80, "loud_mel": loud_mel,
+    return {"f0": f0_file, "wav": wav, "mel": mel, "mel80": mel80, "mel80_v1": mel80_v1,
+            "loud_mel": loud_mel,
             "nan_hop": nan_hop, "utf16_f0": utf16_f0, "out": tmp_path / "out.wav",
             "dir": tmp_path}
 
 
 EXCITE = ("excite", "{f0}", "--out", "{out}")
 CONDITION = ("condition", "--raw-wav", "{wav}", "--out-prefix", "{out}")
+PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
 
 
 @pytest.mark.parametrize(
@@ -232,15 +262,26 @@ CONDITION = ("condition", "--raw-wav", "{wav}", "--out-prefix", "{out}")
         (CONDITION, {"factors": [8, 6]}, "config"),
         (("excite", "{f0}", "--out", "{dir}"), None, "io"),
         (("filter", "{wav}", "{nan_hop}", "--out", "{out}"), None, "format"),
-        (("estimate", "{mel80}", "--out", "{out}"), None, "config"),
+        (("estimate", "{mel80_v1}", "--out", "{out}"), None, "config"),
         (("excite", "{utf16_f0}", "--out", "{out}"), None, "config"),
         (("estimate", "{mel}", "--n-taps", "1500", "--out", "{out}"), None, "config"),
         (("estimate", "{loud_mel}", "--out", "{out}"), None, "domain"),
+        (PITCH + ("--search-cents=-50",), None, "config"),
+        (PITCH + ("--search-cents", "0"), None, "config"),
+        (PITCH + ("--search-cents", "1e9"), None, "config"),
+        (PITCH + ("--search-cents", "nan"), None, "config"),
+        (PITCH + ("--hop", "1e-5"), None, "config"),
+        (("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--uv-error", "--hop", "1e-5"), None, "config"),
+        (("estimate", "{mel80}", "--hop-size", "160", "--out", "{out}"), None, "config"),
+        (("estimate", "{mel80}", "--out", "{out}"), {"f_max": 7000.0}, "config"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
         "factors-not-int", "factors-list", "out-is-dir", "ltvf-nan-hop", "mel-hop-mismatch",
         "f0-not-utf8", "n-taps-above-fft-size", "mel-overflow",
+        "search-cents-negative", "search-cents-zero", "search-cents-1e9", "search-cents-nan",
+        "pitch-hop-below-one-sample", "uv-hop-below-one-sample",
+        "mel-v2-contradicting-flag", "mel-v2-contradicting-config",
     ],
 )
 def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, config, category):

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -13,11 +14,14 @@ from harmex import (
     WavEncoding,
     WavSpec,
     gaussian_noise,
+    MelSpectrogram,
+    StftConfig,
     read_feature_file,
     read_wav,
     write_feature_file,
     write_wav,
 )
+from harmex.tensor_io import HMX_LAYOUTS, read_hmx, write_mel_file
 
 FS = 16000
 ENCODINGS = {WavEncoding.PCM16: np.int16, WavEncoding.FLOAT32: np.float32}
@@ -243,3 +247,60 @@ class TestFeatureFile:
         path.write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(FormatError):
             read_feature_file(path)
+
+
+def mel_file(tmp_path, rng, f_min=0.0, f_max=7000.0):
+    mel = MelSpectrogram(rng.normal(size=(12, 40)), StftConfig(512, 320, 80), FS, (f_min, f_max))
+    path = tmp_path / "mel.hmx"
+    write_mel_file(path, mel)
+    return path, mel
+
+
+class TestMelFile:
+    """Version-2 ``HMX1``: frames, hop and the mel geometry that made them."""
+
+    def test_round_trip(self, tmp_path, rng):
+        path, mel = mel_file(tmp_path, rng)
+        frames, header = read_hmx(path)
+        np.testing.assert_array_equal(frames, mel.frames.astype(np.float32))
+        assert header == {
+            "hop_seconds": 80 / FS, "sample_rate": FS, "fft_size": 512, "win_size": 320,
+            "hop_size": 80, "f_min": 0.0, "f_max": 7000.0,
+        }
+        assert all(type(header[k]) is int for k in ("fft_size", "win_size", "hop_size"))
+
+    def test_header_fields(self, tmp_path, rng):
+        path, _ = mel_file(tmp_path, rng, f_min=50.0)
+        layout = "<4sIII7d"
+        fields = struct.unpack(layout, path.read_bytes()[: struct.calcsize(layout)])
+        assert fields == (b"HMX1", 2, 12, 40, 80 / FS, FS, 512, 320, 80, 50.0, 7000.0)
+
+    def test_feature_reader_reads_both_versions(self, tmp_path, rng):
+        path, mel = mel_file(tmp_path, rng)
+        frames, hop = read_feature_file(path)
+        assert hop == 80 / FS and frames.shape == (12, 40)
+        write_feature_file(path, frames, hop)
+        assert read_hmx(path)[1] == {"hop_seconds": hop}
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("f_min", -1.0), ("fft_size", 512.5), ("hop_size", 2.0**31), ("sample_rate", math.nan),
+         ("f_max", math.inf)],
+    )
+    def test_bad_geometry_rejected(self, tmp_path, rng, name, value):
+        path, _ = mel_file(tmp_path, rng)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 16 + 8 * HMX_LAYOUTS[2].index(name), value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=name):
+            read_hmx(path)
+
+    def test_unknown_version_and_short_header_rejected(self, tmp_path, rng):
+        path, _ = mel_file(tmp_path, rng)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+        with pytest.raises(FormatError, match="version 3"):
+            read_hmx(path)
+        path.write_bytes(raw[:40])
+        with pytest.raises(FormatError, match="truncated header"):
+            read_hmx(path)

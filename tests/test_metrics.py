@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmex import (
@@ -22,9 +22,12 @@ from harmex import (
     mel_spectrogram,
     mr_stft_loss,
     pitch_jitter,
+    refine_pitch,
     uv_error_rate,
 )
+from harmex.metrics import _voicing_decisions
 from conftest import FS, HOP, formant_envelope_coeffs, make_excitation
+from reference import refine_pitch_loop, voicing_decisions_loop
 
 
 class TestMrStftLoss:
@@ -144,6 +147,98 @@ class TestPitchJitter:
         with pytest.raises(UndefinedMetricError):
             pitch_jitter(gaussian_noise(1600, FS, 0), track)
 
+    def test_bad_search_reported_before_an_unvoiced_track(self):
+        with pytest.raises(ConfigError, match="search_cents"):
+            pitch_jitter(gaussian_noise(1600, FS, 0), F0Track(np.zeros(10)), -5.0)
+
+
+def tone_under_track(seed, n_frames, hop, f_base, shape, extra):
+    """A noisy tone near ``f_base`` and a track of it with unvoiced runs.
+
+    The signal is ``n_frames * hop + extra`` samples, so a negative ``extra``
+    leaves the track's last frames past its end.  ``shape`` is "flat",
+    "gap" (a silent stretch) or "fade" (the tail at 1e-6 of the head).
+    """
+    rng = np.random.default_rng(seed)
+    cents = rng.uniform(-30.0, 30.0, n_frames)
+    n = max(1, n_frames * hop + extra)
+    f_inst = f_base * 2.0 ** (np.interp(np.arange(n), np.arange(n_frames) * hop, cents) / 1200.0)
+    x = np.sin(2 * np.pi * np.cumsum(f_inst) / FS) + 0.05 * rng.standard_normal(n)
+    if shape == "gap":
+        lo = int(rng.integers(0, n))
+        x[lo : lo + int(rng.integers(1, 4 * hop))] = 0.0
+    elif shape == "fade":
+        x[int(rng.integers(0, n)) :] *= 1e-6
+    values = f_base * 2.0 ** (cents / 1200.0)
+    values[rng.random(n_frames) < 0.25] = 0.0
+    return AudioSignal(x, FS), F0Track(values, hop / FS)
+
+
+class TestRefinePitchMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_frames=st.integers(1, 50),
+        hop=st.sampled_from([80, 160, 241]),
+        f_base=st.floats(60.0, 700.0),
+        shape=st.sampled_from(["flat", "gap", "fade"]),
+        extra=st.integers(-600, 600),
+        search_cents=st.floats(10.0, 1200.0),
+    )
+    @example(seed=3, n_frames=40, hop=160, f_base=100.0, shape="fade", extra=0, search_cents=200.0)
+    @example(seed=4, n_frames=40, hop=160, f_base=150.0, shape="gap", extra=0, search_cents=200.0)
+    def test_same_nan_mask_and_values(self, seed, n_frames, hop, f_base, shape, extra, search_cents):
+        x, track = tone_under_track(seed, n_frames, hop, f_base, shape, extra)
+        fast = refine_pitch(x, track, search_cents)
+        slow = refine_pitch_loop(x, track, search_cents)
+        assert np.array_equal(np.isnan(fast), np.isnan(slow))
+        ok = ~np.isnan(slow)
+        np.testing.assert_allclose(fast[ok], slow[ok], rtol=1e-12, atol=0)
+
+    def test_quiet_tail_after_loud_head_is_refined(self):
+        """Per-window energies: a 1e-6 tail keeps its own, uncancelled, normalization."""
+        x, track = tone_under_track(3, 60, 160, 120.0, "flat", 0)
+        x = AudioSignal(np.where(np.arange(len(x)) < len(x) // 2, 1.0, 1e-6) * x.samples, FS)
+        fast = refine_pitch(x, track)
+        slow = refine_pitch_loop(x, track)
+        tail = np.arange(len(track)) * HOP > len(x) // 2 + 300
+        assert np.isfinite(slow[tail & track.voiced_mask]).all()
+        np.testing.assert_allclose(fast[tail], slow[tail], rtol=1e-12, atol=0)
+
+    def test_silent_signal_gives_nan(self):
+        track = F0Track(np.full(20, 150.0))
+        assert np.isnan(refine_pitch(AudioSignal(np.zeros(3200), FS), track)).all()
+
+    def test_pitch_above_the_search_floor_gives_nan(self):
+        """f0 so high that fewer than three lags lie in range: no interior peak."""
+        track = F0Track(np.full(10, 30000.0))
+        assert np.isnan(refine_pitch(gaussian_noise(1600, FS, 0), track)).all()
+
+    @pytest.mark.parametrize("cents", [-50.0, 0.0, 1200.0001, 1e9, math.nan, math.inf])
+    def test_search_cents_outside_0_1200_rejected(self, cents):
+        track = F0Track(np.full(10, 200.0))
+        with pytest.raises(ConfigError, match="search_cents"):
+            refine_pitch(make_excitation(200.0, 1600), track, cents)
+
+    def test_search_cents_upper_bound_allowed(self):
+        track = F0Track(np.full(100, 200.0))
+        assert pitch_jitter(make_excitation(200.0, 16000), track, 1200.0) < 1.0
+
+
+class TestHopBelowOneSample:
+    @pytest.mark.parametrize("hop_seconds", [1e-5, 0.5 / FS])
+    def test_rejected(self, hop_seconds):
+        x = make_excitation(200.0, 1600)
+        track = F0Track(np.full(10, 200.0), hop_seconds)
+        with pytest.raises(ConfigError, match="one sample"):
+            refine_pitch(x, track)
+        with pytest.raises(ConfigError, match="one sample"):
+            uv_error_rate(x, track)
+
+    def test_one_sample_accepted(self):
+        track = F0Track(np.full(10, 200.0), 0.6 / FS)  # rounds to one sample
+        assert uv_error_rate(make_excitation(200.0, 1600), track) == 1.0
+
 
 class TestUvErrorRate:
     def test_excitation_matches_own_track(self):
@@ -166,6 +261,29 @@ class TestUvErrorRate:
     def test_empty_track_rejected(self):
         with pytest.raises(DomainError):
             uv_error_rate(gaussian_noise(100, FS, 0), F0Track(np.zeros(0)))
+
+
+class TestUvErrorRateMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_frames=st.integers(1, 80),
+        hop=st.integers(1, 401),
+        extra=st.integers(-4000, 400),
+        threshold_db=st.floats(-80.0, 0.0),
+    )
+    @example(seed=1, n_frames=50, hop=160, extra=0, threshold_db=-40.0)
+    @example(seed=2, n_frames=50, hop=161, extra=-3000, threshold_db=-20.0)
+    def test_same_decisions_and_rate(self, seed, n_frames, hop, extra, threshold_db):
+        """Even and odd hops, and tracks running past the signal's end."""
+        rng = np.random.default_rng(seed)
+        n = max(0, n_frames * hop + extra)
+        level = 10.0 ** rng.uniform(-5.0, 0.0, size=n // hop + 1)  # per-hop RMS, a 100 dB span
+        x = AudioSignal(level[np.arange(n) // hop] * rng.standard_normal(n), FS)
+        track = F0Track(np.where(rng.random(n_frames) < 0.5, 120.0, 0.0), hop / FS)
+        decided = voicing_decisions_loop(x, track, threshold_db)
+        assert np.array_equal(_voicing_decisions(x, track, threshold_db), decided)
+        assert uv_error_rate(x, track, threshold_db) == float(np.mean(decided != track.voiced_mask))
 
 
 class TestMatchingImprovement:
