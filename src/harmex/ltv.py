@@ -43,6 +43,11 @@ NEWTON_STEPS = 8
 CERTIFY_TOL = 1e-12
 CONTRACT_MARGIN = 1e-9  # contracted zeros end at radius 1 - CONTRACT_MARGIN
 
+# Min-norm fit (see ``fit_coeffs_least_squares``): a frame's batched QR
+# answer is kept when its forward-error bound is at most FIT_GATE.
+FIT_EPS = float(np.finfo(np.float64).eps)
+FIT_GATE = 1e-12
+
 
 @dataclass(frozen=True)
 class LtvFirCoeffs:
@@ -153,6 +158,21 @@ def fit_coeffs_least_squares(
     zero get all-zero taps.  With ridge_lambda == 0 the minimum-norm
     least-squares solution is used, so rank-deficient frames (e.g. excitation
     with few harmonics) stay well-defined.
+
+    The minimum-norm fit solves full frames (``hop >= n_taps``, every sample
+    inside the signal) in blocks of about 1 MiB.  Each frame's lagged block A
+    is augmented with its target y and factored,
+    ``[A | y] = Q [[R, c], [0, rho]]``, so ``R x = c`` gives the taps and rho
+    is the residual norm (Bjorck, Numerical Methods for Least Squares
+    Problems, 1996).  A frame keeps x only when the first-order
+    least-squares forward-error bound
+    ``eps * kappa * (||x|| + kappa * rho / ||R||_F)``, with
+    ``kappa = ||R||_F ||R^-1||_F``, is at most FIT_GATE, so x matches
+    ``np.linalg.lstsq`` (gelsd) to about that.  gelsd drops rank only for
+    kappa beyond ``1 / (eps * max(hop, n_taps))`` (2.8e13 for 160 x 64
+    frames), which the gate admits only with ||x|| below 1e-16.  Every other
+    frame -- failed gate, singular R, ``hop < n_taps``, the partial last
+    frame -- goes through ``np.linalg.lstsq`` one frame at a time.
     """
     if len(excitation) != len(target):
         raise ConfigError(
@@ -163,6 +183,10 @@ def fit_coeffs_least_squares(
 
     fs = excitation.sample_rate
     hop = int(round(cfg.frame_hop_seconds * fs))
+    if hop < 1:
+        raise ConfigError(
+            f"fit hop of {cfg.frame_hop_seconds} s is not at least one sample at fs={fs}"
+        )
     n = len(excitation)
     frames = n_frames_for(n, hop)
     lag = _lagged(excitation.samples, cfg.n_taps)
@@ -170,7 +194,8 @@ def fit_coeffs_least_squares(
 
     taps = np.zeros((frames, cfg.n_taps))
     lam = cfg.ridge_lambda
-    for f in range(frames):
+    todo = range(frames) if lam > 0 else _fit_full_frames(lag, y, hop, taps)
+    for f in todo:
         sl = slice(f * hop, min((f + 1) * hop, n))
         block = lag[sl]
         if not block.any():
@@ -182,6 +207,53 @@ def fit_coeffs_least_squares(
         else:
             taps[f] = np.linalg.lstsq(block, y[sl], rcond=None)[0]
     return LtvFirCoeffs(taps, hop / fs, fs)
+
+
+def _fit_full_frames(lag: np.ndarray, y: np.ndarray, hop: int, taps: np.ndarray) -> np.ndarray:
+    """Write the gate-certified min-norm taps of full frames; return the frames left.
+
+    See ``fit_coeffs_least_squares``.  Full frames whose lagged block is all
+    zero keep zero taps and are not returned.  One ``np.linalg.solve`` per
+    block gives both x and R^-1: R is upper triangular, so its LU
+    factorization is R itself and every column is a back substitution.  R
+    with a zero on its diagonal is swapped for the identity before the
+    solve, which would otherwise raise, and its frame is returned.
+    """
+    frames, n_taps = taps.shape
+    full = len(y) // hop if hop >= n_taps else 0
+    # lag row m holds x[m - n_taps + 1 .. m], so count non-zero samples
+    seen = np.concatenate([[0], np.cumsum(lag[:, 0] != 0)])
+    ends = hop * np.arange(1, full + 1)
+    live = seen[ends] > seen[np.maximum(ends - hop - n_taps + 1, 0)]
+    left = np.ones(frames, dtype=bool)
+    left[:full] = live
+    lag_frames = lag[: full * hop].reshape(full, hop, n_taps)
+    y_frames = y[: full * hop].reshape(full, hop)
+    step = max(1, (1 << 17) // (hop * (n_taps + 1)))  # frames per block
+    rhs = np.zeros((step, n_taps, n_taps + 1))
+    rhs[:, :, 1:] = np.eye(n_taps)
+    todo = np.flatnonzero(live)
+    for i in range(0, len(todo), step):
+        block = todo[i : i + step]
+        aug = np.empty((len(block), hop, n_taps + 1))
+        aug[..., :n_taps] = lag_frames[block]
+        aug[..., n_taps] = y_frames[block]
+        r = np.linalg.qr(aug, mode="r")
+        R, b = r[:, :n_taps, :n_taps], rhs[: len(block)]
+        b[..., 0] = r[:, :n_taps, n_taps]
+        rho = np.linalg.norm(r[:, n_taps:, n_taps], axis=1)  # 0 when hop == n_taps
+        singular = (np.diagonal(R, axis1=1, axis2=2) == 0).any(axis=1)
+        R[singular] = np.eye(n_taps)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the gate
+            sol = np.linalg.solve(R, b)
+            x = sol[..., 0]
+            norm_r = np.linalg.norm(R, axis=(1, 2))
+            kappa = norm_r * np.linalg.norm(sol[..., 1:], axis=(1, 2))
+            bound = FIT_EPS * kappa * (np.linalg.norm(x, axis=1) + kappa * rho / norm_r)
+            good = (bound <= FIT_GATE) & ~singular
+        taps[block[good]] = x[good]
+        left[block[good]] = False
+    return np.flatnonzero(left)
 
 
 def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:

@@ -8,12 +8,14 @@ import math
 
 import numpy as np
 
-from harmex import AudioSignal, ExcitationConfig, F0Track, LtvFirCoeffs, PhaseInit, SampleF0
+from harmex import (
+    AudioSignal, ExcitationConfig, F0Track, FitConfig, LtvFirCoeffs, PhaseInit, SampleF0,
+)
 from harmex.errors import AliasingError
 from harmex.ltv import _check_geometry, _lagged, _mel_magnitude
 from harmex.metrics import _hop_samples, _search_ratio
 from harmex.signal_core import TAU, _voiced_runs
-from harmex.spectral import MelSpectrogram
+from harmex.spectral import MelSpectrogram, n_frames_for
 
 
 def sine_excitation_loop(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) -> AudioSignal:
@@ -61,6 +63,19 @@ def apply_ltv_loop(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = Tru
             tap_n = h.taps[frame_of, t]
         y += tap_n * lag[:, t]
     return AudioSignal(y, x.sample_rate)
+
+
+def fit_min_norm_loop(excitation: AudioSignal, target: AudioSignal, cfg: FitConfig) -> np.ndarray:
+    """``ltv.fit_coeffs_least_squares`` taps with ridge_lambda=0: one ``np.linalg.lstsq`` per frame."""
+    hop = int(round(cfg.frame_hop_seconds * excitation.sample_rate))
+    n = len(excitation)
+    lag = _lagged(excitation.samples, cfg.n_taps)
+    taps = np.zeros((n_frames_for(n, hop), cfg.n_taps))
+    for f in range(len(taps)):
+        sl = slice(f * hop, min((f + 1) * hop, n))
+        if lag[sl].any():
+            taps[f] = np.linalg.lstsq(lag[sl], target.samples[sl], rcond=None)[0]
+    return taps
 
 
 def fill_uncovered_loop(log_power: np.ndarray, covered: np.ndarray) -> np.ndarray:

@@ -274,6 +274,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--uv-error", "--hop", "1e-5"), None, "config"),
         (("estimate", "{mel80}", "--hop-size", "160", "--out", "{out}"), None, "config"),
         (("estimate", "{mel80}", "--out", "{out}"), {"f_max": 7000.0}, "config"),
+        (("fit", "{wav}", "{wav}", "--hop", "1e-5", "--out", "{out}"), None, "config"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
@@ -281,7 +282,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "f0-not-utf8", "n-taps-above-fft-size", "mel-overflow",
         "search-cents-negative", "search-cents-zero", "search-cents-1e9", "search-cents-nan",
         "pitch-hop-below-one-sample", "uv-hop-below-one-sample",
-        "mel-v2-contradicting-flag", "mel-v2-contradicting-config",
+        "mel-v2-contradicting-flag", "mel-v2-contradicting-config", "fit-hop-below-one-sample",
     ],
 )
 def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, config, category):

@@ -23,7 +23,13 @@ from harmex import (
 from harmex.ltv import _contract_roots_inside, _fill_uncovered, _lagged, _zero_radius
 from harmex.spectral import MelSpectrogram, n_frames_for
 from conftest import FS, HOP, make_excitation
-from reference import apply_ltv_loop, contract_roots_loop, estimate_taps_loop, fill_uncovered_loop
+from reference import (
+    apply_ltv_loop,
+    contract_roots_loop,
+    estimate_taps_loop,
+    fill_uncovered_loop,
+    fit_min_norm_loop,
+)
 
 N_TAPS = 64
 
@@ -183,6 +189,112 @@ class TestFitLeastSquares:
             fit_coeffs_least_squares(
                 AudioSignal(np.zeros(100), FS), AudioSignal(np.zeros(100), 8000)
             )
+
+    def test_hop_below_one_sample_rejected(self):
+        x = AudioSignal(np.ones(100), FS)
+        with pytest.raises(ConfigError, match="at least one sample"):
+            fit_coeffs_least_squares(x, x, FitConfig(frame_hop_seconds=1e-5))
+
+
+def min_norm_config(hop, n_taps):
+    return FitConfig(n_taps=n_taps, ridge_lambda=0.0, frame_hop_seconds=hop / FS)
+
+
+class TestMinNormMatchesLstsqLoop:
+    """The blocked QR with its gate against one ``np.linalg.lstsq`` per frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hop=st.integers(1, 200),
+        n_taps=st.integers(1, 80),
+        n_frames=st.integers(1, 6),
+        tail=st.floats(0.0, 1.0, exclude_max=True),
+        n_harmonics=st.integers(0, 40),
+        floor=st.sampled_from([0.0, 1e-9, 1e-5, 1e-4, 1e-3, 1e-2]),
+        target=st.sampled_from(["filtered", "noisy", "orthogonal"]),
+        gap=st.booleans(),
+        lone_last=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(hop=160, n_taps=64, n_frames=6, tail=0.0, n_harmonics=30, floor=0.0,
+             target="filtered", gap=False, lone_last=False, seed=0)
+    @example(hop=160, n_taps=64, n_frames=4, tail=0.5, n_harmonics=12, floor=1e-4,
+             target="orthogonal", gap=True, lone_last=True, seed=1)
+    @example(hop=64, n_taps=64, n_frames=3, tail=0.0, n_harmonics=0, floor=1e-2,
+             target="noisy", gap=False, lone_last=False, seed=2)
+    def test_matches_loop(
+        self, hop, n_taps, n_frames, tail, n_harmonics, floor, target, gap, lone_last, seed
+    ):
+        """Stationary excitation of ``n_harmonics`` sines (none: white noise) over a noise floor.
+
+        Few harmonics (2K < n_taps) make frames rank-deficient and the floor
+        sets how close to singular they are; floors of 1e-4 and 1e-3 put
+        kappa where the gate decides.  Targets are the excitation through
+        random held taps, that plus white noise, or noise made orthogonal
+        to each full frame's regressors plus a small filtered part: a large
+        residual with small taps, where the bound's ``kappa * rho`` term is
+        what sends a frame to ``lstsq``.  ``gap`` zeros 2 hops + n_taps
+        samples, which holds a whole frame's regressors when the signal is
+        long enough; ``lone_last`` leaves frame 0 one non-zero sample, its
+        last (an exactly singular R).
+        """
+        rng = np.random.default_rng(seed)
+        n = n_frames * hop + int(tail * hop)
+        t = np.arange(n)
+        if n_harmonics:
+            f0 = rng.uniform(50.0, FS / (2 * n_harmonics) - 1.0)
+            k = np.arange(1, n_harmonics + 1)[:, None]
+            phases = rng.uniform(0, 2 * np.pi, size=(n_harmonics, 1))
+            x = np.sin(2 * np.pi * f0 / FS * k * t + phases).sum(axis=0)
+        else:
+            x = rng.normal(size=n)
+        x += floor * rng.normal(size=n)
+        if gap:
+            x[n // 4 : n // 4 + 2 * hop + n_taps] = 0.0
+        if lone_last:
+            x[: hop - 1], x[hop - 1] = 0.0, 1.0
+        exc = AudioSignal(x, FS)
+
+        h = LtvFirCoeffs(0.3 * rng.normal(size=(n_frames_for(n, hop), n_taps)), hop / FS, FS)
+        y = apply_ltv(exc, h, interpolate_taps=False).samples
+        if target == "noisy":
+            y = y + rng.normal(size=n)
+        elif target == "orthogonal":
+            y = 1e-3 * y + rng.normal(size=n)
+            lag = _lagged(x, n_taps)
+            for f in range(n // hop if hop >= n_taps else 0):
+                sl = slice(f * hop, (f + 1) * hop)
+                q = np.linalg.qr(lag[sl])[0]
+                y[sl] -= q @ (q.T @ (y[sl] - 1e-3 * (lag[sl] @ h.taps[f])))
+
+        cfg = min_norm_config(hop, n_taps)
+        np.testing.assert_allclose(
+            fit_coeffs_least_squares(exc, AudioSignal(y, FS), cfg).taps,
+            fit_min_norm_loop(exc, AudioSignal(y, FS), cfg),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_well_conditioned_full_frames_skip_lstsq(self, rng, monkeypatch):
+        """Full-rank full frames are all certified, so the speed-up is not lost to the fallback."""
+        exc = AudioSignal(rng.normal(size=16000), FS)
+        known = LtvFirCoeffs(0.2 * rng.normal(size=(100, N_TAPS)), 0.010, FS)
+        clean = apply_ltv(exc, known, interpolate_taps=False).samples
+        target = AudioSignal(clean + 0.01 * rng.normal(size=16000), FS)
+        cfg = min_norm_config(HOP, N_TAPS)
+        expected = fit_min_norm_loop(exc, target, cfg)
+
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        fit = fit_coeffs_least_squares(exc, target, cfg)
+        assert len(calls) == 0
+        np.testing.assert_allclose(fit.taps, expected, rtol=0, atol=1e-12)
 
 
 class TestEstimateFromMel:
