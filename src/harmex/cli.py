@@ -258,7 +258,7 @@ def _cmd_demo(args, r):
     excitation = sine_excitation(interpolate_f0(track, fs, n_samples), ExcitationConfig(seed=seed))
     wav_io.write_wav(out / "excitation.wav", excitation)
 
-    stft = StftConfig(hop_size=int(round(hop_s * fs)))
+    stft = StftConfig(hop_size=spectral.hop_samples(hop_s, fs))
     envelope = _demo_formant_coeffs(n_frames, stft, fs, np.random.default_rng(seed))
     target = ltv.apply_ltv(excitation, envelope)
     wav_io.write_wav(out / "target.wav", target)

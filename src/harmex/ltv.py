@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor_io
 from .errors import ConfigError, DomainError, LengthMismatchError, check_positive
 from .signal_core import AudioSignal
-from .spectral import MelSpectrogram, mel_filterbank, n_frames_for
+from .spectral import MelSpectrogram, hop_samples, mel_filterbank, n_frames_for
 
 LTVF_MAGIC = b"LTVF"
 
@@ -64,8 +64,8 @@ class LtvFirCoeffs:
             raise ConfigError("need at least one tap")
         if not np.all(np.isfinite(t)):
             raise DomainError("filter coefficients must be finite")
-        check_positive("hop_seconds", self.hop_seconds)
         check_positive("sample_rate", self.sample_rate)
+        hop_samples(self.hop_seconds, self.sample_rate)
 
     @property
     def n_frames(self) -> int:
@@ -77,7 +77,7 @@ class LtvFirCoeffs:
 
     @property
     def hop_samples(self) -> int:
-        return int(round(self.hop_seconds * self.sample_rate))
+        return hop_samples(self.hop_seconds, self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,7 @@ def fit_coeffs_least_squares(
         raise ConfigError("sample-rate mismatch between excitation and target")
 
     fs = excitation.sample_rate
-    hop = int(round(cfg.frame_hop_seconds * fs))
-    if hop < 1:
-        raise ConfigError(
-            f"fit hop of {cfg.frame_hop_seconds} s is not at least one sample at fs={fs}"
-        )
+    hop = hop_samples(cfg.frame_hop_seconds, fs)
     n = len(excitation)
     frames = n_frames_for(n, hop)
     lag = _lagged(excitation.samples, cfg.n_taps)

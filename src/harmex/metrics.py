@@ -23,7 +23,7 @@ from .errors import (
     check_positive,
 )
 from .signal_core import AudioSignal, F0Track
-from .spectral import MelSpectrogram, StftConfig, stft_magnitude
+from .spectral import MelSpectrogram, StftConfig, frame_centers, hop_samples, stft_magnitude
 
 MAG_FLOOR = 1e-7
 # refine_pitch gathers at most this many samples (2 MiB) per block of frames
@@ -114,14 +114,6 @@ def combined_loss(l_dec: float, l_adv: float, l_stft: float, w: LossWeights = Lo
     return w.alpha * l_dec + w.beta * l_adv + l_stft
 
 
-def _hop_samples(track: F0Track, fs: float) -> int:
-    """The track's hop in whole samples; a hop that rounds below one is an error."""
-    hop = track.hop_seconds * fs
-    if not (math.isfinite(hop) and round(hop) >= 1):
-        raise ConfigError(f"hop of {track.hop_seconds} s is not at least one sample at fs={fs}")
-    return int(round(hop))
-
-
 def _search_ratio(search_cents: float) -> float:
     if not 0.0 < search_cents <= 1200.0:  # also rejects NaN
         raise ConfigError(f"search_cents must be in (0, 1200], got {search_cents!r}")
@@ -168,11 +160,12 @@ def refine_pitch(
     Cheveigné & Kawahara, "YIN", JASA 2002), and refines the best lag by a
     parabola.  Returns one value per frame: the refined Hz for voiced frames
     where the search succeeds, NaN elsewhere (unvoiced, window out of range,
-    silent, or the correlation peak pinned to the search boundary).
-    Frames sharing a lag range are computed together.
+    silent, or the correlation peak pinned to the search boundary).  Frame m
+    centers on the sample nearest ``m * hop_seconds * fs``; frames sharing a
+    lag range are computed together.
     """
     fs = x.sample_rate
-    hop = _hop_samples(ref_f0, fs)
+    centers = frame_centers(len(ref_f0), ref_f0.hop_seconds, fs)
     ratio = _search_ratio(search_cents)
     out = np.full(len(ref_f0), np.nan)
 
@@ -180,7 +173,7 @@ def refine_pitch(
     f_ref = ref_f0.values[frames]
     lag_lo = np.maximum(2.0, np.floor(fs / (f_ref * ratio)))
     lag_hi = np.ceil(fs / (f_ref / ratio))  # also the window: one max-period
-    start = frames * hop - lag_hi  # each segment is 2 * lag_hi centered on its frame
+    start = centers[frames] - lag_hi  # each segment is 2 * lag_hi centered on its frame
     ok = (lag_hi - lag_lo >= 2) & (start >= 0) & (start + 2 * lag_hi <= len(x))
     frames, start = frames[ok], start[ok].astype(np.intp)
     lag_ranges = np.stack([lag_lo[ok], lag_hi[ok]], axis=1).astype(np.intp)
@@ -212,18 +205,18 @@ def _voicing_decisions(
     x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float = -40.0
 ) -> np.ndarray:
     """One bool per frame of ``ref_f0``: the voicing ``uv_error_rate`` decides."""
-    hop = _hop_samples(ref_f0, x.sample_rate)
-    n, n_frames, half = len(x), len(ref_f0), hop // 2
+    n, n_frames = len(x), len(ref_f0)
+    half = hop_samples(ref_f0.hop_seconds, x.sample_rate) // 2
+    centers = frame_centers(n_frames, ref_f0.hop_seconds, x.sample_rate)
     peak = float(np.max(np.abs(x.samples), initial=0.0))
 
     decided = np.zeros(n_frames, dtype=bool)
     if peak > 0 and half > 0 and n_frames > 0:
         threshold = peak * 10.0 ** (energy_threshold_db / 20.0)
         # squared samples, zero-padded so every window is 2*half long
-        padded = np.zeros(half + max(n, (n_frames - 1) * hop + half))
+        padded = np.zeros(half + max(n, centers[-1] + half))
         padded[half : half + n] = x.samples**2
-        energy = sliding_window_view(padded, 2 * half)[::hop][:n_frames].sum(axis=1)
-        centers = np.arange(n_frames) * hop
+        energy = sliding_window_view(padded, 2 * half)[centers].sum(axis=1)
         count = np.minimum(centers + half, n) - np.maximum(centers - half, 0)
         inside = count > 0
         decided[inside] = np.sqrt(energy[inside] / count[inside]) > threshold
@@ -236,10 +229,11 @@ def uv_error_rate(
     """Fraction of frames whose energy-based voicing disagrees with the track.
 
     A frame is decided voiced when its RMS is above ``energy_threshold_db``
-    relative to the signal peak.  Frame m's window is samples
-    [m*hop - hop//2, m*hop + hop//2) clipped to the signal; a frame whose
-    clipped window is empty is decided unvoiced.  The track's hop must be
-    at least one sample.
+    relative to the signal peak.  Frame m's window is [c - hop//2, c + hop//2)
+    clipped to the signal, c the sample nearest ``m * hop_seconds * fs`` with
+    ties up, which keeps a 220.5-sample hop's windows inside their frames; a
+    frame whose clipped window is empty is decided unvoiced.  The hop must
+    round to at least one sample.
     """
     if len(ref_f0) == 0:
         raise DomainError("empty reference track")

@@ -126,15 +126,15 @@ def _voiced_runs(mask: np.ndarray):
 def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> SampleF0:
     """Linearly interpolate a frame-level track to sample level.
 
-    Frame m sits at sample ``m * hop``.  Interpolation runs only between the
-    centers of frames inside the same voiced run; the run's endpoint values
-    are held outward to the voicing boundary, and every sample mapped to an
-    unvoiced frame is exactly zero.
+    Frame m sits at sample ``m * hop_seconds * sample_rate``, unrounded.
+    Interpolation runs only between the centers of frames inside the same
+    voiced run; the run's endpoint values are held outward to the voicing
+    boundary, and every sample mapped to an unvoiced frame is exactly zero.
     """
     hop = track.hop_seconds * sample_rate
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
-    max_samples = math.ceil(len(track) * hop) + int(round(hop))
+    max_samples = math.ceil((len(track) + 1) * hop)  # through one hop past the last frame
     if n_samples > max_samples:
         raise LengthMismatchError(
             f"n_samples={n_samples} exceeds track coverage {max_samples}"

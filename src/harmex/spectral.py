@@ -89,6 +89,20 @@ def n_frames_for(n_samples: int, hop: int) -> int:
     return math.ceil(n_samples / hop)
 
 
+def hop_samples(hop_seconds: float, sample_rate: float) -> int:
+    """The hop in whole samples; a hop that rounds below one sample is an error."""
+    hop = hop_seconds * sample_rate
+    if not (math.isfinite(hop) and round(hop) >= 1):
+        raise ConfigError(f"hop of {hop_seconds} s is not at least one sample at fs={sample_rate}")
+    return int(round(hop))
+
+
+def frame_centers(n_frames: int, hop_seconds: float, sample_rate: float) -> np.ndarray:
+    """Sample nearest each center ``m * hop_seconds * sample_rate``, ties up; see uv_error_rate."""
+    hop_samples(hop_seconds, sample_rate)
+    return np.floor(np.arange(n_frames) * (hop_seconds * sample_rate) + 0.5).astype(np.intp)
+
+
 def hann(m: int, periodic: bool) -> np.ndarray:
     """Hann window of length ``m``: periodic for FFT frames, else symmetric.
 

@@ -13,9 +13,9 @@ from harmex import (
 )
 from harmex.errors import AliasingError
 from harmex.ltv import _check_geometry, _lagged, _mel_magnitude
-from harmex.metrics import _hop_samples, _search_ratio
+from harmex.metrics import _search_ratio
 from harmex.signal_core import TAU, _voiced_runs
-from harmex.spectral import MelSpectrogram, n_frames_for
+from harmex.spectral import MelSpectrogram, frame_centers, hop_samples, n_frames_for
 
 
 def sine_excitation_loop(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) -> AudioSignal:
@@ -67,7 +67,7 @@ def apply_ltv_loop(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = Tru
 
 def fit_min_norm_loop(excitation: AudioSignal, target: AudioSignal, cfg: FitConfig) -> np.ndarray:
     """``ltv.fit_coeffs_least_squares`` taps with ridge_lambda=0: one ``np.linalg.lstsq`` per frame."""
-    hop = int(round(cfg.frame_hop_seconds * excitation.sample_rate))
+    hop = hop_samples(cfg.frame_hop_seconds, excitation.sample_rate)
     n = len(excitation)
     lag = _lagged(excitation.samples, cfg.n_taps)
     taps = np.zeros((n_frames_for(n, hop), cfg.n_taps))
@@ -115,7 +115,7 @@ def estimate_taps_loop(mel: MelSpectrogram, n_taps: int = 64, floor_db: float = 
 def refine_pitch_loop(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200.0) -> np.ndarray:
     """``metrics.refine_pitch`` with one normalized correlation per lag."""
     fs = x.sample_rate
-    hop = _hop_samples(ref_f0, fs)
+    centers = frame_centers(len(ref_f0), ref_f0.hop_seconds, fs)
     ratio = _search_ratio(search_cents)
     s = x.samples
     out = np.full(len(ref_f0), np.nan)
@@ -126,7 +126,7 @@ def refine_pitch_loop(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200
         lag_lo = max(2, int(math.floor(fs / (f_ref * ratio))))
         lag_hi = int(math.ceil(fs / (f_ref / ratio)))
         window = lag_hi  # correlation window, one max-period long
-        start = m * hop - (window + lag_hi) // 2
+        start = centers[m] - (window + lag_hi) // 2
         if lag_hi - lag_lo < 2 or start < 0 or start + window + lag_hi > len(s):
             continue
         seg = s[start : start + window + lag_hi]
@@ -155,15 +155,16 @@ def refine_pitch_loop(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200
 
 def voicing_decisions_loop(x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float = -40.0) -> np.ndarray:
     """``metrics._voicing_decisions`` with one RMS per frame."""
-    hop = _hop_samples(ref_f0, x.sample_rate)
+    hop = hop_samples(ref_f0.hop_seconds, x.sample_rate)
+    centers = frame_centers(len(ref_f0), ref_f0.hop_seconds, x.sample_rate)
     peak = float(np.max(np.abs(x.samples), initial=0.0))
     decided = np.zeros(len(ref_f0), dtype=bool)
     if peak > 0:
         threshold = peak * 10.0 ** (energy_threshold_db / 20.0)
         half = hop // 2
         for m in range(len(ref_f0)):
-            lo = max(0, m * hop - half)
-            hi = min(len(x), m * hop + half)
+            lo = max(0, centers[m] - half)
+            hi = min(len(x), centers[m] + half)
             if hi <= lo:
                 continue
             rms = math.sqrt(float(np.mean(x.samples[lo:hi] ** 2)))

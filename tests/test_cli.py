@@ -232,16 +232,17 @@ def inputs(tmp_path, f0_file, capsys):
     frames, hop = read_feature_file(mel)
     loud_mel = tmp_path / "loud_mel.hmx"
     write_feature_file(loud_mel, np.where(np.arange(frames.shape[1]) == 40, 3e38, frames), hop)
-    nan_hop = tmp_path / "nan_hop.ltvf"
-    write_coeffs(nan_hop, LtvFirCoeffs(np.zeros((100, 4)), 0.010, 16000))
-    raw = bytearray(nan_hop.read_bytes())
-    struct.pack_into("<d", raw, 16, float("nan"))  # hop_seconds follows magic + 3 u32
-    nan_hop.write_bytes(bytes(raw))
+    bad_hops = {}
+    for name, hop_seconds in (("nan_hop", float("nan")), ("sub_hop", 1e-5)):  # 1e-5 s: 0.16 samples
+        path = bad_hops[name] = tmp_path / f"{name}.ltvf"
+        write_coeffs(path, LtvFirCoeffs(np.zeros((100, 4)), 0.010, 16000))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 16, hop_seconds)  # hop_seconds follows magic + 3 u32
+        path.write_bytes(bytes(raw))
     utf16_f0 = tmp_path / "utf16_f0.txt"
     utf16_f0.write_bytes("100.0\n".encode("utf-16"))  # starts with the \xff\xfe mark
     return {"f0": f0_file, "wav": wav, "mel": mel, "mel80": mel80, "mel80_v1": mel80_v1,
-            "loud_mel": loud_mel,
-            "nan_hop": nan_hop, "utf16_f0": utf16_f0, "out": tmp_path / "out.wav",
+            "loud_mel": loud_mel, **bad_hops, "utf16_f0": utf16_f0, "out": tmp_path / "out.wav",
             "dir": tmp_path}
 
 
@@ -262,6 +263,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (CONDITION, {"factors": [8, 6]}, "config"),
         (("excite", "{f0}", "--out", "{dir}"), None, "io"),
         (("filter", "{wav}", "{nan_hop}", "--out", "{out}"), None, "format"),
+        (("filter", "{wav}", "{sub_hop}", "--out", "{out}"), None, "config"),
         (("estimate", "{mel80_v1}", "--out", "{out}"), None, "config"),
         (("excite", "{utf16_f0}", "--out", "{out}"), None, "config"),
         (("estimate", "{mel}", "--n-taps", "1500", "--out", "{out}"), None, "config"),
@@ -278,7 +280,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
-        "factors-not-int", "factors-list", "out-is-dir", "ltvf-nan-hop", "mel-hop-mismatch",
+        "factors-not-int", "factors-list", "out-is-dir", "ltvf-nan-hop",
+        "ltvf-hop-below-one-sample", "mel-hop-mismatch",
         "f0-not-utf8", "n-taps-above-fft-size", "mel-overflow",
         "search-cents-negative", "search-cents-zero", "search-cents-1e9", "search-cents-nan",
         "pitch-hop-below-one-sample", "uv-hop-below-one-sample",

@@ -526,9 +526,13 @@ NAN, INF = float("nan"), float("inf")
         lambda: LtvFirCoeffs(np.ones((2, 2)), NAN, FS),
         lambda: LtvFirCoeffs(np.ones((2, 2)), 0.010, NAN),
         lambda: LtvFirCoeffs(np.ones((2, 2)), 0.010, 0.0),
+        lambda: LtvFirCoeffs(np.ones((2, 2)), 1e-5, 16000),
         lambda: AudioSignal(np.zeros(3), INF),
     ],
-    ids=["ridge-nan", "fit-hop-inf", "coeff-hop-nan", "coeff-rate-nan", "coeff-rate-0", "audio-rate-inf"],
+    ids=[
+        "ridge-nan", "fit-hop-inf", "coeff-hop-nan", "coeff-rate-nan", "coeff-rate-0",
+        "coeff-hop-below-one-sample", "audio-rate-inf",
+    ],
 )
 def test_non_finite_or_nonpositive_settings_rejected(make):
     with pytest.raises(ConfigError):

@@ -18,11 +18,13 @@ from harmex import (
     combined_loss,
     fit_coeffs_least_squares,
     gaussian_noise,
+    interpolate_f0,
     mel_mae,
     mel_spectrogram,
     mr_stft_loss,
     pitch_jitter,
     refine_pitch,
+    sine_excitation,
     uv_error_rate,
 )
 from harmex.metrics import _voicing_decisions
@@ -161,12 +163,12 @@ def tone_under_track(seed, n_frames, hop, f_base, shape, extra):
     """
     rng = np.random.default_rng(seed)
     cents = rng.uniform(-30.0, 30.0, n_frames)
-    n = max(1, n_frames * hop + extra)
+    n = max(1, int(n_frames * hop) + extra)
     f_inst = f_base * 2.0 ** (np.interp(np.arange(n), np.arange(n_frames) * hop, cents) / 1200.0)
     x = np.sin(2 * np.pi * np.cumsum(f_inst) / FS) + 0.05 * rng.standard_normal(n)
     if shape == "gap":
         lo = int(rng.integers(0, n))
-        x[lo : lo + int(rng.integers(1, 4 * hop))] = 0.0
+        x[lo : lo + int(rng.integers(1, int(4 * hop)))] = 0.0
     elif shape == "fade":
         x[int(rng.integers(0, n)) :] *= 1e-6
     values = f_base * 2.0 ** (cents / 1200.0)
@@ -179,7 +181,7 @@ class TestRefinePitchMatchesLoop:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_frames=st.integers(1, 50),
-        hop=st.sampled_from([80, 160, 241]),
+        hop=st.sampled_from([80, 160, 241, 220.5]),  # 220.5: 10 ms at 22.05 kHz
         f_base=st.floats(60.0, 700.0),
         shape=st.sampled_from(["flat", "gap", "fade"]),
         extra=st.integers(-600, 600),
@@ -187,6 +189,7 @@ class TestRefinePitchMatchesLoop:
     )
     @example(seed=3, n_frames=40, hop=160, f_base=100.0, shape="fade", extra=0, search_cents=200.0)
     @example(seed=4, n_frames=40, hop=160, f_base=150.0, shape="gap", extra=0, search_cents=200.0)
+    @example(seed=5, n_frames=50, hop=220.5, f_base=200.0, shape="flat", extra=0, search_cents=200.0)
     def test_same_nan_mask_and_values(self, seed, n_frames, hop, f_base, shape, extra, search_cents):
         x, track = tone_under_track(seed, n_frames, hop, f_base, shape, extra)
         fast = refine_pitch(x, track, search_cents)
@@ -244,8 +247,6 @@ class TestUvErrorRate:
     def test_excitation_matches_own_track(self):
         values = np.concatenate([np.zeros(20), np.full(60, 220.0), np.zeros(20)])
         track = F0Track(values)
-        from harmex import interpolate_f0, sine_excitation
-
         exc = sine_excitation(interpolate_f0(track, FS, 16000))
         assert uv_error_rate(exc, track) == 0.0
 
@@ -268,22 +269,45 @@ class TestUvErrorRateMatchesLoop:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_frames=st.integers(1, 80),
-        hop=st.integers(1, 401),
+        hop=st.one_of(st.integers(1, 401), st.just(220.5)),
         extra=st.integers(-4000, 400),
         threshold_db=st.floats(-80.0, 0.0),
     )
     @example(seed=1, n_frames=50, hop=160, extra=0, threshold_db=-40.0)
     @example(seed=2, n_frames=50, hop=161, extra=-3000, threshold_db=-20.0)
+    @example(seed=3, n_frames=50, hop=220.5, extra=0, threshold_db=-40.0)
     def test_same_decisions_and_rate(self, seed, n_frames, hop, extra, threshold_db):
-        """Even and odd hops, and tracks running past the signal's end."""
+        """Even, odd and half-sample hops, and tracks running past the signal's end."""
         rng = np.random.default_rng(seed)
-        n = max(0, n_frames * hop + extra)
-        level = 10.0 ** rng.uniform(-5.0, 0.0, size=n // hop + 1)  # per-hop RMS, a 100 dB span
-        x = AudioSignal(level[np.arange(n) // hop] * rng.standard_normal(n), FS)
+        n = max(0, int(n_frames * hop) + extra)
+        level = 10.0 ** rng.uniform(-5.0, 0.0, size=int(n // hop) + 1)  # per-hop RMS, a 100 dB span
+        x = AudioSignal(level[(np.arange(n) // hop).astype(np.intp)] * rng.standard_normal(n), FS)
         track = F0Track(np.where(rng.random(n_frames) < 0.5, 120.0, 0.0), hop / FS)
         decided = voicing_decisions_loop(x, track, threshold_db)
         assert np.array_equal(_voicing_decisions(x, track, threshold_db), decided)
         assert uv_error_rate(x, track, threshold_db) == float(np.mean(decided != track.voiced_mask))
+
+
+@pytest.mark.parametrize("f_base", [200.0, 220.0])
+def test_half_sample_hop_scores_an_excitation_on_its_own_grid(f_base):
+    """10 ms at 22.05 kHz is 220.5 samples, and the metrics follow the synthesis grid.
+
+    Frames placed at ``m * round(hop)`` drift half a sample per frame, 500
+    samples by the end of this 10 s track: that gave a U/V error rate of
+    0.023 and a median pitch error of 13-14 cents in the last third.  At
+    200 Hz, centers rounded half to even gave a U/V error rate of 0.004.
+    """
+    fs, hop_seconds = 22050, 0.010
+    t = np.arange(1000) * hop_seconds
+    f0 = f_base * (1.0 + 0.02 * np.sin(2 * np.pi * 5.0 * t))  # the demo's vibrato
+    track = F0Track(np.where(t % 1.0 < 0.8, f0, 0.0), hop_seconds)  # 0.2 s unvoiced each second
+    x = sine_excitation(interpolate_f0(track, fs, 10 * fs))
+    assert uv_error_rate(x, track) == 0.0
+    voiced = track.voiced_mask
+    cents = np.full(len(track), np.nan)
+    cents[voiced] = np.abs(1200.0 * np.log2(refine_pitch(x, track)[voiced] / track.values[voiced]))
+    for third in np.array_split(cents, 3):
+        assert np.nanmedian(third) <= 2.0
 
 
 class TestMatchingImprovement:

@@ -15,7 +15,7 @@ from harmex import (
     mel_spectrogram,
     stft_magnitude,
 )
-from harmex.spectral import MEL_FLOOR, hann, n_frames_for
+from harmex.spectral import MEL_FLOOR, frame_centers, hann, n_frames_for
 from conftest import FS
 
 
@@ -29,6 +29,12 @@ def test_hann_equals_scipy_bit_for_bit(periodic):
     for m in range(1, 2500):
         want = get_window("hann", m, fftbins=periodic)
         np.testing.assert_array_equal(hann(m, periodic), want, err_msg=f"M={m}")
+
+
+@pytest.mark.parametrize("fs, centers", [(FS, [0, 160, 320, 480]), (22050, [0, 221, 441, 662])])
+def test_frame_centers_round_ties_up(fs, centers):
+    """10 ms is 160 samples at 16 kHz and 220.5 at 22.05 kHz."""
+    np.testing.assert_array_equal(frame_centers(4, 0.010, fs), centers)
 
 
 class TestStftMagnitude:
