@@ -142,12 +142,20 @@ def _write_run_config(path, subcommand: str, entries: dict) -> None:
 # entries it adds to the run manifest.
 
 
+def _count(name: str, value: float) -> int:
+    """An array length derived from options, checked before any array has it."""
+    if not 0 <= value < 2**31:  # also rejects NaN and inf
+        raise ConfigError(f"{name} of {value!r} is not in [0, 2**31)")
+    return round(value)
+
+
 def _cmd_excite(args, r):
     track = read_f0_track(args.f0_file, hop_seconds=r["hop"])
     fs = r["sample_rate"]
+    spectral.hop_samples(r["hop"], fs)
     n_samples = r["n_samples"]
     if n_samples is None:
-        n_samples = int(round(len(track) * r["hop"] * fs))
+        n_samples = _count("n_samples", len(track) * r["hop"] * fs)
     cfg = ExcitationConfig(r["amplitude"], r["phase_init"], r["seed"], r["k_max"])
     excitation = sine_excitation(interpolate_f0(track, fs, n_samples), cfg)
     info = wav_io.write_wav(args.out, excitation, WavSpec(fs, r["encoding"]))
@@ -243,22 +251,22 @@ def _demo_formant_coeffs(n_frames: int, stft: StftConfig, fs: float, rng) -> ltv
 
 
 def _cmd_demo(args, r):
+    fs, hop_s, duration, seed = r["sample_rate"], r["hop"], r["duration"], r["seed"]
+    stft = StftConfig(hop_size=spectral.hop_samples(hop_s, fs))
+    n_frames = _count("frames", duration / hop_s)
+    n_samples = _count("n_samples", duration * fs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fs, hop_s, duration, seed = r["sample_rate"], r["hop"], r["duration"], r["seed"]
 
-    n_frames = int(round(duration / hop_s))
     frame_t = np.arange(n_frames) * hop_s
     f0 = 220.0 * (1.0 + 0.02 * np.sin(2 * math.pi * 5.0 * frame_t))
     voiced = (frame_t >= 0.2) & (frame_t <= duration - 0.2)
     track = F0Track(np.where(voiced, f0, 0.0), hop_s)
     write_f0_track(out / "f0.txt", track)
 
-    n_samples = int(round(duration * fs))
     excitation = sine_excitation(interpolate_f0(track, fs, n_samples), ExcitationConfig(seed=seed))
     wav_io.write_wav(out / "excitation.wav", excitation)
 
-    stft = StftConfig(hop_size=spectral.hop_samples(hop_s, fs))
     envelope = _demo_formant_coeffs(n_frames, stft, fs, np.random.default_rng(seed))
     target = ltv.apply_ltv(excitation, envelope)
     wav_io.write_wav(out / "target.wav", target)

@@ -70,21 +70,14 @@ def stack_channels(
     filtered_excitation: AudioSignal | None = None,
 ) -> ConditioningBundle:
     """Stack the provided signals in the fixed channel order."""
-    parts = {
-        "noise": noise,
-        "raw_excitation": raw_excitation,
-        "filtered_excitation": filtered_excitation,
-    }
-    present = {name: sig for name, sig in parts.items() if sig is not None}
+    parts = zip(CHANNEL_ORDER, (noise, raw_excitation, filtered_excitation))
+    present = {name: sig for name, sig in parts if sig is not None}
     if not present:
         raise DomainError("no channels provided")
     rates = {sig.sample_rate for sig in present.values()}
     if len(rates) != 1:
         raise ConfigError(f"sample rates differ: {sorted(rates)}")
-    lengths = {len(sig) for sig in present.values()}
-    if len(lengths) != 1:
-        raise ConfigError(f"channel lengths differ: {sorted(lengths)}")
-    channels = {name: present[name].samples for name in CHANNEL_ORDER if name in present}
+    channels = {name: sig.samples for name, sig in present.items()}  # the bundle checks lengths
     return ConditioningBundle(channels, rates.pop())
 
 

@@ -470,4 +470,5 @@ def write_coeffs(path, h: LtvFirCoeffs) -> None:
 
 def read_coeffs(path) -> LtvFirCoeffs:
     taps, header = tensor_io.read_tensor(path, LTVF_MAGIC, {1: ("hop_seconds", "sample_rate")})
-    return LtvFirCoeffs(taps.astype(np.float64), **header)
+    with np.errstate(invalid="ignore"):  # a signaling NaN warns; LtvFirCoeffs rejects it
+        return LtvFirCoeffs(taps.astype(np.float64), **header)

@@ -22,7 +22,7 @@ from .errors import (
     UndefinedMetricError,
     check_positive,
 )
-from .signal_core import AudioSignal, F0Track
+from .signal_core import AudioSignal, F0Track, frame_bounds
 from .spectral import MelSpectrogram, StftConfig, frame_centers, hop_samples, stft_magnitude
 
 MAG_FLOOR = 1e-7
@@ -205,21 +205,15 @@ def _voicing_decisions(
     x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float = -40.0
 ) -> np.ndarray:
     """One bool per frame of ``ref_f0``: the voicing ``uv_error_rate`` decides."""
-    n, n_frames = len(x), len(ref_f0)
-    half = hop_samples(ref_f0.hop_seconds, x.sample_rate) // 2
-    centers = frame_centers(n_frames, ref_f0.hop_seconds, x.sample_rate)
+    hop_samples(ref_f0.hop_seconds, x.sample_rate)  # rejects a hop below one sample
+    bounds = frame_bounds(ref_f0, x.sample_rate, len(x))
+    count = np.diff(bounds)
+    inside = count > 0
+    # the windows tile [0, bounds[-1]), so each sum stops where the next starts
+    energy = np.add.reduceat(x.samples[: bounds[-1]] ** 2, bounds[:-1][inside])
     peak = float(np.max(np.abs(x.samples), initial=0.0))
-
-    decided = np.zeros(n_frames, dtype=bool)
-    if peak > 0 and half > 0 and n_frames > 0:
-        threshold = peak * 10.0 ** (energy_threshold_db / 20.0)
-        # squared samples, zero-padded so every window is 2*half long
-        padded = np.zeros(half + max(n, centers[-1] + half))
-        padded[half : half + n] = x.samples**2
-        energy = sliding_window_view(padded, 2 * half)[centers].sum(axis=1)
-        count = np.minimum(centers + half, n) - np.maximum(centers - half, 0)
-        inside = count > 0
-        decided[inside] = np.sqrt(energy[inside] / count[inside]) > threshold
+    decided = np.zeros(len(ref_f0), dtype=bool)  # all unvoiced in silence: 0 > 0 is false
+    decided[inside] = np.sqrt(energy / count[inside]) > peak * 10.0 ** (energy_threshold_db / 20.0)
     return decided
 
 
@@ -229,11 +223,10 @@ def uv_error_rate(
     """Fraction of frames whose energy-based voicing disagrees with the track.
 
     A frame is decided voiced when its RMS is above ``energy_threshold_db``
-    relative to the signal peak.  Frame m's window is [c - hop//2, c + hop//2)
-    clipped to the signal, c the sample nearest ``m * hop_seconds * fs`` with
-    ties up, which keeps a 220.5-sample hop's windows inside their frames; a
-    frame whose clipped window is empty is decided unvoiced.  The hop must
-    round to at least one sample.
+    relative to the signal peak.  Frame m's window is the samples it owns in
+    ``interpolate_f0`` (``signal_core.frame_bounds``), so windows tile the
+    signal at any hop; a frame that owns none is decided unvoiced.  The hop
+    must round to at least one sample.
     """
     if len(ref_f0) == 0:
         raise DomainError("empty reference track")

@@ -123,13 +123,24 @@ def _voiced_runs(mask: np.ndarray):
     return list(zip(idx[0::2], idx[1::2]))
 
 
+def frame_bounds(track: F0Track, sample_rate: float, n_samples: int) -> np.ndarray:
+    """``len(track) + 1`` bounds b, clipped to n_samples: frame m owns samples [b[m], b[m+1]).
+
+    Those are the n with ``floor((n + h/2) / h) == m``, h = hop_seconds * sample_rate unrounded.
+    """
+    hop = track.hop_seconds * sample_rate
+    owner = np.floor((np.arange(n_samples) + hop / 2) / hop)
+    return np.searchsorted(owner, np.arange(len(track) + 1))
+
+
 def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> SampleF0:
     """Linearly interpolate a frame-level track to sample level.
 
-    Frame m sits at sample ``m * hop_seconds * sample_rate``, unrounded.
-    Interpolation runs only between the centers of frames inside the same
-    voiced run; the run's endpoint values are held outward to the voicing
-    boundary, and every sample mapped to an unvoiced frame is exactly zero.
+    Frame m sits at sample ``m * hop_seconds * sample_rate``, unrounded, and
+    fills the samples it owns (``frame_bounds``; the last frame fills the rest).
+    Interpolation runs only between the centers of frames in the same voiced
+    run, whose endpoint values are held to the voicing boundary; every sample
+    of an unvoiced frame is exactly zero.
     """
     hop = track.hop_seconds * sample_rate
     if n_samples < 0:
@@ -141,17 +152,12 @@ def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> Sample
         )
 
     out = np.zeros(n_samples)
-    if len(track) == 0:
-        return SampleF0(out, sample_rate)
-
-    n = np.arange(n_samples)
-    frame_idx = np.minimum((np.floor((n + hop / 2) / hop)).astype(np.intp), len(track) - 1)
+    bounds = frame_bounds(track, sample_rate, n_samples)
+    bounds[-1] = n_samples
     for start, stop in _voiced_runs(track.voiced_mask):
-        sel = (frame_idx >= start) & (frame_idx < stop)
-        if not sel.any():
-            continue
+        lo, hi = bounds[start], bounds[stop]
         centers = np.arange(start, stop) * hop
-        out[sel] = np.interp(n[sel], centers, track.values[start:stop])
+        out[lo:hi] = np.interp(np.arange(lo, hi), centers, track.values[start:stop])
     return SampleF0(out, sample_rate)
 
 
@@ -171,10 +177,10 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
     The base phase restarts per cfg.phase_init at each voiced onset.
 
     The sum is ``sum_{k=1..K} sin(k*phi) = sin(K*phi/2) * sin((K+1)*phi/2) /
-    sin(phi/2)`` with each sample's own K.  Where ``|sin(phi/2)| < 0.05`` (about
-    3% of voiced samples) the division magnifies rounding past 20x, so those
-    samples sum harmonic by harmonic; at unit amplitude and K = 400 the result
-    is then within 8.4e-12 of the per-harmonic sum (9.1e-11 without fallback).
+    sin(phi/2)`` with each sample's own K, on every voiced sample and with no
+    fallback.  phi > pi is first folded to phi - 2*pi, exact by Sterbenz's
+    lemma, so that sin(phi/2) keeps full relative precision next to multiples
+    of 2*pi (unfolded, phi/2 sits next to pi there); phi = 0 gives 0.
     """
     v = f0.values
     fs = f0.sample_rate
@@ -188,6 +194,7 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
         seg = v[start:stop]
         phi0 = 0.0 if rng is None else float(rng.uniform(0.0, TAU))
         base = (phi0 + np.cumsum(TAU * seg / fs)) % TAU
+        base -= TAU * (base > math.pi)
 
         k_count = np.floor(fs / (2.0 * seg)).astype(np.intp)
         if cfg.k_max_cap is not None:
@@ -195,12 +202,8 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
 
         half = 0.5 * base
         den = np.sin(half)
-        near = np.flatnonzero(np.abs(den) < 0.05)
-        den[near] = np.inf  # the closed form gives 0 there; the loop adds the sum
+        den[den == 0] = np.inf
         acc = np.sin(k_count * half) * np.sin((k_count + 1) * half) / den
-        for k in range(1, int(k_count[near].max(initial=0)) + 1):
-            m = near[k_count[near] >= k]
-            acc[m] += np.sin((k * base[m]) % TAU)
         out[start:stop] = cfg.amplitude * acc
 
     return AudioSignal(out, fs)

@@ -48,7 +48,8 @@ class MelSpectrogram:
     floor: float = MEL_FLOOR
 
     def __post_init__(self):
-        f = np.asarray(self.frames, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # a float32 signaling NaN warns; isfinite rejects it
+            f = np.asarray(self.frames, dtype=np.float64)
         object.__setattr__(self, "frames", f)
         if f.ndim != 2:
             raise ConfigError("mel frames must be 2-D (n_frames x n_mels)")
@@ -98,7 +99,7 @@ def hop_samples(hop_seconds: float, sample_rate: float) -> int:
 
 
 def frame_centers(n_frames: int, hop_seconds: float, sample_rate: float) -> np.ndarray:
-    """Sample nearest each center ``m * hop_seconds * sample_rate``, ties up; see uv_error_rate."""
+    """Sample nearest each center ``m * hop_seconds * sample_rate``, ties up; see refine_pitch."""
     hop_samples(hop_seconds, sample_rate)
     return np.floor(np.arange(n_frames) * (hop_seconds * sample_rate) + 0.5).astype(np.intp)
 

@@ -132,7 +132,8 @@ def read_wav(path) -> AudioSignal:
                 raise FormatError("data chunk before fmt chunk", path=path)
             dtype, rate = _sample_dtype(fmt, order, path)
             data = np.frombuffer(body, dtype, count=size // dtype.itemsize)
-            samples = data.astype(np.float64)
+            with np.errstate(invalid="ignore"):  # a signaling NaN warns; isfinite rejects it
+                samples = data.astype(np.float64)
             if dtype.kind == "i":
                 samples /= 32767.0
             if not np.all(np.isfinite(samples)):

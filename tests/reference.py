@@ -11,7 +11,7 @@ import numpy as np
 from harmex import (
     AudioSignal, ExcitationConfig, F0Track, FitConfig, LtvFirCoeffs, PhaseInit, SampleF0,
 )
-from harmex.errors import AliasingError
+from harmex.errors import AliasingError, DomainError, LengthMismatchError
 from harmex.ltv import _check_geometry, _lagged, _mel_magnitude
 from harmex.metrics import _search_ratio
 from harmex.signal_core import TAU, _voiced_runs
@@ -154,19 +154,44 @@ def refine_pitch_loop(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200
 
 
 def voicing_decisions_loop(x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float = -40.0) -> np.ndarray:
-    """``metrics._voicing_decisions`` with one RMS per frame."""
-    hop = hop_samples(ref_f0.hop_seconds, x.sample_rate)
-    centers = frame_centers(len(ref_f0), ref_f0.hop_seconds, x.sample_rate)
+    """``metrics._voicing_decisions`` with one RMS per frame over the samples it owns."""
+    hop_samples(ref_f0.hop_seconds, x.sample_rate)
+    hop = ref_f0.hop_seconds * x.sample_rate
+    owner = np.floor((np.arange(len(x)) + hop / 2) / hop)
     peak = float(np.max(np.abs(x.samples), initial=0.0))
     decided = np.zeros(len(ref_f0), dtype=bool)
     if peak > 0:
         threshold = peak * 10.0 ** (energy_threshold_db / 20.0)
-        half = hop // 2
         for m in range(len(ref_f0)):
-            lo = max(0, centers[m] - half)
-            hi = min(len(x), centers[m] + half)
-            if hi <= lo:
+            window = x.samples[owner == m]
+            if len(window) == 0:
                 continue
-            rms = math.sqrt(float(np.mean(x.samples[lo:hi] ** 2)))
+            rms = math.sqrt(float(np.mean(window**2)))
             decided[m] = rms > threshold
     return decided
+
+
+def interpolate_f0_loop(track: F0Track, sample_rate: float, n_samples: int) -> SampleF0:
+    """``signal_core.interpolate_f0`` with a full-length frame mask per voiced run."""
+    hop = track.hop_seconds * sample_rate
+    if n_samples < 0:
+        raise DomainError("n_samples must be >= 0")
+    max_samples = math.ceil((len(track) + 1) * hop)  # through one hop past the last frame
+    if n_samples > max_samples:
+        raise LengthMismatchError(
+            f"n_samples={n_samples} exceeds track coverage {max_samples}"
+        )
+
+    out = np.zeros(n_samples)
+    if len(track) == 0:
+        return SampleF0(out, sample_rate)
+
+    n = np.arange(n_samples)
+    frame_idx = np.minimum((np.floor((n + hop / 2) / hop)).astype(np.intp), len(track) - 1)
+    for start, stop in _voiced_runs(track.voiced_mask):
+        sel = (frame_idx >= start) & (frame_idx < stop)
+        if not sel.any():
+            continue
+        centers = np.arange(start, stop) * hop
+        out[sel] = np.interp(n[sel], centers, track.values[start:stop])
+    return SampleF0(out, sample_rate)

@@ -232,18 +232,23 @@ def inputs(tmp_path, f0_file, capsys):
     frames, hop = read_feature_file(mel)
     loud_mel = tmp_path / "loud_mel.hmx"
     write_feature_file(loud_mel, np.where(np.arange(frames.shape[1]) == 40, 3e38, frames), hop)
+    ltvf = tmp_path / "c.ltvf"
+    write_coeffs(ltvf, LtvFirCoeffs(np.zeros((100, 4)), 0.010, 16000))
     bad_hops = {}
     for name, hop_seconds in (("nan_hop", float("nan")), ("sub_hop", 1e-5)):  # 1e-5 s: 0.16 samples
         path = bad_hops[name] = tmp_path / f"{name}.ltvf"
-        write_coeffs(path, LtvFirCoeffs(np.zeros((100, 4)), 0.010, 16000))
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(ltvf.read_bytes())
         struct.pack_into("<d", raw, 16, hop_seconds)  # hop_seconds follows magic + 3 u32
         path.write_bytes(bytes(raw))
     utf16_f0 = tmp_path / "utf16_f0.txt"
     utf16_f0.write_bytes("100.0\n".encode("utf-16"))  # starts with the \xff\xfe mark
+    snan = {}  # each file's last f32 value made a signaling NaN
+    for name, good in (("snan_wav", wav), ("snan_mel", mel), ("snan_ltvf", ltvf)):
+        snan[name] = tmp_path / f"{name}{good.suffix}"
+        snan[name].write_bytes(good.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
     return {"f0": f0_file, "wav": wav, "mel": mel, "mel80": mel80, "mel80_v1": mel80_v1,
-            "loud_mel": loud_mel, **bad_hops, "utf16_f0": utf16_f0, "out": tmp_path / "out.wav",
-            "dir": tmp_path}
+            "loud_mel": loud_mel, **bad_hops, "utf16_f0": utf16_f0, **snan,
+            "out": tmp_path / "out.wav", "dir": tmp_path}
 
 
 EXCITE = ("excite", "{f0}", "--out", "{out}")
@@ -277,6 +282,13 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("estimate", "{mel80}", "--hop-size", "160", "--out", "{out}"), None, "config"),
         (("estimate", "{mel80}", "--out", "{out}"), {"f_max": 7000.0}, "config"),
         (("fit", "{wav}", "{wav}", "--hop", "1e-5", "--out", "{out}"), None, "config"),
+        (("mel", "{snan_wav}", "--out", "{out}"), None, "format"),
+        (("estimate", "{snan_mel}", "--out", "{out}"), None, "domain"),
+        (("filter", "{wav}", "{snan_ltvf}", "--out", "{out}"), None, "domain"),
+        (EXCITE + ("--hop", "1e308"), None, "config"),
+        (EXCITE + ("--sample-rate", "1e308"), None, "config"),
+        (("demo", "--out-dir", "{dir}", "--duration", "1e308"), None, "config"),
+        (("demo", "--out-dir", "{dir}", "--hop", "1e-300"), None, "config"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
@@ -286,8 +298,11 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "search-cents-negative", "search-cents-zero", "search-cents-1e9", "search-cents-nan",
         "pitch-hop-below-one-sample", "uv-hop-below-one-sample",
         "mel-v2-contradicting-flag", "mel-v2-contradicting-config", "fit-hop-below-one-sample",
+        "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
+        "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
     ],
 )
+@pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
 def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, config, category):
     argv = [a.format(**inputs) for a in argv]
     if config is not None:

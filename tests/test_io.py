@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
@@ -11,13 +11,17 @@ from harmex import (
     AudioSignal,
     DomainError,
     FormatError,
+    HarmexError,
+    LtvFirCoeffs,
     WavEncoding,
     WavSpec,
     gaussian_noise,
     MelSpectrogram,
     StftConfig,
+    read_coeffs,
     read_feature_file,
     read_wav,
+    write_coeffs,
     write_feature_file,
     write_wav,
 )
@@ -185,12 +189,15 @@ class TestWavRejects:
         with pytest.raises(FormatError):
             read_wav(path)
 
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
     @given(
         encoding=st.sampled_from(list(ENCODINGS)),
         edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=6),
         keep=st.integers(0, 10**6),
     )
+    # the last sample of the 86-byte Float32 file made the signaling NaN 0x7f800001
+    @example(encoding=WavEncoding.FLOAT32, edits=[(82, 0x01), (85, 0x7F)], keep=86)
     def test_mutated_bytes_read_or_format_error(self, tmp_path_factory, encoding, edits, keep):
         path = tmp_path_factory.mktemp("mutated") / "m.wav"
         write_wav(path, AudioSignal(np.linspace(-1, 1, 7), FS), WavSpec(FS, encoding))
@@ -304,3 +311,42 @@ class TestMelFile:
         path.write_bytes(raw[:40])
         with pytest.raises(FormatError, match="truncated header"):
             read_hmx(path)
+
+
+SMALL = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+TENSOR_FILES = {  # kind: writer of a small valid file
+    "hmx-v1": lambda path: write_feature_file(path, SMALL, 80 / FS),
+    "hmx-v2": lambda path: write_mel_file(
+        path, MelSpectrogram(SMALL, StftConfig(512, 320, 80), FS, (0.0, 7000.0))
+    ),
+    "ltvf": lambda path: write_coeffs(path, LtvFirCoeffs(SMALL, 80 / FS, FS)),
+}
+
+
+class TestTensorReadersReject:
+    """Mutated or truncated ``HMX1`` and ``LTVF`` bytes either read or raise a HarmexError."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind_reader=st.sampled_from([
+            ("hmx-v1", read_hmx), ("hmx-v2", read_hmx),
+            ("hmx-v1", read_feature_file), ("hmx-v2", read_feature_file), ("ltvf", read_coeffs),
+        ]),
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=6),
+        keep=st.integers(0, 10**6),
+    )
+    # the last tap of the 80-byte file made the signaling NaN 0x7f800001
+    @example(kind_reader=("ltvf", read_coeffs), edits=[(76, 0x01), (79, 0x7F)], keep=80)
+    def test_mutated_bytes_read_or_harmex_error(self, tmp_path_factory, kind_reader, edits, keep):
+        kind, reader = kind_reader
+        path = tmp_path_factory.mktemp("mutated") / "m.bin"
+        TENSOR_FILES[kind](path)
+        raw = bytearray(path.read_bytes())
+        for pos, value in edits:
+            raw[pos % len(raw)] = value
+        path.write_bytes(bytes(raw[: keep % (len(raw) + 1)]))
+        try:
+            reader(path)
+        except HarmexError:
+            pass

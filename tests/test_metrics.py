@@ -239,8 +239,17 @@ class TestHopBelowOneSample:
             uv_error_rate(x, track)
 
     def test_one_sample_accepted(self):
-        track = F0Track(np.full(10, 200.0), 0.6 / FS)  # rounds to one sample
-        assert uv_error_rate(make_excitation(200.0, 1600), track) == 1.0
+        """0.6 samples rounds to one; frames 1, 4, 6 and 9 own no sample.
+
+        The excitation is zero, up to rounding, at every odd sample; frames
+        2, 5 and 8 own samples 1, 3 and 5, so 7 of 10 frames are unvoiced.
+        """
+        track = F0Track(np.full(10, 200.0), 0.6 / FS)
+        assert uv_error_rate(make_excitation(200.0, 1600), track) == 0.7
+
+    def test_one_sample_hop_decides_each_sample(self):
+        track = F0Track(np.full(100, 200.0), 1 / FS)
+        assert uv_error_rate(AudioSignal(np.full(100, 0.5), FS), track) == 0.0
 
 
 class TestUvErrorRate:
@@ -288,16 +297,20 @@ class TestUvErrorRateMatchesLoop:
         assert uv_error_rate(x, track, threshold_db) == float(np.mean(decided != track.voiced_mask))
 
 
+@pytest.mark.parametrize("fs", [22050, 22150, 22030])
 @pytest.mark.parametrize("f_base", [200.0, 220.0])
-def test_half_sample_hop_scores_an_excitation_on_its_own_grid(f_base):
+def test_half_sample_hop_scores_an_excitation_on_its_own_grid(f_base, fs):
     """10 ms at 22.05 kHz is 220.5 samples, and the metrics follow the synthesis grid.
 
     Frames placed at ``m * round(hop)`` drift half a sample per frame, 500
     samples by the end of this 10 s track: that gave a U/V error rate of
     0.023 and a median pitch error of 13-14 cents in the last third.  At
     200 Hz, centers rounded half to even gave a U/V error rate of 0.004.
+    A window of ``hop // 2`` samples each side of the center, in place of
+    the samples the frame owns, gave 0.001 at 22,150 Hz (221.5 samples) and
+    0.004 at 22,030 Hz (220.3 samples).
     """
-    fs, hop_seconds = 22050, 0.010
+    hop_seconds = 0.010
     t = np.arange(1000) * hop_seconds
     f0 = f_base * (1.0 + 0.02 * np.sin(2 * np.pi * 5.0 * t))  # the demo's vibrato
     track = F0Track(np.where(t % 1.0 < 0.8, f0, 0.0), hop_seconds)  # 0.2 s unvoiced each second

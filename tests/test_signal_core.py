@@ -21,7 +21,7 @@ from harmex import (
     write_f0_track,
 )
 from conftest import FS, constant_track, make_excitation
-from reference import sine_excitation_loop
+from reference import interpolate_f0_loop, sine_excitation_loop
 
 
 class TestInterpolateF0:
@@ -63,6 +63,30 @@ class TestInterpolateF0:
     def test_length_within_slack_accepted(self):
         sf = interpolate_f0(constant_track(100.0, 3), FS, 3 * 160 + 160)
         assert len(sf) == 640
+
+
+class TestInterpolateF0MatchesLoop:
+    """One slice per voiced run against a full-length frame mask per run."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_frames=st.integers(0, 60),
+        fs=st.sampled_from([8000.0, 16000.0, 22030.0, 22050.0, 44100.0]),
+        hop=st.sampled_from(["160", "161", "220.5", "1/300 s", "0.6"]),
+        voiced_frac=st.floats(0.0, 1.0),
+        length_frac=st.floats(0.0, 1.0),
+    )
+    @example(seed=0, n_frames=50, fs=22050.0, hop="220.5", voiced_frac=0.7, length_frac=1.0)
+    @example(seed=1, n_frames=40, fs=16000.0, hop="0.6", voiced_frac=0.5, length_frac=0.5)
+    def test_bit_identical(self, seed, n_frames, fs, hop, voiced_frac, length_frac):
+        rng = np.random.default_rng(seed)
+        hop_seconds = 1 / 300 if hop == "1/300 s" else float(hop) / fs
+        values = np.where(rng.random(n_frames) < voiced_frac, rng.uniform(60.0, 400.0, n_frames), 0.0)
+        track = F0Track(values, hop_seconds)
+        n = int(length_frac * math.ceil((n_frames + 1) * hop_seconds * fs))
+        fast = interpolate_f0(track, fs, n).values
+        assert np.array_equal(fast, interpolate_f0_loop(track, fs, n).values)
 
 
 class TestHarmonicCount:
@@ -221,13 +245,17 @@ def pitch_contours(draw):
 
 
 class TestSineExcitationMatchesHarmonicLoop:
-    """The closed form against the per-harmonic sum it replaced.
+    """The closed form, on every voiced sample, against the per-harmonic sum.
 
-    The per-harmonic sum is itself up to about 2e-12 from an 80-bit sum at
-    amplitude 0.1 and K = 400, and outside the fallback band the closed form
-    is the closer of the two, so what this test sees near 20 Hz is the loop's
-    own rounding: it passed 1e-12 on 3 of 6.4 million samples at 20-25 Hz.
-    The examples are derandomized so that a run is reproducible.
+    Both round a sum of up to 400 terms, so near 20 Hz they sit up to about
+    1e-12 apart at amplitude 0.1: over 2.4 million samples at 20-25 Hz, with
+    vibrato and random phase, the worst distance was 9.2e-13 (9.1e-13 for
+    the earlier form, which summed harmonic by harmonic where
+    |sin(phi/2)| < 0.05).  At fs/7 and fs/700 the base phase returns to
+    within a few ulps of 2*pi every 7 and 700 samples; without the fold into
+    (-pi, pi] the fs/700 example (K = 350) is 3.5e-12 off, because sin(phi/2)
+    next to pi loses its relative precision.  The examples are derandomized
+    so that a run is reproducible.
     """
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -239,6 +267,8 @@ class TestSineExcitationMatchesHarmonicLoop:
     )
     @example(f0=SampleF0(np.full(3000, 20.0), FS), cap=None, phase=PhaseInit.ZERO, seed=0)
     @example(f0=SampleF0(np.full(64, 4000.0), FS), cap=None, phase=PhaseInit.ZERO, seed=0)
+    @example(f0=SampleF0(np.full(3000, FS / 7), FS), cap=None, phase=PhaseInit.ZERO, seed=0)
+    @example(f0=SampleF0(np.full(3000, FS / 700), FS), cap=None, phase=PhaseInit.ZERO, seed=0)
     def test_matches_loop(self, f0, cap, phase, seed):
         cfg = ExcitationConfig(amplitude=0.1, phase_init=phase, seed=seed, k_max_cap=cap)
         out = sine_excitation(f0, cfg).samples
