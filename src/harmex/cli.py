@@ -27,7 +27,7 @@ import numpy as np
 
 from . import conditioning as cond
 from . import ltv, metrics, spectral, tensor_io, wav_io
-from .errors import ConfigError, HarmexError
+from .errors import ConfigError, HarmexError, check_count
 from .signal_core import (
     DEFAULT_HOP_SECONDS, DEFAULT_SAMPLE_RATE, ExcitationConfig, F0Track, PhaseInit,
     gaussian_noise, interpolate_f0, read_f0_track, sine_excitation, write_f0_track,
@@ -142,31 +142,22 @@ def _write_run_config(path, subcommand: str, entries: dict) -> None:
 # entries it adds to the run manifest.
 
 
-def _count(name: str, value: float) -> int:
-    """An array length derived from options, checked before any array has it."""
-    if not 0 <= value < 2**31:  # also rejects NaN and inf
-        raise ConfigError(f"{name} of {value!r} is not in [0, 2**31)")
-    return round(value)
-
-
 def _cmd_excite(args, r):
     track = read_f0_track(args.f0_file, hop_seconds=r["hop"])
     fs = r["sample_rate"]
     spectral.hop_samples(r["hop"], fs)
     n_samples = r["n_samples"]
     if n_samples is None:
-        n_samples = _count("n_samples", len(track) * r["hop"] * fs)
+        n_samples = check_count("n_samples", len(track) * r["hop"] * fs)
     cfg = ExcitationConfig(r["amplitude"], r["phase_init"], r["seed"], r["k_max"])
     excitation = sine_excitation(interpolate_f0(track, fs, n_samples), cfg)
-    info = wav_io.write_wav(args.out, excitation, WavSpec(fs, r["encoding"]))
-    return {"clipped": info.clipped}
+    return {"clipped": wav_io.write_wav(args.out, excitation, WavSpec(fs, r["encoding"]))}
 
 
 def _cmd_filter(args, r):
     x = wav_io.read_wav(args.wav_file)
     y = ltv.apply_ltv(x, ltv.read_coeffs(args.coeff_file), r["interpolate_taps"])
-    info = wav_io.write_wav(args.out, y, WavSpec(x.sample_rate, r["encoding"]))
-    return {"clipped": info.clipped}
+    return {"clipped": wav_io.write_wav(args.out, y, WavSpec(x.sample_rate, r["encoding"]))}
 
 
 def _cmd_estimate(args, r):
@@ -253,8 +244,8 @@ def _demo_formant_coeffs(n_frames: int, stft: StftConfig, fs: float, rng) -> ltv
 def _cmd_demo(args, r):
     fs, hop_s, duration, seed = r["sample_rate"], r["hop"], r["duration"], r["seed"]
     stft = StftConfig(hop_size=spectral.hop_samples(hop_s, fs))
-    n_frames = _count("frames", duration / hop_s)
-    n_samples = _count("n_samples", duration * fs)
+    n_frames = check_count("frames", duration / hop_s)
+    n_samples = check_count("n_samples", duration * fs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

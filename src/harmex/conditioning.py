@@ -44,14 +44,9 @@ class ConditioningBundle:
     def names(self) -> tuple[str, ...]:
         return tuple(self.channels)
 
-    def as_matrix(self) -> np.ndarray:
-        """length x n_channels, columns in bundle order."""
-        return np.stack([self.channels[n] for n in self.channels], axis=1)
-
 
 @dataclass(frozen=True)
 class PyramidLevel:
-    factor: int
     cumulative_factor: int
     channels: dict[str, np.ndarray]
 
@@ -59,7 +54,6 @@ class PyramidLevel:
 @dataclass(frozen=True)
 class ScalePyramid:
     levels: tuple[PyramidLevel, ...]
-    base_length: int
     base_sample_rate: float
     names: tuple[str, ...]
 
@@ -127,27 +121,20 @@ def downsample_multiscale(
     for factor in factors:
         cumulative *= factor
         current = {name: _decimate(sig, factor) for name, sig in current.items()}
-        levels.append(PyramidLevel(factor, cumulative, current))
-    return ScalePyramid(tuple(levels), bundle.length, bundle.sample_rate, bundle.names)
+        levels.append(PyramidLevel(cumulative, current))
+    return ScalePyramid(tuple(levels), bundle.sample_rate, bundle.names)
 
 
-def export_conditioning(obj: ConditioningBundle | ScalePyramid, path_prefix) -> list[str]:
-    """Write feature-tensor files, one per scale, suffixed ``_x{factor}``.
+def export_conditioning(pyramid: ScalePyramid, path_prefix) -> list[str]:
+    """Write feature-tensor files, one per scale, suffixed ``_x{cumulative factor}``.
 
-    A bare bundle exports as the single audio-rate file ``_x1``.  Channels
+    Factors ``(1,)`` give the single audio-rate file ``_x1``.  Channels
     become dims in bundle order; returns the written paths.
     """
     written = []
-    if isinstance(obj, ConditioningBundle):
-        path = f"{path_prefix}_x1.hmx"
-        write_feature_file(path, obj.as_matrix(), 1.0 / obj.sample_rate)
+    for level in pyramid.levels:
+        data = np.stack([level.channels[n] for n in pyramid.names], axis=1)
+        path = f"{path_prefix}_x{level.cumulative_factor}.hmx"
+        write_feature_file(path, data, level.cumulative_factor / pyramid.base_sample_rate)
         written.append(path)
-    elif isinstance(obj, ScalePyramid):
-        for level in obj.levels:
-            data = np.stack([level.channels[n] for n in obj.names], axis=1)
-            path = f"{path_prefix}_x{level.cumulative_factor}.hmx"
-            write_feature_file(path, data, level.cumulative_factor / obj.base_sample_rate)
-            written.append(path)
-    else:
-        raise ConfigError(f"cannot export {type(obj).__name__}")
     return written

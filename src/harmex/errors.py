@@ -70,3 +70,13 @@ def check_positive(name, value, *, allow_zero=False, error=ConfigError) -> None:
     if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
         bound = ">= 0" if allow_zero else "> 0"
         raise error(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def check_count(name, value) -> int:
+    """``round(value)`` for a length derived from other values, if in [0, 2**31).
+
+    Call it before any array has that length; NaN and inf are rejected too.
+    """
+    if not 0 <= value < 2**31:
+        raise ConfigError(f"{name} of {value!r} is not in [0, 2**31)")
+    return round(value)

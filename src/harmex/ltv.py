@@ -263,7 +263,7 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     contracted just enough to pull every zero back inside: see
     ``_contract_roots_inside`` for the Schur-Cohn gate at radius
     1 - GATE_MARGIN, the bracket-angle-Newton radius with its two-sided
-    certificate, and the companion-matrix ``eigvals`` fallback.
+    certificate, and the ``np.roots`` fallback.
     """
     if not 1 <= n_taps <= fft_size:
         raise ConfigError(f"n_taps={n_taps} outside [1, fft_size={fft_size}]")
@@ -340,7 +340,8 @@ def _zero_radius(h: np.ndarray) -> np.ndarray:
     interval lies on one side of 1, so a row is contracted exactly when
     ``np.roots`` says it must be.  A one-sided certificate would accept a
     Newton point that stalled outside every zero and over-contract the row.
-    Rows that are not certified take ``_roots_radius``, which is exact.
+    Rows that are not certified take ``max |np.roots(row)|`` (0 if none,
+    nan if a tap is not finite), which is exact.
     """
     with np.errstate(all="ignore"):  # a zero leading tap gives nan: not certified
         lo = np.full(len(h), 1.0 - GATE_MARGIN)
@@ -371,29 +372,8 @@ def _zero_radius(h: np.ndarray) -> np.ndarray:
             & _zeros_within(h, above)
             & ~_zeros_within(h, below)
         )
-    r[~certified] = _roots_radius(h[~certified])
-    return r
-
-
-def _roots_radius(h: np.ndarray) -> np.ndarray:
-    """``max |np.roots(row)|`` per row (0 if none), bit for bit.
-
-    Like ``np.roots``, each row is trimmed of leading and trailing zeros and
-    its companion matrix goes to ``eigvals``: one batched call per trimmed
-    length.  Rows with a non-finite tap get nan.
-    """
-    r = np.where(np.isfinite(h).all(axis=1), 0.0, np.nan)
-    nonzero = h != 0
-    first = nonzero.argmax(axis=1)
-    size = h.shape[1] - nonzero[:, ::-1].argmax(axis=1) - first
-    size[~nonzero.any(axis=1) | np.isnan(r)] = 0
-    for m in np.unique(size[size > 1]):
-        rows = np.flatnonzero(size == m)
-        p = h[rows[:, None], first[rows, None] + np.arange(m)]
-        companion = np.zeros((len(rows), m - 1, m - 1))
-        companion[:, 0] = -p[:, 1:] / p[:, :1]
-        companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
-        r[rows] = np.abs(np.linalg.eigvals(companion)).max(axis=1)
+    for i in np.flatnonzero(~certified):  # np.roots raises on a non-finite tap
+        r[i] = np.abs(np.roots(h[i])).max(initial=0.0) if np.isfinite(h[i]).all() else np.nan
     return r
 
 

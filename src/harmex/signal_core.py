@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, DomainError, LengthMismatchError, check_positive
+from .errors import AliasingError, ConfigError, DomainError, LengthMismatchError
+from .errors import check_count, check_positive
 
 TAU = 2.0 * math.pi
 
@@ -143,12 +144,12 @@ def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> Sample
     of an unvoiced frame is exactly zero.
     """
     hop = track.hop_seconds * sample_rate
-    if n_samples < 0:
-        raise DomainError("n_samples must be >= 0")
-    max_samples = math.ceil((len(track) + 1) * hop)  # through one hop past the last frame
-    if n_samples > max_samples:
+    n_samples = check_count("n_samples", n_samples)
+    coverage = (len(track) + 1) * hop  # through one hop past the last frame
+    check_positive("track coverage in samples", coverage, allow_zero=True)  # inf if hop overflows
+    if n_samples > math.ceil(coverage):
         raise LengthMismatchError(
-            f"n_samples={n_samples} exceeds track coverage {max_samples}"
+            f"n_samples={n_samples} exceeds track coverage {math.ceil(coverage)}"
         )
 
     out = np.zeros(n_samples)

@@ -45,7 +45,6 @@ class MelSpectrogram:
     config: StftConfig
     sample_rate: float
     mel_range: tuple[float, float] = (0.0, 8000.0)
-    floor: float = MEL_FLOOR
 
     def __post_init__(self):
         with np.errstate(invalid="ignore"):  # a float32 signaling NaN warns; isfinite rejects it
@@ -91,9 +90,11 @@ def n_frames_for(n_samples: int, hop: int) -> int:
 
 
 def hop_samples(hop_seconds: float, sample_rate: float) -> int:
-    """The hop in whole samples; a hop that rounds below one sample is an error."""
+    """The hop in whole samples; a non-finite hop or one rounding below 1 is an error."""
     hop = hop_seconds * sample_rate
-    if not (math.isfinite(hop) and round(hop) >= 1):
+    if not math.isfinite(hop):
+        raise ConfigError(f"hop of {hop_seconds} s at fs={sample_rate} is not finite in samples")
+    if round(hop) < 1:
         raise ConfigError(f"hop of {hop_seconds} s is not at least one sample at fs={sample_rate}")
     return int(round(hop))
 
@@ -173,23 +174,20 @@ def mel_spectrogram(
     n_mels: int = 80,
     f_min: float = 0.0,
     f_max: float = 8000.0,
-    floor: float = MEL_FLOOR,
 ) -> MelSpectrogram:
-    """Log mel-power spectrogram: triangle filterbank over |STFT|^2, floored."""
+    """Log mel-power spectrogram: triangle filterbank over |STFT|^2, floored at MEL_FLOOR."""
     if f_max > x.sample_rate / 2:
         raise ConfigError(f"f_max={f_max} above Nyquist of fs={x.sample_rate}")
     mag = stft_magnitude(x, cfg)
     fbank = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
     mel = (mag**2) @ fbank.T
-    return MelSpectrogram(
-        np.log(np.maximum(mel, floor)), cfg, x.sample_rate, (f_min, f_max), floor
-    )
+    return MelSpectrogram(np.log(np.maximum(mel, MEL_FLOOR)), cfg, x.sample_rate, (f_min, f_max))
 
 
-def loudness(x: AudioSignal, hop: int = 160, floor: float = MEL_FLOOR) -> LoudnessTrack:
-    """Per-frame log-RMS over consecutive hop-sized frames."""
+def loudness(x: AudioSignal, hop: int = 160) -> LoudnessTrack:
+    """Per-frame log-RMS over consecutive hop-sized frames, floored at MEL_FLOOR."""
     check_positive("hop", hop)
     frames = n_frames_for(len(x), hop)
     padded = np.pad(x.samples, (0, frames * hop - len(x)))
     rms = np.sqrt(np.mean(padded.reshape(frames, hop) ** 2, axis=1))
-    return LoudnessTrack(np.log(np.maximum(rms, floor)), hop / x.sample_rate)
+    return LoudnessTrack(np.log(np.maximum(rms, MEL_FLOOR)), hop / x.sample_rate)

@@ -71,14 +71,6 @@ class WavSpec:
         return int(round(self.sample_rate))
 
 
-@dataclass(frozen=True)
-class WavWriteInfo:
-    """Metadata from a write; clipped counts samples saturated under PCM16."""
-
-    path: str
-    clipped: int = 0
-
-
 def _sample_dtype(fmt: bytes, order: str, path) -> tuple[np.dtype, int]:
     """The numpy dtype and sample rate a ``fmt `` chunk body declares."""
     if len(fmt) < 16:
@@ -143,11 +135,12 @@ def read_wav(path) -> AudioSignal:
     raise FormatError("no data chunk", path=path)
 
 
-def write_wav(path, x: AudioSignal, spec: WavSpec | None = None) -> WavWriteInfo:
-    """Write a mono WAV (byte layout above).
+def write_wav(path, x: AudioSignal, spec: WavSpec | None = None) -> int:
+    """Write a mono WAV (byte layout above); returns the PCM16 clip count.
 
-    PCM16 scales symmetrically by 32767 with saturation (clip count returned
-    in the metadata); Float32 round-trips bit-exactly through read_wav.
+    PCM16 scales symmetrically by 32767 with saturation, and the count is
+    the samples saturated; Float32 (count 0) round-trips bit-exactly through
+    read_wav.
     """
     if not np.all(np.isfinite(x.samples)):
         raise DomainError("cannot write non-finite samples")
@@ -171,4 +164,4 @@ def write_wav(path, x: AudioSignal, spec: WavSpec | None = None) -> WavWriteInfo
         fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"))
         fh.write(chunks + struct.pack("<4sI", b"data", data.nbytes))
         fh.write(data.tobytes())
-    return WavWriteInfo(str(path), clipped)
+    return clipped

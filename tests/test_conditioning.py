@@ -28,11 +28,11 @@ class TestStackChannels:
         raw = tone(100.0, 160)
         bundle = stack_channels(noise=noise, raw_excitation=raw)
         assert bundle.names == ("noise", "raw_excitation")
-        assert bundle.as_matrix().shape == (160, 2)
+        assert [len(c) for c in bundle.channels.values()] == [160, 160]
 
     def test_single_channel(self):
         bundle = stack_channels(raw_excitation=tone(100.0, 160))
-        assert bundle.as_matrix().shape == (160, 1)
+        assert [len(c) for c in bundle.channels.values()] == [160]
 
     def test_order_is_fixed_regardless_of_argument_order(self):
         raw = tone(100.0, 160)
@@ -145,11 +145,12 @@ class TestExportConditioning:
         noise = gaussian_noise(160, FS, 1)
         raw = tone(100.0, 160)
         bundle = stack_channels(noise=noise, raw_excitation=raw)
-        paths = export_conditioning(bundle, tmp_path / "cond")
+        paths = export_conditioning(downsample_multiscale(bundle, (1,)), tmp_path / "cond")
         assert len(paths) == 1 and paths[0].endswith("_x1.hmx")
         data, hop = read_feature_file(paths[0])
         assert data.shape == (160, 2)
-        np.testing.assert_array_equal(data, bundle.as_matrix().astype(np.float32))
+        columns = np.stack([noise.samples, raw.samples], axis=1)
+        np.testing.assert_array_equal(data, columns.astype(np.float32))
         assert hop == pytest.approx(1.0 / FS)
 
     def test_pyramid_files_and_suffixes(self, tmp_path):

@@ -441,6 +441,20 @@ class TestZeroRadius:
             _contract_roots_inside(h), contract_roots_loop(h), rtol=0, atol=1e-12
         )
 
+    def test_fallback_rows_match_np_roots(self):
+        """Leading and trailing zeros as np.roots trims them, no zeros at all, and bad taps."""
+        p = np.poly(conjugate_pair(1.3, 0.7) + [0.9, -0.5])
+        h = np.zeros((7, len(p) + 3))
+        h[0, 3:] = p
+        h[1, :-3] = p
+        h[2, 1:-2] = p
+        h[4, :-3], h[4, -3] = p, np.inf  # h[3] stays all zero
+        h[5, :-3], h[5, -1] = p, np.nan
+        h[6, -1] = 2.0  # a constant: no zeros
+        want = [np.abs(np.roots(row)).max(initial=0.0) for row in h[:4]] + [np.nan, np.nan, 0.0]
+        assert want[0] == pytest.approx(1.3) and want[3] == 0.0
+        np.testing.assert_allclose(_zero_radius(h), want, rtol=1e-12)
+
     def test_zero_inside_gate_margin_is_not_contracted(self):
         h = np.poly([1 - 1e-7, -0.3] + conjugate_pair(0.5, 1.0))[None]
         np.testing.assert_allclose(_zero_radius(h), 1 - 1e-7, rtol=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from harmex import (
     AliasingError,
+    ConfigError,
     DomainError,
     ExcitationConfig,
     F0Track,
@@ -64,6 +65,10 @@ class TestInterpolateF0:
         sf = interpolate_f0(constant_track(100.0, 3), FS, 3 * 160 + 160)
         assert len(sf) == 640
 
+    def test_overflowing_hop_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="got inf"):
+            interpolate_f0(F0Track(np.full(3, 100.0), 1e308), FS, 10)
+
 
 class TestInterpolateF0MatchesLoop:
     """One slice per voiced run against a full-length frame mask per run."""
@@ -79,12 +84,15 @@ class TestInterpolateF0MatchesLoop:
     )
     @example(seed=0, n_frames=50, fs=22050.0, hop="220.5", voiced_frac=0.7, length_frac=1.0)
     @example(seed=1, n_frames=40, fs=16000.0, hop="0.6", voiced_frac=0.5, length_frac=0.5)
+    @example(seed=0, n_frames=20, fs=22050.0, hop="160", voiced_frac=0.0, length_frac=1.0)
     def test_bit_identical(self, seed, n_frames, fs, hop, voiced_frac, length_frac):
         rng = np.random.default_rng(seed)
         hop_seconds = 1 / 300 if hop == "1/300 s" else float(hop) / fs
         values = np.where(rng.random(n_frames) < voiced_frac, rng.uniform(60.0, 400.0, n_frames), 0.0)
         track = F0Track(values, hop_seconds)
-        n = int(length_frac * math.ceil((n_frames + 1) * hop_seconds * fs))
+        # grouped as interpolate_f0 groups it: for 20 frames of 160 samples at 22.05 kHz,
+        # 21 * hop_seconds * fs is 3360.0000000000005, one sample past the coverage
+        n = int(length_frac * math.ceil((n_frames + 1) * (hop_seconds * fs)))
         fast = interpolate_f0(track, fs, n).values
         assert np.array_equal(fast, interpolate_f0_loop(track, fs, n).values)
 

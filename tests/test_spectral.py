@@ -15,7 +15,7 @@ from harmex import (
     mel_spectrogram,
     stft_magnitude,
 )
-from harmex.spectral import MEL_FLOOR, frame_centers, hann, n_frames_for
+from harmex.spectral import MEL_FLOOR, frame_centers, hann, hop_samples, n_frames_for
 from conftest import FS
 
 
@@ -35,6 +35,17 @@ def test_hann_equals_scipy_bit_for_bit(periodic):
 def test_frame_centers_round_ties_up(fs, centers):
     """10 ms is 160 samples at 16 kHz and 220.5 at 22.05 kHz."""
     np.testing.assert_array_equal(frame_centers(4, 0.010, fs), centers)
+
+
+class TestHopSamples:
+    def test_overflowing_hop_is_named_non_finite(self):
+        with pytest.raises(ConfigError, match="not finite in samples"):
+            hop_samples(1e308, FS)
+
+    @pytest.mark.parametrize("hop_seconds", [1e-5, -0.01, 0.0])
+    def test_hop_below_one_sample_keeps_its_message(self, hop_seconds):
+        with pytest.raises(ConfigError, match="is not at least one sample"):
+            hop_samples(hop_seconds, FS)
 
 
 class TestStftMagnitude:
