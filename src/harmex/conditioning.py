@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integer
 from .signal_core import AudioSignal
 from .spectral import hann
 from .tensor_io import write_feature_file
@@ -85,6 +86,7 @@ def decimation_taps(factor: int) -> np.ndarray:
     reflection about each end sample, so constants and linear ramps decimate
     exactly and out-of-band tones leave only a small edge transient.
     """
+    factor = check_integer("factor", factor)
     if factor < 1:
         raise ConfigError("decimation factor must be >= 1")
     if factor == 1:
@@ -103,15 +105,15 @@ def _decimate(x: np.ndarray, factor: int) -> np.ndarray:
     half = len(taps) // 2
     # exact for ramps: odd reflection continues them, and the taps are symmetric
     padded = np.pad(x, (half, half), mode="reflect", reflect_type="odd")
-    filtered = np.convolve(padded, taps, mode="valid")
-    return filtered[::factor][: len(x) // factor]
+    m = len(x) // factor  # only the kept outputs are computed
+    return sliding_window_view(padded, len(taps))[: m * factor : factor] @ taps[::-1]
 
 
 def downsample_multiscale(
     bundle: ConditioningBundle, factors: tuple[int, ...] = DEFAULT_FACTORS
 ) -> ScalePyramid:
     """Successively decimate every channel by each factor in turn."""
-    factors = tuple(int(f) for f in factors)
+    factors = tuple(check_integer("factor", f) for f in factors)
     if any(f < 1 for f in factors):
         raise ConfigError(f"factors must be >= 1, got {factors}")
 

@@ -80,3 +80,14 @@ def check_count(name, value) -> int:
     if not 0 <= value < 2**31:
         raise ConfigError(f"{name} of {value!r} is not in [0, 2**31)")
     return round(value)
+
+
+def check_integer(name, value) -> int:
+    """``int(value)`` if ``value`` is a whole number; 2.5, NaN and inf are rejected."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return whole

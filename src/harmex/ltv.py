@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_io
-from .errors import ConfigError, DomainError, LengthMismatchError, check_positive
-from .signal_core import AudioSignal
+from .errors import (
+    ConfigError, DomainError, LengthMismatchError, check_count, check_integer, check_positive,
+)
+from .signal_core import AudioSignal, _voiced_runs
 from .spectral import MelSpectrogram, hop_samples, mel_filterbank, n_frames_for
 
 LTVF_MAGIC = b"LTVF"
@@ -89,6 +91,7 @@ class FitConfig:
     frame_hop_seconds: float = 0.010
 
     def __post_init__(self):
+        object.__setattr__(self, "n_taps", check_integer("n_taps", self.n_taps))
         if self.n_taps < 1:
             raise ConfigError("n_taps must be >= 1")
         check_positive("ridge_lambda", self.ridge_lambda, allow_zero=True)
@@ -159,6 +162,18 @@ def fit_coeffs_least_squares(
     least-squares solution is used, so rank-deficient frames (e.g. excitation
     with few harmonics) stay well-defined.
 
+    Both paths share one live-frame mask: a cumulative count of non-zero
+    excitation samples tells, for every frame including the partial last
+    one, whether its lagged block holds any.  Dead frames are never solved.
+
+    The ridge fit solves ``(A^T A + lambda I) h = A^T y`` for runs of live
+    full frames in blocks of about 1 MiB; only the partial last frame is
+    solved on its own.  Each block is a slice of the strided lagged view,
+    never a copy: ``@`` on the strided view sums in the same order as one
+    frame's 2-D product, so the taps equal the per-frame solve bit for bit,
+    while a contiguous copy goes through BLAS, moves A^T y by 1 ulp, and
+    with lambda = 1e-6 (kappa up to about 1e8) moves the taps by about 1e-9.
+
     The minimum-norm fit solves full frames (``hop >= n_taps``, every sample
     inside the signal) in blocks of about 1 MiB.  Each frame's lagged block A
     is augmented with its target y and factored,
@@ -171,7 +186,7 @@ def fit_coeffs_least_squares(
     ``np.linalg.lstsq`` (gelsd) to about that.  gelsd drops rank only for
     kappa beyond ``1 / (eps * max(hop, n_taps))`` (2.8e13 for 160 x 64
     frames), which the gate admits only with ||x|| below 1e-16.  Every other
-    frame -- failed gate, singular R, ``hop < n_taps``, the partial last
+    live frame -- failed gate, singular R, ``hop < n_taps``, the partial last
     frame -- goes through ``np.linalg.lstsq`` one frame at a time.
     """
     if len(excitation) != len(target):
@@ -185,50 +200,71 @@ def fit_coeffs_least_squares(
     hop = hop_samples(cfg.frame_hop_seconds, fs)
     n = len(excitation)
     frames = n_frames_for(n, hop)
+    check_count("lagged samples", n + cfg.n_taps - 1)
+    check_count("fitted taps", frames * cfg.n_taps)
     lag = _lagged(excitation.samples, cfg.n_taps)
     y = target.samples
 
+    # lag row m holds x[m - n_taps + 1 .. m], so count non-zero samples
+    seen = np.concatenate([[0], np.cumsum(lag[:, 0] != 0)])
+    starts = hop * np.arange(frames)
+    live = seen[np.minimum(starts + hop, n)] > seen[np.maximum(starts - cfg.n_taps + 1, 0)]
+
     taps = np.zeros((frames, cfg.n_taps))
-    lam = cfg.ridge_lambda
-    todo = range(frames) if lam > 0 else _fit_full_frames(lag, y, hop, taps)
-    for f in todo:
-        sl = slice(f * hop, min((f + 1) * hop, n))
-        block = lag[sl]
-        if not block.any():
-            continue
-        if lam > 0:
-            gram = block.T @ block
-            gram[np.diag_indices_from(gram)] += lam
-            taps[f] = np.linalg.solve(gram, block.T @ y[sl])
-        else:
-            taps[f] = np.linalg.lstsq(block, y[sl], rcond=None)[0]
+    if cfg.ridge_lambda > 0:
+        _fit_ridge(lag, y, hop, live, cfg.ridge_lambda, taps)
+    else:
+        for f in _fit_full_frames(lag, y, hop, live, taps):
+            sl = slice(f * hop, min((f + 1) * hop, n))
+            taps[f] = np.linalg.lstsq(lag[sl], y[sl], rcond=None)[0]
     return LtvFirCoeffs(taps, hop / fs, fs)
 
 
-def _fit_full_frames(lag: np.ndarray, y: np.ndarray, hop: int, taps: np.ndarray) -> np.ndarray:
-    """Write the gate-certified min-norm taps of full frames; return the frames left.
-
-    See ``fit_coeffs_least_squares``.  Full frames whose lagged block is all
-    zero keep zero taps and are not returned.  One ``np.linalg.solve`` per
-    block gives both x and R^-1: R is upper triangular, so its LU
-    factorization is R itself and every column is a back substitution.  R
-    with a zero on its diagonal is swapped for the identity before the
-    solve, which would otherwise raise, and its frame is returned.
-    """
+def _fit_ridge(
+    lag: np.ndarray, y: np.ndarray, hop: int, live: np.ndarray, lam: float, taps: np.ndarray
+) -> None:
+    """Write the ridge taps of every live frame; see ``fit_coeffs_least_squares``."""
     frames, n_taps = taps.shape
+    full = len(y) // hop
+    d = np.arange(n_taps)
+
+    def solve(a, b):  # frames x rows x taps, frames x rows x 1
+        at = a.transpose(0, 2, 1)
+        g = at @ a
+        g[:, d, d] += lam
+        return np.linalg.solve(g, at @ b)[..., 0]
+
+    lag_frames = lag[: full * hop].reshape(full, hop, n_taps)  # a view, not a copy
+    y_frames = y[: full * hop].reshape(full, hop, 1)
+    step = max(1, (1 << 17) // (max(hop, n_taps) * n_taps))  # frames per block
+    for start, stop in _voiced_runs(live[:full]):
+        for f0 in range(start, stop, step):
+            f1 = min(f0 + step, stop)
+            taps[f0:f1] = solve(lag_frames[f0:f1], y_frames[f0:f1])
+    if full < frames and live[full]:
+        taps[full] = solve(lag[None, full * hop :], y[None, full * hop :, None])[0]
+
+
+def _fit_full_frames(
+    lag: np.ndarray, y: np.ndarray, hop: int, live: np.ndarray, taps: np.ndarray
+) -> np.ndarray:
+    """Write the gate-certified min-norm taps of full frames; return the live frames left.
+
+    See ``fit_coeffs_least_squares``.  One ``np.linalg.solve`` per block
+    gives both x and R^-1: R is upper triangular, so its LU factorization is
+    R itself and every column is a back substitution.  R with a zero on its
+    diagonal is swapped for the identity before the solve, which would
+    otherwise raise, and its frame is returned.
+    """
+    n_taps = taps.shape[1]
     full = len(y) // hop if hop >= n_taps else 0
-    # lag row m holds x[m - n_taps + 1 .. m], so count non-zero samples
-    seen = np.concatenate([[0], np.cumsum(lag[:, 0] != 0)])
-    ends = hop * np.arange(1, full + 1)
-    live = seen[ends] > seen[np.maximum(ends - hop - n_taps + 1, 0)]
-    left = np.ones(frames, dtype=bool)
-    left[:full] = live
+    left = live.copy()
     lag_frames = lag[: full * hop].reshape(full, hop, n_taps)
     y_frames = y[: full * hop].reshape(full, hop)
     step = max(1, (1 << 17) // (hop * (n_taps + 1)))  # frames per block
     rhs = np.zeros((step, n_taps, n_taps + 1))
     rhs[:, :, 1:] = np.eye(n_taps)
-    todo = np.flatnonzero(live)
+    todo = np.flatnonzero(live[:full])
     for i in range(0, len(todo), step):
         block = todo[i : i + step]
         aug = np.empty((len(block), hop, n_taps + 1))

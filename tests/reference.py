@@ -11,6 +11,7 @@ import numpy as np
 from harmex import (
     AudioSignal, ExcitationConfig, F0Track, FitConfig, LtvFirCoeffs, PhaseInit, SampleF0,
 )
+from harmex.conditioning import decimation_taps
 from harmex.errors import AliasingError, DomainError, LengthMismatchError
 from harmex.ltv import _check_geometry, _lagged, _mel_magnitude
 from harmex.metrics import _search_ratio
@@ -65,6 +66,23 @@ def apply_ltv_loop(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = Tru
     return AudioSignal(y, x.sample_rate)
 
 
+def fit_ridge_loop(excitation: AudioSignal, target: AudioSignal, cfg: FitConfig) -> np.ndarray:
+    """``ltv.fit_coeffs_least_squares`` taps with ridge_lambda > 0: one ``np.linalg.solve`` per frame."""
+    hop = hop_samples(cfg.frame_hop_seconds, excitation.sample_rate)
+    n = len(excitation)
+    lag = _lagged(excitation.samples, cfg.n_taps)
+    y = target.samples
+    taps = np.zeros((n_frames_for(n, hop), cfg.n_taps))
+    for f in range(len(taps)):
+        sl = slice(f * hop, min((f + 1) * hop, n))
+        block = lag[sl]
+        if block.any():
+            gram = block.T @ block
+            gram[np.diag_indices_from(gram)] += cfg.ridge_lambda
+            taps[f] = np.linalg.solve(gram, block.T @ y[sl])
+    return taps
+
+
 def fit_min_norm_loop(excitation: AudioSignal, target: AudioSignal, cfg: FitConfig) -> np.ndarray:
     """``ltv.fit_coeffs_least_squares`` taps with ridge_lambda=0: one ``np.linalg.lstsq`` per frame."""
     hop = hop_samples(cfg.frame_hop_seconds, excitation.sample_rate)
@@ -76,6 +94,17 @@ def fit_min_norm_loop(excitation: AudioSignal, target: AudioSignal, cfg: FitConf
         if lag[sl].any():
             taps[f] = np.linalg.lstsq(lag[sl], target.samples[sl], rcond=None)[0]
     return taps
+
+
+def decimate_full_rate(x: np.ndarray, factor: int) -> np.ndarray:
+    """``conditioning._decimate`` as a full-rate ``np.convolve`` keeping every factor-th output."""
+    if factor == 1 or len(x) == 0:
+        return x[: len(x) // factor].copy()
+    taps = decimation_taps(factor)
+    half = len(taps) // 2
+    padded = np.pad(x, (half, half), mode="reflect", reflect_type="odd")
+    filtered = np.convolve(padded, taps, mode="valid")
+    return filtered[::factor][: len(x) // factor]
 
 
 def fill_uncovered_loop(log_power: np.ndarray, covered: np.ndarray) -> np.ndarray:

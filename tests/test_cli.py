@@ -282,6 +282,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("estimate", "{mel80}", "--hop-size", "160", "--out", "{out}"), None, "config"),
         (("estimate", "{mel80}", "--out", "{out}"), {"f_max": 7000.0}, "config"),
         (("fit", "{wav}", "{wav}", "--hop", "1e-5", "--out", "{out}"), None, "config"),
+        (("fit", "{wav}", "{wav}", "--n-taps", "3000000000", "--out", "{out}"), None, "config"),
         (("mel", "{snan_wav}", "--out", "{out}"), None, "format"),
         (("estimate", "{snan_mel}", "--out", "{out}"), None, "domain"),
         (("filter", "{wav}", "{snan_ltvf}", "--out", "{out}"), None, "domain"),
@@ -298,6 +299,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "search-cents-negative", "search-cents-zero", "search-cents-1e9", "search-cents-nan",
         "pitch-hop-below-one-sample", "uv-hop-below-one-sample",
         "mel-v2-contradicting-flag", "mel-v2-contradicting-config", "fit-hop-below-one-sample",
+        "fit-n-taps-3e9",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
     ],

@@ -13,8 +13,9 @@ from harmex import (
     read_feature_file,
     stack_channels,
 )
-from harmex.conditioning import decimation_taps
+from harmex.conditioning import _decimate, decimation_taps
 from conftest import FS
+from reference import decimate_full_rate
 
 
 def tone(freq, n, amp=0.5):
@@ -68,8 +69,9 @@ class TestDecimationTaps:
         np.testing.assert_array_equal(decimation_taps(1), [1.0])
 
     def test_bad_factor_rejected(self):
-        with pytest.raises(ConfigError):
-            decimation_taps(0)
+        for factor in (0, 2.5, float("nan")):
+            with pytest.raises(ConfigError):
+                decimation_taps(factor)
 
 
 class TestDownsampleMultiscale:
@@ -138,6 +140,31 @@ class TestDownsampleMultiscale:
         bundle = stack_channels(raw_excitation=AudioSignal(np.zeros(100), FS))
         with pytest.raises(ConfigError):
             downsample_multiscale(bundle, (0,))
+
+    @pytest.mark.parametrize("factor", [2.5, float("nan"), float("inf"), "8"])
+    def test_non_integral_factor_rejected(self, factor):
+        bundle = stack_channels(raw_excitation=AudioSignal(np.zeros(100), FS))
+        with pytest.raises(ConfigError, match="whole number"):
+            downsample_multiscale(bundle, (factor,))
+
+    def test_whole_float_factor_accepted(self):
+        bundle = stack_channels(raw_excitation=tone(10.0, 4800))
+        as_float = downsample_multiscale(bundle, (8.0, 6.0))
+        as_int = downsample_multiscale(bundle, (8, 6))
+        for lf, li in zip(as_float.levels, as_int.levels):
+            assert lf.cumulative_factor == li.cumulative_factor
+            np.testing.assert_array_equal(lf.channels["raw_excitation"], li.channels["raw_excitation"])
+
+
+@pytest.mark.parametrize("factor", range(2, 11))
+def test_decimate_matches_full_rate_convolution(factor):
+    """Only the kept outputs, against ``np.convolve`` at the full rate; lengths 0 to 3 filters."""
+    rng = np.random.default_rng(factor)
+    for n in range(3 * (8 * factor + 1) + 1):
+        x = rng.normal(size=n)
+        got, want = _decimate(x, factor), decimate_full_rate(x, factor)
+        assert got.shape == want.shape == (n // factor,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestExportConditioning:

@@ -29,6 +29,7 @@ from reference import (
     estimate_taps_loop,
     fill_uncovered_loop,
     fit_min_norm_loop,
+    fit_ridge_loop,
 )
 
 N_TAPS = 64
@@ -194,6 +195,70 @@ class TestFitLeastSquares:
         x = AudioSignal(np.ones(100), FS)
         with pytest.raises(ConfigError, match="at least one sample"):
             fit_coeffs_least_squares(x, x, FitConfig(frame_hop_seconds=1e-5))
+
+    def test_tap_count_checked_before_allocation(self):
+        """3e9 taps would need a 22 GiB lagged matrix; the fit refuses it first."""
+        x = AudioSignal(np.ones(100), FS)
+        with pytest.raises(ConfigError, match="lagged samples"):
+            fit_coeffs_least_squares(x, x, FitConfig(n_taps=3_000_000_000))
+
+    def test_whole_float_tap_count_becomes_int(self):
+        n_taps = FitConfig(n_taps=16.0).n_taps
+        assert n_taps == 16 and isinstance(n_taps, int)
+
+
+class TestRidgeMatchesLoop:
+    """Batched ridge solves over slices of the strided view against one solve per frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hop=st.integers(1, 200),
+        n_taps=st.integers(1, 80),
+        log_lambda=st.floats(-9.0, 1.0),
+        n_frames=st.integers(1, 6),
+        tail=st.floats(0.0, 1.0, exclude_max=True),
+        n_harmonics=st.integers(0, 40),
+        gap=st.booleans(),
+        silence=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(hop=160, n_taps=64, log_lambda=-6.0, n_frames=6, tail=0.5, n_harmonics=30,
+             gap=True, silence=0.2, seed=0)
+    @example(hop=48, n_taps=64, log_lambda=-6.0, n_frames=5, tail=0.5, n_harmonics=0,
+             gap=True, silence=0.0, seed=1)
+    @example(hop=1, n_taps=80, log_lambda=1.0, n_frames=6, tail=0.0, n_harmonics=0,
+             gap=False, silence=1.0, seed=2)
+    def test_matches_loop(
+        self, hop, n_taps, log_lambda, n_frames, tail, n_harmonics, gap, silence, seed
+    ):
+        """Excitation of ``n_harmonics`` sines (none: white noise), target random.
+
+        ``gap`` zeros 2 hops + n_taps samples, a whole dead frame when the
+        signal is long enough; ``silence`` zeros that share of the signal
+        from its start (all of it at 1.0); ``tail`` leaves a partial last
+        frame.  Frames with few harmonics or ``hop < n_taps`` are rank
+        deficient, and only lambda makes their Gram matrix invertible.
+        """
+        rng = np.random.default_rng(seed)
+        n = n_frames * hop + int(tail * hop)
+        if n_harmonics:
+            f0 = rng.uniform(50.0, FS / (2 * n_harmonics) - 1.0)
+            k = np.arange(1, n_harmonics + 1)[:, None]
+            phases = rng.uniform(0, 2 * np.pi, size=(n_harmonics, 1))
+            x = np.sin(2 * np.pi * f0 / FS * k * np.arange(n) + phases).sum(axis=0)
+        else:
+            x = rng.normal(size=n)
+        if gap:
+            x[n // 4 : n // 4 + 2 * hop + n_taps] = 0.0
+        x[: int(silence * n)] = 0.0
+        exc, target = AudioSignal(x, FS), AudioSignal(rng.normal(size=n), FS)
+        cfg = FitConfig(n_taps=n_taps, ridge_lambda=10.0**log_lambda, frame_hop_seconds=hop / FS)
+        np.testing.assert_allclose(
+            fit_coeffs_least_squares(exc, target, cfg).taps,
+            fit_ridge_loop(exc, target, cfg),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 def min_norm_config(hop, n_taps):
@@ -536,6 +601,9 @@ NAN, INF = float("nan"), float("inf")
     "make",
     [
         lambda: FitConfig(ridge_lambda=NAN),
+        lambda: FitConfig(n_taps=NAN),
+        lambda: FitConfig(n_taps=2.5),
+        lambda: FitConfig(n_taps="64"),
         lambda: FitConfig(frame_hop_seconds=INF),
         lambda: LtvFirCoeffs(np.ones((2, 2)), NAN, FS),
         lambda: LtvFirCoeffs(np.ones((2, 2)), 0.010, NAN),
@@ -544,7 +612,7 @@ NAN, INF = float("nan"), float("inf")
         lambda: AudioSignal(np.zeros(3), INF),
     ],
     ids=[
-        "ridge-nan", "fit-hop-inf", "coeff-hop-nan", "coeff-rate-nan", "coeff-rate-0",
+        "ridge-nan", "n-taps-nan", "n-taps-2.5", "n-taps-str", "fit-hop-inf", "coeff-hop-nan", "coeff-rate-nan", "coeff-rate-0",
         "coeff-hop-below-one-sample", "audio-rate-inf",
     ],
 )
