@@ -246,6 +246,7 @@ def _cmd_demo(args, r):
     stft = StftConfig(hop_size=spectral.hop_samples(hop_s, fs))
     n_frames = check_count("frames", duration / hop_s)
     n_samples = check_count("n_samples", duration * fs)
+    excite_cfg = ExcitationConfig(seed=seed)  # rejects a bad seed before out_dir exists
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -255,7 +256,7 @@ def _cmd_demo(args, r):
     track = F0Track(np.where(voiced, f0, 0.0), hop_s)
     write_f0_track(out / "f0.txt", track)
 
-    excitation = sine_excitation(interpolate_f0(track, fs, n_samples), ExcitationConfig(seed=seed))
+    excitation = sine_excitation(interpolate_f0(track, fs, n_samples), excite_cfg)
     wav_io.write_wav(out / "excitation.wav", excitation)
 
     envelope = _demo_formant_coeffs(n_frames, stft, fs, np.random.default_rng(seed))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainError, check_integer
+from .errors import ConfigError, DomainError, check_count, check_integer
 from .signal_core import AudioSignal
 from .spectral import hann
 from .tensor_io import write_feature_file
@@ -86,12 +86,10 @@ def decimation_taps(factor: int) -> np.ndarray:
     reflection about each end sample, so constants and linear ramps decimate
     exactly and out-of-band tones leave only a small edge transient.
     """
-    factor = check_integer("factor", factor)
-    if factor < 1:
-        raise ConfigError("decimation factor must be >= 1")
+    factor = check_integer("factor", factor, minimum=1)
     if factor == 1:
         return np.ones(1)
-    n_taps = 8 * factor + 1
+    n_taps = check_count("decimation taps", 8 * factor + 1)
     m = np.arange(n_taps) - (n_taps - 1) / 2
     cutoff = 0.45 / factor
     taps = 2 * cutoff * np.sinc(2 * cutoff * m) * hann(n_taps, periodic=False)
@@ -113,9 +111,7 @@ def downsample_multiscale(
     bundle: ConditioningBundle, factors: tuple[int, ...] = DEFAULT_FACTORS
 ) -> ScalePyramid:
     """Successively decimate every channel by each factor in turn."""
-    factors = tuple(check_integer("factor", f) for f in factors)
-    if any(f < 1 for f in factors):
-        raise ConfigError(f"factors must be >= 1, got {factors}")
+    factors = tuple(check_integer("factor", f, minimum=1) for f in factors)
 
     levels = []
     current = dict(bundle.channels)

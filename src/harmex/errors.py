@@ -82,12 +82,12 @@ def check_count(name, value) -> int:
     return round(value)
 
 
-def check_integer(name, value) -> int:
-    """``int(value)`` if ``value`` is a whole number; 2.5, NaN and inf are rejected."""
+def check_integer(name, value, minimum) -> int:
+    """``int(value)`` if ``value`` is a whole number >= minimum; 2.5, NaN and inf are rejected."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
-    if whole is None or whole != value:
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    if whole is None or whole != value or whole < minimum:
+        raise ConfigError(f"{name} must be a whole number >= {minimum}, got {value!r}")
     return whole

@@ -26,21 +26,17 @@ from . import tensor_io
 from .errors import (
     ConfigError, DomainError, LengthMismatchError, check_count, check_integer, check_positive,
 )
-from .signal_core import AudioSignal, _voiced_runs
+from .signal_core import AudioSignal, _blocks, _voiced_runs
 from .spectral import MelSpectrogram, hop_samples, mel_filterbank, n_frames_for
 
 LTVF_MAGIC = b"LTVF"
 
 LOG10_FACTOR = 10.0 / math.log(10.0)  # natural-log power -> dB
 
-# Minimum-phase estimator (see ``minimum_phase_fir``).  The block sizes keep
-# each transient near 1 MiB or below: 16 rows of 1024-point cepstra, and 32
-# rows of 2049 complex bins in the angle search.
-CEPSTRUM_BLOCK = 16
+# Minimum-phase estimator (see ``minimum_phase_fir``)
 GATE_MARGIN = 1e-6  # the gate tests radius 1 - GATE_MARGIN
 BISECT_STEPS = 12
 ANGLE_FFT = 4096
-ANGLE_CHUNK = 32
 NEWTON_STEPS = 8
 CERTIFY_TOL = 1e-12
 CONTRACT_MARGIN = 1e-9  # contracted zeros end at radius 1 - CONTRACT_MARGIN
@@ -91,9 +87,7 @@ class FitConfig:
     frame_hop_seconds: float = 0.010
 
     def __post_init__(self):
-        object.__setattr__(self, "n_taps", check_integer("n_taps", self.n_taps))
-        if self.n_taps < 1:
-            raise ConfigError("n_taps must be >= 1")
+        object.__setattr__(self, "n_taps", check_integer("n_taps", self.n_taps, minimum=1))
         check_positive("ridge_lambda", self.ridge_lambda, allow_zero=True)
         check_positive("frame_hop_seconds", self.frame_hop_seconds)
 
@@ -131,7 +125,7 @@ def apply_ltv(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = True) ->
     held and ``a + w * (b - a)`` with ``b = lag @ h_{f+1}`` when interpolated
     (``w``: offset from the frame center in hops).  Equal taps make ``b - a``
     exactly zero, so constant taps stay exactly LTI (``(1 - w) * a + w * b``
-    would round).  Frames go in blocks of about 1 MiB of lagged signal.
+    would round).  Frames go in ``signal_core._blocks`` of lagged signal.
     """
     hop = _check_geometry(x, h)
     n, n_taps, last = len(x), h.n_taps, h.n_frames - 1
@@ -142,12 +136,12 @@ def apply_ltv(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = True) ->
     y[head:n] = lag[head:n] @ h.taps[last]  # held in both modes past the last center
     pairs = np.stack([h.taps[:-1], h.taps[1:]], -1) if interpolate_taps else h.taps[:, :, None]
     w = np.arange(hop) / hop
-    step = max(1, (1 << 17) // (hop * n_taps))  # frames per block
-    for f0 in range(0, head_frames, step):
-        f1 = min(f0 + step, head_frames)
-        ab = lag[f0 * hop : f1 * hop].reshape(f1 - f0, hop, n_taps) @ pairs[f0:f1]
+    lag_frames = lag[: head_frames * hop].reshape(head_frames, hop, n_taps)  # views, not copies
+    y_frames = y[: head_frames * hop].reshape(head_frames, hop)
+    for b in _blocks(0, head_frames, hop * n_taps):
+        ab = lag_frames[b] @ pairs[b]
         a = ab[..., 0]
-        y[f0 * hop : f1 * hop] = (a + w * (ab[..., 1] - a) if interpolate_taps else a).ravel()
+        y_frames[b] = a + w * (ab[..., 1] - a) if interpolate_taps else a
     return AudioSignal(y[:n], x.sample_rate)
 
 
@@ -162,32 +156,15 @@ def fit_coeffs_least_squares(
     least-squares solution is used, so rank-deficient frames (e.g. excitation
     with few harmonics) stay well-defined.
 
-    Both paths share one live-frame mask: a cumulative count of non-zero
-    excitation samples tells, for every frame including the partial last
-    one, whether its lagged block holds any.  Dead frames are never solved.
-
-    The ridge fit solves ``(A^T A + lambda I) h = A^T y`` for runs of live
-    full frames in blocks of about 1 MiB; only the partial last frame is
-    solved on its own.  Each block is a slice of the strided lagged view,
-    never a copy: ``@`` on the strided view sums in the same order as one
-    frame's 2-D product, so the taps equal the per-frame solve bit for bit,
-    while a contiguous copy goes through BLAS, moves A^T y by 1 ulp, and
-    with lambda = 1e-6 (kappa up to about 1e8) moves the taps by about 1e-9.
-
-    The minimum-norm fit solves full frames (``hop >= n_taps``, every sample
-    inside the signal) in blocks of about 1 MiB.  Each frame's lagged block A
-    is augmented with its target y and factored,
-    ``[A | y] = Q [[R, c], [0, rho]]``, so ``R x = c`` gives the taps and rho
-    is the residual norm (Bjorck, Numerical Methods for Least Squares
-    Problems, 1996).  A frame keeps x only when the first-order
-    least-squares forward-error bound
-    ``eps * kappa * (||x|| + kappa * rho / ||R||_F)``, with
-    ``kappa = ||R||_F ||R^-1||_F``, is at most FIT_GATE, so x matches
-    ``np.linalg.lstsq`` (gelsd) to about that.  gelsd drops rank only for
-    kappa beyond ``1 / (eps * max(hop, n_taps))`` (2.8e13 for 160 x 64
-    frames), which the gate admits only with ||x|| below 1e-16.  Every other
-    live frame -- failed gate, singular R, ``hop < n_taps``, the partial last
-    frame -- goes through ``np.linalg.lstsq`` one frame at a time.
+    Both modes share one live-frame mask and one walk.  A cumulative count
+    of non-zero excitation samples tells, for every frame including the
+    partial last one, whether its lagged block holds any; dead frames are
+    never solved.  Runs of live full frames go in ``signal_core._blocks``,
+    each a slice of the strided lagged view, to the mode's block solver,
+    ``_ridge`` or ``_min_norm``.  The partial last frame and every frame
+    ``_min_norm`` cannot certify (with hop < n_taps, every live frame) are
+    then solved one at a time, by ``_ridge`` on a batch of one or by
+    ``np.linalg.lstsq``.
     """
     if len(excitation) != len(target):
         raise ConfigError(
@@ -198,94 +175,88 @@ def fit_coeffs_least_squares(
 
     fs = excitation.sample_rate
     hop = hop_samples(cfg.frame_hop_seconds, fs)
-    n = len(excitation)
+    n, n_taps, lam = len(excitation), cfg.n_taps, cfg.ridge_lambda
     frames = n_frames_for(n, hop)
-    check_count("lagged samples", n + cfg.n_taps - 1)
-    check_count("fitted taps", frames * cfg.n_taps)
-    lag = _lagged(excitation.samples, cfg.n_taps)
+    check_count("lagged samples", n + n_taps - 1)
+    check_count("fitted taps", frames * n_taps)
+    lag = _lagged(excitation.samples, n_taps)
     y = target.samples
 
     # lag row m holds x[m - n_taps + 1 .. m], so count non-zero samples
     seen = np.concatenate([[0], np.cumsum(lag[:, 0] != 0)])
     starts = hop * np.arange(frames)
-    live = seen[np.minimum(starts + hop, n)] > seen[np.maximum(starts - cfg.n_taps + 1, 0)]
+    live = seen[np.minimum(starts + hop, n)] > seen[np.maximum(starts - n_taps + 1, 0)]
 
-    taps = np.zeros((frames, cfg.n_taps))
-    if cfg.ridge_lambda > 0:
-        _fit_ridge(lag, y, hop, live, cfg.ridge_lambda, taps)
-    else:
-        for f in _fit_full_frames(lag, y, hop, live, taps):
-            sl = slice(f * hop, min((f + 1) * hop, n))
-            taps[f] = np.linalg.lstsq(lag[sl], y[sl], rcond=None)[0]
+    taps = np.zeros((frames, n_taps))
+    left = live.copy()  # live frames not solved yet
+    full = n // hop if lam > 0 or hop >= n_taps else 0  # _min_norm needs hop >= n_taps
+    lag_frames = lag[: full * hop].reshape(full, hop, n_taps)  # views, not copies
+    y_frames = y[: full * hop].reshape(full, hop, 1)
+    for start, stop in _voiced_runs(live[:full]):
+        for b in _blocks(start, stop, max(hop, n_taps) * (n_taps + 1)):
+            if lam > 0:
+                taps[b], left[b] = _ridge(lag_frames[b], y_frames[b], lam), False
+            else:
+                taps[b], left[b] = _min_norm(lag_frames[b], y_frames[b])
+    for f in np.flatnonzero(left):
+        rows = slice(f * hop, (f + 1) * hop)
+        if lam > 0:
+            taps[f] = _ridge(lag[None, rows], y[None, rows, None], lam)[0]
+        else:
+            taps[f] = np.linalg.lstsq(lag[rows], y[rows], rcond=None)[0]
     return LtvFirCoeffs(taps, hop / fs, fs)
 
 
-def _fit_ridge(
-    lag: np.ndarray, y: np.ndarray, hop: int, live: np.ndarray, lam: float, taps: np.ndarray
-) -> None:
-    """Write the ridge taps of every live frame; see ``fit_coeffs_least_squares``."""
-    frames, n_taps = taps.shape
-    full = len(y) // hop
-    d = np.arange(n_taps)
+def _ridge(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Ridge taps, ``(A^T A + lambda I) h = A^T y``, of a batch of frames.
 
-    def solve(a, b):  # frames x rows x taps, frames x rows x 1
-        at = a.transpose(0, 2, 1)
-        g = at @ a
-        g[:, d, d] += lam
-        return np.linalg.solve(g, at @ b)[..., 0]
-
-    lag_frames = lag[: full * hop].reshape(full, hop, n_taps)  # a view, not a copy
-    y_frames = y[: full * hop].reshape(full, hop, 1)
-    step = max(1, (1 << 17) // (max(hop, n_taps) * n_taps))  # frames per block
-    for start, stop in _voiced_runs(live[:full]):
-        for f0 in range(start, stop, step):
-            f1 = min(f0 + step, stop)
-            taps[f0:f1] = solve(lag_frames[f0:f1], y_frames[f0:f1])
-    if full < frames and live[full]:
-        taps[full] = solve(lag[None, full * hop :], y[None, full * hop :, None])[0]
-
-
-def _fit_full_frames(
-    lag: np.ndarray, y: np.ndarray, hop: int, live: np.ndarray, taps: np.ndarray
-) -> np.ndarray:
-    """Write the gate-certified min-norm taps of full frames; return the live frames left.
-
-    See ``fit_coeffs_least_squares``.  One ``np.linalg.solve`` per block
-    gives both x and R^-1: R is upper triangular, so its LU factorization is
-    R itself and every column is a back substitution.  R with a zero on its
-    diagonal is swapped for the identity before the solve, which would
-    otherwise raise, and its frame is returned.
+    ``a`` is frames x rows x taps and ``y`` frames x rows x 1.  They are
+    slices of the strided lagged view, never copies: ``@`` on the strided
+    view sums in the same order as one frame's 2-D product, so the taps equal
+    the per-frame solve bit for bit, while a contiguous copy goes through
+    BLAS, moves A^T y by 1 ulp, and with lambda = 1e-6 (kappa up to about
+    1e8) moves the taps by about 1e-9.
     """
-    n_taps = taps.shape[1]
-    full = len(y) // hop if hop >= n_taps else 0
-    left = live.copy()
-    lag_frames = lag[: full * hop].reshape(full, hop, n_taps)
-    y_frames = y[: full * hop].reshape(full, hop)
-    step = max(1, (1 << 17) // (hop * (n_taps + 1)))  # frames per block
-    rhs = np.zeros((step, n_taps, n_taps + 1))
-    rhs[:, :, 1:] = np.eye(n_taps)
-    todo = np.flatnonzero(live[:full])
-    for i in range(0, len(todo), step):
-        block = todo[i : i + step]
-        aug = np.empty((len(block), hop, n_taps + 1))
-        aug[..., :n_taps] = lag_frames[block]
-        aug[..., n_taps] = y_frames[block]
-        r = np.linalg.qr(aug, mode="r")
-        R, b = r[:, :n_taps, :n_taps], rhs[: len(block)]
-        b[..., 0] = r[:, :n_taps, n_taps]
-        rho = np.linalg.norm(r[:, n_taps:, n_taps], axis=1)  # 0 when hop == n_taps
-        singular = (np.diagonal(R, axis1=1, axis2=2) == 0).any(axis=1)
-        R[singular] = np.eye(n_taps)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the gate
-            sol = np.linalg.solve(R, b)
-            x = sol[..., 0]
-            norm_r = np.linalg.norm(R, axis=(1, 2))
-            kappa = norm_r * np.linalg.norm(sol[..., 1:], axis=(1, 2))
-            bound = FIT_EPS * kappa * (np.linalg.norm(x, axis=1) + kappa * rho / norm_r)
-            good = (bound <= FIT_GATE) & ~singular
-        taps[block[good]] = x[good]
-        left[block[good]] = False
-    return np.flatnonzero(left)
+    at = a.transpose(0, 2, 1)
+    g = at @ a
+    d = np.arange(a.shape[2])
+    g[:, d, d] += lam
+    return np.linalg.solve(g, at @ y)[..., 0]
+
+
+def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min-norm taps of a batch of frames with rows >= taps, and which it cannot certify.
+
+    Each frame's lagged block A (``a``: frames x rows x taps) is augmented
+    with its target y (frames x rows x 1) and factored,
+    ``[A | y] = Q [[R, c], [0, rho]]``, so ``R x = c`` gives the taps and rho
+    is the residual norm (Bjorck, Numerical Methods for Least Squares
+    Problems, 1996).  A frame's x is certified only when the first-order
+    least-squares forward-error bound
+    ``eps * kappa * (||x|| + kappa * rho / ||R||_F)``, with
+    ``kappa = ||R||_F ||R^-1||_F``, is at most FIT_GATE, so x matches
+    ``np.linalg.lstsq`` (gelsd) to about that.  gelsd drops rank only for
+    kappa beyond ``1 / (eps * max(hop, n_taps))`` (2.8e13 for 160 x 64
+    frames), which the gate admits only with ||x|| below 1e-16.
+
+    One ``np.linalg.solve`` gives both x and R^-1: R is upper triangular, so
+    its LU factorization is R itself and every column is a back
+    substitution.  R with a zero on its diagonal is swapped for the identity
+    before the solve, which would otherwise raise, and is not certified.
+    """
+    n_taps = a.shape[2]
+    r = np.linalg.qr(np.concatenate([a, y], axis=2), mode="r")
+    R, c = r[:, :n_taps, :n_taps], r[:, :n_taps, n_taps:]
+    rho = np.linalg.norm(r[:, n_taps:, n_taps], axis=1)  # 0 when rows == n_taps
+    singular = (np.diagonal(R, axis1=1, axis2=2) == 0).any(axis=1)
+    R[singular] = np.eye(n_taps)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the gate
+        sol = np.linalg.solve(R, np.concatenate([c, np.broadcast_to(np.eye(n_taps), R.shape)], 2))
+        x = sol[..., 0]
+        norm_r = np.linalg.norm(R, axis=(1, 2))
+        kappa = norm_r * np.linalg.norm(sol[..., 1:], axis=(1, 2))
+        bound = FIT_EPS * kappa * (np.linalg.norm(x, axis=1) + kappa * rho / norm_r)
+        return x, ~(bound <= FIT_GATE) | singular
 
 
 def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
@@ -293,7 +264,7 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
 
     ``magnitude`` is a linear magnitude over fft_size//2 + 1 bins, one row
     per frame; a single 1-D row gives 1-D taps.  The taps come from the
-    real-cepstrum construction, computed CEPSTRUM_BLOCK rows at a time and
+    real-cepstrum construction, computed in ``signal_core._blocks`` of rows and
     truncated to n_taps (at most fft_size).  If the truncation pushes any
     zero of a row outside the unit circle, that row is exponentially
     contracted just enough to pull every zero back inside: see
@@ -312,10 +283,9 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     fold[1 : fft_size // 2] = 2.0
     fold[fft_size // 2] = 1.0
     h = np.empty((len(rows), n_taps))
-    for b in range(0, len(rows), CEPSTRUM_BLOCK):
-        block = slice(b, b + CEPSTRUM_BLOCK)
-        cep = np.fft.irfft(np.log(np.maximum(rows[block], 1e-12)), fft_size)
-        h[block] = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:, :n_taps]
+    for b in _blocks(0, len(rows), 8 * fft_size):  # about 8 row-sized transients per row
+        cep = np.fft.irfft(np.log(np.maximum(rows[b], 1e-12)), fft_size)
+        h[b] = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:, :n_taps]
     h = _contract_roots_inside(h)
     return h if mag.ndim > 1 else h[0]
 
@@ -369,8 +339,8 @@ def _zero_radius(h: np.ndarray) -> np.ndarray:
 
     Bracket: BISECT_STEPS geometric bisections of [1 - GATE_MARGIN, Cauchy
     bound] with ``_zeros_within``.  Angle: the deepest dip of |H| on the
-    outer circle of the bracket, sampled at ANGLE_FFT points, ANGLE_CHUNK
-    rows per transform.  Newton: NEWTON_STEPS complex Horner steps from that
+    outer circle of the bracket, sampled at ANGLE_FFT points, in
+    ``signal_core._blocks`` of rows.  Newton: NEWTON_STEPS complex Horner steps from that
     point give a zero z.  Certificate, two-sided: all zeros lie within
     |z| (1 + CERTIFY_TOL), not all lie within |z| (1 - CERTIFY_TOL), and that
     interval lies on one side of 1, so a row is contracted exactly when
@@ -389,9 +359,8 @@ def _zero_radius(h: np.ndarray) -> np.ndarray:
 
         dip = np.empty(len(h), dtype=np.intp)
         n = np.arange(h.shape[1])
-        for b in range(0, len(h), ANGLE_CHUNK):
-            on_circle = h[b : b + ANGLE_CHUNK] * hi[b : b + ANGLE_CHUNK, None] ** -n
-            dip[b : b + ANGLE_CHUNK] = np.abs(np.fft.rfft(on_circle, ANGLE_FFT)).argmin(axis=1)
+        for b in _blocks(0, len(h), ANGLE_FFT):  # ANGLE_FFT // 2 + 1 complex bins per row
+            dip[b] = np.abs(np.fft.rfft(h[b] * hi[b, None] ** -n, ANGLE_FFT)).argmin(axis=1)
         z = hi * np.exp(2j * np.pi / ANGLE_FFT * dip)
 
         for _ in range(NEWTON_STEPS):
@@ -436,7 +405,7 @@ def estimate_coeffs_from_mel(
     return LtvFirCoeffs(taps, mel.hop_seconds, mel.sample_rate)
 
 
-def _mel_magnitude(mel: MelSpectrogram, floor_db: float = -50.0) -> np.ndarray:
+def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
     """Linear magnitude envelope per frame (frames x bins) from log-mel energies.
 
     Log-mel energies are spread back onto the linear-frequency grid with the
@@ -451,6 +420,7 @@ def _mel_magnitude(mel: MelSpectrogram, floor_db: float = -50.0) -> np.ndarray:
     keeping the round trip from a smooth spectral envelope within a few dB.
     """
     cfg = mel.config
+    check_count("envelope bins", mel.n_frames * cfg.n_bins)
     fbank = mel_filterbank(
         mel.n_mels, cfg.fft_size, mel.sample_rate, mel.mel_range[0], mel.mel_range[1]
     )

@@ -22,12 +22,10 @@ from .errors import (
     UndefinedMetricError,
     check_positive,
 )
-from .signal_core import AudioSignal, F0Track, frame_bounds
+from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds
 from .spectral import MelSpectrogram, StftConfig, frame_centers, hop_samples, stft_magnitude
 
 MAG_FLOOR = 1e-7
-# refine_pitch gathers at most this many samples (2 MiB) per block of frames
-_GATHER_SAMPLES = 1 << 18
 
 DEFAULT_RESOLUTIONS = (
     StftConfig(fft_size=512, win_size=240, hop_size=50),
@@ -181,8 +179,8 @@ def refine_pitch(
 
     for g, (lo, hi) in enumerate(ranges.tolist()):
         members = np.flatnonzero(group.reshape(-1) == g)
-        step = max(1, _GATHER_SAMPLES // (2 * hi))  # frames per gathered block
-        for chunk in np.split(members, range(step, len(members), step)):
+        for b in _blocks(0, len(members), 2 * hi):  # 2 * hi gathered samples per frame
+            chunk = members[b]
             segs = sliding_window_view(x.samples, 2 * hi)[start[chunk]]
             out[frames[chunk]] = fs / _peak_lags(segs, lo, hi)
     return out
@@ -201,9 +199,7 @@ def pitch_jitter(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200.0) -
     return float(np.mean(steps))
 
 
-def _voicing_decisions(
-    x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float = -40.0
-) -> np.ndarray:
+def _voicing_decisions(x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float) -> np.ndarray:
     """One bool per frame of ``ref_f0``: the voicing ``uv_error_rate`` decides."""
     hop_samples(ref_f0.hop_seconds, x.sample_rate)  # rejects a hop below one sample
     bounds = frame_bounds(ref_f0, x.sample_rate, len(x))

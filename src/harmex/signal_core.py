@@ -16,9 +16,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import AliasingError, ConfigError, DomainError, LengthMismatchError
-from .errors import check_count, check_positive
+from .errors import check_count, check_integer, check_positive
 
 TAU = 2.0 * math.pi
+
+# Batched stages walk their rows in blocks whose transients hold about this
+# many float64 elements (1 MiB); see ``_blocks``.
+BLOCK_ELEMS = 1 << 17
 
 DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_HOP_SECONDS = 0.010
@@ -114,14 +118,23 @@ class ExcitationConfig:
 
     def __post_init__(self):
         check_positive("amplitude", self.amplitude)
-        if self.k_max_cap is not None and self.k_max_cap < 1:
-            raise ConfigError("k_max_cap must be >= 1")
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, minimum=0))
+        if self.k_max_cap is not None:
+            cap = check_integer("k_max_cap", self.k_max_cap, minimum=1)
+            object.__setattr__(self, "k_max_cap", cap)
 
 
 def _voiced_runs(mask: np.ndarray):
     """Yield (start, stop) of maximal True runs, stop exclusive."""
     idx = np.flatnonzero(np.diff(np.concatenate(([0], mask.view(np.int8), [0]))))
     return list(zip(idx[0::2], idx[1::2]))
+
+
+def _blocks(start: int, stop: int, row_elems: int) -> list[slice]:
+    """Slices tiling rows [start, stop), each of at least one row and at most
+    ``BLOCK_ELEMS // row_elems``, where a row's transients hold row_elems elements."""
+    step = max(1, BLOCK_ELEMS // row_elems)
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
 def frame_bounds(track: F0Track, sample_rate: float, n_samples: int) -> np.ndarray:
@@ -214,8 +227,8 @@ def gaussian_noise(n_samples: int, sample_rate: float, seed: int) -> AudioSignal
     """Seeded i.i.d. standard-normal noise; identical seed, identical bits."""
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
-    rng = np.random.default_rng(seed)
-    return AudioSignal(rng.standard_normal(n_samples), sample_rate)
+    rng = np.random.default_rng(check_integer("seed", seed, minimum=0))
+    return AudioSignal(rng.standard_normal(check_count("n_samples", n_samples)), sample_rate)
 
 
 def read_f0_track(path, hop_seconds: float = DEFAULT_HOP_SECONDS) -> F0Track:

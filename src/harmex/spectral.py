@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_positive
+from .errors import ConfigError, DomainError, check_count, check_integer
 from .signal_core import AudioSignal
 
 MEL_FLOOR = 1e-5
@@ -27,9 +27,11 @@ class StftConfig:
     hop_size: int = 160
 
     def __post_init__(self):
-        if not (0 < self.hop_size <= self.win_size <= self.fft_size):
+        for name in ("fft_size", "win_size", "hop_size"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum=1))
+        if not (self.hop_size <= self.win_size <= self.fft_size):
             raise ConfigError(
-                f"need 0 < hop <= win <= fft, got {self.hop_size}/{self.win_size}/{self.fft_size}"
+                f"need hop <= win <= fft, got {self.hop_size}/{self.win_size}/{self.fft_size}"
             )
 
     @property
@@ -126,6 +128,7 @@ def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray
         raise DomainError("cannot take the STFT of an empty signal")
     win, hop, fft = cfg.win_size, cfg.hop_size, cfg.fft_size
     frames = n_frames_for(n, hop)
+    check_count("STFT bins", frames * cfg.n_bins)  # win <= fft: also bounds the padding
 
     pad_left = win // 2
     pad_right = max(0, (frames - 1) * hop + win - pad_left - n)
@@ -154,6 +157,7 @@ def mel_filterbank(
     f_max: float = 8000.0,
 ) -> np.ndarray:
     """Triangular mel filterbank, peak-normalized, shape n_mels x n_bins."""
+    check_count("mel filterbank entries", n_mels * (fft_size // 2 + 1))
     if not (0 <= f_min < f_max <= sample_rate / 2):
         raise ConfigError(f"invalid mel range [{f_min}, {f_max}] at fs={sample_rate}")
     edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
@@ -186,8 +190,9 @@ def mel_spectrogram(
 
 def loudness(x: AudioSignal, hop: int = 160) -> LoudnessTrack:
     """Per-frame log-RMS over consecutive hop-sized frames, floored at MEL_FLOOR."""
-    check_positive("hop", hop)
+    hop = check_integer("hop", hop, minimum=1)
     frames = n_frames_for(len(x), hop)
+    check_count("padded samples", frames * hop)
     padded = np.pad(x.samples, (0, frames * hop - len(x)))
     rms = np.sqrt(np.mean(padded.reshape(frames, hop) ** 2, axis=1))
     return LoudnessTrack(np.log(np.maximum(rms, MEL_FLOOR)), hop / x.sample_rate)

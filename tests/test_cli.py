@@ -248,7 +248,7 @@ def inputs(tmp_path, f0_file, capsys):
         snan[name].write_bytes(good.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
     return {"f0": f0_file, "wav": wav, "mel": mel, "mel80": mel80, "mel80_v1": mel80_v1,
             "loud_mel": loud_mel, **bad_hops, "utf16_f0": utf16_f0, **snan,
-            "out": tmp_path / "out.wav", "dir": tmp_path}
+            "out": tmp_path / "out.wav", "dir": tmp_path, "unmade": tmp_path / "unmade"}
 
 
 EXCITE = ("excite", "{f0}", "--out", "{out}")
@@ -290,6 +290,12 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (EXCITE + ("--sample-rate", "1e308"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--duration", "1e308"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--hop", "1e-300"), None, "config"),
+        (EXCITE + ("--phase-init", "random", "--seed", "-1"), None, "config"),
+        (("demo", "--out-dir", "{unmade}", "--seed", "-5"), None, "config"),
+        # each of these three would allocate petabytes
+        (("loudness", "{wav}", "--hop-size", "1000000000000000", "--out", "{out}"), None, "config"),
+        (("mel", "{wav}", "--fft-size", "1000000000000000", "--out", "{out}"), None, "config"),
+        (CONDITION + ("--factors", "1000000000000000"), None, "config"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
@@ -302,6 +308,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "fit-n-taps-3e9",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
+        "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
+        "condition-factor-1e15",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
@@ -316,6 +324,7 @@ def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, c
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["category"] == category
+    assert not inputs["unmade"].exists()
 
 
 MANIFEST_SUFFIXES = ("run.json", "run_config.json")

@@ -69,7 +69,7 @@ class TestDecimationTaps:
         np.testing.assert_array_equal(decimation_taps(1), [1.0])
 
     def test_bad_factor_rejected(self):
-        for factor in (0, 2.5, float("nan")):
+        for factor in (0, 2.5, float("nan"), 10**15):  # 10**15: 8e15 taps, checked first
             with pytest.raises(ConfigError):
                 decimation_taps(factor)
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from harmex import (
     AudioSignal,
     ConfigError,
+    ExcitationConfig,
+    F0Track,
     FitConfig,
     LengthMismatchError,
     LtvFirCoeffs,
@@ -15,9 +17,13 @@ from harmex import (
     fit_coeffs_least_squares,
     frequency_response,
     gaussian_noise,
+    interpolate_f0,
     mel_filterbank,
     minimum_phase_fir,
     read_coeffs,
+    refine_pitch,
+    signal_core,
+    sine_excitation,
     write_coeffs,
 )
 from harmex.ltv import _contract_roots_inside, _fill_uncovered, _lagged, _zero_radius
@@ -362,6 +368,47 @@ class TestMinNormMatchesLstsqLoop:
         np.testing.assert_allclose(fit.taps, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("elems", [1, 1 << 15])
+def test_block_size_changes_no_output(rng, monkeypatch, elems):
+    """Every blocked stage gives the same bits at any ``signal_core.BLOCK_ELEMS``.
+
+    The default holds 8 fit or filter frames of 200 x 80, 16 cepstra and 32
+    angle-search rows per block; 1 << 15 holds 2, 4 and 8, and 1 one row.
+    The fits see 40 full frames and a partial one, a dead gap, and
+    10-harmonic frames that the min-norm gate sends to ``lstsq``; every
+    estimator frame goes through the angle search.
+    """
+    hop, n_taps = 200, 80
+    n = 40 * hop + 77
+    t = np.arange(n)[n // 2 :]
+    x = rng.normal(size=n)
+    x[n // 2 :] = np.sin(2 * np.pi * 150.0 / FS * np.arange(1, 11)[:, None] * t).sum(axis=0)
+    x[n // 2 :] += 1e-4 * rng.normal(size=len(t))
+    x[n // 4 : n // 4 + 3 * hop] = 0.0
+    exc = AudioSignal(x, FS)
+    h = LtvFirCoeffs(0.3 * rng.normal(size=(n_frames_for(n, hop), n_taps)), hop / FS, FS)
+    target = AudioSignal(apply_ltv(exc, h, False).samples + 1e-3 * rng.normal(size=n), FS)
+    mel = MelSpectrogram(-4.0 + 4.0 * rng.normal(size=(60, 80)), StftConfig(), FS)
+    f0 = np.concatenate([np.zeros(5), np.full(150, 120.0), np.zeros(10), np.full(100, 180.0)])
+    track = F0Track(f0, 0.010)
+    voice = sine_excitation(interpolate_f0(track, FS, len(f0) * HOP))
+
+    def outputs():
+        return [
+            fit_coeffs_least_squares(exc, target, FitConfig(n_taps, 1e-3, hop / FS)).taps,
+            fit_coeffs_least_squares(exc, target, FitConfig(n_taps, 0.0, hop / FS)).taps,
+            apply_ltv(exc, h).samples,
+            apply_ltv(exc, h, False).samples,
+            estimate_coeffs_from_mel(mel).taps,
+            refine_pitch(voice, track),
+        ]
+
+    expected = outputs()
+    monkeypatch.setattr(signal_core, "BLOCK_ELEMS", elems)
+    for got, want in zip(outputs(), expected):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestEstimateFromMel:
     def flat_mel(self, level, n_frames=3):
         return MelSpectrogram(np.full((n_frames, 80), level), StftConfig(), FS)
@@ -394,6 +441,11 @@ class TestEstimateFromMel:
         peak_bin = int(np.argmax(frequency_response(h, 0, 1024)))
         support = np.flatnonzero(mel_filterbank(80, 1024, FS)[40] > 0)
         assert support.min() <= peak_bin <= support.max()
+
+    def test_envelope_size_checked_before_allocation(self):
+        mel = MelSpectrogram(np.zeros((2**22, 1)), StftConfig(), FS)  # 2**22 x 513 bins
+        with pytest.raises(ConfigError, match="envelope bins"):
+            estimate_coeffs_from_mel(mel)
 
     def test_minimum_phase_roots_inside_unit_circle(self, rng):
         frames = rng.uniform(np.log(1e-4), np.log(1.0), size=(5, 80))
@@ -610,10 +662,17 @@ NAN, INF = float("nan"), float("inf")
         lambda: LtvFirCoeffs(np.ones((2, 2)), 0.010, 0.0),
         lambda: LtvFirCoeffs(np.ones((2, 2)), 1e-5, 16000),
         lambda: AudioSignal(np.zeros(3), INF),
+        lambda: ExcitationConfig(seed=-1),
+        lambda: ExcitationConfig(seed=2.5),
+        lambda: ExcitationConfig(k_max_cap=NAN),
+        lambda: ExcitationConfig(k_max_cap=2.5),
+        lambda: gaussian_noise(10, FS, -1),
+        lambda: StftConfig(fft_size=1024.5),
     ],
     ids=[
         "ridge-nan", "n-taps-nan", "n-taps-2.5", "n-taps-str", "fit-hop-inf", "coeff-hop-nan", "coeff-rate-nan", "coeff-rate-0",
-        "coeff-hop-below-one-sample", "audio-rate-inf",
+        "coeff-hop-below-one-sample", "audio-rate-inf", "seed-negative", "seed-2.5", "k-max-cap-nan",
+        "k-max-cap-2.5", "noise-seed-negative", "fft-size-1024.5",
     ],
 )
 def test_non_finite_or_nonpositive_settings_rejected(make):

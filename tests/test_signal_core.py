@@ -162,6 +162,13 @@ class TestSineExcitation:
         # one harmonic of 100 Hz: a pure sine, peak amplitude 1
         assert np.max(np.abs(capped.samples)) == pytest.approx(1.0, abs=1e-3)
 
+    def test_whole_float_cap_becomes_int(self):
+        assert ExcitationConfig(k_max_cap=5.0).k_max_cap == 5
+        np.testing.assert_array_equal(
+            make_excitation(100.0, 1600, k_max_cap=5.0).samples,
+            make_excitation(100.0, 1600, k_max_cap=5).samples,
+        )
+
     def test_aliasing_f0_rejected(self):
         sf = interpolate_f0(constant_track(7999.0, 4), FS, 640)
         bad = np.where(sf.values > 0, 8000.0, 0.0)

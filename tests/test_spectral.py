@@ -156,5 +156,17 @@ class TestLoudness:
             assert len(loudness(AudioSignal(np.ones(n) * 0.1))) == n_frames_for(n, 160)
 
     def test_bad_hop_rejected(self):
-        with pytest.raises(ConfigError):
-            loudness(AudioSignal(np.zeros(100)), hop=0)
+        for hop in (0, 2.5, float("nan")):
+            with pytest.raises(ConfigError):
+                loudness(AudioSignal(np.zeros(100)), hop=hop)
+
+
+def test_derived_sizes_checked_before_allocation():
+    """Each would need petabytes; the check must come before any array is made."""
+    x = AudioSignal(np.zeros(100), FS)
+    with pytest.raises(ConfigError, match="padded samples"):
+        loudness(x, hop=10**15)
+    with pytest.raises(ConfigError, match="STFT bins"):
+        stft_magnitude(x, StftConfig(fft_size=10**15))
+    with pytest.raises(ConfigError, match="mel filterbank entries"):
+        mel_filterbank(80, 10**15, FS)
