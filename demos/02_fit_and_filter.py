@@ -45,14 +45,13 @@ excitation = sine_excitation(
 # two formants that glide over the course of a second
 stft = StftConfig()
 freqs = np.arange(stft.n_bins) * FS / stft.fft_size
-taps = np.zeros((n_frames, 64))
-for f in range(n_frames):
-    f1 = 700.0 + 200.0 * f / n_frames
-    f2 = 1800.0 - 400.0 * f / n_frames
-    mag_db = np.full(stft.n_bins, -40.0)
-    for center, width in ((f1, 120.0), (f2, 180.0)):
-        mag_db = np.maximum(mag_db, -0.5 * ((freqs - center) / width) ** 2)
-    taps[f] = minimum_phase_fir(10 ** (mag_db / 20.0), 64, stft.fft_size)
+frame = np.arange(n_frames)[:, None]
+f1 = 700.0 + 200.0 * frame / n_frames
+f2 = 1800.0 - 400.0 * frame / n_frames
+mag_db = np.full((n_frames, stft.n_bins), -40.0)
+for center, width in ((f1, 120.0), (f2, 180.0)):
+    mag_db = np.maximum(mag_db, -0.5 * ((freqs - center) / width) ** 2)
+taps = minimum_phase_fir(10 ** (mag_db / 20.0), 64, stft.fft_size)  # one row per frame
 envelope = LtvFirCoeffs(taps, 0.010, FS)
 
 target = apply_ltv(excitation, envelope)

@@ -33,7 +33,6 @@ from .signal_core import (
     gaussian_noise, interpolate_f0, read_f0_track, sine_excitation, write_f0_track,
 )
 from .spectral import StftConfig
-from .wav_io import WavEncoding, WavSpec
 
 CONFIG_ENV = "HARMEX_CONFIG"
 
@@ -151,13 +150,13 @@ def _cmd_excite(args, r):
         n_samples = check_count("n_samples", len(track) * r["hop"] * fs)
     cfg = ExcitationConfig(r["amplitude"], r["phase_init"], r["seed"], r["k_max"])
     excitation = sine_excitation(interpolate_f0(track, fs, n_samples), cfg)
-    return {"clipped": wav_io.write_wav(args.out, excitation, WavSpec(fs, r["encoding"]))}
+    return {"clipped": wav_io.write_wav(args.out, excitation, r["encoding"])}
 
 
 def _cmd_filter(args, r):
     x = wav_io.read_wav(args.wav_file)
     y = ltv.apply_ltv(x, ltv.read_coeffs(args.coeff_file), r["interpolate_taps"])
-    return {"clipped": wav_io.write_wav(args.out, y, WavSpec(x.sample_rate, r["encoding"]))}
+    return {"clipped": wav_io.write_wav(args.out, y, r["encoding"])}
 
 
 def _cmd_estimate(args, r):
@@ -301,7 +300,7 @@ class Command(NamedTuple):
 
 _STFT = _from(StftConfig, fft_size=_int, win_size=_int, hop_size=_int)
 _MEL_RANGE = _from(spectral.mel_spectrogram, f_min=_float, f_max=_float)
-_ENCODING = _from(WavSpec, encoding=WavEncoding)
+_ENCODING = _from(wav_io.write_wav, encoding=wav_io.WavEncoding)
 _SAMPLE_RATE = {"sample_rate": (_float, DEFAULT_SAMPLE_RATE)}
 _HOP = {"hop": (_float, DEFAULT_HOP_SECONDS)}
 

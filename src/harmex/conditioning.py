@@ -56,7 +56,6 @@ class PyramidLevel:
 class ScalePyramid:
     levels: tuple[PyramidLevel, ...]
     base_sample_rate: float
-    names: tuple[str, ...]
 
 
 def stack_channels(
@@ -120,7 +119,7 @@ def downsample_multiscale(
         cumulative *= factor
         current = {name: _decimate(sig, factor) for name, sig in current.items()}
         levels.append(PyramidLevel(cumulative, current))
-    return ScalePyramid(tuple(levels), bundle.sample_rate, bundle.names)
+    return ScalePyramid(tuple(levels), bundle.sample_rate)
 
 
 def export_conditioning(pyramid: ScalePyramid, path_prefix) -> list[str]:
@@ -131,7 +130,7 @@ def export_conditioning(pyramid: ScalePyramid, path_prefix) -> list[str]:
     """
     written = []
     for level in pyramid.levels:
-        data = np.stack([level.channels[n] for n in pyramid.names], axis=1)
+        data = np.stack(list(level.channels.values()), axis=1)
         path = f"{path_prefix}_x{level.cumulative_factor}.hmx"
         write_feature_file(path, data, level.cumulative_factor / pyramid.base_sample_rate)
         written.append(path)

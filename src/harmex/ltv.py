@@ -56,10 +56,10 @@ class LtvFirCoeffs:
     sample_rate: float
 
     def __post_init__(self):
-        t = np.atleast_2d(np.asarray(self.taps, dtype=np.float64))
+        t = np.asarray(self.taps, dtype=np.float64)
         object.__setattr__(self, "taps", t)
-        if t.shape[1] < 1:
-            raise ConfigError("need at least one tap")
+        if t.ndim != 2 or 0 in t.shape:
+            raise ConfigError(f"taps of shape {t.shape}: need frames x taps, both >= 1")
         if not np.all(np.isfinite(t)):
             raise DomainError("filter coefficients must be finite")
         check_positive("sample_rate", self.sample_rate)
@@ -172,6 +172,8 @@ def fit_coeffs_least_squares(
         )
     if excitation.sample_rate != target.sample_rate:
         raise ConfigError("sample-rate mismatch between excitation and target")
+    if len(excitation) == 0:
+        raise DomainError("cannot fit an empty signal")
 
     fs = excitation.sample_rate
     hop = hop_samples(cfg.frame_hop_seconds, fs)
@@ -262,22 +264,22 @@ def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
     """Minimum-phase FIR taps whose response approximates ``magnitude``.
 
-    ``magnitude`` is a linear magnitude over fft_size//2 + 1 bins, one row
-    per frame; a single 1-D row gives 1-D taps.  The taps come from the
-    real-cepstrum construction, computed in ``signal_core._blocks`` of rows and
-    truncated to n_taps (at most fft_size).  If the truncation pushes any
-    zero of a row outside the unit circle, that row is exponentially
+    ``magnitude`` is frames x (fft_size//2 + 1) linear magnitudes, one row
+    per frame, and the taps are frames x n_taps (n_taps at most fft_size),
+    from the real-cepstrum construction in ``signal_core._blocks`` of rows,
+    truncated.  If the truncation pushes any zero of a row outside the
+    unit circle, that row is exponentially
     contracted just enough to pull every zero back inside: see
     ``_contract_roots_inside`` for the Schur-Cohn gate at radius
     1 - GATE_MARGIN, the bracket-angle-Newton radius with its two-sided
     certificate, and the ``np.roots`` fallback.
     """
-    if not 1 <= n_taps <= fft_size:
-        raise ConfigError(f"n_taps={n_taps} outside [1, fft_size={fft_size}]")
-    mag = np.asarray(magnitude, dtype=np.float64)
-    if mag.ndim not in (1, 2) or mag.shape[-1] != fft_size // 2 + 1:
-        raise ConfigError(f"magnitude shape {mag.shape}: need rows of {fft_size // 2 + 1} bins")
-    rows = np.atleast_2d(mag)
+    n_taps = check_integer("n_taps", n_taps, minimum=1)
+    if n_taps > fft_size:
+        raise ConfigError(f"n_taps={n_taps} above fft_size={fft_size}")
+    rows = np.asarray(magnitude, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != fft_size // 2 + 1:
+        raise ConfigError(f"magnitude shape {rows.shape}: need frames x {fft_size // 2 + 1} bins")
     fold = np.zeros(fft_size)
     fold[0] = 1.0
     fold[1 : fft_size // 2] = 2.0
@@ -286,8 +288,7 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     for b in _blocks(0, len(rows), 8 * fft_size):  # about 8 row-sized transients per row
         cep = np.fft.irfft(np.log(np.maximum(rows[b], 1e-12)), fft_size)
         h[b] = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:, :n_taps]
-    h = _contract_roots_inside(h)
-    return h if mag.ndim > 1 else h[0]
+    return _contract_roots_inside(h)
 
 
 def _contract_roots_inside(h: np.ndarray) -> np.ndarray:
@@ -303,8 +304,6 @@ def _contract_roots_inside(h: np.ndarray) -> np.ndarray:
     radius search, so the gate never disagrees with ``np.roots`` rounding at
     the unit circle.  The remaining rows get r from ``_zero_radius``.
     """
-    if h.shape[1] < 2:
-        return h
     todo = np.flatnonzero(~_zeros_within(h, np.full(len(h), 1.0 - GATE_MARGIN)))
     r = _zero_radius(h[todo])
     grow = r > 1.0
@@ -351,7 +350,7 @@ def _zero_radius(h: np.ndarray) -> np.ndarray:
     """
     with np.errstate(all="ignore"):  # a zero leading tap gives nan: not certified
         lo = np.full(len(h), 1.0 - GATE_MARGIN)
-        hi = 1.0 + np.abs(h[:, 1:] / h[:, :1]).max(axis=1)  # Cauchy bound
+        hi = 1.0 + np.abs(h[:, 1:] / h[:, :1]).max(axis=1, initial=0.0)  # Cauchy bound
         for _ in range(BISECT_STEPS):
             mid = np.sqrt(lo * hi)
             inside = _zeros_within(h, mid)

@@ -100,7 +100,9 @@ def mel_mae(x_mel: MelSpectrogram, y_mel: MelSpectrogram) -> float:
         raise ConfigError(
             f"shape mismatch: {x_mel.frames.shape} vs {y_mel.frames.shape}"
         )
-    if x_mel.config != y_mel.config or x_mel.mel_range != y_mel.mel_range:
+    if (x_mel.config, x_mel.sample_rate, x_mel.mel_range) != (
+        y_mel.config, y_mel.sample_rate, y_mel.mel_range
+    ):
         raise ConfigError("mel spectrogram configs differ")
     return float(np.mean(np.abs(x_mel.frames - y_mel.frames)))
 
@@ -222,8 +224,10 @@ def uv_error_rate(
     relative to the signal peak.  Frame m's window is the samples it owns in
     ``interpolate_f0`` (``signal_core.frame_bounds``), so windows tile the
     signal at any hop; a frame that owns none is decided unvoiced.  The hop
-    must round to at least one sample.
+    must round to at least one sample, and the threshold must be finite.
     """
+    if not math.isfinite(energy_threshold_db):
+        raise ConfigError(f"energy_threshold_db must be finite, got {energy_threshold_db!r}")
     if len(ref_f0) == 0:
         raise DomainError("empty reference track")
     decided = _voicing_decisions(x, ref_f0, energy_threshold_db)

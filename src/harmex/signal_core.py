@@ -157,7 +157,7 @@ def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> Sample
     of an unvoiced frame is exactly zero.
     """
     hop = track.hop_seconds * sample_rate
-    n_samples = check_count("n_samples", n_samples)
+    n_samples = check_count("n_samples", check_integer("n_samples", n_samples, minimum=0))
     coverage = (len(track) + 1) * hop  # through one hop past the last frame
     check_positive("track coverage in samples", coverage, allow_zero=True)  # inf if hop overflows
     if n_samples > math.ceil(coverage):
@@ -225,10 +225,9 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
 
 def gaussian_noise(n_samples: int, sample_rate: float, seed: int) -> AudioSignal:
     """Seeded i.i.d. standard-normal noise; identical seed, identical bits."""
-    if n_samples < 0:
-        raise DomainError("n_samples must be >= 0")
+    n_samples = check_count("n_samples", check_integer("n_samples", n_samples, minimum=0))
     rng = np.random.default_rng(check_integer("seed", seed, minimum=0))
-    return AudioSignal(rng.standard_normal(check_count("n_samples", n_samples)), sample_rate)
+    return AudioSignal(rng.standard_normal(n_samples), sample_rate)
 
 
 def read_f0_track(path, hop_seconds: float = DEFAULT_HOP_SECONDS) -> F0Track:

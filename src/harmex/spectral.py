@@ -157,6 +157,7 @@ def mel_filterbank(
     f_max: float = 8000.0,
 ) -> np.ndarray:
     """Triangular mel filterbank, peak-normalized, shape n_mels x n_bins."""
+    n_mels = check_integer("n_mels", n_mels, minimum=1)
     check_count("mel filterbank entries", n_mels * (fft_size // 2 + 1))
     if not (0 <= f_min < f_max <= sample_rate / 2):
         raise ConfigError(f"invalid mel range [{f_min}, {f_max}] at fs={sample_rate}")

@@ -1,7 +1,8 @@
 """Mono WAV reading and writing (PCM16 and Float32).
 
-The writer produces the bytes SciPy's ``wavfile.write`` produces for the
-same data (little-endian ``RIFF``, sizes in bytes):
+``write_wav(path, x, encoding)`` writes the bytes SciPy's ``wavfile.write``
+writes, at ``x``'s rate rounded to an integer (little-endian ``RIFF``, sizes
+in bytes):
 
 - PCM16: ``RIFF`` header (12), ``fmt `` chunk (8 + 16: tag 1, 1 channel,
   rate, 2 * rate bytes/s, block align 2, 16 bits), ``data`` chunk (8 + 2n).
@@ -26,12 +27,11 @@ here, where SciPy only warns.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, FormatError, check_positive
+from .errors import DomainError, FormatError
 from .signal_core import AudioSignal
 
 WAVE_PCM, WAVE_IEEE_FLOAT, WAVE_EXTENSIBLE = 1, 3, 0xFFFE
@@ -47,28 +47,6 @@ GUID_TAIL = {
 class WavEncoding(Enum):
     PCM16 = "pcm16"
     FLOAT32 = "float32"
-
-
-@dataclass(frozen=True)
-class WavSpec:
-    """Output rate and encoding.  The rate is rounded to an integer, which
-    must fit the header: at least 1, and bytes per second within 32 bits."""
-
-    sample_rate: float = 16000
-    encoding: WavEncoding = WavEncoding.FLOAT32
-
-    def __post_init__(self):
-        check_positive("sample_rate", self.sample_rate, error=FormatError)
-        width = 2 if self.encoding is WavEncoding.PCM16 else 4
-        if not 1 <= self.rate <= U32_MAX // width:
-            raise FormatError(
-                f"sample_rate {self.sample_rate!r} does not fit a WAV header "
-                f"(rounded rate must be in [1, {U32_MAX // width}] for {self.encoding.value})"
-            )
-
-    @property
-    def rate(self) -> int:
-        return int(round(self.sample_rate))
 
 
 def _sample_dtype(fmt: bytes, order: str, path) -> tuple[np.dtype, int]:
@@ -135,26 +113,32 @@ def read_wav(path) -> AudioSignal:
     raise FormatError("no data chunk", path=path)
 
 
-def write_wav(path, x: AudioSignal, spec: WavSpec | None = None) -> int:
+def write_wav(path, x: AudioSignal, encoding: WavEncoding = WavEncoding.FLOAT32) -> int:
     """Write a mono WAV (byte layout above); returns the PCM16 clip count.
 
-    PCM16 scales symmetrically by 32767 with saturation, and the count is
-    the samples saturated; Float32 (count 0) round-trips bit-exactly through
+    The rounded rate must be in [1, U32_MAX // width], so that bytes/s fits
+    32 bits, or ``FormatError`` is raised before the file is opened.  PCM16
+    scales symmetrically by 32767 with saturation, and the count is the
+    samples saturated; Float32 (count 0) round-trips bit-exactly through
     read_wav.
     """
     if not np.all(np.isfinite(x.samples)):
         raise DomainError("cannot write non-finite samples")
-    spec = spec or WavSpec(sample_rate=x.sample_rate)
+    width = 2 if encoding is WavEncoding.PCM16 else 4
+    rate = int(round(x.sample_rate))
+    if not 1 <= rate <= U32_MAX // width:
+        message = f"sample_rate {x.sample_rate!r} rounds outside [1, {U32_MAX // width}]"
+        raise FormatError(f"{message}, the rates a {encoding.value} WAV header holds", path=path)
     clipped = 0
-    if spec.encoding is WavEncoding.PCM16:
+    if encoding is WavEncoding.PCM16:
         scaled = np.rint(x.samples * 32767.0)
         clipped = int(np.count_nonzero(np.abs(scaled) > 32767))
         data = np.clip(scaled, -32767, 32767).astype("<i2")
-        fmt = struct.pack("<HHIIHH", WAVE_PCM, 1, spec.rate, 2 * spec.rate, 2, 16)
+        fmt = struct.pack("<HHIIHH", WAVE_PCM, 1, rate, 2 * rate, 2, 16)
         fact = b""
     else:
         data = x.samples.astype("<f4")
-        fmt = struct.pack("<HHIIHHH", WAVE_IEEE_FLOAT, 1, spec.rate, 4 * spec.rate, 4, 32, 0)
+        fmt = struct.pack("<HHIIHHH", WAVE_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0)
         fact = struct.pack("<4sII", b"fact", 4, len(data))
     chunks = struct.pack("<4sI", b"fmt ", len(fmt)) + fmt + fact
     riff_size = 4 + len(chunks) + 8 + data.nbytes

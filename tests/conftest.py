@@ -44,13 +44,12 @@ def formant_envelope_coeffs(
     gains_db = rng.uniform(-12.0, 0.0, size=n_formants)
     drift = rng.uniform(-0.05, 0.05, size=n_formants)
 
-    taps = np.zeros((n_frames, n_taps))
-    for f in range(n_frames):
-        sweep = centers * (1.0 + drift * np.sin(2 * np.pi * f / max(n_frames, 1)))
-        mag_db = np.full(n_bins, -40.0)
-        for c, w, g in zip(sweep, widths, gains_db):
-            mag_db = np.maximum(mag_db, g - 0.5 * ((freqs - c) / w) ** 2)
-        taps[f] = minimum_phase_fir(10 ** (mag_db / 20.0), n_taps, stft.fft_size)
+    phase = np.sin(2 * np.pi * np.arange(n_frames) / max(n_frames, 1))
+    sweep = centers * (1.0 + drift * phase[:, None])  # frames x formants
+    mag_db = np.full((n_frames, n_bins), -40.0)
+    for c, w, g in zip(sweep.T, widths, gains_db):
+        mag_db = np.maximum(mag_db, g - 0.5 * ((freqs - c[:, None]) / w) ** 2)
+    taps = minimum_phase_fir(10 ** (mag_db / 20.0), n_taps, stft.fft_size)
     return LtvFirCoeffs(taps, stft.hop_size / fs, fs)
 
 

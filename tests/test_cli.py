@@ -223,6 +223,8 @@ def inputs(tmp_path, f0_file, capsys):
 
     wav = tmp_path / "exc.wav"
     assert run(capsys, "excite", str(f0_file), "--out", str(wav))[0] == 0
+    empty_wav = tmp_path / "empty.wav"
+    assert run(capsys, "excite", str(f0_file), "--n-samples", "0", "--out", str(empty_wav))[0] == 0
     mel80 = tmp_path / "mel80.hmx"
     assert run(capsys, "mel", str(wav), "--out", str(mel80), "--hop-size", "80")[0] == 0
     mel80_v1 = tmp_path / "mel80_v1.hmx"  # no geometry: estimate takes it from its options
@@ -240,13 +242,17 @@ def inputs(tmp_path, f0_file, capsys):
         raw = bytearray(ltvf.read_bytes())
         struct.pack_into("<d", raw, 16, hop_seconds)  # hop_seconds follows magic + 3 u32
         path.write_bytes(bytes(raw))
+    no_frames = bytearray(ltvf.read_bytes()[:32])  # magic, 3 u32 and 2 f64: no taps follow
+    struct.pack_into("<I", no_frames, 8, 0)  # the row count
+    (tmp_path / "no_frames.ltvf").write_bytes(bytes(no_frames))
     utf16_f0 = tmp_path / "utf16_f0.txt"
     utf16_f0.write_bytes("100.0\n".encode("utf-16"))  # starts with the \xff\xfe mark
     snan = {}  # each file's last f32 value made a signaling NaN
     for name, good in (("snan_wav", wav), ("snan_mel", mel), ("snan_ltvf", ltvf)):
         snan[name] = tmp_path / f"{name}{good.suffix}"
         snan[name].write_bytes(good.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
-    return {"f0": f0_file, "wav": wav, "mel": mel, "mel80": mel80, "mel80_v1": mel80_v1,
+    return {"f0": f0_file, "wav": wav, "empty_wav": empty_wav, "mel": mel, "mel80": mel80,
+            "mel80_v1": mel80_v1, "no_frames": tmp_path / "no_frames.ltvf",
             "loud_mel": loud_mel, **bad_hops, "utf16_f0": utf16_f0, **snan,
             "out": tmp_path / "out.wav", "dir": tmp_path, "unmade": tmp_path / "unmade"}
 
@@ -296,6 +302,9 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("loudness", "{wav}", "--hop-size", "1000000000000000", "--out", "{out}"), None, "config"),
         (("mel", "{wav}", "--fft-size", "1000000000000000", "--out", "{out}"), None, "config"),
         (CONDITION + ("--factors", "1000000000000000"), None, "config"),
+        (("fit", "{empty_wav}", "{empty_wav}", "--out", "{out}"), None, "domain"),
+        (("filter", "{wav}", "{no_frames}", "--out", "{out}"), None, "config"),
+        (("mel", "{wav}", "--n-mels", "0", "--out", "{out}"), None, "config"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
@@ -309,7 +318,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
         "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
-        "condition-factor-1e15",
+        "condition-factor-1e15", "fit-empty-wavs", "filter-no-frames", "mel-n-mels-0",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest

@@ -14,7 +14,6 @@ from harmex import (
     HarmexError,
     LtvFirCoeffs,
     WavEncoding,
-    WavSpec,
     gaussian_noise,
     MelSpectrogram,
     StftConfig,
@@ -57,28 +56,28 @@ class TestWavIo:
         x = gaussian_noise(1000, FS, 9)
         x32 = AudioSignal(x.samples.astype(np.float32).astype(np.float64), FS)
         path = tmp_path / "f.wav"
-        write_wav(path, x32, WavSpec(FS, WavEncoding.FLOAT32))
+        write_wav(path, x32, WavEncoding.FLOAT32)
         back = read_wav(path)
         assert back.sample_rate == FS
         np.testing.assert_array_equal(back.samples, x32.samples)
 
     def test_pcm16_full_scale(self, tmp_path):
         path = tmp_path / "p.wav"
-        write_wav(path, AudioSignal(np.array([1.0, -1.0, 0.0]), FS), WavSpec(FS, WavEncoding.PCM16))
+        write_wav(path, AudioSignal(np.array([1.0, -1.0, 0.0]), FS), WavEncoding.PCM16)
         _, raw = wavfile.read(path)
         assert list(raw) == [32767, -32767, 0]
 
     def test_pcm16_round_trip_error_bound(self, tmp_path):
         x = AudioSignal(np.clip(gaussian_noise(2000, FS, 2).samples * 0.3, -1, 1), FS)
         path = tmp_path / "p.wav"
-        write_wav(path, x, WavSpec(FS, WavEncoding.PCM16))
+        write_wav(path, x, WavEncoding.PCM16)
         back = read_wav(path)
         assert np.max(np.abs(back.samples - x.samples)) <= 1.0 / 32767
 
     def test_pcm16_saturation_and_clip_count(self, tmp_path):
         path = tmp_path / "c.wav"
         x = AudioSignal(np.array([1.5, 0.0]), FS)
-        assert write_wav(path, x, WavSpec(FS, WavEncoding.PCM16)) == 1
+        assert write_wav(path, x, WavEncoding.PCM16) == 1
         _, raw = wavfile.read(path)
         assert raw[0] == 32767
 
@@ -107,7 +106,7 @@ class TestWavCodecMatchesScipy:
     def test_writer_bytes(self, tmp_path, encoding, n):
         x = AudioSignal(np.clip(gaussian_noise(n, FS, n).samples * 0.3, -1, 1), FS)
         ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
-        write_wav(ours, x, WavSpec(FS, encoding))
+        write_wav(ours, x, encoding)
         if encoding is WavEncoding.PCM16:
             data = np.clip(np.rint(x.samples * 32767.0), -32767, 32767).astype(np.int16)
         else:
@@ -149,7 +148,7 @@ class TestWavCodecMatchesScipy:
     def test_largest_rate_that_fits(self, tmp_path, encoding):
         rate = 0xFFFFFFFF // np.dtype(ENCODINGS[encoding]).itemsize
         path = tmp_path / "r.wav"
-        write_wav(path, AudioSignal(np.zeros(4), FS), WavSpec(rate, encoding))
+        write_wav(path, AudioSignal(np.zeros(4), rate), encoding)
         assert read_wav(path).sample_rate == rate
         assert_same_signal(read_wav(path), scipy_reference(path))
 
@@ -200,7 +199,7 @@ class TestWavRejects:
     @example(encoding=WavEncoding.FLOAT32, edits=[(82, 0x01), (85, 0x7F)], keep=86)
     def test_mutated_bytes_read_or_format_error(self, tmp_path_factory, encoding, edits, keep):
         path = tmp_path_factory.mktemp("mutated") / "m.wav"
-        write_wav(path, AudioSignal(np.linspace(-1, 1, 7), FS), WavSpec(FS, encoding))
+        write_wav(path, AudioSignal(np.linspace(-1, 1, 7), FS), encoding)
         raw = bytearray(path.read_bytes())
         for pos, value in edits:
             raw[pos % len(raw)] = value
@@ -211,15 +210,15 @@ class TestWavRejects:
             pass
 
     @pytest.mark.parametrize(
-        "spec",
+        "rate, encoding",
         [(0.4, WavEncoding.FLOAT32), (5e9, WavEncoding.PCM16), (2**31, WavEncoding.FLOAT32)],
         ids=["rounds-to-0", "above-u32", "byte-rate-above-u32"],
     )
-    def test_rate_that_does_not_fit_the_header(self, tmp_path, spec):
-        path, x = tmp_path / "r.wav", AudioSignal(np.zeros(4), spec[0])
+    def test_rate_that_does_not_fit_the_header(self, tmp_path, rate, encoding):
+        path, x = tmp_path / "r.wav", AudioSignal(np.zeros(4), rate)
         with pytest.raises(FormatError):
-            write_wav(path, x, WavSpec(*spec))
-        with pytest.raises(FormatError):  # the Float32 spec write_wav derives from x
+            write_wav(path, x, encoding)
+        with pytest.raises(FormatError):  # the default encoding, Float32
             write_wav(path, x)
         assert not path.exists()
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from harmex import (
     AudioSignal,
     ConfigError,
+    DomainError,
     ExcitationConfig,
     F0Track,
     FitConfig,
@@ -91,6 +92,11 @@ class TestApplyLtv:
     def test_frame_count_mismatch_rejected(self):
         with pytest.raises(LengthMismatchError):
             apply_ltv(AudioSignal(np.zeros(16000), FS), delta_coeffs(50))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (4,), (2, 3, 4)])
+    def test_taps_not_a_frames_by_taps_matrix_rejected(self, shape):
+        with pytest.raises(ConfigError):
+            LtvFirCoeffs(np.zeros(shape), 0.010, FS)
 
     def test_piecewise_constant_mode_uses_frame_taps(self, rng):
         taps = rng.normal(size=(10, 8))
@@ -196,6 +202,12 @@ class TestFitLeastSquares:
             fit_coeffs_least_squares(
                 AudioSignal(np.zeros(100), FS), AudioSignal(np.zeros(100), 8000)
             )
+
+    def test_empty_signal_rejected(self):
+        x = AudioSignal(np.zeros(0), FS)
+        for lam in (1e-6, 0.0):
+            with pytest.raises(DomainError):
+                fit_coeffs_least_squares(x, x, FitConfig(ridge_lambda=lam))
 
     def test_hop_below_one_sample_rejected(self):
         x = AudioSignal(np.ones(100), FS)
@@ -474,6 +486,10 @@ class TestEstimateFromMel:
         band = (freqs >= 300) & (freqs <= 5000)
         assert np.max(np.abs(resp[band] - mag_db[band])) < 3.0
 
+    def test_fractional_tap_count_rejected(self):
+        with pytest.raises(ConfigError):
+            estimate_coeffs_from_mel(self.flat_mel(0.0), n_taps=2.5)
+
 
 MEL_RESYNTH_S5_U1_ROW_86 = [
     -10.3958, -10.2308, -9.8378, -9.0455, -7.9347, -5.5008, -1.0024, 2.5129, 3.2620, 1.9309,
@@ -610,14 +626,16 @@ class TestFrequencyResponse:
 
 class TestMinimumPhaseFir:
     def test_matches_requested_magnitude(self):
-        mag = np.ones(513)
+        mag = np.ones((1, 513))
         h = minimum_phase_fir(mag, 32, 1024)
+        assert h.shape == (1, 32)
         resp = np.abs(np.fft.rfft(h, 1024))
         np.testing.assert_allclose(resp, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize(
         "shape, n_taps",
-        [((513,), 0), ((513,), -3), ((513,), 1025), ((512,), 64), ((2, 3, 513), 64)],
+        [((1, 513), 0), ((1, 513), -3), ((1, 513), 1025), ((1, 512), 64), ((2, 3, 513), 64),
+         ((1, 513), 2.5), ((513,), 64)],  # the last: one row, but not a frames x bins matrix
     )
     def test_bad_n_taps_or_bin_count_rejected(self, shape, n_taps):
         with pytest.raises(ConfigError):

@@ -98,6 +98,13 @@ class TestMelMae:
         with pytest.raises(ConfigError):
             mel_mae(a, b)
 
+    def test_sample_rate_mismatch_rejected(self):
+        from dataclasses import replace
+
+        a = mel_spectrogram(gaussian_noise(16000, FS, 4))
+        with pytest.raises(ConfigError):
+            mel_mae(a, replace(a, sample_rate=22050))
+
 
 class TestCombinedLoss:
     def test_zero(self):
@@ -271,6 +278,12 @@ class TestUvErrorRate:
     def test_empty_track_rejected(self):
         with pytest.raises(DomainError):
             uv_error_rate(gaussian_noise(100, FS, 0), F0Track(np.zeros(0)))
+
+    @pytest.mark.parametrize("threshold_db", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold_db):
+        track = F0Track(np.full(10, 100.0))
+        with pytest.raises(ConfigError):
+            uv_error_rate(gaussian_noise(1600, FS, 0), track, energy_threshold_db=threshold_db)
 
 
 class TestUvErrorRateMatchesLoop:

@@ -69,6 +69,10 @@ class TestInterpolateF0:
         with pytest.raises(ConfigError, match="got inf"):
             interpolate_f0(F0Track(np.full(3, 100.0), 1e308), FS, 10)
 
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ConfigError):  # not rounded to 2 samples
+            interpolate_f0(F0Track(np.full(3, 100.0)), FS, 2.5)
+
 
 class TestInterpolateF0MatchesLoop:
     """One slice per voiced run against a full-length frame mask per run."""
@@ -202,8 +206,12 @@ class TestGaussianNoise:
         assert 0.97 < x.var() < 1.03
 
     def test_negative_count_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             gaussian_noise(-1, FS, 0)
+
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ConfigError):  # not rounded to 2 samples
+            gaussian_noise(2.5, FS, 0)
 
 
 class TestF0TrackFile:

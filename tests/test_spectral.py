@@ -104,6 +104,13 @@ class TestMelFilterbank:
         with pytest.raises(ConfigError):
             mel_filterbank(80, 1024, FS, 0.0, 9000.0)
 
+    @pytest.mark.parametrize("n_mels", [0, 2.5])
+    def test_band_count_not_a_positive_whole_number_rejected(self, n_mels):
+        with pytest.raises(ConfigError):
+            mel_filterbank(n_mels, 1024, FS)
+        with pytest.raises(ConfigError):
+            mel_spectrogram(gaussian_noise(FS, FS, 0), n_mels=n_mels)
+
 
 class TestMelSpectrogram:
     def test_silence_hits_floor(self):
