@@ -233,32 +233,62 @@ def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with its target y (frames x rows x 1) and factored,
     ``[A | y] = Q [[R, c], [0, rho]]``, so ``R x = c`` gives the taps and rho
     is the residual norm (Bjorck, Numerical Methods for Least Squares
-    Problems, 1996).  A frame's x is certified only when the first-order
-    least-squares forward-error bound
-    ``eps * kappa * (||x|| + kappa * rho / ||R||_F)``, with
-    ``kappa = ||R||_F ||R^-1||_F``, is at most FIT_GATE, so x matches
+    Problems, 1996).  ``_upper_inverse`` gives R^-1, and ``x = R^-1 c``.
+    A frame's x is certified only when the first-order least-squares
+    forward-error bound ``eps * kappa * (||x|| + kappa * rho / ||R||_F)``,
+    with ``kappa = ||R||_F ||R^-1||_F``, is at most FIT_GATE, so x matches
     ``np.linalg.lstsq`` (gelsd) to about that.  gelsd drops rank only for
     kappa beyond ``1 / (eps * max(hop, n_taps))`` (2.8e13 for 160 x 64
-    frames), which the gate admits only with ||x|| below 1e-16.
-
-    One ``np.linalg.solve`` gives both x and R^-1: R is upper triangular, so
-    its LU factorization is R itself and every column is a back
-    substitution.  R with a zero on its diagonal is swapped for the identity
-    before the solve, which would otherwise raise, and is not certified.
+    frames), which the gate admits only with ||x|| below 1e-16.  A zero on
+    R's diagonal puts an infinity on R^-1's, so its bound is inf or nan and
+    the frame is not certified.
     """
     n_taps = a.shape[2]
     r = np.linalg.qr(np.concatenate([a, y], axis=2), mode="r")
     R, c = r[:, :n_taps, :n_taps], r[:, :n_taps, n_taps:]
     rho = np.linalg.norm(r[:, n_taps:, n_taps], axis=1)  # 0 when rows == n_taps
-    singular = (np.diagonal(R, axis1=1, axis2=2) == 0).any(axis=1)
-    R[singular] = np.eye(n_taps)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the gate
-        sol = np.linalg.solve(R, np.concatenate([c, np.broadcast_to(np.eye(n_taps), R.shape)], 2))
-        x = sol[..., 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # these fail the gate
+        inv = _upper_inverse(R)
+        x = (inv @ c)[..., 0]
         norm_r = np.linalg.norm(R, axis=(1, 2))
-        kappa = norm_r * np.linalg.norm(sol[..., 1:], axis=(1, 2))
+        kappa = norm_r * np.linalg.norm(inv, axis=(1, 2))
         bound = FIT_EPS * kappa * (np.linalg.norm(x, axis=1) + kappa * rho / norm_r)
-        return x, ~(bound <= FIT_GATE) | singular
+        return x, ~(bound <= FIT_GATE)
+
+
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of upper-triangular n x n matrices, level by level.
+
+    The diagonal is ``1 / r[i, i]``.  Then, for s = 1, 2, 4, ... < n, every
+    diagonal block of 2s rows, ``[[A, B], [0, D]]``, whose halves A and D
+    are already inverted, gets the corner ``-A^-1 B D^-1``; a last block of
+    between s and 2s rows is one more such block with a smaller D.  Each
+    level is one ``@`` pair over all its blocks of all frames, about n^3 / 3
+    flops per frame in all, as LAPACK's ``trtri`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, ch. 14).
+    """
+    frames, n, _ = r.shape
+    inv = np.zeros((frames, n, n))
+    d = np.arange(n)
+    inv[:, d, d] = 1.0 / r[:, d, d]
+    s = 1
+    while s < n:
+        pairs, tail = divmod(n, 2 * s)
+        for start, size, count in ((0, 2 * s, pairs), (n - tail, tail, int(tail > s))):
+            if count:
+                x = _diagonal_blocks(inv, start, size, count)
+                b = _diagonal_blocks(r, start, size, count)
+                x[..., :s, s:] = -(x[..., :s, :s] @ b[..., :s, s:]) @ x[..., s:, s:]
+        s *= 2
+    return inv
+
+
+def _diagonal_blocks(m: np.ndarray, start: int, size: int, count: int) -> np.ndarray:
+    """View (frames x count x size x size) of ``m``'s diagonal blocks from ``start``, ``start``."""
+    s0, s1, s2 = m.strides
+    return np.lib.stride_tricks.as_strided(
+        m[:, start:, start:], (len(m), count, size, size), (s0, size * (s1 + s2), s1, s2)
+    )
 
 
 def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
@@ -274,6 +304,7 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     1 - GATE_MARGIN, the bracket-angle-Newton radius with its two-sided
     certificate, and the ``np.roots`` fallback.
     """
+    fft_size = check_integer("fft_size", fft_size, minimum=1)
     n_taps = check_integer("n_taps", n_taps, minimum=1)
     if n_taps > fft_size:
         raise ConfigError(f"n_taps={n_taps} above fft_size={fft_size}")

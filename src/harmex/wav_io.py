@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .signal_core import AudioSignal
 
 WAVE_PCM, WAVE_IEEE_FLOAT, WAVE_EXTENSIBLE = 1, 3, 0xFFFE
@@ -116,12 +116,18 @@ def read_wav(path) -> AudioSignal:
 def write_wav(path, x: AudioSignal, encoding: WavEncoding = WavEncoding.FLOAT32) -> int:
     """Write a mono WAV (byte layout above); returns the PCM16 clip count.
 
+    ``encoding`` is a ``WavEncoding`` or its value (``"pcm16"``,
+    ``"float32"``); anything else raises ``ConfigError``.
     The rounded rate must be in [1, U32_MAX // width], so that bytes/s fits
     32 bits, or ``FormatError`` is raised before the file is opened.  PCM16
     scales symmetrically by 32767 with saturation, and the count is the
     samples saturated; Float32 (count 0) round-trips bit-exactly through
     read_wav.
     """
+    try:
+        encoding = WavEncoding(encoding)
+    except ValueError:
+        raise ConfigError(f"unknown WAV encoding {encoding!r}") from None
     if not np.all(np.isfinite(x.samples)):
         raise DomainError("cannot write non-finite samples")
     width = 2 if encoding is WavEncoding.PCM16 else 4

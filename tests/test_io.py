@@ -9,6 +9,7 @@ from scipy.io import wavfile
 
 from harmex import (
     AudioSignal,
+    ConfigError,
     DomainError,
     FormatError,
     HarmexError,
@@ -80,6 +81,24 @@ class TestWavIo:
         assert write_wav(path, x, WavEncoding.PCM16) == 1
         _, raw = wavfile.read(path)
         assert raw[0] == 32767
+
+    @pytest.mark.parametrize("value, tag", [("pcm16", 1), ("float32", 3)])
+    def test_encoding_given_by_value(self, tmp_path, value, tag):
+        """A string encoding writes what its ``WavEncoding`` member writes."""
+        x = AudioSignal(np.array([0.5, 1.5]), FS)
+        by_value, by_member = tmp_path / "v.wav", tmp_path / "m.wav"
+        clipped = write_wav(by_value, x, value)
+        assert clipped == write_wav(by_member, x, WavEncoding(value)) == (tag == 1)
+        assert by_value.read_bytes() == by_member.read_bytes()
+        assert struct.unpack_from("<H", by_value.read_bytes(), 20)[0] == tag
+        with pytest.raises(FormatError):  # the message names the encoding
+            write_wav(tmp_path / "r.wav", AudioSignal(np.zeros(4), 0.4), value)
+
+    def test_unknown_encoding_rejected(self, tmp_path):
+        path = tmp_path / "u.wav"
+        with pytest.raises(ConfigError):
+            write_wav(path, AudioSignal(np.zeros(4), FS), "f64")
+        assert not path.exists()
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "s.wav"

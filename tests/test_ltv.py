@@ -27,7 +27,7 @@ from harmex import (
     sine_excitation,
     write_coeffs,
 )
-from harmex.ltv import _contract_roots_inside, _fill_uncovered, _lagged, _zero_radius
+from harmex.ltv import _contract_roots_inside, _fill_uncovered, _lagged, _min_norm, _zero_radius
 from harmex.spectral import MelSpectrogram, n_frames_for
 from conftest import FS, HOP, make_excitation
 from reference import (
@@ -37,6 +37,7 @@ from reference import (
     fill_uncovered_loop,
     fit_min_norm_loop,
     fit_ridge_loop,
+    min_norm_solve,
 )
 
 N_TAPS = 64
@@ -380,6 +381,49 @@ class TestMinNormMatchesLstsqLoop:
         np.testing.assert_allclose(fit.taps, expected, rtol=0, atol=1e-12)
 
 
+class TestMinNormMatchesSolve:
+    """``_min_norm``'s triangular inverse against the ``np.linalg.solve`` it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_taps=st.integers(1, 80),
+        n_frames=st.integers(1, 12),
+        extra_rows=st.integers(0, 3),
+        log_spread=st.floats(0.0, 3.0),
+        n_zeros=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_taps=64, n_frames=12, extra_rows=3, log_spread=1.0, n_zeros=0, seed=0)
+    @example(n_taps=61, n_frames=12, extra_rows=1, log_spread=2.0, n_zeros=3, seed=1)
+    @example(n_taps=1, n_frames=3, extra_rows=0, log_spread=0.0, n_zeros=1, seed=2)
+    def test_matches_solve(self, n_taps, n_frames, extra_rows, log_spread, n_zeros, seed):
+        """Upper-triangular R over ``extra_rows`` zero rows, so the QR leaves R as it is.
+
+        The diagonal spans ``log_spread`` decades, which puts kappa where the
+        gate decides (about half of the frames pass); ``n_zeros`` diagonal
+        entries are exactly zero.  The target is R times taps near 0.1 plus
+        a small residual in the extra rows.
+        """
+        rng = np.random.default_rng(seed)
+        r = np.triu(rng.normal(size=(n_frames, n_taps, n_taps))) / n_taps
+        d = np.arange(n_taps)
+        r[:, d, d] = rng.choice([-1.0, 1.0], (n_frames, n_taps)) * 10.0 ** -rng.uniform(
+            0.0, log_spread, (n_frames, n_taps)
+        )
+        zero_frames = rng.integers(n_frames, size=n_zeros)
+        zero_at = rng.integers(n_taps, size=n_zeros)
+        r[zero_frames, zero_at, zero_at] = 0.0
+        a = np.concatenate([r, np.zeros((n_frames, extra_rows, n_taps))], axis=1)
+        fit = r @ (0.1 * rng.normal(size=(n_frames, n_taps, 1)))
+        y = np.concatenate([fit, 1e-3 * rng.normal(size=(n_frames, extra_rows, 1))], axis=1)
+
+        x, uncertified = _min_norm(a, y)
+        want, want_uncertified = min_norm_solve(a, y)
+        assert uncertified[zero_frames].all()
+        both = ~uncertified & ~want_uncertified
+        np.testing.assert_allclose(x[both], want[both], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("elems", [1, 1 << 15])
 def test_block_size_changes_no_output(rng, monkeypatch, elems):
     """Every blocked stage gives the same bits at any ``signal_core.BLOCK_ELEMS``.
@@ -517,6 +561,7 @@ class TestEstimateMatchesRootsLoop:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(level=-4.0, depth=4.0, smooth=1, n_frames=24, n_taps=64, floor_db=-50.0, seed=0)
+    @example(level=0.0, depth=4.0, smooth=13, n_frames=12, n_taps=61, floor_db=-26.0, seed=0)
     def test_matches_loop(self, level, depth, smooth, n_frames, n_taps, floor_db, seed):
         """Frames of mean ``level`` whose bands stray by ``depth``, ``smooth`` bands at a time.
 
@@ -633,13 +678,17 @@ class TestMinimumPhaseFir:
         np.testing.assert_allclose(resp, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize(
-        "shape, n_taps",
-        [((1, 513), 0), ((1, 513), -3), ((1, 513), 1025), ((1, 512), 64), ((2, 3, 513), 64),
-         ((1, 513), 2.5), ((513,), 64)],  # the last: one row, but not a frames x bins matrix
+        "shape, n_taps, fft_size",
+        [((1, 513), 0, 1024), ((1, 513), -3, 1024), ((1, 513), 1025, 1024), ((1, 512), 64, 1024),
+         ((2, 3, 513), 64, 1024), ((1, 513), 2.5, 1024),
+         ((513,), 64, 1024),  # one row, but not a frames x bins matrix
+         ((1, 2), 1, 2.5), ((1, 1), 1, 0), ((1, 2), 1, np.nan)],
+        ids=[f"shape{i}-{n}" for i, n in enumerate([0, -3, 1025, 64, 64, 2.5, 64])]
+        + ["fft_size-2.5", "fft_size-0", "fft_size-nan"],
     )
-    def test_bad_n_taps_or_bin_count_rejected(self, shape, n_taps):
+    def test_bad_n_taps_or_bin_count_rejected(self, shape, n_taps, fft_size):
         with pytest.raises(ConfigError):
-            minimum_phase_fir(np.ones(shape), n_taps, 1024)
+            minimum_phase_fir(np.ones(shape), n_taps, fft_size)
 
 
 class TestCoeffFile:
