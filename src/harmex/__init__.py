@@ -23,7 +23,6 @@ from .ltv import (
     apply_ltv,
     estimate_coeffs_from_mel,
     fit_coeffs_least_squares,
-    frequency_response,
     minimum_phase_fir,
     read_coeffs,
     write_coeffs,

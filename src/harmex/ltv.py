@@ -9,8 +9,8 @@ invertible by the per-frame least-squares fit.
 Coefficient sources:
 
 * ``estimate_coeffs_from_mel`` turns a log-mel envelope into minimum-phase
-  FIR taps via the real cepstrum (a deterministic stand-in for a learned
-  coefficient predictor).
+  FIR taps by the Levinson-Durbin recursion on its inverse power spectrum
+  (a deterministic stand-in for a learned coefficient predictor).
 * ``fit_coeffs_least_squares`` solves per-frame ridge least squares against
   a target waveform, the ground-truth answer any predictor approximates.
 """
@@ -33,13 +33,8 @@ LTVF_MAGIC = b"LTVF"
 
 LOG10_FACTOR = 10.0 / math.log(10.0)  # natural-log power -> dB
 
-# Minimum-phase estimator (see ``minimum_phase_fir``)
-GATE_MARGIN = 1e-6  # the gate tests radius 1 - GATE_MARGIN
-BISECT_STEPS = 12
-ANGLE_FFT = 4096
-NEWTON_STEPS = 8
-CERTIFY_TOL = 1e-12
-CONTRACT_MARGIN = 1e-9  # contracted zeros end at radius 1 - CONTRACT_MARGIN
+# White-noise correction of ``minimum_phase_fir``: r[0] is scaled by 1 + WNC.
+WNC = 1e-9
 
 # Min-norm fit (see ``fit_coeffs_least_squares``): a frame's batched QR
 # answer is kept when its forward-error bound is at most FIT_GATE.
@@ -294,15 +289,19 @@ def _diagonal_blocks(m: np.ndarray, start: int, size: int, count: int) -> np.nda
 def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
     """Minimum-phase FIR taps whose response approximates ``magnitude``.
 
-    ``magnitude`` is frames x (fft_size//2 + 1) linear magnitudes, one row
-    per frame, and the taps are frames x n_taps (n_taps at most fft_size),
-    from the real-cepstrum construction in ``signal_core._blocks`` of rows,
-    truncated.  If the truncation pushes any zero of a row outside the
-    unit circle, that row is exponentially
-    contracted just enough to pull every zero back inside: see
-    ``_contract_roots_inside`` for the Schur-Cohn gate at radius
-    1 - GATE_MARGIN, the bracket-angle-Newton radius with its two-sided
-    certificate, and the ``np.roots`` fallback.
+    ``magnitude`` is frames x (fft_size//2 + 1) finite linear magnitudes,
+    one row per frame, and the taps are frames x n_taps (n_taps at most
+    fft_size).  Each row's inverse power spectrum ``max(|M|, 1e-12)^-2`` has
+    autocorrelation r (``irfft``, in ``signal_core._blocks`` of rows).  The
+    Levinson-Durbin recursion, all rows at once, gives its order n_taps - 1
+    monic predictor A and error E: order m takes k = -(A . r[m:0:-1]) / E,
+    A[i] += k A[m - i] for i = 1..m, and E *= 1 - k^2.  E / |A|^2 models the
+    inverse power, so the taps A / sqrt(E) have |H|^2 close to |M|^2.  A
+    positive-definite r gives every |k| < 1, so A has all its zeros inside
+    the unit circle (Makhoul, "Linear prediction: a tutorial review", Proc.
+    IEEE 63, 1975).  Scaling r[0] by 1 + WNC (white-noise correction) keeps
+    r's smallest eigenvalue at least WNC * r[0], far above the recursion's
+    rounding, however deep the notches.
     """
     fft_size = check_integer("fft_size", fft_size, minimum=1)
     n_taps = check_integer("n_taps", n_taps, minimum=1)
@@ -311,105 +310,20 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     rows = np.asarray(magnitude, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != fft_size // 2 + 1:
         raise ConfigError(f"magnitude shape {rows.shape}: need frames x {fft_size // 2 + 1} bins")
-    fold = np.zeros(fft_size)
-    fold[0] = 1.0
-    fold[1 : fft_size // 2] = 2.0
-    fold[fft_size // 2] = 1.0
-    h = np.empty((len(rows), n_taps))
+    # NaN fails too; below 1e150, every inverse power is a normal float64
+    if not -1e150 < rows.min(initial=0.0) <= rows.max(initial=0.0) < 1e150:
+        raise DomainError("envelope magnitudes must be finite and below 1e150")
+    r = np.empty((n_taps, len(rows)))  # lags x rows, as A
     for b in _blocks(0, len(rows), 8 * fft_size):  # about 8 row-sized transients per row
-        cep = np.fft.irfft(np.log(np.maximum(rows[b], 1e-12)), fft_size)
-        h[b] = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:, :n_taps]
-    return _contract_roots_inside(h)
-
-
-def _contract_roots_inside(h: np.ndarray) -> np.ndarray:
-    """Pull every row's zeros inside the unit circle, as ``np.roots`` would.
-
-    Each row is a polynomial in z^-1 whose largest zero radius r is the
-    largest ``|np.roots(row)|``.  A row with r > 1 becomes h[n] * rho^n with
-    rho = (1 - CONTRACT_MARGIN) / r, which scales every zero by rho exactly.
-
-    Gate: one batched Schur-Cohn step-down decides, for every row, whether
-    all zeros lie within radius 1 - GATE_MARGIN; those rows are kept as they
-    are.  The margin sends every row whose r rounds close to 1 through the
-    radius search, so the gate never disagrees with ``np.roots`` rounding at
-    the unit circle.  The remaining rows get r from ``_zero_radius``.
-    """
-    todo = np.flatnonzero(~_zeros_within(h, np.full(len(h), 1.0 - GATE_MARGIN)))
-    r = _zero_radius(h[todo])
-    grow = r > 1.0
-    out = h.copy()
-    rho = (1.0 - CONTRACT_MARGIN) / r[grow]
-    out[todo[grow]] = h[todo[grow]] * rho[:, None] ** np.arange(h.shape[1])
-    return out
-
-
-def _zeros_within(h: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Per row: do all zeros of sum_n h[n] z^-n lie strictly inside ``radius``?
-
-    Schur-Cohn (Jury) step-down on the monic polynomial h[n] radius^-n: with
-    k its constant coefficient, every zero is inside the unit circle iff
-    |k| < 1 and every zero of (a - k * reversed(a)) / z is.  Rows that
-    overflow or meet a zero leading tap come out False.
-    """
-    n = np.arange(h.shape[1])[:, None]
-    a = np.ascontiguousarray(h.T) * radius ** -n  # taps x rows
-    inside = np.ones(len(h), dtype=bool)
-    with np.errstate(all="ignore"):  # rows already found outside may overflow
-        a = a / a[0]
-        for m in range(len(a) - 1, 0, -1):
-            k = a[m]
-            inside &= np.abs(k) < 1.0
-            a = (a[:m] - k * a[m:0:-1]) / (1.0 - k * k)
-    return inside
-
-
-def _zero_radius(h: np.ndarray) -> np.ndarray:
-    """Largest zero radius of each row that failed the gate (r >= 1 - GATE_MARGIN).
-
-    Bracket: BISECT_STEPS geometric bisections of [1 - GATE_MARGIN, Cauchy
-    bound] with ``_zeros_within``.  Angle: the deepest dip of |H| on the
-    outer circle of the bracket, sampled at ANGLE_FFT points, in
-    ``signal_core._blocks`` of rows.  Newton: NEWTON_STEPS complex Horner steps from that
-    point give a zero z.  Certificate, two-sided: all zeros lie within
-    |z| (1 + CERTIFY_TOL), not all lie within |z| (1 - CERTIFY_TOL), and that
-    interval lies on one side of 1, so a row is contracted exactly when
-    ``np.roots`` says it must be.  A one-sided certificate would accept a
-    Newton point that stalled outside every zero and over-contract the row.
-    Rows that are not certified take ``max |np.roots(row)|`` (0 if none,
-    nan if a tap is not finite), which is exact.
-    """
-    with np.errstate(all="ignore"):  # a zero leading tap gives nan: not certified
-        lo = np.full(len(h), 1.0 - GATE_MARGIN)
-        hi = 1.0 + np.abs(h[:, 1:] / h[:, :1]).max(axis=1, initial=0.0)  # Cauchy bound
-        for _ in range(BISECT_STEPS):
-            mid = np.sqrt(lo * hi)
-            inside = _zeros_within(h, mid)
-            hi, lo = np.where(inside, mid, hi), np.where(inside, lo, mid)
-
-        dip = np.empty(len(h), dtype=np.intp)
-        n = np.arange(h.shape[1])
-        for b in _blocks(0, len(h), ANGLE_FFT):  # ANGLE_FFT // 2 + 1 complex bins per row
-            dip[b] = np.abs(np.fft.rfft(h[b] * hi[b, None] ** -n, ANGLE_FFT)).argmin(axis=1)
-        z = hi * np.exp(2j * np.pi / ANGLE_FFT * dip)
-
-        for _ in range(NEWTON_STEPS):
-            p, dp = h[:, 0].astype(complex), np.zeros(len(h), dtype=complex)
-            for c in h[:, 1:].T:
-                dp = dp * z + p
-                p = p * z + c
-            z = z - p / dp
-
-        r = np.abs(z)
-        below, above = r * (1.0 - CERTIFY_TOL), r * (1.0 + CERTIFY_TOL)
-        certified = (
-            ((above < 1.0) | (below > 1.0))
-            & _zeros_within(h, above)
-            & ~_zeros_within(h, below)
-        )
-    for i in np.flatnonzero(~certified):  # np.roots raises on a non-finite tap
-        r[i] = np.abs(np.roots(h[i])).max(initial=0.0) if np.isfinite(h[i]).all() else np.nan
-    return r
+        r[:, b] = np.fft.irfft(np.maximum(rows[b], 1e-12) ** -2.0, fft_size)[:, :n_taps].T
+    r[0] *= 1.0 + WNC
+    a = np.zeros_like(r)
+    a[0], e = 1.0, r[0].copy()
+    for m in range(1, n_taps):  # cumsum adds over i in order, as a per-frame loop does
+        k = -np.cumsum(a[:m] * r[m:0:-1], axis=0)[-1] / e
+        a[1 : m + 1] += k * a[m - 1 :: -1]
+        e *= 1.0 - k * k
+    return np.ascontiguousarray((a / np.sqrt(e)).T)
 
 
 def _fill_uncovered(log_power: np.ndarray, covered: np.ndarray) -> None:
@@ -427,9 +341,9 @@ def estimate_coeffs_from_mel(
     """Minimum-phase FIR per frame from a log-mel envelope.
 
     The envelope (``_mel_magnitude``) is turned into taps by the
-    real-cepstrum method of ``minimum_phase_fir``, all frames in one call.
+    Levinson-Durbin recursion of ``minimum_phase_fir``, all frames in one call.
     """
-    # an envelope beyond float64 gives non-finite taps, which LtvFirCoeffs rejects
+    # an envelope beyond float64 comes out inf or nan, which minimum_phase_fir rejects
     with np.errstate(over="ignore", invalid="ignore"):
         taps = minimum_phase_fir(_mel_magnitude(mel, floor_db), n_taps, mel.config.fft_size)
     return LtvFirCoeffs(taps, mel.hop_seconds, mel.sample_rate)
@@ -467,16 +381,6 @@ def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
 
     mag_db = np.maximum(LOG10_FACTOR * log_power, floor_db)
     return 10.0 ** (mag_db / 20.0)
-
-
-def frequency_response(h: LtvFirCoeffs, frame: int, n_fft: int) -> np.ndarray:
-    """Magnitude response of one frame's taps in dB, floored at -120 dB."""
-    if not (0 <= frame < h.n_frames):
-        raise IndexError(f"frame {frame} out of range [0, {h.n_frames})")
-    if n_fft < h.n_taps:
-        raise ConfigError(f"n_fft={n_fft} smaller than n_taps={h.n_taps}")
-    mag = np.abs(np.fft.rfft(h.taps[frame], n_fft))
-    return np.maximum(20.0 * np.log10(np.maximum(mag, 1e-300)), -120.0)
 
 
 def write_coeffs(path, h: LtvFirCoeffs) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from harmex import (
     AudioSignal,
+    ConfigError,
     ExcitationConfig,
     F0Track,
     LtvFirCoeffs,
@@ -51,6 +52,16 @@ def formant_envelope_coeffs(
         mag_db = np.maximum(mag_db, g - 0.5 * ((freqs - c[:, None]) / w) ** 2)
     taps = minimum_phase_fir(10 ** (mag_db / 20.0), n_taps, stft.fft_size)
     return LtvFirCoeffs(taps, stft.hop_size / fs, fs)
+
+
+def frequency_response(h: LtvFirCoeffs, frame: int, n_fft: int) -> np.ndarray:
+    """Magnitude response of one frame's taps in dB, floored at -120 dB."""
+    if not (0 <= frame < h.n_frames):
+        raise IndexError(f"frame {frame} out of range [0, {h.n_frames})")
+    if n_fft < h.n_taps:
+        raise ConfigError(f"n_fft={n_fft} smaller than n_taps={h.n_taps}")
+    mag = np.abs(np.fft.rfft(h.taps[frame], n_fft))
+    return np.maximum(20.0 * np.log10(np.maximum(mag, 1e-300)), -120.0)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from harmex import (
 )
 from harmex.conditioning import decimation_taps
 from harmex.errors import AliasingError, DomainError, LengthMismatchError
-from harmex.ltv import FIT_EPS, FIT_GATE, _check_geometry, _lagged, _mel_magnitude
+from harmex.ltv import FIT_EPS, FIT_GATE, WNC, _check_geometry, _lagged, _mel_magnitude
 from harmex.metrics import _search_ratio
 from harmex.signal_core import TAU, _voiced_runs
 from harmex.spectral import MelSpectrogram, frame_centers, hop_samples, n_frames_for
@@ -139,42 +139,29 @@ def fill_uncovered_loop(log_power: np.ndarray, covered: np.ndarray) -> np.ndarra
     return out
 
 
-def contract_roots_loop(h: np.ndarray) -> np.ndarray:
-    """``ltv._contract_roots_inside`` with one ``np.roots`` call per row.
-
-    A row is contracted when ``np.roots`` puts a zero outside the unit
-    circle, as in the library.  The radius that sets by how much is
-    polished first: every root takes three complex Newton steps on the
-    row's polynomial.  The companion-matrix eigenvalues alone can be off by
-    a few ulps: on one 61-tap frame with taps up to 36 the largest radius
-    was 3.9e-15 (relative) from the 50-digit ``mpmath.polyroots`` value,
-    which moved the contracted taps by 1.0e-12; polished, it was 8e-16 off.
-    """
-    out = h.copy()
-    for f, row in enumerate(h):
-        z = np.roots(row)
-        if len(row) > 1 and np.abs(z).max(initial=0.0) > 1.0:
-            with np.errstate(all="ignore"):  # where p or p' overflows or p'(z) = 0, keep z
-                for _ in range(3):
-                    step = np.polyval(row, z) / np.polyval(np.polyder(row), z)
-                    z = np.where(np.isfinite(step), z - step, z)
-            # row[n] * rho^n has its zeros at rho * (original zeros), exactly
-            out[f] = row * ((1.0 - 1e-9) / np.abs(z).max()) ** np.arange(len(row))
-    return out
-
-
 def estimate_taps_loop(mel: MelSpectrogram, n_taps: int = 64, floor_db: float = -50.0) -> np.ndarray:
-    """``ltv.estimate_coeffs_from_mel`` taps, one real cepstrum and one ``np.roots`` per frame."""
+    """``ltv.estimate_coeffs_from_mel`` taps, one scalar Levinson-Durbin recursion per frame.
+
+    Each frame's autocorrelation r of its inverse power spectrum, r[0]
+    scaled by 1 + WNC, gives the monic predictor a and its error e one
+    order m at a time: k = -sum_i a[i] r[m - i] / e, a[i] += k a[m - i],
+    e *= 1 - k^2.  The taps are a / sqrt(e).
+    """
     fft_size = mel.config.fft_size
-    fold = np.zeros(fft_size)
-    fold[0] = 1.0
-    fold[1 : fft_size // 2] = 2.0
-    fold[fft_size // 2] = 1.0
     taps = np.zeros((mel.n_frames, n_taps))
     for f, magnitude in enumerate(_mel_magnitude(mel, floor_db)):
-        cep = np.fft.irfft(np.log(np.maximum(magnitude, 1e-12)), fft_size)
-        taps[f] = np.fft.irfft(np.exp(np.fft.rfft(cep * fold)), fft_size)[:n_taps]
-    return contract_roots_loop(taps)
+        r = np.fft.irfft(np.maximum(magnitude, 1e-12) ** -2.0, fft_size)[:n_taps].tolist()
+        r[0] *= 1.0 + WNC
+        a, e = [1.0], r[0]
+        for m in range(1, n_taps):
+            acc = 0.0
+            for i in range(m):
+                acc += a[i] * r[m - i]
+            k = -acc / e
+            a = [1.0] + [a[i] + k * a[m - i] for i in range(1, m)] + [k]
+            e *= 1.0 - k * k
+        taps[f] = np.array(a) / math.sqrt(e)
+    return taps
 
 
 def refine_pitch_loop(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200.0) -> np.ndarray:
