@@ -169,10 +169,10 @@ def _cmd_estimate(args, r):
                 raise ConfigError(message, path=args.mel_file)
         r = {**r, **header}
     stft = StftConfig(r["fft_size"], r["win_size"], r["hop_size"])
-    if not math.isclose(hop_seconds, stft.hop_size / r["sample_rate"]):
+    mel = spectral.MelSpectrogram(frames, stft, r["sample_rate"], (r["f_min"], r["f_max"]))
+    if not math.isclose(hop_seconds, mel.hop_seconds):
         rate = f"hop_size/sample_rate = {stft.hop_size}/{r['sample_rate']}"
         raise ConfigError(f"mel file hop {hop_seconds} s differs from {rate}", path=args.mel_file)
-    mel = spectral.MelSpectrogram(frames, stft, r["sample_rate"], (r["f_min"], r["f_max"]))
     ltv.write_coeffs(args.out, ltv.estimate_coeffs_from_mel(mel, r["n_taps"], r["floor_db"]))
     return {"hop_seconds": hop_seconds, **header}
 

@@ -7,6 +7,8 @@ parsing prose.
 
 import math
 
+import numpy as np
+
 
 class HarmexError(Exception):
     """Base class for all harmex errors."""
@@ -63,11 +65,15 @@ class UndefinedMetricError(DomainError):
 
 
 def check_positive(name, value, *, allow_zero=False, error=ConfigError) -> None:
-    """Raise ``error`` unless ``value`` is finite and > 0 (>= 0 if allow_zero).
+    """Raise ``error`` unless ``value`` is a finite real > 0 (>= 0 if allow_zero).
 
     A bare ``value <= 0`` test lets NaN through, so every such check is here.
     """
-    if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+    try:
+        ok = math.isfinite(value) and (value >= 0 if allow_zero else value > 0)
+    except (TypeError, OverflowError):  # not a real number, or an int beyond float64
+        ok = False
+    if not ok:
         bound = ">= 0" if allow_zero else "> 0"
         raise error(f"{name} must be finite and {bound}, got {value!r}")
 
@@ -82,12 +88,31 @@ def check_count(name, value) -> int:
     return round(value)
 
 
-def check_integer(name, value, minimum) -> int:
-    """``int(value)`` if ``value`` is a whole number >= minimum; 2.5, NaN and inf are rejected."""
+def check_integer(name, value, minimum, maximum=math.inf, error=ConfigError) -> int:
+    """``int(value)`` if it is a whole number in [minimum, maximum]; 2.5, NaN and inf are not."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
-    if whole is None or whole != value or whole < minimum:
-        raise ConfigError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    if whole is None or whole != value or not minimum <= whole <= maximum:
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise error(f"{name} must be a whole number {bound}, got {value!r}")
     return whole
+
+
+def check_array(name, values, ndim, minimum=None, error=DomainError) -> np.ndarray:
+    """``values`` as a float64 array of ``ndim`` dimensions, finite and >= minimum.
+
+    ConfigError if they do not convert or have other dimensions, else ``error``.
+    A float32 signaling NaN converts without its warning and fails as non-finite.
+    """
+    try:
+        with np.errstate(invalid="ignore"):
+            array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be real numbers: {exc}") from None
+    if array.ndim != ndim:
+        raise ConfigError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    if not np.all(np.isfinite(array)) or (minimum is not None and np.any(array < minimum)):
+        raise error(f"{name} must be finite" + ("" if minimum is None else f" and >= {minimum}"))
+    return array

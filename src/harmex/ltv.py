@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_io
-from .errors import (
-    ConfigError, DomainError, LengthMismatchError, check_count, check_integer, check_positive,
-)
+from .errors import ConfigError, DomainError, LengthMismatchError
+from .errors import check_array, check_count, check_integer, check_positive
 from .signal_core import AudioSignal, _blocks, _voiced_runs
 from .spectral import MelSpectrogram, hop_samples, mel_filterbank, n_frames_for
 
@@ -51,14 +50,10 @@ class LtvFirCoeffs:
     sample_rate: float
 
     def __post_init__(self):
-        t = np.asarray(self.taps, dtype=np.float64)
-        object.__setattr__(self, "taps", t)
-        if t.ndim != 2 or 0 in t.shape:
-            raise ConfigError(f"taps of shape {t.shape}: need frames x taps, both >= 1")
-        if not np.all(np.isfinite(t)):
-            raise DomainError("filter coefficients must be finite")
-        check_positive("sample_rate", self.sample_rate)
-        hop_samples(self.hop_seconds, self.sample_rate)
+        object.__setattr__(self, "taps", check_array("filter coefficients", self.taps, 2))
+        if 0 in self.taps.shape:
+            raise ConfigError(f"taps of shape {self.taps.shape}: need frames x taps, both >= 1")
+        hop_samples(self.hop_seconds, self.sample_rate)  # checks sample_rate first
 
     @property
     def n_frames(self) -> int:
@@ -307,12 +302,12 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     n_taps = check_integer("n_taps", n_taps, minimum=1)
     if n_taps > fft_size:
         raise ConfigError(f"n_taps={n_taps} above fft_size={fft_size}")
-    rows = np.asarray(magnitude, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != fft_size // 2 + 1:
+    rows = check_array("envelope magnitudes", magnitude, 2)
+    if rows.shape[1] != fft_size // 2 + 1:
         raise ConfigError(f"magnitude shape {rows.shape}: need frames x {fft_size // 2 + 1} bins")
-    # NaN fails too; below 1e150, every inverse power is a normal float64
+    # below 1e150, every inverse power is a normal float64
     if not -1e150 < rows.min(initial=0.0) <= rows.max(initial=0.0) < 1e150:
-        raise DomainError("envelope magnitudes must be finite and below 1e150")
+        raise DomainError("envelope magnitudes must be below 1e150")
     r = np.empty((n_taps, len(rows)))  # lags x rows, as A
     for b in _blocks(0, len(rows), 8 * fft_size):  # about 8 row-sized transients per row
         r[:, b] = np.fft.irfft(np.maximum(rows[b], 1e-12) ** -2.0, fft_size)[:, :n_taps].T
@@ -327,12 +322,14 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
 
 
 def _fill_uncovered(log_power: np.ndarray, covered: np.ndarray) -> None:
-    """Fill uncovered bins of every frame at once, as per-frame ``np.interp``."""
-    cov, gaps = np.flatnonzero(covered), np.flatnonzero(~covered)
-    j = np.searchsorted(cov, gaps)
-    lo, hi = cov[np.maximum(j - 1, 0)], cov[np.minimum(j, len(cov) - 1)]  # equal outside
-    slope = (log_power[:, hi] - log_power[:, lo]) / np.maximum(hi - lo, 1)
-    log_power[:, gaps] = slope * (gaps - lo) + log_power[:, lo]
+    """Per-frame ``np.interp`` over the covered bins, which holds their end values.
+
+    Band i of ``mel_filterbank`` is positive strictly between edges i and
+    i + 2 of increasing edges, so the bands cover one run of bins.
+    """
+    first, last = np.flatnonzero(covered)[[0, -1]]
+    log_power[:, :first] = log_power[:, first, None]
+    log_power[:, last + 1 :] = log_power[:, last, None]
 
 
 def estimate_coeffs_from_mel(
@@ -343,6 +340,7 @@ def estimate_coeffs_from_mel(
     The envelope (``_mel_magnitude``) is turned into taps by the
     Levinson-Durbin recursion of ``minimum_phase_fir``, all frames in one call.
     """
+    floor_db = check_array("floor_db", floor_db, 0)
     # an envelope beyond float64 comes out inf or nan, which minimum_phase_fir rejects
     with np.errstate(over="ignore", invalid="ignore"):
         taps = minimum_phase_fir(_mel_magnitude(mel, floor_db), n_taps, mel.config.fft_size)
@@ -374,9 +372,7 @@ def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
     log_area = np.log(fbank.sum(axis=1))
     band_comp = 0.5 * (log_area + log_area.mean())
     log_power = np.empty((mel.n_frames, cfg.n_bins))
-    log_power[:, covered] = ((mel.frames - band_comp) @ fbank[:, covered]) / coverage[
-        covered
-    ]
+    log_power[:, covered] = (mel.frames - band_comp) @ fbank[:, covered] / coverage[covered]
     _fill_uncovered(log_power, covered)  # bins outside the mel range
 
     mag_db = np.maximum(LOG10_FACTOR * log_power, floor_db)
@@ -390,5 +386,4 @@ def write_coeffs(path, h: LtvFirCoeffs) -> None:
 
 def read_coeffs(path) -> LtvFirCoeffs:
     taps, header = tensor_io.read_tensor(path, LTVF_MAGIC, {1: ("hop_seconds", "sample_rate")})
-    with np.errstate(invalid="ignore"):  # a signaling NaN warns; LtvFirCoeffs rejects it
-        return LtvFirCoeffs(taps.astype(np.float64), **header)
+    return LtvFirCoeffs(taps, **header)

@@ -8,7 +8,6 @@ classic GAN-vocoder failure modes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import (
     DomainError,
     LengthMismatchError,
     UndefinedMetricError,
+    check_array,
     check_positive,
 )
 from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds
@@ -83,15 +83,16 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
     for res in cfg.resolutions:
         mx = stft_magnitude(x, res)
         my = stft_magnitude(y, res)
-        sc_terms.append(np.linalg.norm(my - mx) / np.linalg.norm(my))
-        mag_terms.append(
-            np.mean(
-                np.abs(
-                    np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR))
-                )
-            )
-        )
+        # no name holds a difference: one kept into the next resolution raised peak memory
+        sc_terms.append(_frobenius(my - mx) / _frobenius(my))
+        mag_terms.append(np.mean(np.abs(
+            np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR)))))
     return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` as an einsum sum, which adds in one order at any BLAS thread count."""
+    return np.sqrt(np.einsum("ij,ij->", a, a))
 
 
 def mel_mae(x_mel: MelSpectrogram, y_mel: MelSpectrogram) -> float:
@@ -109,13 +110,13 @@ def mel_mae(x_mel: MelSpectrogram, y_mel: MelSpectrogram) -> float:
 
 def combined_loss(l_dec: float, l_adv: float, l_stft: float, w: LossWeights = LossWeights()) -> float:
     """alpha * l_dec + beta * l_adv + l_stft."""
-    if not all(math.isfinite(v) for v in (l_dec, l_adv, l_stft)):
-        raise DomainError("loss terms must be finite")
+    l_dec, l_adv, l_stft = check_array("loss terms", (l_dec, l_adv, l_stft), 1).tolist()
     return w.alpha * l_dec + w.beta * l_adv + l_stft
 
 
 def _search_ratio(search_cents: float) -> float:
-    if not 0.0 < search_cents <= 1200.0:  # also rejects NaN
+    check_positive("search_cents", search_cents)
+    if search_cents > 1200.0:
         raise ConfigError(f"search_cents must be in (0, 1200], got {search_cents!r}")
     return 2.0 ** (search_cents / 1200.0)
 
@@ -226,9 +227,9 @@ def uv_error_rate(
     signal at any hop; a frame that owns none is decided unvoiced.  The hop
     must round to at least one sample, and the threshold must be finite.
     """
-    if not math.isfinite(energy_threshold_db):
-        raise ConfigError(f"energy_threshold_db must be finite, got {energy_threshold_db!r}")
+    threshold = float(check_array("energy_threshold_db", energy_threshold_db, 0, error=ConfigError))
     if len(ref_f0) == 0:
         raise DomainError("empty reference track")
-    decided = _voicing_decisions(x, ref_f0, energy_threshold_db)
+    # RMS <= peak, so a 6000 dB (1e300) cap moves no decision and keeps 10 ** (t / 20) finite
+    decided = _voicing_decisions(x, ref_f0, min(threshold, 6000.0))
     return float(np.mean(decided != ref_f0.voiced_mask))

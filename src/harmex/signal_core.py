@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AliasingError, ConfigError, DomainError, LengthMismatchError
-from .errors import check_count, check_integer, check_positive
+from .errors import check_array, check_count, check_integer, check_positive
 
 TAU = 2.0 * math.pi
 
@@ -43,12 +43,7 @@ class F0Track:
     hop_seconds: float = DEFAULT_HOP_SECONDS
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ConfigError("f0 track must be one-dimensional")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise DomainError("f0 values must be finite and >= 0")
+        object.__setattr__(self, "values", check_array("f0 values", self.values, 1, minimum=0))
         check_positive("hop_seconds", self.hop_seconds)
 
     def __len__(self):
@@ -67,10 +62,7 @@ class SampleF0:
     sample_rate: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise DomainError("f0 values must be finite and >= 0")
+        object.__setattr__(self, "values", check_array("f0 values", self.values, 1, minimum=0))
         check_positive("sample_rate", self.sample_rate)
 
     def __len__(self):
@@ -85,12 +77,7 @@ class AudioSignal:
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", s)
-        if s.ndim != 1:
-            raise ConfigError("audio must be mono (one-dimensional)")
-        if not np.all(np.isfinite(s)):
-            raise DomainError("audio samples must be finite")
+        object.__setattr__(self, "samples", check_array("audio samples", self.samples, 1))
         check_positive("sample_rate", self.sample_rate)
 
     def __len__(self):
@@ -156,6 +143,7 @@ def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> Sample
     run, whose endpoint values are held to the voicing boundary; every sample
     of an unvoiced frame is exactly zero.
     """
+    check_positive("sample_rate", sample_rate)
     hop = track.hop_seconds * sample_rate
     n_samples = check_count("n_samples", check_integer("n_samples", n_samples, minimum=0))
     coverage = (len(track) + 1) * hop  # through one hop past the last frame
@@ -177,8 +165,8 @@ def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> Sample
 
 def harmonic_count(f0: float, sample_rate: float) -> int:
     """Number of harmonics of f0 that fit at or below Nyquist."""
-    if f0 <= 0:
-        raise DomainError(f"f0 must be > 0, got {f0}")
+    check_positive("f0", f0, error=DomainError)
+    check_positive("sample_rate", sample_rate)
     return int(math.floor(sample_rate / (2.0 * f0)))
 
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_count, check_integer
+from .errors import ConfigError, DomainError, check_array, check_count, check_integer, check_positive
 from .signal_core import AudioSignal
 
 MEL_FLOOR = 1e-5
+MEL_RANGE = (0.0, 8000.0)  # default f_min, f_max in Hz
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,11 @@ class MelSpectrogram:
     frames: np.ndarray
     config: StftConfig
     sample_rate: float
-    mel_range: tuple[float, float] = (0.0, 8000.0)
+    mel_range: tuple[float, float] = MEL_RANGE
 
     def __post_init__(self):
-        with np.errstate(invalid="ignore"):  # a float32 signaling NaN warns; isfinite rejects it
-            f = np.asarray(self.frames, dtype=np.float64)
-        object.__setattr__(self, "frames", f)
-        if f.ndim != 2:
-            raise ConfigError("mel frames must be 2-D (n_frames x n_mels)")
-        if not np.all(np.isfinite(f)):
-            raise DomainError("mel values must be finite")
+        object.__setattr__(self, "frames", check_array("mel frames", self.frames, 2))
+        check_positive("sample_rate", self.sample_rate)
 
     @property
     def n_frames(self) -> int:
@@ -78,10 +74,7 @@ class LoudnessTrack:
     hop_seconds: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)):
-            raise DomainError("loudness values must be finite")
+        object.__setattr__(self, "values", check_array("loudness values", self.values, 1))
 
     def __len__(self):
         return len(self.values)
@@ -93,7 +86,8 @@ def n_frames_for(n_samples: int, hop: int) -> int:
 
 def hop_samples(hop_seconds: float, sample_rate: float) -> int:
     """The hop in whole samples; a non-finite hop or one rounding below 1 is an error."""
-    hop = hop_seconds * sample_rate
+    check_positive("sample_rate", sample_rate)
+    hop = float(check_array("hop_seconds", hop_seconds, 0, error=ConfigError)) * sample_rate
     if not math.isfinite(hop):
         raise ConfigError(f"hop of {hop_seconds} s at fs={sample_rate} is not finite in samples")
     if round(hop) < 1:
@@ -153,13 +147,17 @@ def mel_filterbank(
     n_mels: int,
     fft_size: int,
     sample_rate: float,
-    f_min: float = 0.0,
-    f_max: float = 8000.0,
+    f_min: float = MEL_RANGE[0],
+    f_max: float = MEL_RANGE[1],
 ) -> np.ndarray:
     """Triangular mel filterbank, peak-normalized, shape n_mels x n_bins."""
     n_mels = check_integer("n_mels", n_mels, minimum=1)
+    fft_size = check_integer("fft_size", fft_size, minimum=1)
     check_count("mel filterbank entries", n_mels * (fft_size // 2 + 1))
-    if not (0 <= f_min < f_max <= sample_rate / 2):
+    check_positive("sample_rate", sample_rate)
+    check_positive("f_min", f_min, allow_zero=True)
+    check_positive("f_max", f_max)
+    if not f_min < f_max <= sample_rate / 2:
         raise ConfigError(f"invalid mel range [{f_min}, {f_max}] at fs={sample_rate}")
     edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
     bin_freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
@@ -177,12 +175,10 @@ def mel_spectrogram(
     x: AudioSignal,
     cfg: StftConfig = StftConfig(),
     n_mels: int = 80,
-    f_min: float = 0.0,
-    f_max: float = 8000.0,
+    f_min: float = MEL_RANGE[0],
+    f_max: float = MEL_RANGE[1],
 ) -> MelSpectrogram:
     """Log mel-power spectrogram: triangle filterbank over |STFT|^2, floored at MEL_FLOOR."""
-    if f_max > x.sample_rate / 2:
-        raise ConfigError(f"f_max={f_max} above Nyquist of fs={x.sample_rate}")
     mag = stft_magnitude(x, cfg)
     fbank = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
     mel = (mag**2) @ fbank.T

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import FormatError, check_positive
+from .errors import FormatError, check_integer, check_positive
 
 HMX_MAGIC = b"HMX1"
 HMX_LAYOUTS = {
@@ -88,13 +88,10 @@ def read_hmx(path) -> tuple[np.ndarray, dict]:
     geometry, with the three sizes as ints.
     """
     data, header = read_tensor(path, HMX_MAGIC, HMX_LAYOUTS)
+    bad = partial(FormatError, path=path)
     for name in ("fft_size", "win_size", "hop_size"):
         if name in header:
-            value = header[name]
-            if not (value.is_integer() and value < 2**31):
-                message = f"{name} must be a whole number below 2**31, got {value!r}"
-                raise FormatError(message, path=path)
-            header[name] = int(value)
+            header[name] = check_integer(name, header[name], 1, 2**31 - 1, error=bad)
     return data, header
 
 

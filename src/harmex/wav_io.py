@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import struct
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError
+from .errors import ConfigError, FormatError, check_array
 from .signal_core import AudioSignal
 
 WAVE_PCM, WAVE_IEEE_FLOAT, WAVE_EXTENSIBLE = 1, 3, 0xFFFE
@@ -102,12 +103,9 @@ def read_wav(path) -> AudioSignal:
                 raise FormatError("data chunk before fmt chunk", path=path)
             dtype, rate = _sample_dtype(fmt, order, path)
             data = np.frombuffer(body, dtype, count=size // dtype.itemsize)
-            with np.errstate(invalid="ignore"):  # a signaling NaN warns; isfinite rejects it
-                samples = data.astype(np.float64)
+            samples = check_array("float samples", data, 1, error=partial(FormatError, path=path))
             if dtype.kind == "i":
                 samples /= 32767.0
-            if not np.all(np.isfinite(samples)):
-                raise FormatError("non-finite float samples", path=path)
             return AudioSignal(samples, rate)
         pos += 8 + size + size % 2
     raise FormatError("no data chunk", path=path)
@@ -128,8 +126,7 @@ def write_wav(path, x: AudioSignal, encoding: WavEncoding = WavEncoding.FLOAT32)
         encoding = WavEncoding(encoding)
     except ValueError:
         raise ConfigError(f"unknown WAV encoding {encoding!r}") from None
-    if not np.all(np.isfinite(x.samples)):
-        raise DomainError("cannot write non-finite samples")
+    check_array("samples to write", x.samples, 1)  # a record's samples can be replaced
     width = 2 if encoding is WavEncoding.PCM16 else 4
     rate = int(round(x.sample_rate))
     if not 1 <= rate <= U32_MAX // width:

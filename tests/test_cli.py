@@ -305,6 +305,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("fit", "{empty_wav}", "{empty_wav}", "--out", "{out}"), None, "domain"),
         (("filter", "{wav}", "{no_frames}", "--out", "{out}"), None, "config"),
         (("mel", "{wav}", "--n-mels", "0", "--out", "{out}"), None, "config"),
+        (("estimate", "{mel80_v1}", "--sample-rate", "0", "--out", "{out}"), None, "config"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
@@ -319,6 +320,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
         "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
         "condition-factor-1e15", "fit-empty-wavs", "filter-no-frames", "mel-n-mels-0",
+        "estimate-sample-rate-0",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import harmex
 from harmex import (
     AudioSignal,
     ConfigError,
@@ -62,6 +67,30 @@ class TestMrStftLoss:
         x = gaussian_noise(8000, FS, 0)
         with pytest.raises(DegenerateReferenceError):
             mr_stft_loss(x, AudioSignal(np.zeros(8000), FS))
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        """10 s of harmonic audio: long enough that a BLAS sum splits across threads."""
+        env = {**os.environ, "PYTHONPATH": str(Path(harmex.__file__).parents[1])}
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", BLAS_THREADS_SCRIPT], env={**env, "OPENBLAS_NUM_THREADS": n},
+                capture_output=True, text=True, check=True, timeout=300,
+            ).stdout
+            for n in ("1", "2")
+        }
+        assert len(outputs) == 1, outputs
+
+
+BLAS_THREADS_SCRIPT = """
+import numpy as np
+from harmex import F0Track, interpolate_f0, mr_stft_loss, sine_excitation
+
+t = np.arange(1000) * 0.01
+f0 = np.where(t % 1.0 < 0.8, 120.0 * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t)), 0.0)
+x, y = (sine_excitation(interpolate_f0(F0Track(f0 * k), 16000, 160000)) for k in (1.0, 1.01))
+loss = mr_stft_loss(x, y)
+print(repr(loss.sc), repr(loss.mag))
+"""
 
 
 class TestMelMae:
@@ -278,6 +307,12 @@ class TestUvErrorRate:
     def test_empty_track_rejected(self):
         with pytest.raises(DomainError):
             uv_error_rate(gaussian_noise(100, FS, 0), F0Track(np.zeros(0)))
+
+    @pytest.mark.parametrize("threshold_db", [100.0, 6100.0, 6200.0, 1e308])
+    def test_threshold_above_the_peak_decides_all_unvoiced(self, threshold_db):
+        """10 ** (threshold / 20) overflows from about 6166 dB; the decisions do not change there."""
+        track = F0Track(np.concatenate([np.full(7, 100.0), np.zeros(3)]))
+        assert uv_error_rate(gaussian_noise(1600, FS, 0), track, threshold_db) == 0.7
 
     @pytest.mark.parametrize("threshold_db", [float("nan"), float("inf")])
     def test_non_finite_threshold_rejected(self, threshold_db):

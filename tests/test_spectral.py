@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -97,6 +98,23 @@ class TestMelFilterbank:
         freqs = np.arange(513) * FS / 1024
         inside = (freqs > 0.0) & (freqs < 8000.0)
         assert np.all(fbank.sum(axis=0)[inside] > 0)
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100])
+    def test_covered_bins_form_one_run(self, fs):
+        """``ltv._fill_uncovered`` holds the ends of this run and relies on no gap inside it."""
+        settings = itertools.product(
+            (64, 256, 1024, 2048), (1, 8, 40, 80, 128), (0.0, 50.0, 300.0), (3000.0, 7000.0, fs / 2)
+        )
+        built = 0
+        for fft_size, n_mels, f_min, f_max in settings:
+            try:
+                fbank = mel_filterbank(n_mels, fft_size, fs, f_min, min(f_max, fs / 2))
+            except ConfigError:  # a band covers no bin
+                continue
+            built += 1
+            run = np.flatnonzero(fbank.sum(axis=0) > 0)
+            assert run[-1] - run[0] + 1 == len(run), (fft_size, n_mels, f_min, f_max)
+        assert built >= 100
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigError):
