@@ -75,12 +75,6 @@ def _csv(item):
     return coerce
 
 
-def _channel(name: str) -> str:
-    if name not in cond.CHANNEL_ORDER:
-        raise ValueError(f"unknown channel {name!r}, expected one of {cond.CHANNEL_ORDER}")
-    return name
-
-
 def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
@@ -160,21 +154,8 @@ def _cmd_filter(args, r):
 
 
 def _cmd_estimate(args, r):
-    frames, header = tensor_io.read_hmx(args.mel_file)
-    hop_seconds = header.pop("hop_seconds")
-    if header:  # a version-2 file: its own geometry, which no given option may contradict
-        for key, value in header.items():
-            if key in args.given and r[key] != value:
-                message = f"{key}={r[key]} contradicts the mel file's {value}"
-                raise ConfigError(message, path=args.mel_file)
-        r = {**r, **header}
-    stft = StftConfig(r["fft_size"], r["win_size"], r["hop_size"])
-    mel = spectral.MelSpectrogram(frames, stft, r["sample_rate"], (r["f_min"], r["f_max"]))
-    if not math.isclose(hop_seconds, mel.hop_seconds):
-        rate = f"hop_size/sample_rate = {stft.hop_size}/{r['sample_rate']}"
-        raise ConfigError(f"mel file hop {hop_seconds} s differs from {rate}", path=args.mel_file)
+    mel = tensor_io.read_mel_file(args.mel_file)
     ltv.write_coeffs(args.out, ltv.estimate_coeffs_from_mel(mel, r["n_taps"], r["floor_db"]))
-    return {"hop_seconds": hop_seconds, **header}
 
 
 def _cmd_fit(args, r):
@@ -218,8 +199,7 @@ def _cmd_metrics(args, r):
 
 def _cmd_condition(args, r):
     paths = zip(cond.CHANNEL_ORDER, (args.noise_wav, args.raw_wav, args.filtered_wav))
-    wanted = r["channels"] or cond.CHANNEL_ORDER
-    signals = {name: wav_io.read_wav(path) for name, path in paths if path and name in wanted}
+    signals = {name: wav_io.read_wav(path) for name, path in paths if path}
     pyramid = cond.downsample_multiscale(cond.stack_channels(**signals), r["factors"])
     return {"written": cond.export_conditioning(pyramid, args.out_prefix)}
 
@@ -298,8 +278,6 @@ class Command(NamedTuple):
     switches: tuple[str, ...] = ()
 
 
-_STFT = _from(StftConfig, fft_size=_int, win_size=_int, hop_size=_int)
-_MEL_RANGE = _from(spectral.mel_spectrogram, f_min=_float, f_max=_float)
 _ENCODING = _from(wav_io.write_wav, encoding=wav_io.WavEncoding)
 _SAMPLE_RATE = {"sample_rate": (_float, DEFAULT_SAMPLE_RATE)}
 _HOP = {"hop": (_float, DEFAULT_HOP_SECONDS)}
@@ -317,10 +295,8 @@ COMMANDS = {
         _cmd_filter, "apply a coefficient file to a WAV", ("wav_file", "coeff_file", "--out"),
         {**_ENCODING, **_from(ltv.apply_ltv, interpolate_taps=_bool)}),
     "estimate": Command(
-        _cmd_estimate, "mel feature file -> minimum-phase coefficients", ("mel_file", "--out"), {
-            **_SAMPLE_RATE, **_STFT, **_MEL_RANGE,
-            **_from(ltv.estimate_coeffs_from_mel, n_taps=_int, floor_db=_float),
-        }),
+        _cmd_estimate, "version-2 mel file -> minimum-phase coefficients", ("mel_file", "--out"),
+        _from(ltv.estimate_coeffs_from_mel, n_taps=_int, floor_db=_float)),
     "fit": Command(
         _cmd_fit, "least-squares coefficients from excitation and target WAVs",
         ("excitation_wav", "target_wav", "--out"), {
@@ -329,7 +305,8 @@ COMMANDS = {
         }),
     "mel": Command(
         _cmd_mel, "WAV -> log-mel feature file", ("wav_file", "--out"),
-        {**_STFT, **_from(spectral.mel_spectrogram, n_mels=_int), **_MEL_RANGE}),
+        {**_from(StftConfig, fft_size=_int, win_size=_int, hop_size=_int),
+         **_from(spectral.mel_spectrogram, n_mels=_int, f_min=_float, f_max=_float)}),
     "loudness": Command(
         _cmd_loudness, "WAV -> log-RMS feature file", ("wav_file", "--out"),
         {"hop_size": (_int, _default(spectral.loudness, "hop"))}),
@@ -341,10 +318,8 @@ COMMANDS = {
         }, manifest=None, switches=("--mr-stft", "--mel-mae", "--pitch-jitter", "--uv-error")),
     "condition": Command(
         _cmd_condition, "stack channels and export multi-scale tensors",
-        ("--noise-wav", "--raw-wav", "--filtered-wav", "--out-prefix"), {
-            **_from(cond.downsample_multiscale, factors=_csv(_int)),
-            "channels": (_csv(_channel), None),  # None: every channel given
-        }, manifest="{out_prefix}_run.json"),
+        ("--noise-wav", "--raw-wav", "--filtered-wav", "--out-prefix"),
+        _from(cond.downsample_multiscale, factors=_csv(_int)), manifest="{out_prefix}_run.json"),
     "demo": Command(
         _cmd_demo, "end-to-end synthetic-vowel walkthrough", ("--out-dir",), {
             **_SAMPLE_RATE, "seed": (_int, 1234), "duration": (_float, 2.0), **_HOP,
@@ -352,8 +327,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors fail as bad options do: one ``config`` JSON line, exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harmex",
         description="Harmonic excitation synthesis, LTV filtering, and vocoder conditioning",
     )
@@ -377,13 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = COMMANDS[args.subcommand]
     try:
-        config = _load_config(args.config)
-        resolved = _resolve(command.options, args, config)
-        # the options set by a flag or the config file, not by a default
-        args.given = {k for k in command.options if getattr(args, k) is not None or k in config}
+        args = build_parser().parse_args(argv)
+        command = COMMANDS[args.subcommand]
+        resolved = _resolve(command.options, args, _load_config(args.config))
         extra = command.run(args, resolved) or {}
         if command.manifest:
             names = [arg.lstrip("-").replace("-", "_") for arg in command.files]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainError, check_count, check_integer
+from .errors import ConfigError, DomainError, LengthMismatchError, check_count, check_integer
 from .signal_core import AudioSignal
 from .spectral import hann
 from .tensor_io import write_feature_file
@@ -35,7 +35,7 @@ class ConditioningBundle:
             raise DomainError("bundle needs at least one channel")
         lengths = {len(v) for v in self.channels.values()}
         if len(lengths) != 1:
-            raise ConfigError(f"channel lengths differ: {sorted(lengths)}")
+            raise LengthMismatchError(f"channel lengths differ: {sorted(lengths)}")
 
     @property
     def length(self) -> int:

@@ -157,7 +157,7 @@ def fit_coeffs_least_squares(
     ``np.linalg.lstsq``.
     """
     if len(excitation) != len(target):
-        raise ConfigError(
+        raise LengthMismatchError(
             f"length mismatch: excitation {len(excitation)}, target {len(target)}"
         )
     if excitation.sample_rate != target.sample_rate:

@@ -75,6 +75,7 @@ class LoudnessTrack:
 
     def __post_init__(self):
         object.__setattr__(self, "values", check_array("loudness values", self.values, 1))
+        check_positive("hop_seconds", self.hop_seconds)
 
     def __len__(self):
         return len(self.values)
@@ -160,7 +161,7 @@ def mel_filterbank(
     if not f_min < f_max <= sample_rate / 2:
         raise ConfigError(f"invalid mel range [{f_min}, {f_max}] at fs={sample_rate}")
     edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
-    bin_freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
+    bin_freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
 
     lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     up = (bin_freqs - lower) / np.maximum(center - lower, 1e-12)

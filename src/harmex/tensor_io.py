@@ -8,19 +8,20 @@ have frames x taps and two scalars, hop_seconds then sample_rate.
 hop_seconds, and version 2, written for mel spectrograms, follows it with
 the analysis geometry: sample_rate, fft_size, win_size, hop_size, f_min,
 f_max.  Readers raise ``FormatError`` on a bad magic or version, a short
-file, or a header scalar that is not finite and > 0 (f_min may be 0; the
-three sizes must be whole numbers below 2**31).
+file, or a header scalar that is not finite and > 0 (f_min may be 0).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from functools import partial
 
 import numpy as np
 
-from .errors import FormatError, check_integer, check_positive
+from .errors import ConfigError, FormatError, check_integer, check_positive
+from .spectral import MelSpectrogram, StftConfig
 
 HMX_MAGIC = b"HMX1"
 HMX_LAYOUTS = {
@@ -81,21 +82,30 @@ def write_mel_file(path, mel) -> None:
     write_tensor(path, HMX_MAGIC, mel.frames, mel.hop_seconds, *geometry, version=2)
 
 
-def read_hmx(path) -> tuple[np.ndarray, dict]:
-    """Returns (n_frames x n_dims float32 array, header) for either version.
+def read_mel_file(path) -> MelSpectrogram:
+    """The ``MelSpectrogram`` of a version-2 ``HMX1`` file, its geometry from the header.
 
-    The header always has hop_seconds; a version-2 file adds the mel
-    geometry, with the three sizes as ints.
+    ``FormatError`` for a version-1 file (it has no geometry), sizes that are
+    not whole numbers below 2**31 or that ``StftConfig`` rejects, and a
+    hop_seconds other than hop_size / sample_rate.
     """
-    data, header = read_tensor(path, HMX_MAGIC, HMX_LAYOUTS)
     bad = partial(FormatError, path=path)
-    for name in ("fft_size", "win_size", "hop_size"):
-        if name in header:
-            header[name] = check_integer(name, header[name], 1, 2**31 - 1, error=bad)
-    return data, header
+    frames, h = read_tensor(path, HMX_MAGIC, HMX_LAYOUTS)
+    if len(h) == 1:
+        raise bad("file version 1 has no mel geometry; `harmex mel` writes version 2")
+    sizes = ("fft_size", "win_size", "hop_size")
+    try:
+        stft = StftConfig(*(check_integer(n, h[n], 1, 2**31 - 1, error=bad) for n in sizes))
+    except ConfigError as exc:
+        raise bad(str(exc)) from None
+    mel = MelSpectrogram(frames, stft, h["sample_rate"], (h["f_min"], h["f_max"]))
+    if not math.isclose(h["hop_seconds"], mel.hop_seconds):
+        rate = f"hop_size/sample_rate = {stft.hop_size}/{mel.sample_rate}"
+        raise bad(f"hop_seconds {h['hop_seconds']} differs from {rate}")
+    return mel
 
 
 def read_feature_file(path) -> tuple[np.ndarray, float]:
     """Returns (n_frames x n_dims float32 array, hop_seconds) for either version."""
-    data, header = read_hmx(path)
+    data, header = read_tensor(path, HMX_MAGIC, HMX_LAYOUTS)
     return data, header["hop_seconds"]

@@ -78,7 +78,9 @@ CASES = {
     "refine_pitch.search_cents": lambda v: refine_pitch(X, TRACK, v),
     "pitch_jitter.search_cents": lambda v: pitch_jitter(X, TRACK, v),
     "interpolate_f0.sample_rate": lambda v: interpolate_f0(TRACK, v, 100),
+    "mel_filterbank.n_mels": lambda v: mel_filterbank(v, 128, FS),
     "mel_filterbank.fft_size": lambda v: mel_filterbank(8, v, FS),
+    "mel_filterbank.sample_rate": lambda v: mel_filterbank(8, 128, v),
     "mel_filterbank.f_min": lambda v: mel_filterbank(8, 128, FS, f_min=v),
     "mel_filterbank.f_max": lambda v: mel_filterbank(8, 128, FS, f_max=v),
     "mel_spectrogram.f_min": lambda v: mel_spectrogram(X, StftConfig(128, 128, 64), 8, f_min=v),

@@ -126,8 +126,8 @@ class TestFeatureCommands:
     @pytest.mark.parametrize("options", [["--f-max", "7000"], ["--hop-size", "80", "--f-min", "50"]])
     def test_estimate_takes_the_mel_file_geometry(self, tmp_path, f0_file, capsys, options):
         """A default estimate on a non-default mel file gives the taps of that file's geometry."""
-        from harmex import MelSpectrogram, StftConfig, estimate_coeffs_from_mel
-        from harmex.tensor_io import read_hmx
+        from harmex import estimate_coeffs_from_mel
+        from harmex.tensor_io import read_mel_file
 
         exc = tmp_path / "exc.wav"
         run(capsys, "excite", str(f0_file), "--out", str(exc))
@@ -136,18 +136,12 @@ class TestFeatureCommands:
         coeff = tmp_path / "est.ltvf"
         assert run(capsys, "estimate", str(mel), "--out", str(coeff))[0] == 0
 
-        frames, g = read_hmx(mel)
-        stft = StftConfig(g["fft_size"], g["win_size"], g["hop_size"])
-        expected = estimate_coeffs_from_mel(
-            MelSpectrogram(frames, stft, g["sample_rate"], (g["f_min"], g["f_max"]))
-        )
+        expected = estimate_coeffs_from_mel(read_mel_file(mel))
         h = read_coeffs(coeff)
         np.testing.assert_array_equal(h.taps, expected.taps.astype(np.float32))
         assert h.hop_seconds == expected.hop_seconds
         manifest = json.loads((tmp_path / "est.ltvf.run.json").read_text())
-        assert {k: manifest[k] for k in ("f_min", "f_max", "hop_size")} == {
-            k: g[k] for k in ("f_min", "f_max", "hop_size")
-        }
+        assert set(manifest) == {"subcommand", "mel_file", "out", "n_taps", "floor_db"}
 
     def test_loudness(self, tmp_path, f0_file, capsys):
         exc = tmp_path / "exc.wav"
@@ -219,21 +213,33 @@ class TestDemo:
 @pytest.fixture
 def inputs(tmp_path, f0_file, capsys):
     """Input files for the bad-input cases below, built through the CLI."""
+    from dataclasses import replace
+
     from harmex import LtvFirCoeffs, write_coeffs
+    from harmex.tensor_io import read_mel_file, write_mel_file
 
     wav = tmp_path / "exc.wav"
     assert run(capsys, "excite", str(f0_file), "--out", str(wav))[0] == 0
     empty_wav = tmp_path / "empty.wav"
     assert run(capsys, "excite", str(f0_file), "--n-samples", "0", "--out", str(empty_wav))[0] == 0
-    mel80 = tmp_path / "mel80.hmx"
-    assert run(capsys, "mel", str(wav), "--out", str(mel80), "--hop-size", "80")[0] == 0
-    mel80_v1 = tmp_path / "mel80_v1.hmx"  # no geometry: estimate takes it from its options
-    write_feature_file(mel80_v1, *read_feature_file(mel80))
     mel = tmp_path / "mel.hmx"
     assert run(capsys, "mel", str(wav), "--out", str(mel))[0] == 0
-    frames, hop = read_feature_file(mel)
+    mel_v1 = tmp_path / "mel_v1.hmx"  # the same frames and hop without the geometry
+    write_feature_file(mel_v1, *read_feature_file(mel))
+    loud = tmp_path / "loud.hmx"
+    assert run(capsys, "loudness", str(wav), "--out", str(loud))[0] == 0
+    cond = tmp_path / "cond"
+    assert run(capsys, "condition", "--raw-wav", str(wav), "--out-prefix", str(cond))[0] == 0
+    spectrogram = read_mel_file(mel)
     loud_mel = tmp_path / "loud_mel.hmx"
-    write_feature_file(loud_mel, np.where(np.arange(frames.shape[1]) == 40, 3e38, frames), hop)
+    loud_frames = np.where(np.arange(spectrogram.n_mels) == 40, 3e38, spectrogram.frames)
+    write_mel_file(loud_mel, replace(spectrogram, frames=loud_frames))
+    geometry = {}  # one f64 of the version-2 header changed; it follows magic + 3 u32
+    for name, offset, value in (("hop_mismatch_mel", 16, 0.02), ("zero_rate_mel", 24, 0.0)):
+        raw = bytearray(mel.read_bytes())
+        struct.pack_into("<d", raw, offset, value)
+        geometry[name] = tmp_path / f"{name}.hmx"
+        geometry[name].write_bytes(bytes(raw))
     ltvf = tmp_path / "c.ltvf"
     write_coeffs(ltvf, LtvFirCoeffs(np.zeros((100, 4)), 0.010, 16000))
     bad_hops = {}
@@ -251,9 +257,9 @@ def inputs(tmp_path, f0_file, capsys):
     for name, good in (("snan_wav", wav), ("snan_mel", mel), ("snan_ltvf", ltvf)):
         snan[name] = tmp_path / f"{name}{good.suffix}"
         snan[name].write_bytes(good.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
-    return {"f0": f0_file, "wav": wav, "empty_wav": empty_wav, "mel": mel, "mel80": mel80,
-            "mel80_v1": mel80_v1, "no_frames": tmp_path / "no_frames.ltvf",
-            "loud_mel": loud_mel, **bad_hops, "utf16_f0": utf16_f0, **snan,
+    return {"f0": f0_file, "wav": wav, "empty_wav": empty_wav, "mel": mel, "mel_v1": mel_v1,
+            "loud": loud, "cond_x8": f"{cond}_x8.hmx", "no_frames": tmp_path / "no_frames.ltvf",
+            "loud_mel": loud_mel, **geometry, **bad_hops, "utf16_f0": utf16_f0, **snan,
             "out": tmp_path / "out.wav", "dir": tmp_path, "unmade": tmp_path / "unmade"}
 
 
@@ -275,7 +281,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("excite", "{f0}", "--out", "{dir}"), None, "io"),
         (("filter", "{wav}", "{nan_hop}", "--out", "{out}"), None, "format"),
         (("filter", "{wav}", "{sub_hop}", "--out", "{out}"), None, "config"),
-        (("estimate", "{mel80_v1}", "--out", "{out}"), None, "config"),
+        (("estimate", "{hop_mismatch_mel}", "--out", "{out}"), None, "format"),
         (("excite", "{utf16_f0}", "--out", "{out}"), None, "config"),
         (("estimate", "{mel}", "--n-taps", "1500", "--out", "{out}"), None, "config"),
         (("estimate", "{loud_mel}", "--out", "{out}"), None, "domain"),
@@ -285,8 +291,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (PITCH + ("--search-cents", "nan"), None, "config"),
         (PITCH + ("--hop", "1e-5"), None, "config"),
         (("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--uv-error", "--hop", "1e-5"), None, "config"),
-        (("estimate", "{mel80}", "--hop-size", "160", "--out", "{out}"), None, "config"),
-        (("estimate", "{mel80}", "--out", "{out}"), {"f_max": 7000.0}, "config"),
+        (("estimate", "{mel}", "--hop-size", "160", "--out", "{out}"), None, "config"),
         (("fit", "{wav}", "{wav}", "--hop", "1e-5", "--out", "{out}"), None, "config"),
         (("fit", "{wav}", "{wav}", "--n-taps", "3000000000", "--out", "{out}"), None, "config"),
         (("mel", "{snan_wav}", "--out", "{out}"), None, "format"),
@@ -305,7 +310,15 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("fit", "{empty_wav}", "{empty_wav}", "--out", "{out}"), None, "domain"),
         (("filter", "{wav}", "{no_frames}", "--out", "{out}"), None, "config"),
         (("mel", "{wav}", "--n-mels", "0", "--out", "{out}"), None, "config"),
-        (("estimate", "{mel80_v1}", "--sample-rate", "0", "--out", "{out}"), None, "config"),
+        (("estimate", "{zero_rate_mel}", "--out", "{out}"), None, "format"),
+        (("estimate", "{mel_v1}", "--out", "{out}"), None, "format"),
+        (("estimate", "{loud}", "--out", "{out}"), None, "format"),
+        (("estimate", "{cond_x8}", "--out", "{out}"), None, "format"),
+        (EXCITE + ("--amplitude", "1e308"), None, "domain"),
+        (("fit", "{wav}", "{empty_wav}", "--out", "{out}"), None, "length-mismatch"),
+        (("fit", "{wav}", "{wav}", "--out", "{out}", "--n-taps"), None, "config"),
+        (("fit", "{wav}", "{wav}"), None, "config"),
+        (("bogus", "{wav}"), None, "config"),
     ],
     ids=[
         "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
@@ -314,13 +327,15 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "f0-not-utf8", "n-taps-above-fft-size", "mel-overflow",
         "search-cents-negative", "search-cents-zero", "search-cents-1e9", "search-cents-nan",
         "pitch-hop-below-one-sample", "uv-hop-below-one-sample",
-        "mel-v2-contradicting-flag", "mel-v2-contradicting-config", "fit-hop-below-one-sample",
+        "estimate-unknown-flag", "fit-hop-below-one-sample",
         "fit-n-taps-3e9",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
         "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
         "condition-factor-1e15", "fit-empty-wavs", "filter-no-frames", "mel-n-mels-0",
-        "estimate-sample-rate-0",
+        "estimate-sample-rate-0", "estimate-mel-v1", "estimate-loudness-file",
+        "estimate-conditioning-file", "excite-amplitude-1e308", "fit-length-mismatch",
+        "usage-missing-value", "usage-missing-out", "usage-unknown-subcommand",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
@@ -350,7 +365,7 @@ REPLAYS = {  # subcommand: (input arguments, non-default options, output flag, o
                         "--n-mels", "40", "--f-max", "7000"], "--out", "mel.hmx"),
     "loudness": (["{wav}"], ["--hop-size", "80"], "--out", "loud.hmx"),
     "condition": (["--raw-wav", "{wav}", "--noise-wav", "{wav}"],
-                  ["--factors", "4,5", "--channels", "raw_excitation"], "--out-prefix", "cond"),
+                  ["--factors", "4,5"], "--out-prefix", "cond"),
     "demo": ([], ["--duration", "0.6", "--seed", "7", "--hop", "0.005"], "--out-dir", "demo"),
 }
 

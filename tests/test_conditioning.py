@@ -7,6 +7,7 @@ from harmex import (
     AudioSignal,
     ConfigError,
     DomainError,
+    LengthMismatchError,
     downsample_multiscale,
     export_conditioning,
     gaussian_noise,
@@ -43,7 +44,7 @@ class TestStackChannels:
         assert bundle.names == ("noise", "raw_excitation", "filtered_excitation")
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(LengthMismatchError):
             stack_channels(noise=gaussian_noise(160, FS, 0), raw_excitation=tone(100.0, 159))
 
     def test_empty_rejected(self):

@@ -25,7 +25,7 @@ from harmex import (
     write_feature_file,
     write_wav,
 )
-from harmex.tensor_io import HMX_LAYOUTS, read_hmx, write_mel_file
+from harmex.tensor_io import HMX_LAYOUTS, read_mel_file, write_mel_file
 
 FS = 16000
 ENCODINGS = {WavEncoding.PCM16: np.int16, WavEncoding.FLOAT32: np.float32}
@@ -286,13 +286,11 @@ class TestMelFile:
 
     def test_round_trip(self, tmp_path, rng):
         path, mel = mel_file(tmp_path, rng)
-        frames, header = read_hmx(path)
-        np.testing.assert_array_equal(frames, mel.frames.astype(np.float32))
-        assert header == {
-            "hop_seconds": 80 / FS, "sample_rate": FS, "fft_size": 512, "win_size": 320,
-            "hop_size": 80, "f_min": 0.0, "f_max": 7000.0,
-        }
-        assert all(type(header[k]) is int for k in ("fft_size", "win_size", "hop_size"))
+        back = read_mel_file(path)
+        np.testing.assert_array_equal(back.frames, mel.frames.astype(np.float32))
+        assert back.config == StftConfig(512, 320, 80)
+        assert (back.sample_rate, back.mel_range, back.hop_seconds) == (FS, (0.0, 7000.0), 80 / FS)
+        assert all(type(getattr(back.config, k)) is int for k in ("fft_size", "win_size", "hop_size"))
 
     def test_header_fields(self, tmp_path, rng):
         path, _ = mel_file(tmp_path, rng, f_min=50.0)
@@ -305,7 +303,17 @@ class TestMelFile:
         frames, hop = read_feature_file(path)
         assert hop == 80 / FS and frames.shape == (12, 40)
         write_feature_file(path, frames, hop)
-        assert read_hmx(path)[1] == {"hop_seconds": hop}
+        back, hop_v1 = read_feature_file(path)
+        assert hop_v1 == hop
+        np.testing.assert_array_equal(back, frames)
+
+    def test_mel_reader_rejects_version_1(self, tmp_path, rng):
+        """A version-1 file has no geometry to build a MelSpectrogram from."""
+        path, mel = mel_file(tmp_path, rng)
+        write_feature_file(path, mel.frames, mel.hop_seconds)
+        with pytest.raises(FormatError, match="version 1") as info:
+            read_mel_file(path)
+        assert info.value.path == path
 
     @pytest.mark.parametrize(
         "name, value",
@@ -318,17 +326,32 @@ class TestMelFile:
         struct.pack_into("<d", raw, 16 + 8 * HMX_LAYOUTS[2].index(name), value)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=name):
-            read_hmx(path)
+            read_mel_file(path)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("win_size", 1024.0, "hop <= win <= fft"), ("hop_size", 400.0, "hop <= win <= fft"),
+         ("hop_seconds", 0.01, "hop_seconds 0.01 differs"), ("sample_rate", 8000.0, "differs")],
+    )
+    def test_inconsistent_geometry_rejected(self, tmp_path, rng, name, value, message):
+        """Sizes StftConfig rejects, and a hop other than hop_size / sample_rate."""
+        path, _ = mel_file(tmp_path, rng)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 16 + 8 * HMX_LAYOUTS[2].index(name), value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=message) as info:
+            read_mel_file(path)
+        assert info.value.path == path
 
     def test_unknown_version_and_short_header_rejected(self, tmp_path, rng):
         path, _ = mel_file(tmp_path, rng)
         raw = path.read_bytes()
         path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
         with pytest.raises(FormatError, match="version 3"):
-            read_hmx(path)
+            read_mel_file(path)
         path.write_bytes(raw[:40])
         with pytest.raises(FormatError, match="truncated header"):
-            read_hmx(path)
+            read_mel_file(path)
 
 
 SMALL = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
@@ -348,7 +371,7 @@ class TestTensorReadersReject:
     @settings(max_examples=300, deadline=None)
     @given(
         kind_reader=st.sampled_from([
-            ("hmx-v1", read_hmx), ("hmx-v2", read_hmx),
+            ("hmx-v1", read_mel_file), ("hmx-v2", read_mel_file),
             ("hmx-v1", read_feature_file), ("hmx-v2", read_feature_file), ("ltvf", read_coeffs),
         ]),
         edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=6),

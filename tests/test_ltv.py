@@ -191,7 +191,7 @@ class TestFitLeastSquares:
             assert rmse_fit <= rmse_raw + 1e-9
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(LengthMismatchError):
             fit_coeffs_least_squares(
                 AudioSignal(np.zeros(100), FS), AudioSignal(np.zeros(101), FS)
             )

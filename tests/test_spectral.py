@@ -9,6 +9,7 @@ from harmex import (
     AudioSignal,
     ConfigError,
     DomainError,
+    LoudnessTrack,
     StftConfig,
     gaussian_noise,
     loudness,
@@ -184,6 +185,11 @@ class TestLoudness:
         for hop in (0, 2.5, float("nan")):
             with pytest.raises(ConfigError):
                 loudness(AudioSignal(np.zeros(100)), hop=hop)
+
+    @pytest.mark.parametrize("hop_seconds", [math.nan, 0.0, -1.0])
+    def test_track_rejects_a_bad_hop(self, hop_seconds):
+        with pytest.raises(ConfigError, match="hop_seconds"):
+            LoudnessTrack(np.zeros(3), hop_seconds)
 
 
 def test_derived_sizes_checked_before_allocation():
