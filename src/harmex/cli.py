@@ -216,7 +216,7 @@ def _demo_formant_coeffs(n_frames: int, stft: StftConfig, fs: float, rng) -> ltv
     sweep = centers * (1.0 + drift * phase[:, None])  # frames x formants
     peaks = gains_db[:, None] - 0.5 * ((freqs - sweep[..., None]) / widths[:, None]) ** 2
     mag_db = np.maximum(peaks.max(axis=1), -45.0) - 20.0 * (freqs / fs)  # gentle spectral tilt
-    taps = ltv.minimum_phase_fir(10 ** (mag_db / 20.0), 64, stft.fft_size)
+    taps = ltv.minimum_phase_fir(10 ** (mag_db / 20.0), ltv.DEFAULT_N_TAPS, stft.fft_size)
     return ltv.LtvFirCoeffs(taps, stft.hop_size / fs, fs)
 
 

@@ -25,12 +25,13 @@ import numpy as np
 from . import tensor_io
 from .errors import ConfigError, DomainError, LengthMismatchError
 from .errors import check_array, check_count, check_integer, check_positive
-from .signal_core import AudioSignal, _blocks, _voiced_runs
-from .spectral import MelSpectrogram, hop_samples, mel_filterbank, n_frames_for
+from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _voiced_runs
+from .spectral import MelSpectrogram, hop_samples, mel_edges, mel_filterbank, n_frames_for
 
 LTVF_MAGIC = b"LTVF"
 
 LOG10_FACTOR = 10.0 / math.log(10.0)  # natural-log power -> dB
+DEFAULT_N_TAPS = 64  # taps per frame of both coefficient sources
 
 # White-noise correction of ``minimum_phase_fir``: r[0] is scaled by 1 + WNC.
 WNC = 1e-9
@@ -72,9 +73,9 @@ class LtvFirCoeffs:
 class FitConfig:
     """Hyperparameters of the per-frame least-squares fit."""
 
-    n_taps: int = 64
+    n_taps: int = DEFAULT_N_TAPS
     ridge_lambda: float = 1e-6
-    frame_hop_seconds: float = 0.010
+    frame_hop_seconds: float = DEFAULT_HOP_SECONDS
 
     def __post_init__(self):
         object.__setattr__(self, "n_taps", check_integer("n_taps", self.n_taps, minimum=1))
@@ -321,19 +322,8 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     return np.ascontiguousarray((a / np.sqrt(e)).T)
 
 
-def _fill_uncovered(log_power: np.ndarray, covered: np.ndarray) -> None:
-    """Per-frame ``np.interp`` over the covered bins, which holds their end values.
-
-    Band i of ``mel_filterbank`` is positive strictly between edges i and
-    i + 2 of increasing edges, so the bands cover one run of bins.
-    """
-    first, last = np.flatnonzero(covered)[[0, -1]]
-    log_power[:, :first] = log_power[:, first, None]
-    log_power[:, last + 1 :] = log_power[:, last, None]
-
-
 def estimate_coeffs_from_mel(
-    mel: MelSpectrogram, n_taps: int = 64, floor_db: float = -50.0
+    mel: MelSpectrogram, n_taps: int = DEFAULT_N_TAPS, floor_db: float = -50.0
 ) -> LtvFirCoeffs:
     """Minimum-phase FIR per frame from a log-mel envelope.
 
@@ -350,9 +340,12 @@ def estimate_coeffs_from_mel(
 def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
     """Linear magnitude envelope per frame (frames x bins) from log-mel energies.
 
-    Log-mel energies are spread back onto the linear-frequency grid with the
+    Log-mel energies are spread back onto the linear-frequency grid by the
     transpose of the (peak-normalized) filterbank, normalized by per-bin
-    coverage; the resulting log-magnitude is floored at floor_db.
+    coverage.  Between two band centres the two triangles that reach a bin
+    sum to 1, so this is linear interpolation between centres, held flat
+    beyond the first and the last; bins no band reaches take the value of
+    the nearest bin one does.  The log-magnitude is floored at floor_db.
 
     Each band's energy is the envelope integrated over a triangle whose area
     grows with frequency, which would tilt the reconstruction upward by the
@@ -363,17 +356,17 @@ def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
     """
     cfg = mel.config
     check_count("envelope bins", mel.n_frames * cfg.n_bins)
-    fbank = mel_filterbank(
-        mel.n_mels, cfg.fft_size, mel.sample_rate, mel.mel_range[0], mel.mel_range[1]
-    )
-
-    coverage = fbank.sum(axis=0)
-    covered = coverage > 0
+    fbank = mel_filterbank(mel.n_mels, cfg.fft_size, mel.sample_rate, *mel.mel_range)
     log_area = np.log(fbank.sum(axis=1))
-    band_comp = 0.5 * (log_area + log_area.mean())
-    log_power = np.empty((mel.n_frames, cfg.n_bins))
-    log_power[:, covered] = (mel.frames - band_comp) @ fbank[:, covered] / coverage[covered]
-    _fill_uncovered(log_power, covered)  # bins outside the mel range
+    bands = mel.frames - 0.5 * (log_area + log_area.mean())
+    edges = mel_edges(mel.n_mels, *mel.mel_range)  # band i peaks at edge i + 1
+    freqs = np.arange(cfg.n_bins) * (mel.sample_rate / cfg.fft_size)
+    reached = freqs[(edges[0] < freqs) & (freqs < edges[-1])]  # the bins some band reaches
+    freqs = np.clip(freqs, reached[0], reached[-1])
+    j = np.maximum(np.searchsorted(edges, freqs, side="right") - 2, 0)  # band peaking at or below
+    w = np.clip((freqs - edges[j + 1]) / (edges[j + 2] - edges[j + 1]), 0.0, 1.0)
+    log_power = np.take(bands, j, axis=1)
+    log_power += w * (np.take(bands, np.minimum(j + 1, mel.n_mels - 1), axis=1) - log_power)
 
     mag_db = np.maximum(LOG10_FACTOR * log_power, floor_db)
     return 10.0 ** (mag_db / 20.0)

@@ -1,8 +1,9 @@
 """STFT magnitudes, 80-band log-mel analysis, and log-RMS loudness.
 
 All three extractors share the frame-count contract
-``n_frames = ceil(n_samples / hop)`` so features computed at the same hop
-line up frame for frame.
+``n_frames = ceil(n_samples / hop)``, but not the frame placement: STFT and
+mel frame m is centred on sample ``m * hop``, while loudness frame m covers
+samples ``[m * hop, (m + 1) * hop)`` and is centred half a hop later.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class StftConfig:
 
     def __post_init__(self):
         for name in ("fft_size", "win_size", "hop_size"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum=1))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1, 2**31 - 1))
         if not (self.hop_size <= self.win_size <= self.fft_size):
             raise ConfigError(
                 f"need hop <= win <= fft, got {self.hop_size}/{self.win_size}/{self.fft_size}"
@@ -51,7 +52,7 @@ class MelSpectrogram:
 
     def __post_init__(self):
         object.__setattr__(self, "frames", check_array("mel frames", self.frames, 2))
-        check_positive("sample_rate", self.sample_rate)
+        check_mel_range(*self.mel_range, self.sample_rate)
 
     @property
     def n_frames(self) -> int:
@@ -144,6 +145,20 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def check_mel_range(f_min: float, f_max: float, sample_rate: float) -> None:
+    """ConfigError unless ``0 <= f_min < f_max <= sample_rate / 2``, all finite."""
+    check_positive("sample_rate", sample_rate)
+    check_positive("f_min", f_min, allow_zero=True)
+    check_positive("f_max", f_max)
+    if not f_min < f_max <= sample_rate / 2:
+        raise ConfigError(f"invalid mel range [{f_min}, {f_max}] at fs={sample_rate}")
+
+
+def mel_edges(n_mels: int, f_min: float, f_max: float) -> np.ndarray:
+    """The ``n_mels + 2`` band edges in Hz, evenly spaced in mel; band i peaks at edge i + 1."""
+    return mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
+
+
 def mel_filterbank(
     n_mels: int,
     fft_size: int,
@@ -155,12 +170,8 @@ def mel_filterbank(
     n_mels = check_integer("n_mels", n_mels, minimum=1)
     fft_size = check_integer("fft_size", fft_size, minimum=1)
     check_count("mel filterbank entries", n_mels * (fft_size // 2 + 1))
-    check_positive("sample_rate", sample_rate)
-    check_positive("f_min", f_min, allow_zero=True)
-    check_positive("f_max", f_max)
-    if not f_min < f_max <= sample_rate / 2:
-        raise ConfigError(f"invalid mel range [{f_min}, {f_max}] at fs={sample_rate}")
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
+    check_mel_range(f_min, f_max, sample_rate)
+    edges = mel_edges(n_mels, f_min, f_max)
     bin_freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
 
     lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
@@ -186,7 +197,7 @@ def mel_spectrogram(
     return MelSpectrogram(np.log(np.maximum(mel, MEL_FLOOR)), cfg, x.sample_rate, (f_min, f_max))
 
 
-def loudness(x: AudioSignal, hop: int = 160) -> LoudnessTrack:
+def loudness(x: AudioSignal, hop: int = StftConfig.hop_size) -> LoudnessTrack:
     """Per-frame log-RMS over consecutive hop-sized frames, floored at MEL_FLOOR."""
     hop = check_integer("hop", hop, minimum=1)
     frames = n_frames_for(len(x), hop)

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_integer, check_positive
+from .errors import ConfigError, FormatError, check_positive
 from .spectral import MelSpectrogram, StftConfig
 
 HMX_MAGIC = b"HMX1"
@@ -85,24 +85,22 @@ def write_mel_file(path, mel) -> None:
 def read_mel_file(path) -> MelSpectrogram:
     """The ``MelSpectrogram`` of a version-2 ``HMX1`` file, its geometry from the header.
 
-    ``FormatError`` for a version-1 file (it has no geometry), sizes that are
-    not whole numbers below 2**31 or that ``StftConfig`` rejects, and a
-    hop_seconds other than hop_size / sample_rate.
+    ``FormatError`` for a version-1 file (it has no geometry), sizes that
+    ``StftConfig`` rejects, a mel range that ``MelSpectrogram`` rejects, and
+    a hop_seconds other than hop_size / sample_rate.
     """
     bad = partial(FormatError, path=path)
     frames, h = read_tensor(path, HMX_MAGIC, HMX_LAYOUTS)
     if len(h) == 1:
         raise bad("file version 1 has no mel geometry; `harmex mel` writes version 2")
-    sizes = ("fft_size", "win_size", "hop_size")
     try:
-        stft = StftConfig(*(check_integer(n, h[n], 1, 2**31 - 1, error=bad) for n in sizes))
+        stft = StftConfig(h["fft_size"], h["win_size"], h["hop_size"])
+        if not math.isclose(h["hop_seconds"], stft.hop_size / h["sample_rate"]):
+            rate = f"hop_size/sample_rate = {stft.hop_size}/{h['sample_rate']}"
+            raise bad(f"hop_seconds {h['hop_seconds']} differs from {rate}")
+        return MelSpectrogram(frames, stft, h["sample_rate"], (h["f_min"], h["f_max"]))
     except ConfigError as exc:
         raise bad(str(exc)) from None
-    mel = MelSpectrogram(frames, stft, h["sample_rate"], (h["f_min"], h["f_max"]))
-    if not math.isclose(h["hop_seconds"], mel.hop_seconds):
-        rate = f"hop_size/sample_rate = {stft.hop_size}/{mel.sample_rate}"
-        raise bad(f"hop_seconds {h['hop_seconds']} differs from {rate}")
-    return mel
 
 
 def read_feature_file(path) -> tuple[np.ndarray, float]:

@@ -13,10 +13,11 @@ from harmex import (
 )
 from harmex.conditioning import decimation_taps
 from harmex.errors import AliasingError, DomainError, LengthMismatchError
-from harmex.ltv import FIT_EPS, FIT_GATE, WNC, _check_geometry, _lagged, _mel_magnitude
+from harmex.ltv import FIT_EPS, FIT_GATE, LOG10_FACTOR, WNC, _check_geometry, _lagged
+from harmex.ltv import _mel_magnitude
 from harmex.metrics import _search_ratio
 from harmex.signal_core import TAU, _voiced_runs
-from harmex.spectral import MelSpectrogram, frame_centers, hop_samples, n_frames_for
+from harmex.spectral import MelSpectrogram, frame_centers, hop_samples, mel_filterbank, n_frames_for
 
 
 def sine_excitation_loop(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) -> AudioSignal:
@@ -130,13 +131,25 @@ def decimate_full_rate(x: np.ndarray, factor: int) -> np.ndarray:
     return filtered[::factor][: len(x) // factor]
 
 
-def fill_uncovered_loop(log_power: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """Uncovered mel bins filled per frame by ``np.interp`` over covered bins."""
-    out = log_power.copy()
-    bin_idx = np.arange(log_power.shape[1])
-    for f in range(len(out)):
-        out[f, ~covered] = np.interp(bin_idx[~covered], bin_idx[covered], out[f, covered])
-    return out
+def mel_magnitude_dense(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
+    """``ltv._mel_magnitude`` as a product with the filterbank over per-bin coverage.
+
+    The band-compensated log-mel energies go through the transpose of the
+    filterbank and are divided by each bin's coverage; the bins no band
+    reaches then take, frame by frame, ``np.interp``'s held end values.
+    """
+    cfg = mel.config
+    fbank = mel_filterbank(mel.n_mels, cfg.fft_size, mel.sample_rate, *mel.mel_range)
+    coverage = fbank.sum(axis=0)
+    covered = coverage > 0
+    log_area = np.log(fbank.sum(axis=1))
+    bands = mel.frames - 0.5 * (log_area + log_area.mean())
+    log_power = np.empty((mel.n_frames, cfg.n_bins))
+    log_power[:, covered] = bands @ fbank[:, covered] / coverage[covered]
+    bins = np.arange(cfg.n_bins)
+    for f in range(mel.n_frames):
+        log_power[f] = np.interp(bins, bins[covered], log_power[f, covered])
+    return 10.0 ** (np.maximum(LOG10_FACTOR * log_power, floor_db) / 20.0)
 
 
 def estimate_taps_loop(mel: MelSpectrogram, n_taps: int = 64, floor_db: float = -50.0) -> np.ndarray:

@@ -70,6 +70,8 @@ CASES = {
     "StftConfig.hop_size": lambda v: StftConfig(hop_size=v),
     "MelSpectrogram.frames": lambda v: MelSpectrogram(np.full((4, 8), v), StftConfig(), FS),
     "MelSpectrogram.sample_rate": lambda v: MelSpectrogram(np.zeros((4, 8)), StftConfig(), v),
+    "MelSpectrogram.f_min": lambda v: MelSpectrogram(np.zeros((4, 8)), StftConfig(), FS, (v, 8e3)),
+    "MelSpectrogram.f_max": lambda v: MelSpectrogram(np.zeros((4, 8)), StftConfig(), FS, (0.0, v)),
     "LoudnessTrack.values": lambda v: LoudnessTrack(np.full(3, v), 0.01),
     "LoudnessTrack.hop_seconds": lambda v: LoudnessTrack(np.zeros(3), v),
     "LossWeights.alpha": lambda v: LossWeights(alpha=v),

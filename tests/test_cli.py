@@ -235,7 +235,9 @@ def inputs(tmp_path, f0_file, capsys):
     loud_frames = np.where(np.arange(spectrogram.n_mels) == 40, 3e38, spectrogram.frames)
     write_mel_file(loud_mel, replace(spectrogram, frames=loud_frames))
     geometry = {}  # one f64 of the version-2 header changed; it follows magic + 3 u32
-    for name, offset, value in (("hop_mismatch_mel", 16, 0.02), ("zero_rate_mel", 24, 0.0)):
+    for name, offset, value in (
+        ("hop_mismatch_mel", 16, 0.02), ("zero_rate_mel", 24, 0.0), ("nyquist_mel", 64, 9000.0)
+    ):
         raw = bytearray(mel.read_bytes())
         struct.pack_into("<d", raw, offset, value)
         geometry[name] = tmp_path / f"{name}.hmx"
@@ -312,6 +314,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("mel", "{wav}", "--n-mels", "0", "--out", "{out}"), None, "config"),
         (("estimate", "{zero_rate_mel}", "--out", "{out}"), None, "format"),
         (("estimate", "{mel_v1}", "--out", "{out}"), None, "format"),
+        (("estimate", "{nyquist_mel}", "--out", "{out}"), None, "format"),
         (("estimate", "{loud}", "--out", "{out}"), None, "format"),
         (("estimate", "{cond_x8}", "--out", "{out}"), None, "format"),
         (EXCITE + ("--amplitude", "1e308"), None, "domain"),
@@ -333,7 +336,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
         "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
         "condition-factor-1e15", "fit-empty-wavs", "filter-no-frames", "mel-n-mels-0",
-        "estimate-sample-rate-0", "estimate-mel-v1", "estimate-loudness-file",
+        "estimate-sample-rate-0", "estimate-mel-v1", "estimate-f-max-above-nyquist",
+        "estimate-loudness-file",
         "estimate-conditioning-file", "excite-amplitude-1e308", "fit-length-mismatch",
         "usage-missing-value", "usage-missing-out", "usage-unknown-subcommand",
     ],

@@ -331,10 +331,12 @@ class TestMelFile:
     @pytest.mark.parametrize(
         "name, value, message",
         [("win_size", 1024.0, "hop <= win <= fft"), ("hop_size", 400.0, "hop <= win <= fft"),
-         ("hop_seconds", 0.01, "hop_seconds 0.01 differs"), ("sample_rate", 8000.0, "differs")],
+         ("hop_seconds", 0.01, "hop_seconds 0.01 differs"), ("sample_rate", 8000.0, "differs"),
+         ("f_max", 9000.0, "invalid mel range"), ("f_min", 7000.0, "invalid mel range")],
     )
     def test_inconsistent_geometry_rejected(self, tmp_path, rng, name, value, message):
-        """Sizes StftConfig rejects, and a hop other than hop_size / sample_rate."""
+        """Sizes StftConfig rejects, a mel range MelSpectrogram rejects, and a hop other than
+        hop_size / sample_rate."""
         path, _ = mel_file(tmp_path, rng)
         raw = bytearray(path.read_bytes())
         struct.pack_into("<d", raw, 16 + 8 * HMX_LAYOUTS[2].index(name), value)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,15 +28,15 @@ from harmex import (
     sine_excitation,
     write_coeffs,
 )
-from harmex.ltv import LOG10_FACTOR, WNC, _fill_uncovered, _lagged, _mel_magnitude, _min_norm
-from harmex.spectral import MelSpectrogram, n_frames_for
+from harmex.ltv import LOG10_FACTOR, WNC, _lagged, _mel_magnitude, _min_norm
+from harmex.spectral import MelSpectrogram, mel_edges, n_frames_for
 from conftest import FS, HOP, frequency_response, make_excitation
 from reference import (
     apply_ltv_loop,
     estimate_taps_loop,
-    fill_uncovered_loop,
     fit_min_norm_loop,
     fit_ridge_loop,
+    mel_magnitude_dense,
     min_norm_solve,
 )
 
@@ -614,14 +616,33 @@ class TestEstimateMatchesLevinsonLoop:
             assert np.abs(got - want).max() <= tol
 
 
-def test_uncovered_bins_match_per_frame_interp(rng):
-    """f_min > 0 and f_max < fs/2 leave bins uncovered at both ends."""
-    covered = mel_filterbank(40, 1024, FS, 300.0, 6000.0).sum(axis=0) > 0
-    assert (~covered).sum() > 10 and not covered[0] and not covered[-1]
-    log_power = rng.normal(size=(50, len(covered)))
-    filled = log_power.copy()
-    _fill_uncovered(filled, covered)
-    np.testing.assert_allclose(filled, fill_uncovered_loop(log_power, covered), rtol=0, atol=1e-12)
+def test_mel_magnitude_matches_dense_projection(rng):
+    """Interpolation between band centres against the filterbank product, over many geometries.
+
+    The ranges leave bins that no band reaches at both ends, and at 256-point
+    FFTs the first bin a band reaches can lie past the first band centre.
+    """
+    built = past_first_centre = 0
+    for fs, fft_size, n_mels, (f_min, f_max) in itertools.product(
+        (8000.0, 16000.0, 22050.0), (256, 512, 1024, 2048), (1, 2, 40, 80, 128),
+        ((0.0, 0.5), (125.0, 0.45), (300.0, 0.375)),
+    ):
+        stft = StftConfig(fft_size, min(fft_size, 640), min(fft_size, 160))
+        frames = -6.0 + 3.0 * rng.normal(size=(20, n_mels))
+        mel = MelSpectrogram(frames, stft, fs, (f_min, f_max * fs))
+        try:
+            want = mel_magnitude_dense(mel, -90.0)
+        except ConfigError:  # a band covers no bin
+            continue
+        built += 1
+        freqs = np.arange(stft.n_bins) * (fs / fft_size)
+        past_first_centre += freqs[freqs > f_min][0] > mel_edges(n_mels, f_min, f_max * fs)[1]
+        for floor_db in (-50.0, -90.0):
+            got = _mel_magnitude(mel, floor_db)
+            np.testing.assert_allclose(got, mel_magnitude_dense(mel, floor_db), rtol=1e-13, atol=0)
+        if n_mels == 1:
+            assert np.ptp(got, axis=1).max() == 0.0
+    assert built >= 150 and past_first_centre > 0
 
 
 class TestFrequencyResponse:

@@ -70,15 +70,20 @@ class TestMrStftLoss:
 
     def test_same_bits_at_one_and_two_blas_threads(self):
         """10 s of harmonic audio: long enough that a BLAS sum splits across threads."""
-        env = {**os.environ, "PYTHONPATH": str(Path(harmex.__file__).parents[1])}
-        outputs = {
-            subprocess.run(
-                [sys.executable, "-c", BLAS_THREADS_SCRIPT], env={**env, "OPENBLAS_NUM_THREADS": n},
-                capture_output=True, text=True, check=True, timeout=300,
-            ).stdout
-            for n in ("1", "2")
-        }
+        outputs = outputs_at_one_and_two_blas_threads(BLAS_THREADS_SCRIPT)
         assert len(outputs) == 1, outputs
+
+
+def outputs_at_one_and_two_blas_threads(script: str, *args: str) -> set[str]:
+    """The distinct stdouts of ``script`` run at one and at two OpenBLAS threads."""
+    env = {**os.environ, "PYTHONPATH": str(Path(harmex.__file__).parents[1])}
+    return {
+        subprocess.run(
+            [sys.executable, "-c", script, *args], env={**env, "OPENBLAS_NUM_THREADS": n},
+            capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        for n in ("1", "2")
+    }
 
 
 BLAS_THREADS_SCRIPT = """
@@ -91,6 +96,25 @@ x, y = (sine_excitation(interpolate_f0(F0Track(f0 * k), 16000, 160000)) for k in
 loss = mr_stft_loss(x, y)
 print(repr(loss.sc), repr(loss.mag))
 """
+
+ESTIMATE_SCRIPT = """
+import hashlib, sys
+from harmex import estimate_coeffs_from_mel
+from harmex.tensor_io import read_mel_file
+
+taps = estimate_coeffs_from_mel(read_mel_file(sys.argv[1])).taps
+print(hashlib.sha256(taps.tobytes()).hexdigest())
+"""
+
+
+def test_estimate_same_bits_at_one_and_two_blas_threads(tmp_path):
+    """The estimator's taps on one fixed 10 s mel file (1000 frames), read at each thread count."""
+    from harmex.tensor_io import write_mel_file
+
+    path = tmp_path / "mel.hmx"
+    write_mel_file(path, mel_spectrogram(gaussian_noise(10 * FS, FS, 9)))
+    outputs = outputs_at_one_and_two_blas_threads(ESTIMATE_SCRIPT, str(path))
+    assert len(outputs) == 1, outputs
 
 
 class TestMelMae:

@@ -17,7 +17,8 @@ from harmex import (
     mel_spectrogram,
     stft_magnitude,
 )
-from harmex.spectral import MEL_FLOOR, frame_centers, hann, hop_samples, n_frames_for
+from harmex.spectral import MEL_FLOOR, MelSpectrogram, frame_centers, hann, hop_samples, mel_edges
+from harmex.spectral import n_frames_for
 from conftest import FS
 
 
@@ -86,6 +87,12 @@ class TestStftMagnitude:
         with pytest.raises(ConfigError):
             StftConfig(fft_size=256, win_size=512, hop_size=128)
 
+    @pytest.mark.parametrize("name", ["fft_size", "win_size", "hop_size"])
+    @pytest.mark.parametrize("value", [1e308, 2**31, 0])
+    def test_sizes_outside_int32_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=rf"{name} must be a whole number in \[1, 2147483647\]"):
+            StftConfig(**{name: value})
+
 
 class TestMelFilterbank:
     def test_shape_and_peak_normalization(self):
@@ -102,7 +109,7 @@ class TestMelFilterbank:
 
     @pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100])
     def test_covered_bins_form_one_run(self, fs):
-        """``ltv._fill_uncovered`` holds the ends of this run and relies on no gap inside it."""
+        """``ltv._mel_magnitude`` takes the bins strictly inside the outer edges as this run."""
         settings = itertools.product(
             (64, 256, 1024, 2048), (1, 8, 40, 80, 128), (0.0, 50.0, 300.0), (3000.0, 7000.0, fs / 2)
         )
@@ -116,6 +123,17 @@ class TestMelFilterbank:
             run = np.flatnonzero(fbank.sum(axis=0) > 0)
             assert run[-1] - run[0] + 1 == len(run), (fft_size, n_mels, f_min, f_max)
         assert built >= 100
+
+    def test_edges_bound_each_band(self):
+        """Band i is positive strictly between edges i and i + 2 and peaks at edge i + 1."""
+        edges = mel_edges(40, 125.0, 7000.0)
+        assert len(edges) == 42
+        np.testing.assert_allclose(edges[[0, -1]], [125.0, 7000.0], rtol=1e-12)
+        fbank = mel_filterbank(40, 1024, FS, 125.0, 7000.0)
+        freqs = np.arange(513) * FS / 1024
+        for i, band in enumerate(fbank):
+            np.testing.assert_array_equal(band > 0, (edges[i] < freqs) & (freqs < edges[i + 2]))
+            assert freqs[np.argmax(band)] == pytest.approx(edges[i + 1], abs=FS / 1024)
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -158,6 +176,12 @@ class TestMelSpectrogram:
         with pytest.raises(ConfigError):
             mel_spectrogram(AudioSignal(np.zeros(100), 8000), f_max=8000.0)
 
+    @pytest.mark.parametrize("mel_range", [(0.0, 9000.0), (4000.0, 2000.0), (-1.0, 8000.0)])
+    def test_record_checks_its_range(self, mel_range):
+        """The record takes the filterbank's rule, 0 <= f_min < f_max <= fs / 2."""
+        with pytest.raises(ConfigError, match="mel range|f_min"):
+            MelSpectrogram(np.zeros((3, 80)), StftConfig(), FS, mel_range)
+
 
 class TestLoudness:
     def test_silence_hits_floor(self):
@@ -197,7 +221,7 @@ def test_derived_sizes_checked_before_allocation():
     x = AudioSignal(np.zeros(100), FS)
     with pytest.raises(ConfigError, match="padded samples"):
         loudness(x, hop=10**15)
-    with pytest.raises(ConfigError, match="STFT bins"):
-        stft_magnitude(x, StftConfig(fft_size=10**15))
+    with pytest.raises(ConfigError, match="STFT bins"):  # 2 frames of 2**30 bins
+        stft_magnitude(AudioSignal(np.zeros(161), FS), StftConfig(fft_size=2**31 - 1))
     with pytest.raises(ConfigError, match="mel filterbank entries"):
         mel_filterbank(80, 10**15, FS)
