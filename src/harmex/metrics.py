@@ -8,6 +8,7 @@ classic GAN-vocoder failure modes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,8 @@ from .errors import (
     check_positive,
 )
 from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds
-from .spectral import MelSpectrogram, StftConfig, frame_centers, hop_samples, stft_magnitude
+from .spectral import MelSpectrogram, StftConfig, _stft_blocks, frame_centers, hop_samples
+from .spectral import n_frames_for
 
 MAG_FLOOR = 1e-7
 
@@ -39,8 +41,10 @@ class MrStftConfig:
     resolutions: tuple[StftConfig, ...] = DEFAULT_RESOLUTIONS
 
     def __post_init__(self):
-        if len(self.resolutions) == 0:
-            raise ConfigError("need at least one STFT resolution")
+        res = self.resolutions
+        if not (isinstance(res, Sequence) and res and all(isinstance(r, StftConfig) for r in res)):
+            raise ConfigError(f"need a non-empty sequence of StftConfig, got {res!r}")
+        object.__setattr__(self, "resolutions", tuple(res))
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class MrStftLoss:
 def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfig()) -> MrStftLoss:
     """Spectral convergence + log-magnitude L1, averaged over resolutions.
 
-    y is the reference: sc_r = ||	|Y|-|X| ||_F / || |Y| ||_F per resolution,
+    y is the reference: sc_r = || |Y|-|X| ||_F / || |Y| ||_F per resolution,
     mag_r the mean absolute log-magnitude difference with magnitudes floored
     at 1e-7.
     """
@@ -81,18 +85,20 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
 
     sc_terms, mag_terms = [], []
     for res in cfg.resolutions:
-        mx = stft_magnitude(x, res)
-        my = stft_magnitude(y, res)
-        # no name holds a difference: one kept into the next resolution raised peak memory
-        sc_terms.append(_frobenius(my - mx) / _frobenius(my))
-        mag_terms.append(np.mean(np.abs(
-            np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR)))))
+        diff_sq = ref_sq = log_l1 = 0.0
+        for (_, mx), (_, my) in zip(_stft_blocks(x, res), _stft_blocks(y, res)):
+            diff_sq += _sum_sq(my - mx)
+            ref_sq += _sum_sq(my)
+            log_l1 += np.sum(np.abs(
+                np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR))))
+        sc_terms.append(np.sqrt(diff_sq) / np.sqrt(ref_sq))
+        mag_terms.append(log_l1 / (n_frames_for(len(y), res.hop_size) * res.n_bins))
     return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """``np.linalg.norm(a)`` as an einsum sum, which adds in one order at any BLAS thread count."""
-    return np.sqrt(np.einsum("ij,ij->", a, a))
+def _sum_sq(a: np.ndarray) -> float:
+    """The sum of squares as an einsum, which adds in one order at any BLAS thread count."""
+    return np.einsum("ij,ij->", a, a)
 
 
 def mel_mae(x_mel: MelSpectrogram, y_mel: MelSpectrogram) -> float:

@@ -4,6 +4,9 @@ All three extractors share the frame-count contract
 ``n_frames = ceil(n_samples / hop)``, but not the frame placement: STFT and
 mel frame m is centred on sample ``m * hop``, while loudness frame m covers
 samples ``[m * hop, (m + 1) * hop)`` and is centred half a hop later.
+
+Every STFT user, ``metrics.mr_stft_loss`` included, streams its frames in
+``signal_core._blocks`` and reduces each block before it makes the next.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, check_array, check_count, check_integer, check_positive
-from .signal_core import AudioSignal
+from .signal_core import AudioSignal, _blocks
 
 MEL_FLOOR = 1e-5
 MEL_RANGE = (0.0, 8000.0)  # default f_min, f_max in Hz
@@ -117,8 +120,10 @@ def hann(m: int, periodic: bool) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(t))[:m]
 
 
-def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """Magnitude STFT with centered, reflect-padded, Hann-windowed frames."""
+def _stft_blocks(x: AudioSignal, cfg: StftConfig):
+    """Check and pad ``x`` now; return an iterator of ``(rows, |rfft|)`` over ``_blocks``
+    of frames, each a strided view of the padded signal windowed only when reached.
+    """
     n = len(x)
     if n == 0:
         raise DomainError("cannot take the STFT of an empty signal")
@@ -132,9 +137,21 @@ def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray
     xp = np.pad(x.samples, (pad_left, pad_right), mode=mode)
 
     window = hann(win, periodic=True)
-    starts = np.arange(frames) * hop
-    segs = np.lib.stride_tricks.sliding_window_view(xp, win)[starts]
-    return np.abs(np.fft.rfft(segs * window, n=fft, axis=1))
+    segs = np.lib.stride_tricks.sliding_window_view(xp, win)[::hop]
+    # a row's transients: its windowed frame, its complex spectrum and its magnitudes
+    return (
+        (rows, np.abs(np.fft.rfft(segs[rows] * window, n=fft, axis=1)))
+        for rows in _blocks(0, frames, win + 3 * cfg.n_bins)
+    )
+
+
+def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray:
+    """Magnitude STFT with centered, reflect-padded, Hann-windowed frames."""
+    blocks = _stft_blocks(x, cfg)
+    out = np.empty((n_frames_for(len(x), cfg.hop_size), cfg.n_bins))
+    for rows, mag in blocks:
+        out[rows] = mag
+    return out
 
 
 def hz_to_mel(f):
@@ -191,10 +208,12 @@ def mel_spectrogram(
     f_max: float = MEL_RANGE[1],
 ) -> MelSpectrogram:
     """Log mel-power spectrogram: triangle filterbank over |STFT|^2, floored at MEL_FLOOR."""
-    mag = stft_magnitude(x, cfg)
-    fbank = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
-    mel = (mag**2) @ fbank.T
-    return MelSpectrogram(np.log(np.maximum(mel, MEL_FLOOR)), cfg, x.sample_rate, (f_min, f_max))
+    blocks = _stft_blocks(x, cfg)
+    fbank_t = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max).T
+    frames = np.empty((n_frames_for(len(x), cfg.hop_size), fbank_t.shape[1]))
+    for rows, mag in blocks:
+        frames[rows] = np.log(np.maximum((mag**2) @ fbank_t, MEL_FLOOR))
+    return MelSpectrogram(frames, cfg, x.sample_rate, (f_min, f_max))
 
 
 def loudness(x: AudioSignal, hop: int = StftConfig.hop_size) -> LoudnessTrack:

@@ -1,6 +1,7 @@
-"""Loop implementations replaced by closed forms or batched array code.
+"""Loop and whole-array implementations replaced by closed forms, batched or
+blocked array code.
 
-Each function here is the straightforward loop a library fast path replaced;
+Each function here is the straightforward form a library fast path replaced;
 the tests use them as oracles for differential checks.
 """
 
@@ -15,9 +16,10 @@ from harmex.conditioning import decimation_taps
 from harmex.errors import AliasingError, DomainError, LengthMismatchError
 from harmex.ltv import FIT_EPS, FIT_GATE, LOG10_FACTOR, WNC, _check_geometry, _lagged
 from harmex.ltv import _mel_magnitude
-from harmex.metrics import _search_ratio
+from harmex.metrics import MAG_FLOOR, MrStftConfig, MrStftLoss, _search_ratio
 from harmex.signal_core import TAU, _voiced_runs
-from harmex.spectral import MelSpectrogram, frame_centers, hop_samples, mel_filterbank, n_frames_for
+from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, StftConfig, frame_centers, hann
+from harmex.spectral import hop_samples, mel_filterbank, n_frames_for
 
 
 def sine_excitation_loop(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) -> AudioSignal:
@@ -260,3 +262,45 @@ def interpolate_f0_loop(track: F0Track, sample_rate: float, n_samples: int) -> S
         centers = np.arange(start, stop) * hop
         out[sel] = np.interp(n[sel], centers, track.values[start:stop])
     return SampleF0(out, sample_rate)
+
+
+def stft_magnitude_whole(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray:
+    """``spectral.stft_magnitude`` as one gathered copy of every frame and one ``rfft``."""
+    n = len(x)
+    win, hop, fft = cfg.win_size, cfg.hop_size, cfg.fft_size
+    frames = n_frames_for(n, hop)
+    pad_left = win // 2
+    pad_right = max(0, (frames - 1) * hop + win - pad_left - n)
+    mode = "reflect" if n > max(pad_left, pad_right) else "constant"
+    xp = np.pad(x.samples, (pad_left, pad_right), mode=mode)
+    segs = np.lib.stride_tricks.sliding_window_view(xp, win)[np.arange(frames) * hop]
+    return np.abs(np.fft.rfft(segs * hann(win, periodic=True), n=fft, axis=1))
+
+
+def mel_spectrogram_whole(
+    x: AudioSignal,
+    cfg: StftConfig = StftConfig(),
+    n_mels: int = 80,
+    f_min: float = MEL_RANGE[0],
+    f_max: float = MEL_RANGE[1],
+) -> MelSpectrogram:
+    """``spectral.mel_spectrogram`` as one filterbank product over the whole power spectrogram."""
+    mag = stft_magnitude_whole(x, cfg)
+    fbank = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
+    mel = (mag**2) @ fbank.T
+    return MelSpectrogram(np.log(np.maximum(mel, MEL_FLOOR)), cfg, x.sample_rate, (f_min, f_max))
+
+
+def mr_stft_loss_whole(
+    x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfig()
+) -> MrStftLoss:
+    """``metrics.mr_stft_loss`` over each resolution's whole magnitudes, difference and logs."""
+    sc_terms, mag_terms = [], []
+    for res in cfg.resolutions:
+        mx = stft_magnitude_whole(x, res)
+        my = stft_magnitude_whole(y, res)
+        d = my - mx
+        sc_terms.append(np.sqrt(np.einsum("ij,ij->", d, d)) / np.sqrt(np.einsum("ij,ij->", my, my)))
+        mag_terms.append(np.mean(np.abs(
+            np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR)))))
+    return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))

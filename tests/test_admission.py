@@ -26,6 +26,7 @@ from harmex import (
     LoudnessTrack,
     LtvFirCoeffs,
     MelSpectrogram,
+    MrStftConfig,
     SampleF0,
     StftConfig,
     combined_loss,
@@ -49,7 +50,7 @@ TRACK = F0Track(np.full(10, 200.0))
 MEL = MelSpectrogram(np.zeros((4, 8)), StftConfig(128, 128, 64), FS)
 
 CASES = {
-    # the ten record and config constructors
+    # the eleven record and config constructors
     "F0Track.values": lambda v: F0Track(np.full(3, v)),
     "F0Track.hop_seconds": lambda v: F0Track(np.zeros(3), v),
     "SampleF0.values": lambda v: SampleF0(np.full(3, v), FS),
@@ -76,6 +77,8 @@ CASES = {
     "LoudnessTrack.hop_seconds": lambda v: LoudnessTrack(np.zeros(3), v),
     "LossWeights.alpha": lambda v: LossWeights(alpha=v),
     "LossWeights.beta": lambda v: LossWeights(beta=v),
+    "MrStftConfig.resolutions": lambda v: MrStftConfig(v),
+    "MrStftConfig.resolutions[0]": lambda v: MrStftConfig([v]),
     # the scalar arguments of the checked calls
     "refine_pitch.search_cents": lambda v: refine_pitch(X, TRACK, v),
     "pitch_jitter.search_cents": lambda v: pitch_jitter(X, TRACK, v),
@@ -109,6 +112,21 @@ def test_returns_or_raises_a_harmex_error(call):
         except Exception as exc:  # a warning is raised as one too
             escapes.append(f"{value!r}: {type(exc).__name__}: {exc}")
     assert not escapes, "\n".join(escapes)
+
+
+@pytest.mark.parametrize(
+    "resolutions",
+    [[(512, 240, 50)], "abc", None, [], (StftConfig(), "a"), {StftConfig(): 1}],
+    ids=["tuple_not_config", "string", "none", "empty", "one_not_config", "mapping"],
+)
+def test_mr_stft_config_takes_only_stft_configs(resolutions):
+    with pytest.raises(ConfigError, match="non-empty sequence of StftConfig"):
+        MrStftConfig(resolutions)
+
+
+def test_mr_stft_config_stores_a_tuple():
+    resolutions = [StftConfig(512, 240, 50), StftConfig()]
+    assert MrStftConfig(resolutions).resolutions == tuple(resolutions)
 
 
 @pytest.mark.filterwarnings("error")

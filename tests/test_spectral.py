@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +11,24 @@ from harmex import (
     AudioSignal,
     ConfigError,
     DomainError,
+    F0Track,
     LoudnessTrack,
     StftConfig,
     gaussian_noise,
+    interpolate_f0,
     loudness,
     mel_filterbank,
     mel_spectrogram,
+    mr_stft_loss,
+    signal_core,
+    sine_excitation,
     stft_magnitude,
 )
+from harmex.metrics import DEFAULT_RESOLUTIONS
 from harmex.spectral import MEL_FLOOR, MelSpectrogram, frame_centers, hann, hop_samples, mel_edges
 from harmex.spectral import n_frames_for
-from conftest import FS
+from conftest import FS, HOP
+from reference import mel_spectrogram_whole, mr_stft_loss_whole, stft_magnitude_whole
 
 
 def sine(freq, n, amp=0.5, fs=FS):
@@ -225,3 +234,64 @@ def test_derived_sizes_checked_before_allocation():
         stft_magnitude(AudioSignal(np.zeros(161), FS), StftConfig(fft_size=2**31 - 1))
     with pytest.raises(ConfigError, match="mel filterbank entries"):
         mel_filterbank(80, 10**15, FS)
+
+
+def voice_pair(n_samples: int) -> tuple[AudioSignal, AudioSignal]:
+    """A 120 Hz voice with 5 Hz vibrato and a 0.2 s gap each second, and its copy 1% higher."""
+    t = np.arange(n_frames_for(n_samples, HOP)) * 0.01
+    f0 = np.where(t % 1.0 < 0.8, 120.0 * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t)), 0.0)
+    x, y = (sine_excitation(interpolate_f0(F0Track(f0 * k), FS, n_samples)) for k in (1.0, 1.01))
+    return x, y
+
+
+@functools.cache
+def whole_array_outputs(n_samples: int):
+    x, y = voice_pair(n_samples)
+    mags = [stft_magnitude_whole(x, res) for res in (*DEFAULT_RESOLUTIONS, StftConfig())]
+    return x, y, mr_stft_loss_whole(x, y), mel_spectrogram_whole(x).frames, mags
+
+
+SIGNAL_LENGTHS = {
+    "shorter_than_the_2048_point_pad": 450,  # 600 samples: that resolution pads with zeros
+    # at 1 << 15 and the default, no frame count here is a multiple of the block rows
+    "ragged_last_block": 3 * FS + 77,
+    "ten_seconds": 10 * FS,
+}
+
+
+@pytest.mark.parametrize("elems", [1, 1 << 15, signal_core.BLOCK_ELEMS])
+@pytest.mark.parametrize("n_samples", SIGNAL_LENGTHS.values(), ids=SIGNAL_LENGTHS.keys())
+def test_streamed_stft_matches_whole_array_oracle(monkeypatch, elems, n_samples):
+    """Every STFT user walks blocks of frames; the whole-array forms are the oracles.
+
+    The magnitudes are the same bits.  The loss's sums and the mel filterbank
+    product add in another order at block edges, so those match to rounding.
+    """
+    x, y, loss, mel, mags = whole_array_outputs(n_samples)
+    monkeypatch.setattr(signal_core, "BLOCK_ELEMS", elems)
+    got = mr_stft_loss(x, y)
+    np.testing.assert_allclose([got.sc, got.mag], [loss.sc, loss.mag], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(mel_spectrogram(x).frames, mel, rtol=0, atol=1e-13)
+    for res, want in zip((*DEFAULT_RESOLUTIONS, StftConfig()), mags):
+        assert np.array_equal(stft_magnitude(x, res), want), res
+
+
+@pytest.mark.parametrize("stage, bound_mib", [("mr_stft_loss", 8), ("mel_spectrogram", 6)])
+def test_stft_users_never_hold_a_whole_spectrogram(stage, bound_mib):
+    """Peak traced memory on 10 s at 16 kHz.
+
+    Streamed, the two peak near 4.0 and 3.2 MiB; whole-array STFTs peaked at
+    36.4 and 18.8 MiB.
+    """
+    x, y, *_ = whole_array_outputs(10 * FS)
+    call = {
+        "mr_stft_loss": lambda: mr_stft_loss(x, y),
+        "mel_spectrogram": lambda: mel_spectrogram(x),
+    }
+    tracemalloc.start()
+    try:
+        call[stage]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, f"{peak / 2**20:.1f} MiB"
