@@ -100,6 +100,12 @@ def check_integer(name, value, minimum, maximum=math.inf, error=ConfigError) -> 
     return whole
 
 
+def check_type(name, value, kind) -> None:
+    """Raise ConfigError unless ``value`` is a ``kind``, before any of its fields is read."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+
+
 def check_array(name, values, ndim, minimum=None, error=DomainError) -> np.ndarray:
     """``values`` as a float64 array of ``ndim`` dimensions, finite and >= minimum.
 

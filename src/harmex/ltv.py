@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor_io
 from .errors import ConfigError, DomainError, LengthMismatchError
-from .errors import check_array, check_count, check_integer, check_positive
+from .errors import check_array, check_count, check_integer, check_positive, check_type
 from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _voiced_runs
 from .spectral import MelSpectrogram, hop_samples, mel_edges, mel_filterbank, n_frames_for
 
@@ -36,10 +36,12 @@ DEFAULT_N_TAPS = 64  # taps per frame of both coefficient sources
 # White-noise correction of ``minimum_phase_fir``: r[0] is scaled by 1 + WNC.
 WNC = 1e-9
 
-# Min-norm fit (see ``fit_coeffs_least_squares``): a frame's batched QR
-# answer is kept when its forward-error bound is at most FIT_GATE.
+# Min-norm fit (see ``_min_norm``): a frame's batched Cholesky answer is kept
+# when eps * kappa^2 is at most FIT_CHOLESKY and its forward-error bound is at
+# most FIT_GATE.
 FIT_EPS = float(np.finfo(np.float64).eps)
 FIT_GATE = 1e-12
+FIT_CHOLESKY = 0.1
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,8 @@ class FitConfig:
 
 
 def _check_geometry(x: AudioSignal, h: LtvFirCoeffs) -> int:
+    check_type("signal", x, AudioSignal)
+    check_type("coefficients", h, LtvFirCoeffs)
     if h.sample_rate != x.sample_rate:
         raise ConfigError(
             f"sample-rate mismatch: signal {x.sample_rate}, coeffs {h.sample_rate}"
@@ -151,12 +155,16 @@ def fit_coeffs_least_squares(
     of non-zero excitation samples tells, for every frame including the
     partial last one, whether its lagged block holds any; dead frames are
     never solved.  Runs of live full frames go in ``signal_core._blocks``,
-    each a slice of the strided lagged view, to the mode's block solver,
-    ``_ridge`` or ``_min_norm``.  The partial last frame and every frame
-    ``_min_norm`` cannot certify (with hop < n_taps, every live frame) are
-    then solved one at a time, by ``_ridge`` on a batch of one or by
-    ``np.linalg.lstsq``.
+    each a slice of the strided lagged view, to the mode's block solver:
+    ``_ridge`` (normal equations) or ``_min_norm`` (Cholesky and one
+    correction, with an error bound per frame).  The partial last frame and
+    every frame ``_min_norm`` cannot certify (with hop < n_taps, every live
+    frame) are then solved one at a time, by ``_ridge`` on a batch of one or
+    by ``np.linalg.lstsq``.
     """
+    check_type("excitation", excitation, AudioSignal)
+    check_type("target", target, AudioSignal)
+    check_type("cfg", cfg, FitConfig)
     if len(excitation) != len(target):
         raise LengthMismatchError(
             f"length mismatch: excitation {len(excitation)}, target {len(target)}"
@@ -220,31 +228,56 @@ def _ridge(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min-norm taps of a batch of frames with rows >= taps, and which it cannot certify.
 
-    Each frame's lagged block A (``a``: frames x rows x taps) is augmented
-    with its target y (frames x rows x 1) and factored,
-    ``[A | y] = Q [[R, c], [0, rho]]``, so ``R x = c`` gives the taps and rho
-    is the residual norm (Bjorck, Numerical Methods for Least Squares
-    Problems, 1996).  ``_upper_inverse`` gives R^-1, and ``x = R^-1 c``.
-    A frame's x is certified only when the first-order least-squares
-    forward-error bound ``eps * kappa * (||x|| + kappa * rho / ||R||_F)``,
-    with ``kappa = ||R||_F ||R^-1||_F``, is at most FIT_GATE, so x matches
-    ``np.linalg.lstsq`` (gelsd) to about that.  gelsd drops rank only for
-    kappa beyond ``1 / (eps * max(hop, n_taps))`` (2.8e13 for 160 x 64
-    frames), which the gate admits only with ||x|| below 1e-16.  A zero on
-    R's diagonal puts an infinity on R^-1's, so its bound is inf or nan and
-    the frame is not certified.
+    Corrected semi-normal equations (Bjorck, "Stability analysis of the
+    method of seminormal equations", LAA 88/89, 1987).  Each frame's lagged
+    block A (``a``: frames x rows x taps, copied contiguous) gives
+    ``G = A^T A = R^T R`` by Cholesky and R^-1 by ``_upper_inverse``, then
+    ``x0 = R^-1 R^-T A^T y`` (y: frames x rows x 1).  One correction,
+    ``r = y - A x0`` and ``dx = R^-1 R^-T A^T r``, gives ``x = x0 + dx``,
+    and rho = ||r|| is the residual norm.
+
+    With ``kappa = ||R||_F ||R^-1||_F``, a QR solve's first-order forward
+    error is ``q = eps * kappa * (||x|| + kappa * rho / ||R||_F)`` (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 20).
+    The computed R^T R is G plus a rounding error of about eps ||G||, so a
+    solve with it for G leaves a fraction ``drift = eps * kappa^2`` of any
+    error behind: the correction turns x0's error ``e0 = dx + e`` into
+    ``||e|| <= drift * ||e0|| + q``, so ``||e|| <= (q + drift * ||dx||) / (1 - drift)``.
+    A frame's x is certified only when drift is at most FIT_CHOLESKY, so R
+    is accurate and the correction contracts, and that bound is at most
+    FIT_GATE, so x matches ``np.linalg.lstsq`` (gelsd) to about that.
+    gelsd drops rank only for kappa beyond ``1 / (eps * max(hop, n_taps))``
+    (2.8e13 for 160 x 64 frames), far past the 2.1e7 FIT_CHOLESKY admits.
+    A singular G (a block of rank below n_taps) fails the Cholesky or, by
+    rounding, gives an R with drift above 3 (on 4,000 rank-deficient sine
+    frames), and is not certified.  A batched ``np.linalg.cholesky`` raises
+    when any one G is not positive definite, so such a batch is retried one
+    frame at a time.
     """
     n_taps = a.shape[2]
-    r = np.linalg.qr(np.concatenate([a, y], axis=2), mode="r")
-    R, c = r[:, :n_taps, :n_taps], r[:, :n_taps, n_taps:]
-    rho = np.linalg.norm(r[:, n_taps:, n_taps], axis=1)  # 0 when rows == n_taps
+    a = np.ascontiguousarray(a)
+    at = a.transpose(0, 2, 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # these fail the gate
-        inv = _upper_inverse(R)
-        x = (inv @ c)[..., 0]
-        norm_r = np.linalg.norm(R, axis=(1, 2))
+        try:
+            r = np.linalg.cholesky(at @ a).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:
+            if len(a) == 1:
+                return np.zeros((1, n_taps)), np.ones(1, bool)
+            x, bad = zip(*(_min_norm(a[f : f + 1], y[f : f + 1]) for f in range(len(a))))
+            return np.concatenate(x), np.concatenate(bad)
+        inv = _upper_inverse(r)
+        inv_t = inv.transpose(0, 2, 1)
+        x = inv @ (inv_t @ (at @ y))
+        res = y - a @ x
+        dx = (inv @ (inv_t @ (at @ res)))[..., 0]
+        x = x[..., 0] + dx
+        norm_r = np.linalg.norm(r, axis=(1, 2))
         kappa = norm_r * np.linalg.norm(inv, axis=(1, 2))
-        bound = FIT_EPS * kappa * (np.linalg.norm(x, axis=1) + kappa * rho / norm_r)
-        return x, ~(bound <= FIT_GATE)
+        rho = np.linalg.norm(res[..., 0], axis=1)
+        q = FIT_EPS * kappa * (np.linalg.norm(x, axis=1) + kappa * rho / norm_r)
+        drift = FIT_EPS * kappa * kappa
+        bound = (q + drift * np.linalg.norm(dx, axis=1)) / (1.0 - drift)
+        return x, ~((drift <= FIT_CHOLESKY) & (bound <= FIT_GATE))
 
 
 def _upper_inverse(r: np.ndarray) -> np.ndarray:

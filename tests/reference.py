@@ -100,12 +100,15 @@ def fit_min_norm_loop(excitation: AudioSignal, target: AudioSignal, cfg: FitConf
 
 
 def min_norm_solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ltv._min_norm`` with x and R^-1 from one ``np.linalg.solve(R, [c | I])``.
+    """``ltv._min_norm`` by a batched QR, x and R^-1 from one ``np.linalg.solve(R, [c | I])``.
 
-    R is upper triangular, so its LU factorization is R itself and every
-    column is a back substitution.  R with a zero on its diagonal is swapped
-    for the identity before the solve, which would otherwise raise, and is
-    not certified.
+    ``[A | y] = Q [[R, c], [0, rho]]``, so ``R x = c`` gives the taps and
+    rho is the residual norm.  R is upper triangular, so its LU
+    factorization is R itself and every column is a back substitution.  R
+    with a zero on its diagonal is swapped for the identity before the
+    solve, which would otherwise raise, and is not certified.  The gate is
+    the first-order QR bound ``eps * kappa * (||x|| + kappa * rho / ||R||_F)``
+    at most FIT_GATE, without ``_min_norm``'s Cholesky terms.
     """
     n_taps = a.shape[2]
     r = np.linalg.qr(np.concatenate([a, y], axis=2), mode="r")

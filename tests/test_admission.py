@@ -29,8 +29,10 @@ from harmex import (
     MrStftConfig,
     SampleF0,
     StftConfig,
+    apply_ltv,
     combined_loss,
     estimate_coeffs_from_mel,
+    fit_coeffs_least_squares,
     harmonic_count,
     interpolate_f0,
     mel_filterbank,
@@ -48,6 +50,16 @@ DRAWN = [0, -1, 2.5, 1e-300, 1e308, math.inf, -math.inf, math.nan, True, None, "
 X = make_excitation(200.0, 1600)
 TRACK = F0Track(np.full(10, 200.0))
 MEL = MelSpectrogram(np.zeros((4, 8)), StftConfig(128, 128, 64), FS)
+H = LtvFirCoeffs(np.ones((11, 4)), 0.01, FS)
+
+# the record arguments of the LTV entry points
+LTV_RECORDS = {
+    "fit_coeffs_least_squares.excitation": lambda v: fit_coeffs_least_squares(v, X),
+    "fit_coeffs_least_squares.target": lambda v: fit_coeffs_least_squares(X, v),
+    "fit_coeffs_least_squares.cfg": lambda v: fit_coeffs_least_squares(X, X, v),
+    "apply_ltv.x": lambda v: apply_ltv(v, H),
+    "apply_ltv.h": lambda v: apply_ltv(X, v),
+}
 
 CASES = {
     # the eleven record and config constructors
@@ -97,6 +109,7 @@ CASES = {
     "harmonic_count.f0": lambda v: harmonic_count(v, FS),
     "harmonic_count.sample_rate": lambda v: harmonic_count(100.0, v),
     "combined_loss.l_dec": lambda v: combined_loss(v, 1.0, 1.0),
+    **LTV_RECORDS,
 }
 
 
@@ -112,6 +125,17 @@ def test_returns_or_raises_a_harmex_error(call):
         except Exception as exc:  # a warning is raised as one too
             escapes.append(f"{value!r}: {type(exc).__name__}: {exc}")
     assert not escapes, "\n".join(escapes)
+
+
+@pytest.mark.parametrize("call", LTV_RECORDS.values(), ids=LTV_RECORDS.keys())
+@pytest.mark.parametrize(
+    "value", [X.samples, H.taps, "cfg", {"n_taps": 8}, StftConfig(), TRACK],
+    ids=["samples", "taps", "string", "mapping", "stft_config", "f0_track"],
+)
+def test_ltv_entry_points_take_only_their_records(call, value):
+    """An array, a string, a mapping or another record where a record belongs is a ConfigError."""
+    with pytest.raises(ConfigError, match="must be"):
+        call(value)
 
 
 @pytest.mark.parametrize(

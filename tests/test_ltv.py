@@ -285,7 +285,7 @@ def min_norm_config(hop, n_taps):
 
 
 class TestMinNormMatchesLstsqLoop:
-    """The blocked QR with its gate against one ``np.linalg.lstsq`` per frame."""
+    """The blocked Cholesky with its gate against one ``np.linalg.lstsq`` per frame."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -380,9 +380,40 @@ class TestMinNormMatchesLstsqLoop:
         assert len(calls) == 0
         np.testing.assert_allclose(fit.taps, expected, rtol=0, atol=1e-12)
 
+    def test_singular_frame_costs_its_block_no_other_frame(self, rng, monkeypatch):
+        """One frame of full-rank full frames whose Gram matrix is exactly singular.
+
+        Frame 50's lagged block holds one non-zero sample, its last, so its
+        Gram matrix has rank 1 and a batched Cholesky of its block raises.
+        Only that frame may go to ``lstsq``; the other frames of its block
+        are retried one at a time and certified.
+        """
+        x = rng.normal(size=16000)
+        x[50 * HOP - N_TAPS + 1 : 51 * HOP] = 0.0
+        x[51 * HOP - 1] = 1.0
+        exc = AudioSignal(x, FS)
+        known = LtvFirCoeffs(0.2 * rng.normal(size=(100, N_TAPS)), 0.010, FS)
+        clean = apply_ltv(exc, known, interpolate_taps=False).samples
+        target = AudioSignal(clean + 0.01 * rng.normal(size=16000), FS)
+        cfg = min_norm_config(HOP, N_TAPS)
+        expected = fit_min_norm_loop(exc, target, cfg)
+
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        fit = fit_coeffs_least_squares(exc, target, cfg)
+        assert len(calls) == 1
+        assert np.count_nonzero(calls[0][0]) == 1
+        np.testing.assert_allclose(fit.taps, expected, rtol=0, atol=1e-12)
+
 
 class TestMinNormMatchesSolve:
-    """``_min_norm``'s triangular inverse against the ``np.linalg.solve`` it replaced."""
+    """``_min_norm``'s Cholesky path against the QR solve it replaced (``min_norm_solve``)."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -397,7 +428,7 @@ class TestMinNormMatchesSolve:
     @example(n_taps=61, n_frames=12, extra_rows=1, log_spread=2.0, n_zeros=3, seed=1)
     @example(n_taps=1, n_frames=3, extra_rows=0, log_spread=0.0, n_zeros=1, seed=2)
     def test_matches_solve(self, n_taps, n_frames, extra_rows, log_spread, n_zeros, seed):
-        """Upper-triangular R over ``extra_rows`` zero rows, so the QR leaves R as it is.
+        """Upper-triangular R over ``extra_rows`` zero rows: the QR leaves R as it is, and R^T R is G.
 
         The diagonal spans ``log_spread`` decades, which puts kappa where the
         gate decides (about half of the frames pass); ``n_zeros`` diagonal
@@ -428,11 +459,12 @@ class TestMinNormMatchesSolve:
 def test_block_size_changes_no_output(rng, monkeypatch, elems):
     """Every blocked stage gives the same bits at any ``signal_core.BLOCK_ELEMS``.
 
-    The default holds 8 fit or filter frames of 200 x 80, 16 cepstra and 32
-    angle-search rows per block; 1 << 15 holds 2, 4 and 8, and 1 one row.
-    The fits see 40 full frames and a partial one, a dead gap, and
-    10-harmonic frames that the min-norm gate sends to ``lstsq``; every
-    estimator frame goes through the angle search.
+    The default holds 8 fit or filter frames of 200 x 80, 16 of the
+    estimator's 60 autocorrelation rows, and all of ``refine_pitch``'s 150
+    and 100 frames (436 and 655 a block) per block; 1 << 15 holds 2, 4, and
+    109 and 163, and 1 one row.  The fits see 40 full frames and a partial
+    one, a dead gap, and 10-harmonic frames that the min-norm gate sends to
+    ``lstsq``.
     """
     hop, n_taps = 200, 80
     n = 40 * hop + 77
