@@ -123,21 +123,19 @@ def apply_ltv(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = True) ->
     would round).  Frames go in ``signal_core._blocks`` of lagged signal.
     """
     hop = _check_geometry(x, h)
-    n, n_taps, last = len(x), h.n_taps, h.n_frames - 1
-    head = min(last * hop, n)  # samples before the last frame center
-    head_frames = -(-head // hop)  # x is zero-padded to fill the last head frame
-    lag = _lagged(np.concatenate([x.samples, np.zeros(head_frames * hop - head)]), n_taps)
-    y = np.empty(len(lag))
-    y[head:n] = lag[head:n] @ h.taps[last]  # held in both modes past the last center
-    pairs = np.stack([h.taps[:-1], h.taps[1:]], -1) if interpolate_taps else h.taps[:, :, None]
+    n, n_taps = len(x), h.n_taps
+    frames = n_frames_for(n, hop)  # x is zero-padded to fill the last frame
+    lag = _lagged(np.concatenate([x.samples, np.zeros(frames * hop - n)]), n_taps)
+    taps = h.taps[np.minimum(np.arange(frames + 1), h.n_frames - 1)]  # held past the last center
+    pairs = np.stack([taps[:-1], taps[1:]], -1) if interpolate_taps else taps[:-1, :, None]
     w = np.arange(hop) / hop
-    lag_frames = lag[: head_frames * hop].reshape(head_frames, hop, n_taps)  # views, not copies
-    y_frames = y[: head_frames * hop].reshape(head_frames, hop)
-    for b in _blocks(0, head_frames, hop * n_taps):
+    lag_frames = lag.reshape(frames, hop, n_taps)  # a view, not a copy
+    y = np.empty((frames, hop))
+    for b in _blocks(0, frames, hop * n_taps):
         ab = lag_frames[b] @ pairs[b]
         a = ab[..., 0]
-        y_frames[b] = a + w * (ab[..., 1] - a) if interpolate_taps else a
-    return AudioSignal(y[:n], x.sample_rate)
+        y[b] = a + w * (ab[..., 1] - a) if interpolate_taps else a
+    return AudioSignal(y.reshape(-1)[:n], x.sample_rate)
 
 
 def fit_coeffs_least_squares(
@@ -219,10 +217,11 @@ def _ridge(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     1e8) moves the taps by about 1e-9.
     """
     at = a.transpose(0, 2, 1)
-    g = at @ a
-    d = np.arange(a.shape[2])
-    g[:, d, d] += lam
-    return np.linalg.solve(g, at @ y)[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # LtvFirCoeffs rejects what overflows
+        g = at @ a
+        d = np.arange(a.shape[2])
+        g[:, d, d] += lam
+        return np.linalg.solve(g, at @ y)[..., 0]
 
 
 def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from .errors import (
     UndefinedMetricError,
     check_array,
     check_positive,
+    check_type,
 )
 from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds
 from .spectral import MelSpectrogram, StftConfig, _stft_blocks, frame_centers, hop_samples
@@ -76,6 +77,8 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
     mag_r the mean absolute log-magnitude difference with magnitudes floored
     at 1e-7.
     """
+    check_type("x", x, AudioSignal)
+    check_type("y", y, AudioSignal)
     if len(x) != len(y):
         raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
     if x.sample_rate != y.sample_rate:
@@ -103,6 +106,8 @@ def _sum_sq(a: np.ndarray) -> float:
 
 def mel_mae(x_mel: MelSpectrogram, y_mel: MelSpectrogram) -> float:
     """Mean absolute difference over all frames and mel bands."""
+    check_type("x_mel", x_mel, MelSpectrogram)
+    check_type("y_mel", y_mel, MelSpectrogram)
     if x_mel.frames.shape != y_mel.frames.shape:
         raise ConfigError(
             f"shape mismatch: {x_mel.frames.shape} vs {y_mel.frames.shape}"
@@ -171,6 +176,8 @@ def refine_pitch(
     centers on the sample nearest ``m * hop_seconds * fs``; frames sharing a
     lag range are computed together.
     """
+    check_type("signal", x, AudioSignal)
+    check_type("ref_f0", ref_f0, F0Track)
     fs = x.sample_rate
     centers = frame_centers(len(ref_f0), ref_f0.hop_seconds, fs)
     ratio = _search_ratio(search_cents)
@@ -233,6 +240,8 @@ def uv_error_rate(
     signal at any hop; a frame that owns none is decided unvoiced.  The hop
     must round to at least one sample, and the threshold must be finite.
     """
+    check_type("signal", x, AudioSignal)
+    check_type("ref_f0", ref_f0, F0Track)
     threshold = float(check_array("energy_threshold_db", energy_threshold_db, 0, error=ConfigError))
     if len(ref_f0) == 0:
         raise DomainError("empty reference track")

@@ -1,9 +1,8 @@
 """STFT magnitudes, 80-band log-mel analysis, and log-RMS loudness.
 
-All three extractors share the frame-count contract
-``n_frames = ceil(n_samples / hop)``, but not the frame placement: STFT and
-mel frame m is centred on sample ``m * hop``, while loudness frame m covers
-samples ``[m * hop, (m + 1) * hop)`` and is centred half a hop later.
+All three extractors take their frames from ``_frames``: ``ceil(n_samples / hop)``
+frames, frame m centred on sample ``m * hop``, so features at one hop pair
+row by row.
 
 Every STFT user, ``metrics.mr_stft_loss`` included, streams its frames in
 ``signal_core._blocks`` and reduces each block before it makes the next.
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, check_array, check_count, check_integer, check_positive
+from .errors import check_type
 from .signal_core import AudioSignal, _blocks
 
 MEL_FLOOR = 1e-5
@@ -120,28 +120,31 @@ def hann(m: int, periodic: bool) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(t))[:m]
 
 
-def _stft_blocks(x: AudioSignal, cfg: StftConfig):
-    """Check and pad ``x`` now; return an iterator of ``(rows, |rfft|)`` over ``_blocks``
-    of frames, each a strided view of the padded signal windowed only when reached.
-    """
+def _frames(x: AudioSignal, win: int, hop: int) -> np.ndarray:
+    """``ceil(n / hop)`` frames of ``win`` samples, frame m centred on sample ``m * hop``: a
+    strided view of ``x`` reflect-padded by ``win // 2`` (zero-padded if too short to reflect)."""
+    check_type("signal", x, AudioSignal)
     n = len(x)
     if n == 0:
-        raise DomainError("cannot take the STFT of an empty signal")
-    win, hop, fft = cfg.win_size, cfg.hop_size, cfg.fft_size
+        raise DomainError("cannot frame an empty signal")
     frames = n_frames_for(n, hop)
-    check_count("STFT bins", frames * cfg.n_bins)  # win <= fft: also bounds the padding
-
+    padded = check_count("padded samples", (frames - 1) * hop + win)
     pad_left = win // 2
-    pad_right = max(0, (frames - 1) * hop + win - pad_left - n)
+    pad_right = max(0, padded - pad_left - n)
     mode = "reflect" if n > max(pad_left, pad_right) else "constant"
     xp = np.pad(x.samples, (pad_left, pad_right), mode=mode)
+    return np.lib.stride_tricks.sliding_window_view(xp, win)[::hop]
 
-    window = hann(win, periodic=True)
-    segs = np.lib.stride_tricks.sliding_window_view(xp, win)[::hop]
+
+def _stft_blocks(x: AudioSignal, cfg: StftConfig):
+    """Frame ``x`` now; return ``(rows, |rfft|)`` per ``_blocks`` of frames, windowed when reached."""
+    segs = _frames(x, cfg.win_size, cfg.hop_size)
+    check_count("STFT bins", len(segs) * cfg.n_bins)
+    window = hann(cfg.win_size, periodic=True)
     # a row's transients: its windowed frame, its complex spectrum and its magnitudes
     return (
-        (rows, np.abs(np.fft.rfft(segs[rows] * window, n=fft, axis=1)))
-        for rows in _blocks(0, frames, win + 3 * cfg.n_bins)
+        (rows, np.abs(np.fft.rfft(segs[rows] * window, n=cfg.fft_size, axis=1)))
+        for rows in _blocks(0, len(segs), cfg.win_size + 3 * cfg.n_bins)
     )
 
 
@@ -217,10 +220,7 @@ def mel_spectrogram(
 
 
 def loudness(x: AudioSignal, hop: int = StftConfig.hop_size) -> LoudnessTrack:
-    """Per-frame log-RMS over consecutive hop-sized frames, floored at MEL_FLOOR."""
+    """Log-RMS of the hop-long frames of ``_frames``, centred on ``m * hop``, floored at MEL_FLOOR."""
     hop = check_integer("hop", hop, minimum=1)
-    frames = n_frames_for(len(x), hop)
-    check_count("padded samples", frames * hop)
-    padded = np.pad(x.samples, (0, frames * hop - len(x)))
-    rms = np.sqrt(np.mean(padded.reshape(frames, hop) ** 2, axis=1))
+    rms = np.sqrt(np.mean(_frames(x, hop, hop) ** 2, axis=1))
     return LoudnessTrack(np.log(np.maximum(rms, MEL_FLOOR)), hop / x.sample_rate)

@@ -307,3 +307,22 @@ def mr_stft_loss_whole(
         mag_terms.append(np.mean(np.abs(
             np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR)))))
     return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))
+
+
+def loudness_loop(x: AudioSignal, hop: int) -> np.ndarray:
+    """``spectral.loudness`` values, one explicit slice per frame of the padded signal.
+
+    Frame m is samples ``[m*hop - hop//2, m*hop - hop//2 + hop)`` of ``x``
+    reflect-padded (zero-padded when too short to reflect), as ``mel_spectrogram``
+    frame m is centred on ``m * hop``.
+    """
+    n, left = len(x), hop // 2
+    frames = n_frames_for(n, hop)
+    right = max(0, frames * hop - left - n)
+    xp = np.pad(x.samples, (left, right), mode="reflect" if n > max(left, right) else "constant")
+    out = np.empty(frames)
+    for m in range(frames):
+        start = m * hop - left  # in samples of x; xp starts at -left
+        seg = xp[start + left : start + left + hop]
+        out[m] = math.log(max(math.sqrt(np.mean(seg**2)), MEL_FLOOR))
+    return out

@@ -35,10 +35,14 @@ from harmex import (
     fit_coeffs_least_squares,
     harmonic_count,
     interpolate_f0,
+    loudness,
     mel_filterbank,
+    mel_mae,
     mel_spectrogram,
+    mr_stft_loss,
     pitch_jitter,
     refine_pitch,
+    stft_magnitude,
     uv_error_rate,
 )
 from harmex.errors import check_array, check_integer
@@ -59,6 +63,21 @@ LTV_RECORDS = {
     "fit_coeffs_least_squares.cfg": lambda v: fit_coeffs_least_squares(X, X, v),
     "apply_ltv.x": lambda v: apply_ltv(v, H),
     "apply_ltv.h": lambda v: apply_ltv(X, v),
+}
+
+# the record arguments of the analysis entry points
+ANALYSIS_RECORDS = {
+    "stft_magnitude.x": lambda v: stft_magnitude(v),
+    "mel_spectrogram.x": lambda v: mel_spectrogram(v),
+    "loudness.x": lambda v: loudness(v),
+    "mr_stft_loss.x": lambda v: mr_stft_loss(v, X),
+    "mr_stft_loss.y": lambda v: mr_stft_loss(X, v),
+    "mel_mae.x_mel": lambda v: mel_mae(v, MEL),
+    "mel_mae.y_mel": lambda v: mel_mae(MEL, v),
+    "refine_pitch.x": lambda v: refine_pitch(v, TRACK),
+    "refine_pitch.ref_f0": lambda v: refine_pitch(X, v),
+    "uv_error_rate.x": lambda v: uv_error_rate(v, TRACK),
+    "uv_error_rate.ref_f0": lambda v: uv_error_rate(X, v),
 }
 
 CASES = {
@@ -110,6 +129,7 @@ CASES = {
     "harmonic_count.sample_rate": lambda v: harmonic_count(100.0, v),
     "combined_loss.l_dec": lambda v: combined_loss(v, 1.0, 1.0),
     **LTV_RECORDS,
+    **ANALYSIS_RECORDS,
 }
 
 
@@ -133,6 +153,17 @@ def test_returns_or_raises_a_harmex_error(call):
     ids=["samples", "taps", "string", "mapping", "stft_config", "f0_track"],
 )
 def test_ltv_entry_points_take_only_their_records(call, value):
+    """An array, a string, a mapping or another record where a record belongs is a ConfigError."""
+    with pytest.raises(ConfigError, match="must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", ANALYSIS_RECORDS.values(), ids=ANALYSIS_RECORDS.keys())
+@pytest.mark.parametrize(
+    "value", [X.samples, "x", {"hop": 160}, H],
+    ids=["samples", "string", "mapping", "ltv_coeffs"],
+)
+def test_analysis_entry_points_take_only_their_records(call, value):
     """An array, a string, a mapping or another record where a record belongs is a ConfigError."""
     with pytest.raises(ConfigError, match="must be"):
         call(value)

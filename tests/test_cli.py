@@ -310,6 +310,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("mel", "{wav}", "--fft-size", "1000000000000000", "--out", "{out}"), None, "config"),
         (CONDITION + ("--factors", "1000000000000000"), None, "config"),
         (("fit", "{empty_wav}", "{empty_wav}", "--out", "{out}"), None, "domain"),
+        (("loudness", "{empty_wav}", "--out", "{out}"), None, "domain"),
+        (("mel", "{empty_wav}", "--out", "{out}"), None, "domain"),
         (("filter", "{wav}", "{no_frames}", "--out", "{out}"), None, "config"),
         (("mel", "{wav}", "--n-mels", "0", "--out", "{out}"), None, "config"),
         (("estimate", "{zero_rate_mel}", "--out", "{out}"), None, "format"),
@@ -335,7 +337,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
         "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
-        "condition-factor-1e15", "fit-empty-wavs", "filter-no-frames", "mel-n-mels-0",
+        "condition-factor-1e15", "fit-empty-wavs", "loudness-empty-wav", "mel-empty-wav",
+        "filter-no-frames", "mel-n-mels-0",
         "estimate-sample-rate-0", "estimate-mel-v1", "estimate-f-max-above-nyquist",
         "estimate-loudness-file",
         "estimate-conditioning-file", "excite-amplitude-1e308", "fit-length-mismatch",

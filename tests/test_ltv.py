@@ -210,6 +210,18 @@ class TestFitLeastSquares:
             with pytest.raises(DomainError):
                 fit_coeffs_least_squares(x, x, FitConfig(ridge_lambda=lam))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
+    def test_huge_excitation_fails_the_ridge_fit_without_a_warning(self, scale):
+        """The ridge Gram overflows to non-finite taps, a DomainError; the min-norm fit
+        sends such frames to lstsq and stays finite."""
+        noise = np.random.default_rng(0).standard_normal(4 * HOP)
+        exc, target = AudioSignal(scale * noise, FS), AudioSignal(noise, FS)
+        with pytest.raises(DomainError, match="finite"):
+            fit_coeffs_least_squares(exc, target)
+        taps = fit_coeffs_least_squares(exc, target, FitConfig(ridge_lambda=0.0)).taps
+        assert np.all(np.isfinite(taps))
+
     def test_hop_below_one_sample_rejected(self):
         x = AudioSignal(np.ones(100), FS)
         with pytest.raises(ConfigError, match="at least one sample"):

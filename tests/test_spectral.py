@@ -28,7 +28,7 @@ from harmex.metrics import DEFAULT_RESOLUTIONS
 from harmex.spectral import MEL_FLOOR, MelSpectrogram, frame_centers, hann, hop_samples, mel_edges
 from harmex.spectral import n_frames_for
 from conftest import FS, HOP
-from reference import mel_spectrogram_whole, mr_stft_loss_whole, stft_magnitude_whole
+from reference import loudness_loop, mel_spectrogram_whole, mr_stft_loss_whole, stft_magnitude_whole
 
 
 def sine(freq, n, amp=0.5, fs=FS):
@@ -223,6 +223,32 @@ class TestLoudness:
     def test_track_rejects_a_bad_hop(self, hop_seconds):
         with pytest.raises(ConfigError, match="hop_seconds"):
             LoudnessTrack(np.zeros(3), hop_seconds)
+
+    @pytest.mark.parametrize("n", [1, 159, 160, 161, 1600])
+    @pytest.mark.parametrize("hop", [160, 161])
+    def test_matches_frame_loop(self, hop, n):
+        """Frame m is the hop-long slice of the padded signal centred on ``m * hop``."""
+        x = AudioSignal(np.random.default_rng(n).uniform(-1, 1, n), FS)
+        np.testing.assert_allclose(loudness(x, hop).values, loudness_loop(x, hop), rtol=0, atol=1e-12)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError):
+            loudness(AudioSignal(np.zeros(0)))
+
+
+@pytest.mark.parametrize("hop", [160, 161])
+def test_impulse_peaks_in_the_same_frame_of_every_feature(hop):
+    """Loudness, STFT and mel frame m are all centred on sample ``m * hop``."""
+    x = np.zeros(FS)
+    x[1050] = 1.0
+    x = AudioSignal(x, FS)
+    cfg = StftConfig(hop_size=hop)
+    peaks = [
+        np.argmax(loudness(x, hop).values),
+        np.argmax(stft_magnitude(x, cfg).sum(axis=1)),
+        np.argmax(mel_spectrogram(x, cfg).frames.sum(axis=1)),
+    ]
+    assert peaks == [round(1050 / hop)] * 3
 
 
 def test_derived_sizes_checked_before_allocation():
