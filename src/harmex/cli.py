@@ -138,7 +138,6 @@ def _write_run_config(path, subcommand: str, entries: dict) -> None:
 def _cmd_excite(args, r):
     track = read_f0_track(args.f0_file, hop_seconds=r["hop"])
     fs = r["sample_rate"]
-    spectral.hop_samples(r["hop"], fs)
     n_samples = r["n_samples"]
     if n_samples is None:
         n_samples = check_count("n_samples", len(track) * r["hop"] * fs)

@@ -8,13 +8,13 @@ downsampler, so conditioning tensors are reproducible without training.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainError, LengthMismatchError, check_count, check_integer
+from .errors import ConfigError, DomainError, LengthMismatchError, check_array, check_count
+from .errors import check_integer, check_positive, check_type
 from .signal_core import AudioSignal
 from .spectral import hann
 from .tensor_io import write_feature_file
@@ -25,15 +25,19 @@ DEFAULT_FACTORS = (8, 6, 5)
 
 @dataclass(frozen=True)
 class ConditioningBundle:
-    """Equal-length named channels at one sample rate, in fixed order."""
+    """Equal-length named channels of finite samples at one sample rate, in fixed order."""
 
     channels: dict[str, np.ndarray]
     sample_rate: float
 
     def __post_init__(self):
+        check_type("channels", self.channels, dict)
         if not self.channels:
             raise DomainError("bundle needs at least one channel")
-        lengths = {len(v) for v in self.channels.values()}
+        channels = {name: check_array(f"channel {name}", v, 1) for name, v in self.channels.items()}
+        object.__setattr__(self, "channels", channels)
+        check_positive("sample_rate", self.sample_rate)
+        lengths = {len(v) for v in channels.values()}
         if len(lengths) != 1:
             raise LengthMismatchError(f"channel lengths differ: {sorted(lengths)}")
 
@@ -66,6 +70,8 @@ def stack_channels(
     """Stack the provided signals in the fixed channel order."""
     parts = zip(CHANNEL_ORDER, (noise, raw_excitation, filtered_excitation))
     present = {name: sig for name, sig in parts if sig is not None}
+    for name, sig in present.items():
+        check_type(name, sig, AudioSignal)
     if not present:
         raise DomainError("no channels provided")
     rates = {sig.sample_rate for sig in present.values()}
@@ -110,6 +116,7 @@ def downsample_multiscale(
     bundle: ConditioningBundle, factors: tuple[int, ...] = DEFAULT_FACTORS
 ) -> ScalePyramid:
     """Successively decimate every channel by each factor in turn."""
+    check_type("bundle", bundle, ConditioningBundle)
     factors = tuple(check_integer("factor", f, minimum=1) for f in factors)
 
     levels = []
@@ -128,6 +135,7 @@ def export_conditioning(pyramid: ScalePyramid, path_prefix) -> list[str]:
     Factors ``(1,)`` give the single audio-rate file ``_x1``.  Channels
     become dims in bundle order; returns the written paths.
     """
+    check_type("pyramid", pyramid, ScalePyramid)
     written = []
     for level in pyramid.levels:
         data = np.stack(list(level.channels.values()), axis=1)

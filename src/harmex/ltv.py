@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,16 +150,13 @@ def fit_coeffs_least_squares(
     least-squares solution is used, so rank-deficient frames (e.g. excitation
     with few harmonics) stay well-defined.
 
-    Both modes share one live-frame mask and one walk.  A cumulative count
-    of non-zero excitation samples tells, for every frame including the
-    partial last one, whether its lagged block holds any; dead frames are
-    never solved.  Runs of live full frames go in ``signal_core._blocks``,
-    each a slice of the strided lagged view, to the mode's block solver:
-    ``_ridge`` (normal equations) or ``_min_norm`` (Cholesky and one
-    correction, with an error bound per frame).  The partial last frame and
-    every frame ``_min_norm`` cannot certify (with hop < n_taps, every live
-    frame) are then solved one at a time, by ``_ridge`` on a batch of one or
-    by ``np.linalg.lstsq``.
+    A cumulative count of non-zero excitation samples tells, for every frame
+    including the partial last one, whether its lagged block holds any; dead
+    frames are never solved.  The mode picks one block solver, ``_ridge``
+    (normal equations) or ``_min_norm`` (Cholesky, one correction and an
+    error bound per frame), for each ``signal_core._blocks`` slice of a run of
+    live full frames and for a live partial last frame; ``np.linalg.lstsq``
+    solves every frame it leaves uncertified.
     """
     check_type("excitation", excitation, AudioSignal)
     check_type("target", target, AudioSignal)
@@ -175,7 +173,7 @@ def fit_coeffs_least_squares(
     fs = excitation.sample_rate
     hop = hop_samples(cfg.frame_hop_seconds, fs)
     n, n_taps, lam = len(excitation), cfg.n_taps, cfg.ridge_lambda
-    frames = n_frames_for(n, hop)
+    frames, full = n_frames_for(n, hop), n // hop
     check_count("lagged samples", n + n_taps - 1)
     check_count("fitted taps", frames * n_taps)
     lag = _lagged(excitation.samples, n_taps)
@@ -186,28 +184,24 @@ def fit_coeffs_least_squares(
     starts = hop * np.arange(frames)
     live = seen[np.minimum(starts + hop, n)] > seen[np.maximum(starts - n_taps + 1, 0)]
 
+    solve = _min_norm if lam == 0 else partial(_ridge, lam=lam)
     taps = np.zeros((frames, n_taps))
-    left = live.copy()  # live frames not solved yet
-    full = n // hop if lam > 0 or hop >= n_taps else 0  # _min_norm needs hop >= n_taps
+    left = np.zeros(frames, bool)  # frames the solver leaves uncertified
     lag_frames = lag[: full * hop].reshape(full, hop, n_taps)  # views, not copies
     y_frames = y[: full * hop].reshape(full, hop, 1)
     for start, stop in _voiced_runs(live[:full]):
         for b in _blocks(start, stop, max(hop, n_taps) * (n_taps + 1)):
-            if lam > 0:
-                taps[b], left[b] = _ridge(lag_frames[b], y_frames[b], lam), False
-            else:
-                taps[b], left[b] = _min_norm(lag_frames[b], y_frames[b])
+            taps[b], left[b] = solve(lag_frames[b], y_frames[b])
+    if full < frames and live[full]:
+        taps[full:], left[full:] = solve(lag[None, full * hop :], y[None, full * hop :, None])
     for f in np.flatnonzero(left):
         rows = slice(f * hop, (f + 1) * hop)
-        if lam > 0:
-            taps[f] = _ridge(lag[None, rows], y[None, rows, None], lam)[0]
-        else:
-            taps[f] = np.linalg.lstsq(lag[rows], y[rows], rcond=None)[0]
+        taps[f] = np.linalg.lstsq(lag[rows], y[rows], rcond=None)[0]
     return LtvFirCoeffs(taps, hop / fs, fs)
 
 
-def _ridge(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge taps, ``(A^T A + lambda I) h = A^T y``, of a batch of frames.
+def _ridge(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge taps, ``(A^T A + lambda I) h = A^T y``, of a batch of frames, all certified.
 
     ``a`` is frames x rows x taps and ``y`` frames x rows x 1.  They are
     slices of the strided lagged view, never copies: ``@`` on the strided
@@ -221,11 +215,11 @@ def _ridge(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
         g = at @ a
         d = np.arange(a.shape[2])
         g[:, d, d] += lam
-        return np.linalg.solve(g, at @ y)[..., 0]
+        return np.linalg.solve(g, at @ y)[..., 0], np.zeros(len(a), bool)
 
 
 def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min-norm taps of a batch of frames with rows >= taps, and which it cannot certify.
+    """Min-norm taps of a batch of frames, and which of them it cannot certify.
 
     Corrected semi-normal equations (Bjorck, "Stability analysis of the
     method of seminormal equations", LAA 88/89, 1987).  Each frame's lagged
@@ -247,22 +241,24 @@ def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     FIT_GATE, so x matches ``np.linalg.lstsq`` (gelsd) to about that.
     gelsd drops rank only for kappa beyond ``1 / (eps * max(hop, n_taps))``
     (2.8e13 for 160 x 64 frames), far past the 2.1e7 FIT_CHOLESKY admits.
-    A singular G (a block of rank below n_taps) fails the Cholesky or, by
-    rounding, gives an R with drift above 3 (on 4,000 rank-deficient sine
-    frames), and is not certified.  A batched ``np.linalg.cholesky`` raises
-    when any one G is not positive definite, so such a batch is retried one
-    frame at a time.
+    Fewer rows than taps make every G singular, so such a block is returned
+    uncertified before any factoring.  Any other singular G (rank below
+    n_taps) fails the Cholesky or, by rounding, gives an R with drift above
+    3 (on 4,000 rank-deficient sine frames); a batch in which one G is not
+    positive definite is retried one frame at a time.
     """
-    n_taps = a.shape[2]
+    frames, rows, n_taps = a.shape
+    if rows < n_taps:  # G = A^T A is singular
+        return np.zeros((frames, n_taps)), np.ones(frames, bool)
     a = np.ascontiguousarray(a)
     at = a.transpose(0, 2, 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # these fail the gate
         try:
             r = np.linalg.cholesky(at @ a).transpose(0, 2, 1)
         except np.linalg.LinAlgError:
-            if len(a) == 1:
+            if frames == 1:
                 return np.zeros((1, n_taps)), np.ones(1, bool)
-            x, bad = zip(*(_min_norm(a[f : f + 1], y[f : f + 1]) for f in range(len(a))))
+            x, bad = zip(*(_min_norm(a[f : f + 1], y[f : f + 1]) for f in range(frames)))
             return np.concatenate(x), np.concatenate(bad)
         inv = _upper_inverse(r)
         inv_t = inv.transpose(0, 2, 1)
@@ -362,9 +358,9 @@ def estimate_coeffs_from_mel(
     The envelope (``_mel_magnitude``) is turned into taps by the
     Levinson-Durbin recursion of ``minimum_phase_fir``, all frames in one call.
     """
+    check_type("mel", mel, MelSpectrogram)
     floor_db = check_array("floor_db", floor_db, 0)
-    # an envelope beyond float64 comes out inf or nan, which minimum_phase_fir rejects
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # minimum_phase_fir rejects inf or nan
         taps = minimum_phase_fir(_mel_magnitude(mel, floor_db), n_taps, mel.config.fft_size)
     return LtvFirCoeffs(taps, mel.hop_seconds, mel.sample_rate)
 
@@ -406,6 +402,7 @@ def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
 
 def write_coeffs(path, h: LtvFirCoeffs) -> None:
     """Binary ``LTVF`` coefficient file; the layout is in ``tensor_io``."""
+    check_type("coefficients", h, LtvFirCoeffs)
     tensor_io.write_tensor(path, LTVF_MAGIC, h.taps, h.hop_seconds, h.sample_rate)
 
 

@@ -25,8 +25,7 @@ from .errors import (
     check_type,
 )
 from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds
-from .spectral import MelSpectrogram, StftConfig, _stft_blocks, frame_centers, hop_samples
-from .spectral import n_frames_for
+from .spectral import MelSpectrogram, StftConfig, _stft_blocks, frame_centers, n_frames_for
 
 MAG_FLOOR = 1e-7
 
@@ -217,7 +216,6 @@ def pitch_jitter(x: AudioSignal, ref_f0: F0Track, search_cents: float = 200.0) -
 
 def _voicing_decisions(x: AudioSignal, ref_f0: F0Track, energy_threshold_db: float) -> np.ndarray:
     """One bool per frame of ``ref_f0``: the voicing ``uv_error_rate`` decides."""
-    hop_samples(ref_f0.hop_seconds, x.sample_rate)  # rejects a hop below one sample
     bounds = frame_bounds(ref_f0, x.sample_rate, len(x))
     count = np.diff(bounds)
     inside = count > 0

@@ -10,13 +10,13 @@ stays bounded over long files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import AliasingError, ConfigError, DomainError, LengthMismatchError
-from .errors import check_array, check_count, check_integer, check_positive
+from .errors import check_array, check_count, check_integer, check_positive, check_type
 
 TAU = 2.0 * math.pi
 
@@ -120,11 +120,24 @@ def _blocks(start: int, stop: int, row_elems: int) -> list[slice]:
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
+def hop_samples(hop_seconds: float, sample_rate: float) -> int:
+    """The hop in whole samples; a non-finite hop or one rounding below 1 is an error."""
+    check_positive("sample_rate", sample_rate)
+    hop = float(check_array("hop_seconds", hop_seconds, 0, error=ConfigError)) * sample_rate
+    if not math.isfinite(hop):
+        raise ConfigError(f"hop of {hop_seconds} s at fs={sample_rate} is not finite in samples")
+    if round(hop) < 1:
+        raise ConfigError(f"hop of {hop_seconds} s is not at least one sample at fs={sample_rate}")
+    return int(round(hop))
+
+
 def frame_bounds(track: F0Track, sample_rate: float, n_samples: int) -> np.ndarray:
     """``len(track) + 1`` bounds b, clipped to n_samples: frame m owns samples [b[m], b[m+1]).
 
     Those are the n with ``floor((n + h/2) / h) == m``, h = hop_seconds * sample_rate unrounded.
+    The hop must round to at least one sample (``hop_samples``).
     """
+    hop_samples(track.hop_seconds, sample_rate)
     hop = track.hop_seconds * sample_rate
     owner = np.floor((np.arange(n_samples) + hop / 2) / hop)
     return np.searchsorted(owner, np.arange(len(track) + 1))
@@ -139,6 +152,7 @@ def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> Sample
     run, whose endpoint values are held to the voicing boundary; every sample
     of an unvoiced frame is exactly zero.
     """
+    check_type("track", track, F0Track)
     check_positive("sample_rate", sample_rate)
     hop = track.hop_seconds * sample_rate
     n_samples = check_count("n_samples", check_integer("n_samples", n_samples, minimum=0))
@@ -180,6 +194,8 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
     lemma, so that sin(phi/2) keeps full relative precision next to multiples
     of 2*pi (unfolded, phi/2 sits next to pi there); phi = 0 gives 0.
     """
+    check_type("f0", f0, SampleF0)
+    check_type("cfg", cfg, ExcitationConfig)
     v = f0.values
     fs = f0.sample_rate
     if np.any(v >= fs / 2):
@@ -231,6 +247,7 @@ def read_f0_track(path, hop_seconds: float = DEFAULT_HOP_SECONDS) -> F0Track:
 
 
 def write_f0_track(path, track: F0Track) -> None:
+    check_type("track", track, F0Track)
     with open(path, "w") as fh:
         for value in track.values:
             fh.write(f"{value:.6f}\n")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, check_array, check_count, check_integer, check_positive
 from .errors import check_type
-from .signal_core import AudioSignal, _blocks
+from .signal_core import AudioSignal, _blocks, hop_samples
 
 MEL_FLOOR = 1e-5
 MEL_RANGE = (0.0, 8000.0)  # default f_min, f_max in Hz
@@ -87,17 +87,6 @@ class LoudnessTrack:
 
 def n_frames_for(n_samples: int, hop: int) -> int:
     return math.ceil(n_samples / hop)
-
-
-def hop_samples(hop_seconds: float, sample_rate: float) -> int:
-    """The hop in whole samples; a non-finite hop or one rounding below 1 is an error."""
-    check_positive("sample_rate", sample_rate)
-    hop = float(check_array("hop_seconds", hop_seconds, 0, error=ConfigError)) * sample_rate
-    if not math.isfinite(hop):
-        raise ConfigError(f"hop of {hop_seconds} s at fs={sample_rate} is not finite in samples")
-    if round(hop) < 1:
-        raise ConfigError(f"hop of {hop_seconds} s is not at least one sample at fs={sample_rate}")
-    return int(round(hop))
 
 
 def frame_centers(n_frames: int, hop_seconds: float, sample_rate: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_positive
+from .errors import ConfigError, FormatError, check_positive, check_type
 from .spectral import MelSpectrogram, StftConfig
 
 HMX_MAGIC = b"HMX1"
@@ -31,14 +31,24 @@ HMX_LAYOUTS = {
 _PREFIX = struct.Struct("<4sIII")
 
 
+def _float32(data: np.ndarray, path) -> np.ndarray:
+    """``data`` as contiguous ``<f4``; FormatError, before any file is opened, if that overflows."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(data, dtype="<f4")
+    if np.any(np.isinf(out) & ~np.isinf(data)):
+        raise FormatError("values beyond the float32 range (3.4e38) do not fit the file", path=path)
+    return out
+
+
 def write_tensor(path, magic: bytes, data: np.ndarray, *scalars: float, version: int = 1) -> None:
     data = np.atleast_2d(np.asarray(data))
     if data.ndim != 2:
         raise FormatError("tensor data must be 2-D (n_rows x n_cols)", path=path)
+    payload = _float32(data, path)
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(magic, version, *data.shape))
         fh.write(struct.pack(f"<{len(scalars)}d", *scalars))
-        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        fh.write(payload.tobytes())
 
 
 def read_tensor(path, magic: bytes, layouts: dict[int, tuple[str, ...]]) -> tuple[np.ndarray, dict]:
@@ -72,11 +82,13 @@ def read_tensor(path, magic: bytes, layouts: dict[int, tuple[str, ...]]) -> tupl
 
 def write_feature_file(path, data: np.ndarray, hop_seconds: float) -> None:
     """A version-1 ``HMX1`` file: frames and their hop."""
+    check_positive("hop_seconds", hop_seconds)
     write_tensor(path, HMX_MAGIC, data, hop_seconds)
 
 
 def write_mel_file(path, mel) -> None:
     """A version-2 ``HMX1`` file: a ``MelSpectrogram``'s frames, hop and geometry."""
+    check_type("mel", mel, MelSpectrogram)
     cfg = mel.config
     geometry = (mel.sample_rate, cfg.fft_size, cfg.win_size, cfg.hop_size, *mel.mel_range)
     write_tensor(path, HMX_MAGIC, mel.frames, mel.hop_seconds, *geometry, version=2)

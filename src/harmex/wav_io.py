@@ -32,8 +32,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_array
+from .errors import ConfigError, FormatError, check_array, check_type
 from .signal_core import AudioSignal
+from .tensor_io import _float32
 
 WAVE_PCM, WAVE_IEEE_FLOAT, WAVE_EXTENSIBLE = 1, 3, 0xFFFE
 U32_MAX = 0xFFFFFFFF
@@ -120,8 +121,10 @@ def write_wav(path, x: AudioSignal, encoding: WavEncoding = WavEncoding.FLOAT32)
     32 bits, or ``FormatError`` is raised before the file is opened.  PCM16
     scales symmetrically by 32767 with saturation, and the count is the
     samples saturated; Float32 (count 0) round-trips bit-exactly through
-    read_wav.
+    read_wav.  A sample beyond the float32 range (3.4e38) is a ``FormatError``
+    for Float32, raised before the file is opened.
     """
+    check_type("signal", x, AudioSignal)
     try:
         encoding = WavEncoding(encoding)
     except ValueError:
@@ -134,13 +137,14 @@ def write_wav(path, x: AudioSignal, encoding: WavEncoding = WavEncoding.FLOAT32)
         raise FormatError(f"{message}, the rates a {encoding.value} WAV header holds", path=path)
     clipped = 0
     if encoding is WavEncoding.PCM16:
-        scaled = np.rint(x.samples * 32767.0)
+        with np.errstate(over="ignore"):  # beyond 5e303 the product is inf, and saturates
+            scaled = np.rint(x.samples * 32767.0)
         clipped = int(np.count_nonzero(np.abs(scaled) > 32767))
         data = np.clip(scaled, -32767, 32767).astype("<i2")
         fmt = struct.pack("<HHIIHH", WAVE_PCM, 1, rate, 2 * rate, 2, 16)
         fact = b""
     else:
-        data = x.samples.astype("<f4")
+        data = _float32(x.samples, path)
         fmt = struct.pack("<HHIIHHH", WAVE_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0)
         fact = struct.pack("<4sII", b"fact", 4, len(data))
     chunks = struct.pack("<4sI", b"fmt ", len(fmt)) + fmt + fact

@@ -9,12 +9,14 @@ reach their bounds checks before any array has that length.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from harmex import (
     AudioSignal,
+    ConditioningBundle,
     ConfigError,
     DomainError,
     ExcitationConfig,
@@ -31,7 +33,9 @@ from harmex import (
     StftConfig,
     apply_ltv,
     combined_loss,
+    downsample_multiscale,
     estimate_coeffs_from_mel,
+    export_conditioning,
     fit_coeffs_least_squares,
     harmonic_count,
     interpolate_f0,
@@ -42,11 +46,17 @@ from harmex import (
     mr_stft_loss,
     pitch_jitter,
     refine_pitch,
+    sine_excitation,
+    stack_channels,
     stft_magnitude,
     uv_error_rate,
+    write_coeffs,
+    write_f0_track,
+    write_wav,
 )
 from harmex.errors import check_array, check_integer
 from harmex.spectral import hop_samples
+from harmex.tensor_io import write_mel_file
 from conftest import FS, make_excitation
 
 DRAWN = [0, -1, 2.5, 1e-300, 1e308, math.inf, -math.inf, math.nan, True, None, "a"]
@@ -55,6 +65,8 @@ X = make_excitation(200.0, 1600)
 TRACK = F0Track(np.full(10, 200.0))
 MEL = MelSpectrogram(np.zeros((4, 8)), StftConfig(128, 128, 64), FS)
 H = LtvFirCoeffs(np.ones((11, 4)), 0.01, FS)
+SAMPLE_F0 = SampleF0(np.full(1600, 200.0), FS)
+NEVER = os.path.join(os.devnull, "never")  # no file can be made there
 
 # the record arguments of the LTV entry points
 LTV_RECORDS = {
@@ -80,8 +92,25 @@ ANALYSIS_RECORDS = {
     "uv_error_rate.ref_f0": lambda v: uv_error_rate(X, v),
 }
 
+# the record arguments of the synthesis, writer and conditioning entry points
+PIPELINE_RECORDS = {
+    "sine_excitation.f0": lambda v: sine_excitation(v),
+    "sine_excitation.cfg": lambda v: sine_excitation(SAMPLE_F0, v),
+    "interpolate_f0.track": lambda v: interpolate_f0(v, FS, 100),
+    "estimate_coeffs_from_mel.mel": lambda v: estimate_coeffs_from_mel(v),
+    "write_coeffs.h": lambda v: write_coeffs(NEVER, v),
+    "write_mel_file.mel": lambda v: write_mel_file(NEVER, v),
+    "write_wav.x": lambda v: write_wav(NEVER, v),
+    "write_f0_track.track": lambda v: write_f0_track(NEVER, v),
+    "stack_channels.noise": lambda v: stack_channels(noise=v),
+    "stack_channels.raw_excitation": lambda v: stack_channels(X, raw_excitation=v),
+    "stack_channels.filtered_excitation": lambda v: stack_channels(X, filtered_excitation=v),
+    "downsample_multiscale.bundle": lambda v: downsample_multiscale(v),
+    "export_conditioning.pyramid": lambda v: export_conditioning(v, NEVER),
+}
+
 CASES = {
-    # the eleven record and config constructors
+    # the twelve record and config constructors
     "F0Track.values": lambda v: F0Track(np.full(3, v)),
     "F0Track.hop_seconds": lambda v: F0Track(np.zeros(3), v),
     "SampleF0.values": lambda v: SampleF0(np.full(3, v), FS),
@@ -110,6 +139,8 @@ CASES = {
     "LossWeights.beta": lambda v: LossWeights(beta=v),
     "MrStftConfig.resolutions": lambda v: MrStftConfig(v),
     "MrStftConfig.resolutions[0]": lambda v: MrStftConfig([v]),
+    "ConditioningBundle.channels": lambda v: ConditioningBundle({"noise": np.full(3, v)}, FS),
+    "ConditioningBundle.sample_rate": lambda v: ConditioningBundle({"noise": np.zeros(3)}, v),
     # the scalar arguments of the checked calls
     "refine_pitch.search_cents": lambda v: refine_pitch(X, TRACK, v),
     "pitch_jitter.search_cents": lambda v: pitch_jitter(X, TRACK, v),
@@ -130,6 +161,7 @@ CASES = {
     "combined_loss.l_dec": lambda v: combined_loss(v, 1.0, 1.0),
     **LTV_RECORDS,
     **ANALYSIS_RECORDS,
+    **PIPELINE_RECORDS,
 }
 
 
@@ -164,6 +196,17 @@ def test_ltv_entry_points_take_only_their_records(call, value):
     ids=["samples", "string", "mapping", "ltv_coeffs"],
 )
 def test_analysis_entry_points_take_only_their_records(call, value):
+    """An array, a string, a mapping or another record where a record belongs is a ConfigError."""
+    with pytest.raises(ConfigError, match="must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", PIPELINE_RECORDS.values(), ids=PIPELINE_RECORDS.keys())
+@pytest.mark.parametrize(
+    "value", [X.samples, "x", {"hop": 160}, StftConfig()],
+    ids=["samples", "string", "mapping", "stft_config"],
+)
+def test_pipeline_entry_points_take_only_their_records(call, value):
     """An array, a string, a mapping or another record where a record belongs is a ConfigError."""
     with pytest.raises(ConfigError, match="must be"):
         call(value)

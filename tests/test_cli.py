@@ -320,6 +320,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("estimate", "{loud}", "--out", "{out}"), None, "format"),
         (("estimate", "{cond_x8}", "--out", "{out}"), None, "format"),
         (EXCITE + ("--amplitude", "1e308"), None, "domain"),
+        (EXCITE + ("--amplitude", "1e38"), None, "format"),
         (("fit", "{wav}", "{empty_wav}", "--out", "{out}"), None, "length-mismatch"),
         (("fit", "{wav}", "{wav}", "--out", "{out}", "--n-taps"), None, "config"),
         (("fit", "{wav}", "{wav}"), None, "config"),
@@ -341,7 +342,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "filter-no-frames", "mel-n-mels-0",
         "estimate-sample-rate-0", "estimate-mel-v1", "estimate-f-max-above-nyquist",
         "estimate-loudness-file",
-        "estimate-conditioning-file", "excite-amplitude-1e308", "fit-length-mismatch",
+        "estimate-conditioning-file", "excite-amplitude-1e308", "excite-amplitude-1e38",
+        "fit-length-mismatch",
         "usage-missing-value", "usage-missing-out", "usage-unknown-subcommand",
     ],
 )

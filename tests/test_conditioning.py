@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from harmex import (
     AudioSignal,
+    ConditioningBundle,
     ConfigError,
     DomainError,
     LengthMismatchError,
@@ -50,6 +51,14 @@ class TestStackChannels:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             stack_channels()
+
+    def test_bundle_rejects_a_bad_rate_or_channel(self):
+        with pytest.raises(ConfigError, match="sample_rate"):
+            ConditioningBundle({"noise": np.ones(4800)}, -16000.0)
+        with pytest.raises(DomainError, match="finite"):
+            ConditioningBundle({"noise": np.array([0.0, np.nan])}, FS)
+        with pytest.raises(ConfigError, match="1-D"):
+            ConditioningBundle({"noise": np.ones((2, 2))}, FS)
 
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ConfigError):

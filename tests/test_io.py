@@ -117,6 +117,46 @@ class TestWavIo:
             read_wav(tmp_path / "missing.wav")
 
 
+class TestWritersRefuseWhatReadersRefuse:
+    """A value the file's reader would refuse fails in the writer, before the file is opened."""
+
+    def test_float32_wav_beyond_float32_range(self, tmp_path):
+        path = tmp_path / "big.wav"
+        with pytest.raises(FormatError, match="float32 range"):
+            write_wav(path, AudioSignal(np.array([0.5, -1e39]), FS))
+        assert not path.exists()
+
+    def test_float32_wav_at_the_float32_range_writes(self, tmp_path):
+        path = tmp_path / "edge.wav"
+        write_wav(path, AudioSignal(np.array([3.4e38, -3.4e38]), FS))
+        assert np.all(np.isfinite(read_wav(path).samples))
+
+    def test_pcm16_saturates_samples_whose_scaling_overflows(self, tmp_path):
+        path = tmp_path / "sat.wav"
+        assert write_wav(path, AudioSignal(np.array([1e308, -1e308, 0.5]), FS), "pcm16") == 2
+        _, raw = wavfile.read(path)
+        assert list(raw) == [32767, -32767, 16384]
+
+    def test_coeffs_beyond_float32_range(self, tmp_path):
+        path = tmp_path / "big.ltvf"
+        with pytest.raises(FormatError, match="float32 range"):
+            write_coeffs(path, LtvFirCoeffs(np.full((2, 3), 1e39), 0.01, FS))
+        assert not path.exists()
+
+    def test_feature_file_beyond_float32_range(self, tmp_path):
+        path = tmp_path / "big.hmx"
+        with pytest.raises(FormatError, match="float32 range"):
+            write_feature_file(path, np.array([[1.0, 1e39]]), 0.01)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("hop", [-0.01, 0.0, math.nan, math.inf])
+    def test_feature_file_hop_must_be_finite_and_positive(self, tmp_path, hop):
+        path = tmp_path / "hop.hmx"
+        with pytest.raises(ConfigError, match="hop_seconds"):
+            write_feature_file(path, np.zeros((2, 3)), hop)
+        assert not path.exists()
+
+
 class TestWavCodecMatchesScipy:
     """``wavfile`` is the oracle the struct codec replaced."""
 

@@ -371,12 +371,17 @@ class TestMinNormMatchesLstsqLoop:
             atol=1e-12,
         )
 
-    def test_well_conditioned_full_frames_skip_lstsq(self, rng, monkeypatch):
-        """Full-rank full frames are all certified, so the speed-up is not lost to the fallback."""
-        exc = AudioSignal(rng.normal(size=16000), FS)
-        known = LtvFirCoeffs(0.2 * rng.normal(size=(100, N_TAPS)), 0.010, FS)
+    @pytest.mark.parametrize("n", [16000, 16100])
+    def test_well_conditioned_full_frames_skip_lstsq(self, rng, monkeypatch, n):
+        """Full-rank full frames are all certified, so the speed-up is not lost to the fallback.
+
+        At 16,100 samples the last frame is a partial one of 100 rows, which
+        goes through the same solver and is certified too.
+        """
+        exc = AudioSignal(rng.normal(size=n), FS)
+        known = LtvFirCoeffs(0.2 * rng.normal(size=(n_frames_for(n, HOP), N_TAPS)), 0.010, FS)
         clean = apply_ltv(exc, known, interpolate_taps=False).samples
-        target = AudioSignal(clean + 0.01 * rng.normal(size=16000), FS)
+        target = AudioSignal(clean + 0.01 * rng.normal(size=n), FS)
         cfg = min_norm_config(HOP, N_TAPS)
         expected = fit_min_norm_loop(exc, target, cfg)
 
@@ -421,6 +426,27 @@ class TestMinNormMatchesLstsqLoop:
         fit = fit_coeffs_least_squares(exc, target, cfg)
         assert len(calls) == 1
         assert np.count_nonzero(calls[0][0]) == 1
+        np.testing.assert_allclose(fit.taps, expected, rtol=0, atol=1e-12)
+
+
+    def test_hop_below_tap_count_factors_nothing(self, rng, monkeypatch):
+        """At a 48-sample hop and 64 taps every G is singular: no block reaches the Cholesky."""
+        exc = AudioSignal(rng.normal(size=4000), FS)
+        known = LtvFirCoeffs(0.2 * rng.normal(size=(n_frames_for(4000, 48), N_TAPS)), 48 / FS, FS)
+        target = AudioSignal(apply_ltv(exc, known, interpolate_taps=False).samples, FS)
+        cfg = min_norm_config(48, N_TAPS)
+        expected = fit_min_norm_loop(exc, target, cfg)
+
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting_cholesky(*args, **kwargs):
+            calls.append(args)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        fit = fit_coeffs_least_squares(exc, target, cfg)
+        assert len(calls) == 0
         np.testing.assert_allclose(fit.taps, expected, rtol=0, atol=1e-12)
 
 

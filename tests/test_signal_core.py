@@ -69,6 +69,11 @@ class TestInterpolateF0:
         with pytest.raises(ConfigError, match="got inf"):
             interpolate_f0(F0Track(np.full(3, 100.0), 1e308), FS, 10)
 
+    def test_hop_below_one_sample_rejected(self):
+        """A 0.16-sample hop is refused, as by the pitch metrics and the fit."""
+        with pytest.raises(ConfigError, match="not at least one sample"):
+            interpolate_f0(F0Track(np.full(1000, 200.0), 1e-5), FS, 10)
+
     def test_fractional_count_rejected(self):
         with pytest.raises(ConfigError):  # not rounded to 2 samples
             interpolate_f0(F0Track(np.full(3, 100.0)), FS, 2.5)
