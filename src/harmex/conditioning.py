@@ -23,6 +23,18 @@ CHANNEL_ORDER = ("noise", "raw_excitation", "filtered_excitation")
 DEFAULT_FACTORS = (8, 6, 5)
 
 
+def _check_channels(channels) -> dict[str, np.ndarray]:
+    """``channels`` as a non-empty dict of equal-length 1-D arrays of finite samples."""
+    check_type("channels", channels, dict)
+    if not channels:
+        raise DomainError("need at least one channel")
+    checked = {name: check_array(f"channel {name}", v, 1) for name, v in channels.items()}
+    lengths = {len(v) for v in checked.values()}
+    if len(lengths) != 1:
+        raise LengthMismatchError(f"channel lengths differ: {sorted(lengths)}")
+    return checked
+
+
 @dataclass(frozen=True)
 class ConditioningBundle:
     """Equal-length named channels of finite samples at one sample rate, in fixed order."""
@@ -31,15 +43,8 @@ class ConditioningBundle:
     sample_rate: float
 
     def __post_init__(self):
-        check_type("channels", self.channels, dict)
-        if not self.channels:
-            raise DomainError("bundle needs at least one channel")
-        channels = {name: check_array(f"channel {name}", v, 1) for name, v in self.channels.items()}
-        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "channels", _check_channels(self.channels))
         check_positive("sample_rate", self.sample_rate)
-        lengths = {len(v) for v in channels.values()}
-        if len(lengths) != 1:
-            raise LengthMismatchError(f"channel lengths differ: {sorted(lengths)}")
 
     @property
     def length(self) -> int:
@@ -52,14 +57,29 @@ class ConditioningBundle:
 
 @dataclass(frozen=True)
 class PyramidLevel:
+    """The channels decimated by ``cumulative_factor`` from the base rate."""
+
     cumulative_factor: int
     channels: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        factor = check_integer("cumulative_factor", self.cumulative_factor, minimum=1)
+        object.__setattr__(self, "cumulative_factor", factor)
+        object.__setattr__(self, "channels", _check_channels(self.channels))
 
 
 @dataclass(frozen=True)
 class ScalePyramid:
+    """The ``PyramidLevel``s of one bundle and the sample rate they were decimated from."""
+
     levels: tuple[PyramidLevel, ...]
     base_sample_rate: float
+
+    def __post_init__(self):
+        check_type("levels", self.levels, tuple)
+        for level in self.levels:
+            check_type("pyramid level", level, PyramidLevel)
+        check_positive("base_sample_rate", self.base_sample_rate)
 
 
 def stack_channels(

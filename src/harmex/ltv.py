@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor_io
 from .errors import ConfigError, DomainError, LengthMismatchError
 from .errors import check_array, check_count, check_integer, check_positive, check_type
-from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _voiced_runs
+from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _each, _voiced_runs
 from .spectral import MelSpectrogram, hop_samples, mel_edges, mel_filterbank, n_frames_for
 
 LTVF_MAGIC = b"LTVF"
@@ -156,7 +156,10 @@ def fit_coeffs_least_squares(
     (normal equations) or ``_min_norm`` (Cholesky, one correction and an
     error bound per frame), for each ``signal_core._blocks`` slice of a run of
     live full frames and for a live partial last frame; ``np.linalg.lstsq``
-    solves every frame it leaves uncertified.
+    solves every frame it leaves uncertified.  The blocks, and then the
+    ``lstsq`` frames, run on ``signal_core._each``'s threads; each writes only
+    its own rows, with the numpy calls of a serial walk, so the taps are the
+    same bits at any thread count.
     """
     check_type("excitation", excitation, AudioSignal)
     check_type("target", target, AudioSignal)
@@ -189,14 +192,20 @@ def fit_coeffs_least_squares(
     left = np.zeros(frames, bool)  # frames the solver leaves uncertified
     lag_frames = lag[: full * hop].reshape(full, hop, n_taps)  # views, not copies
     y_frames = y[: full * hop].reshape(full, hop, 1)
-    for start, stop in _voiced_runs(live[:full]):
-        for b in _blocks(start, stop, max(hop, n_taps) * (n_taps + 1)):
-            taps[b], left[b] = solve(lag_frames[b], y_frames[b])
-    if full < frames and live[full]:
-        taps[full:], left[full:] = solve(lag[None, full * hop :], y[None, full * hop :, None])
-    for f in np.flatnonzero(left):
+
+    def solve_block(b):
+        taps[b], left[b] = solve(lag_frames[b], y_frames[b])
+
+    def solve_frame(f):
         rows = slice(f * hop, (f + 1) * hop)
         taps[f] = np.linalg.lstsq(lag[rows], y[rows], rcond=None)[0]
+
+    row_elems = max(hop, n_taps) * (n_taps + 1)
+    runs = _voiced_runs(live[:full])
+    _each(solve_block, [b for run in runs for b in _blocks(*run, row_elems)])
+    if full < frames and live[full]:
+        taps[full:], left[full:] = solve(lag[None, full * hop :], y[None, full * hop :, None])
+    _each(solve_frame, np.flatnonzero(left))
     return LtvFirCoeffs(taps, hop / fs, fs)
 
 

@@ -9,7 +9,10 @@ stays bounded over long files.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +26,9 @@ TAU = 2.0 * math.pi
 # Batched stages walk their rows in blocks whose transients hold about this
 # many float64 elements (1 MiB); see ``_blocks``.
 BLOCK_ELEMS = 1 << 17
+
+# ``_each`` runs on this many threads: one per CPU the process may use.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_HOP_SECONDS = 0.010
@@ -120,6 +126,42 @@ def _blocks(start: int, stop: int, row_elems: int) -> list[slice]:
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
+def _each(fn, items) -> None:
+    """Call ``fn`` on every item, on up to ``WORKERS`` threads that share one iterator.
+
+    The caller's thread is one of them, so no thread starts for one worker or
+    one item.  Each other runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there too.  After an error no item is
+    handed out; every thread is joined and the first exception is raised here.
+    """
+    todo, lock, errors = iter(items), threading.Lock(), []
+
+    def work():
+        while not errors:
+            with lock:
+                item = next(todo, todo)  # the iterator itself marks the end
+            if item is todo:
+                return
+            try:
+                fn(item)
+            except BaseException as exc:  # raised again in the caller's thread
+                errors.append(exc)
+
+    started = []
+    try:
+        for _ in range(min(WORKERS, len(items)) - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            thread.start()
+            started.append(thread)
+        work()
+    except BaseException as exc:  # a thread that did not start, or an interrupt
+        errors.append(exc)
+    for thread in started:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def hop_samples(hop_seconds: float, sample_rate: float) -> int:
     """The hop in whole samples; a non-finite hop or one rounding below 1 is an error."""
     check_positive("sample_rate", sample_rate)
@@ -153,11 +195,11 @@ def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> Sample
     of an unvoiced frame is exactly zero.
     """
     check_type("track", track, F0Track)
-    check_positive("sample_rate", sample_rate)
+    hop_samples(track.hop_seconds, sample_rate)  # checks sample_rate first
     hop = track.hop_seconds * sample_rate
     n_samples = check_count("n_samples", check_integer("n_samples", n_samples, minimum=0))
     coverage = (len(track) + 1) * hop  # through one hop past the last frame
-    check_positive("track coverage in samples", coverage, allow_zero=True)  # inf if hop overflows
+    check_positive("track coverage in samples", coverage, allow_zero=True)  # inf for a huge hop
     if n_samples > math.ceil(coverage):
         raise LengthMismatchError(
             f"n_samples={n_samples} exceeds track coverage {math.ceil(coverage)}"

@@ -30,6 +30,7 @@ from harmex import (
     MelSpectrogram,
     MrStftConfig,
     SampleF0,
+    ScalePyramid,
     StftConfig,
     apply_ltv,
     combined_loss,
@@ -54,6 +55,7 @@ from harmex import (
     write_f0_track,
     write_wav,
 )
+from harmex.conditioning import PyramidLevel
 from harmex.errors import check_array, check_integer
 from harmex.spectral import hop_samples
 from harmex.tensor_io import write_mel_file
@@ -141,6 +143,12 @@ CASES = {
     "MrStftConfig.resolutions[0]": lambda v: MrStftConfig([v]),
     "ConditioningBundle.channels": lambda v: ConditioningBundle({"noise": np.full(3, v)}, FS),
     "ConditioningBundle.sample_rate": lambda v: ConditioningBundle({"noise": np.zeros(3)}, v),
+    "PyramidLevel.cumulative_factor": lambda v: PyramidLevel(v, {"noise": np.zeros(3)}),
+    "PyramidLevel.channels": lambda v: PyramidLevel(8, v),
+    "PyramidLevel.channels[noise]": lambda v: PyramidLevel(8, {"noise": np.full(3, v)}),
+    "ScalePyramid.levels": lambda v: ScalePyramid(v, FS),
+    "ScalePyramid.levels[0]": lambda v: ScalePyramid((v,), FS),
+    "ScalePyramid.base_sample_rate": lambda v: ScalePyramid((), v),
     # the scalar arguments of the checked calls
     "refine_pitch.search_cents": lambda v: refine_pitch(X, TRACK, v),
     "pitch_jitter.search_cents": lambda v: pitch_jitter(X, TRACK, v),
@@ -220,6 +228,21 @@ def test_pipeline_entry_points_take_only_their_records(call, value):
 def test_mr_stft_config_takes_only_stft_configs(resolutions):
     with pytest.raises(ConfigError, match="non-empty sequence of StftConfig"):
         MrStftConfig(resolutions)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScalePyramid((PyramidLevel("x", {"a": np.ones(3)}),), 16000.0),
+        lambda: ScalePyramid((PyramidLevel(8, {"a": np.ones(3)}),), "16000"),
+        lambda: ScalePyramid((PyramidLevel(8, {"a": np.ones(3), "b": np.ones(2)}),), 16000.0),
+    ],
+    ids=["string_factor", "string_rate", "unequal_channels"],
+)
+def test_hand_made_pyramid_is_refused_before_export(tmp_path, make):
+    with pytest.raises(HarmexError):
+        export_conditioning(make(), tmp_path / "cond")
+    assert not list(tmp_path.iterdir())
 
 
 def test_mr_stft_config_stores_a_tuple():

@@ -300,6 +300,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("estimate", "{snan_mel}", "--out", "{out}"), None, "domain"),
         (("filter", "{wav}", "{snan_ltvf}", "--out", "{out}"), None, "domain"),
         (EXCITE + ("--hop", "1e308"), None, "config"),
+        (EXCITE + ("--hop", "1e-5", "--n-samples", "100000"), None, "config"),
         (EXCITE + ("--sample-rate", "1e308"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--duration", "1e308"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--hop", "1e-300"), None, "config"),
@@ -336,7 +337,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "estimate-unknown-flag", "fit-hop-below-one-sample",
         "fit-n-taps-3e9",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
-        "excite-hop-1e308", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
+        "excite-hop-1e308", "excite-hop-1e-5-n-samples", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
         "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
         "condition-factor-1e15", "fit-empty-wavs", "loudness-empty-wav", "mel-empty-wav",
         "filter-no-frames", "mel-n-mels-0",

@@ -1,4 +1,7 @@
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from harmex import (
     fit_coeffs_least_squares,
     gaussian_noise,
     interpolate_f0,
+    ltv,
     mel_filterbank,
     minimum_phase_fir,
     read_coeffs,
@@ -296,6 +300,17 @@ def min_norm_config(hop, n_taps):
     return FitConfig(n_taps=n_taps, ridge_lambda=0.0, frame_hop_seconds=hop / FS)
 
 
+def singular_frame_inputs(rng):
+    """1 s of full-rank frames but frame 50, whose lagged block holds one non-zero sample."""
+    x = rng.normal(size=16000)
+    x[50 * HOP - N_TAPS + 1 : 51 * HOP] = 0.0
+    x[51 * HOP - 1] = 1.0
+    exc = AudioSignal(x, FS)
+    known = LtvFirCoeffs(0.2 * rng.normal(size=(100, N_TAPS)), 0.010, FS)
+    clean = apply_ltv(exc, known, interpolate_taps=False).samples
+    return exc, AudioSignal(clean + 0.01 * rng.normal(size=16000), FS)
+
+
 class TestMinNormMatchesLstsqLoop:
     """The blocked Cholesky with its gate against one ``np.linalg.lstsq`` per frame."""
 
@@ -405,13 +420,7 @@ class TestMinNormMatchesLstsqLoop:
         Only that frame may go to ``lstsq``; the other frames of its block
         are retried one at a time and certified.
         """
-        x = rng.normal(size=16000)
-        x[50 * HOP - N_TAPS + 1 : 51 * HOP] = 0.0
-        x[51 * HOP - 1] = 1.0
-        exc = AudioSignal(x, FS)
-        known = LtvFirCoeffs(0.2 * rng.normal(size=(100, N_TAPS)), 0.010, FS)
-        clean = apply_ltv(exc, known, interpolate_taps=False).samples
-        target = AudioSignal(clean + 0.01 * rng.normal(size=16000), FS)
+        exc, target = singular_frame_inputs(rng)
         cfg = min_norm_config(HOP, N_TAPS)
         expected = fit_min_norm_loop(exc, target, cfg)
 
@@ -533,6 +542,103 @@ def test_block_size_changes_no_output(rng, monkeypatch, elems):
     monkeypatch.setattr(signal_core, "BLOCK_ELEMS", elems)
     for got, want in zip(outputs(), expected):
         assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestFitWorkers:
+    """The fit runs its blocks and its ``lstsq`` frames on ``signal_core._each``'s threads."""
+
+    @pytest.mark.parametrize("ridge_lambda", [1e-6, 0.0])
+    def test_same_bits_at_any_worker_count(self, rng, monkeypatch, ridge_lambda):
+        """A 10 s input (70 blocks) and the singular-frame input, whose min-norm fit
+        retries one block frame by frame and sends frame 50 to ``lstsq``; every
+        thread has ended when the fit returns."""
+        t = np.arange(1000) * 0.01
+        f0 = np.where(t % 1.0 < 0.8, 120.0 * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t)), 0.0)
+        x = sine_excitation(interpolate_f0(F0Track(f0), FS, 160000))
+        y = AudioSignal(x.samples + 0.01 * gaussian_noise(160000, FS, 9).samples, FS)
+        cfg = FitConfig(N_TAPS, ridge_lambda, HOP / FS)
+        threads = threading.active_count()
+        for exc, target in ((x, y), singular_frame_inputs(rng)):
+            taps = []
+            for workers in (1, 2, 64):
+                monkeypatch.setattr(signal_core, "WORKERS", workers)
+                taps.append(fit_coeffs_least_squares(exc, target, cfg).taps)
+                assert threading.active_count() == threads
+            assert all(np.array_equal(t, taps[0]) for t in taps[1:])
+
+    def test_a_block_error_reaches_the_caller_and_every_thread_ends(self, rng, monkeypatch):
+        exc, target = singular_frame_inputs(rng)
+        error = RuntimeError("block 3")
+        calls = []
+
+        def failing_min_norm(a, y):
+            calls.append(len(a))
+            if len(calls) == 3:
+                raise error
+            return _min_norm(a, y)
+
+        monkeypatch.setattr(ltv, "_min_norm", failing_min_norm)
+        monkeypatch.setattr(signal_core, "WORKERS", 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            fit_coeffs_least_squares(exc, target, min_norm_config(HOP, N_TAPS))
+        assert raised.value is error
+        assert threading.active_count() == before
+
+
+def test_each_after_an_error_hands_out_no_more_items(monkeypatch):
+    monkeypatch.setattr(signal_core, "WORKERS", 2)
+    error = ValueError("item 0")
+    done = []
+
+    def work(item):
+        if item == 0:
+            raise error
+        time.sleep(0.001)
+        done.append(item)
+
+    with pytest.raises(ValueError) as raised:
+        signal_core._each(work, range(1000))
+    assert raised.value is error
+    assert len(done) < 999
+
+
+def test_each_hands_out_every_item_once(monkeypatch):
+    """64 threads on 20,000 items, switching as often as the interpreter allows."""
+    monkeypatch.setattr(signal_core, "WORKERS", 64)
+    done = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        signal_core._each(done.append, range(20000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == list(range(20000))
+
+
+def test_each_starts_no_thread_for_one_worker_or_item(monkeypatch):
+    ran_on = []
+    for workers, items in ((1, range(5)), (64, range(1))):
+        monkeypatch.setattr(signal_core, "WORKERS", workers)
+        signal_core._each(lambda _: ran_on.append(threading.get_ident()), items)
+    assert ran_on == [threading.get_ident()] * 6
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 keeps np.errstate per thread"
+)
+def test_each_workers_see_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(signal_core, "WORKERS", 2)
+    meet = threading.Barrier(2, timeout=30)  # the two items run on two threads at once
+    seen = {}
+
+    def record(_):
+        meet.wait()
+        seen[threading.get_ident()] = np.geterr()["divide"]
+
+    with np.errstate(divide="raise"):
+        signal_core._each(record, range(2))
+    assert list(seen.values()) == ["raise", "raise"]
 
 
 class TestEstimateFromMel:

@@ -121,22 +121,27 @@ FIT_SCRIPT = """
 import hashlib
 import numpy as np
 from harmex import AudioSignal, F0Track, FitConfig, fit_coeffs_least_squares, gaussian_noise
-from harmex import interpolate_f0, sine_excitation
+from harmex import interpolate_f0, signal_core, sine_excitation
 
 t = np.arange(1000) * 0.01
 f0 = np.where(t % 1.0 < 0.8, 120.0 * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t)), 0.0)
 x = sine_excitation(interpolate_f0(F0Track(f0), 16000, 160000))
 y = AudioSignal(x.samples + 0.01 * gaussian_noise(160000, 16000, 9).samples, 16000)
 for ridge_lambda in (1e-6, 0.0):
-    taps = fit_coeffs_least_squares(x, y, FitConfig(ridge_lambda=ridge_lambda)).taps
-    print(hashlib.sha256(taps.tobytes()).hexdigest())
+    for workers in (1, 2):
+        signal_core.WORKERS = workers
+        taps = fit_coeffs_least_squares(x, y, FitConfig(ridge_lambda=ridge_lambda)).taps
+        print(hashlib.sha256(taps.tobytes()).hexdigest())
 """
 
 
 def test_fits_same_bits_at_one_and_two_blas_threads():
-    """The ridge and the min-norm taps of one fixed 10 s input (1000 frames) at each thread count."""
+    """The ridge and the min-norm taps of one fixed 10 s input (1000 frames) at one and
+    two fit workers, each at one and two BLAS threads: one hash per fit."""
     outputs = outputs_at_one_and_two_blas_threads(FIT_SCRIPT)
     assert len(outputs) == 1, outputs
+    ridge_1, ridge_2, min_norm_1, min_norm_2 = outputs.pop().split()
+    assert ridge_1 == ridge_2 and min_norm_1 == min_norm_2
 
 
 class TestMelMae:

@@ -66,13 +66,19 @@ class TestInterpolateF0:
         assert len(sf) == 640
 
     def test_overflowing_hop_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="got inf"):
+        with pytest.raises(ConfigError, match="not finite in samples"):
             interpolate_f0(F0Track(np.full(3, 100.0), 1e308), FS, 10)
 
     def test_hop_below_one_sample_rejected(self):
         """A 0.16-sample hop is refused, as by the pitch metrics and the fit."""
         with pytest.raises(ConfigError, match="not at least one sample"):
             interpolate_f0(F0Track(np.full(1000, 200.0), 1e-5), FS, 10)
+
+    def test_hop_is_checked_before_coverage(self):
+        """100000 samples exceed the 33-frame track's coverage, but the hop is the fault."""
+        with pytest.raises(ConfigError, match="not at least one sample") as raised:
+            interpolate_f0(F0Track(np.full(33, 100.0), 1e-5), FS, 100000)
+        assert not isinstance(raised.value, LengthMismatchError)
 
     def test_fractional_count_rejected(self):
         with pytest.raises(ConfigError):  # not rounded to 2 samples
