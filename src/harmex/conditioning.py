@@ -8,6 +8,7 @@ downsampler, so conditioning tensors are reproducible without training.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,7 @@ def downsample_multiscale(
 ) -> ScalePyramid:
     """Successively decimate every channel by each factor in turn."""
     check_type("bundle", bundle, ConditioningBundle)
+    check_type("factors", factors, Sequence)
     factors = tuple(check_integer("factor", f, minimum=1) for f in factors)
 
     levels = []

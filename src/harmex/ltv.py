@@ -154,12 +154,13 @@ def fit_coeffs_least_squares(
     including the partial last one, whether its lagged block holds any; dead
     frames are never solved.  The mode picks one block solver, ``_ridge``
     (normal equations) or ``_min_norm`` (Cholesky, one correction and an
-    error bound per frame), for each ``signal_core._blocks`` slice of a run of
-    live full frames and for a live partial last frame; ``np.linalg.lstsq``
-    solves every frame it leaves uncertified.  The blocks, and then the
-    ``lstsq`` frames, run on ``signal_core._each``'s threads; each writes only
-    its own rows, with the numpy calls of a serial walk, so the taps are the
-    same bits at any thread count.
+    error bound per frame).  One walk on ``signal_core._each``'s threads
+    solves each ``signal_core._blocks`` slice of a run of live full frames,
+    and a live partial last frame on its own, as views of the lagged matrix;
+    ``np.linalg.lstsq`` then finishes, in the same item, every frame of the
+    slice the solver leaves uncertified.  Each item writes only its own rows,
+    with the numpy calls of a serial walk, so the taps are the same bits at
+    any thread count.
     """
     check_type("excitation", excitation, AudioSignal)
     check_type("target", target, AudioSignal)
@@ -189,23 +190,19 @@ def fit_coeffs_least_squares(
 
     solve = _min_norm if lam == 0 else partial(_ridge, lam=lam)
     taps = np.zeros((frames, n_taps))
-    left = np.zeros(frames, bool)  # frames the solver leaves uncertified
-    lag_frames = lag[: full * hop].reshape(full, hop, n_taps)  # views, not copies
-    y_frames = y[: full * hop].reshape(full, hop, 1)
 
-    def solve_block(b):
-        taps[b], left[b] = solve(lag_frames[b], y_frames[b])
-
-    def solve_frame(f):
-        rows = slice(f * hop, (f + 1) * hop)
-        taps[f] = np.linalg.lstsq(lag[rows], y[rows], rcond=None)[0]
+    def fit(b):  # a slice of live frames; slicing ends the partial last frame at n
+        rows, k = slice(b.start * hop, b.stop * hop), b.stop - b.start
+        taps[b], left = solve(lag[rows].reshape(k, -1, n_taps), y[rows].reshape(k, -1, 1))
+        for f in b.start + np.flatnonzero(left):
+            rows = slice(f * hop, (f + 1) * hop)
+            taps[f] = np.linalg.lstsq(lag[rows], y[rows], rcond=None)[0]
 
     row_elems = max(hop, n_taps) * (n_taps + 1)
-    runs = _voiced_runs(live[:full])
-    _each(solve_block, [b for run in runs for b in _blocks(*run, row_elems)])
-    if full < frames and live[full]:
-        taps[full:], left[full:] = solve(lag[None, full * hop :], y[None, full * hop :, None])
-    _each(solve_frame, np.flatnonzero(left))
+    items = [b for run in _voiced_runs(live[:full]) for b in _blocks(*run, row_elems)]
+    if live[full:].any():  # the partial last frame
+        items.append(slice(full, frames))
+    _each(fit, items)
     return LtvFirCoeffs(taps, hop / fs, fs)
 
 
@@ -377,18 +374,17 @@ def estimate_coeffs_from_mel(
 def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
     """Linear magnitude envelope per frame (frames x bins) from log-mel energies.
 
-    Log-mel energies are spread back onto the linear-frequency grid by the
-    transpose of the (peak-normalized) filterbank, normalized by per-bin
-    coverage.  Between two band centres the two triangles that reach a bin
-    sum to 1, so this is linear interpolation between centres, held flat
-    beyond the first and the last; bins no band reaches take the value of
-    the nearest bin one does.  The log-magnitude is floored at floor_db.
+    Each linear-frequency bin takes its log-mel energy by linear
+    interpolation between the centres of the two bands around it, held flat
+    beyond the first and the last centre; bins no band reaches take the
+    value of the nearest bin one does.  The log-magnitude is floored at
+    floor_db.
 
     Each band's energy is the envelope integrated over a triangle whose area
     grows with frequency, which would tilt the reconstruction upward by the
     full log band area.  Half of that log area (re-centered on its mean so the
-    overall gain is unchanged) is subtracted before projection: this keeps the
-    response of a constant log-mel vector flat within a few dB while also
+    overall gain is unchanged) is subtracted before interpolation: this keeps
+    the response of a constant log-mel vector flat within a few dB while also
     keeping the round trip from a smooth spectral envelope within a few dB.
     """
     cfg = mel.config

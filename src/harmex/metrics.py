@@ -120,6 +120,7 @@ def mel_mae(x_mel: MelSpectrogram, y_mel: MelSpectrogram) -> float:
 
 def combined_loss(l_dec: float, l_adv: float, l_stft: float, w: LossWeights = LossWeights()) -> float:
     """alpha * l_dec + beta * l_adv + l_stft."""
+    check_type("w", w, LossWeights)
     l_dec, l_adv, l_stft = check_array("loss terms", (l_dec, l_adv, l_stft), 1).tolist()
     return w.alpha * l_dec + w.beta * l_adv + l_stft
 

@@ -38,6 +38,7 @@ from harmex import (
     estimate_coeffs_from_mel,
     export_conditioning,
     fit_coeffs_least_squares,
+    gaussian_noise,
     harmonic_count,
     interpolate_f0,
     loudness,
@@ -68,6 +69,7 @@ TRACK = F0Track(np.full(10, 200.0))
 MEL = MelSpectrogram(np.zeros((4, 8)), StftConfig(128, 128, 64), FS)
 H = LtvFirCoeffs(np.ones((11, 4)), 0.01, FS)
 SAMPLE_F0 = SampleF0(np.full(1600, 200.0), FS)
+BUNDLE = ConditioningBundle({"noise": X.samples}, FS)
 NEVER = os.path.join(os.devnull, "never")  # no file can be made there
 
 # the record arguments of the LTV entry points
@@ -92,6 +94,7 @@ ANALYSIS_RECORDS = {
     "refine_pitch.ref_f0": lambda v: refine_pitch(X, v),
     "uv_error_rate.x": lambda v: uv_error_rate(v, TRACK),
     "uv_error_rate.ref_f0": lambda v: uv_error_rate(X, v),
+    "combined_loss.w": lambda v: combined_loss(1.0, 1.0, 1.0, v),
 }
 
 # the record arguments of the synthesis, writer and conditioning entry points
@@ -167,6 +170,11 @@ CASES = {
     "harmonic_count.f0": lambda v: harmonic_count(v, FS),
     "harmonic_count.sample_rate": lambda v: harmonic_count(100.0, v),
     "combined_loss.l_dec": lambda v: combined_loss(v, 1.0, 1.0),
+    "downsample_multiscale.factors": lambda v: downsample_multiscale(BUNDLE, v),
+    "downsample_multiscale.factors[0]": lambda v: downsample_multiscale(BUNDLE, (v,)),
+    "interpolate_f0.n_samples": lambda v: interpolate_f0(TRACK, FS, v),
+    "gaussian_noise.n_samples": lambda v: gaussian_noise(v, FS, 0),
+    "gaussian_noise.seed": lambda v: gaussian_noise(10, FS, v),
     **LTV_RECORDS,
     **ANALYSIS_RECORDS,
     **PIPELINE_RECORDS,

@@ -544,27 +544,88 @@ def test_block_size_changes_no_output(rng, monkeypatch, elems):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def ten_second_inputs():
+    """10 s of a 120 Hz voice with vibrato, unvoiced for 0.2 s each second, and it plus noise."""
+    t = np.arange(1000) * 0.01
+    f0 = np.where(t % 1.0 < 0.8, 120.0 * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t)), 0.0)
+    x = sine_excitation(interpolate_f0(F0Track(f0), FS, 160000))
+    return x, AudioSignal(x.samples + 0.01 * gaussian_noise(160000, FS, 9).samples, FS)
+
+
 class TestFitWorkers:
-    """The fit runs its blocks and its ``lstsq`` frames on ``signal_core._each``'s threads."""
+    """The fit solves each slice of frames, and the ``lstsq`` frames the solver
+    leaves in it, as one item on ``signal_core._each``'s threads."""
 
     @pytest.mark.parametrize("ridge_lambda", [1e-6, 0.0])
     def test_same_bits_at_any_worker_count(self, rng, monkeypatch, ridge_lambda):
-        """A 10 s input (70 blocks) and the singular-frame input, whose min-norm fit
-        retries one block frame by frame and sends frame 50 to ``lstsq``; every
-        thread has ended when the fit returns."""
-        t = np.arange(1000) * 0.01
-        f0 = np.where(t % 1.0 < 0.8, 120.0 * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t)), 0.0)
-        x = sine_excitation(interpolate_f0(F0Track(f0), FS, 160000))
-        y = AudioSignal(x.samples + 0.01 * gaussian_noise(160000, FS, 9).samples, FS)
-        cfg = FitConfig(N_TAPS, ridge_lambda, HOP / FS)
+        """Four inputs at 1, 2 and 64 workers; every thread has ended when the fit returns.
+
+        The 10 s input makes 70 blocks at a 10 ms hop, and its first 16,100
+        samples end in a live partial frame of 100.  At a 3 ms hop (48
+        samples, fewer than the 64 taps) every live min-norm frame goes to
+        ``lstsq`` inside its block's item.  The singular-frame input's
+        min-norm fit retries one block frame by frame and sends frame 50 to
+        ``lstsq``.
+        """
+        x, y = ten_second_inputs()
+        head = AudioSignal(x.samples[:16100], FS), AudioSignal(y.samples[:16100], FS)
+        cases = [(x, y, HOP), (*head, HOP), (x, y, 48), (*singular_frame_inputs(rng), HOP)]
         threads = threading.active_count()
-        for exc, target in ((x, y), singular_frame_inputs(rng)):
+        for exc, target, hop in cases:
+            cfg = FitConfig(N_TAPS, ridge_lambda, hop / FS)
             taps = []
             for workers in (1, 2, 64):
                 monkeypatch.setattr(signal_core, "WORKERS", workers)
                 taps.append(fit_coeffs_least_squares(exc, target, cfg).taps)
                 assert threading.active_count() == threads
             assert all(np.array_equal(t, taps[0]) for t in taps[1:])
+
+    def test_each_uncertified_frame_is_solved_once(self, monkeypatch):
+        """At a 3 ms hop every live min-norm frame is uncertified: one ``lstsq`` call each."""
+        x, y = ten_second_inputs()
+        hop = 48
+        lag = _lagged(x.samples, N_TAPS)
+        live = [f for f in range(n_frames_for(len(x), hop)) if lag[f * hop : (f + 1) * hop].any()]
+        starts = []  # where each call's lagged rows begin
+        lstsq = np.linalg.lstsq
+
+        def recording_lstsq(a, *args, **kwargs):
+            starts.append(a.__array_interface__["data"][0])
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        monkeypatch.setattr(signal_core, "WORKERS", 2)
+        fit_coeffs_least_squares(x, y, min_norm_config(hop, N_TAPS))
+        assert len(starts) == len(set(starts)) == len(live)
+
+    @pytest.mark.parametrize("ridge_lambda", [1e-6, 0.0])
+    def test_solver_gets_views_of_the_lagged_matrix(self, rng, monkeypatch, ridge_lambda):
+        """Every block and the live partial last frame reach the solver as views.
+
+        A copy of the lagged rows would send ``_ridge``'s Gram product through
+        BLAS and move its taps by about 1e-9.  The random excitation keeps
+        every Gram matrix positive definite, so ``_min_norm`` retries no block.
+        """
+        exc = AudioSignal(rng.normal(size=16100), FS)
+        target = AudioSignal(rng.normal(size=16100), FS)
+        lagged, rows = [], []
+
+        def recording_lagged(x, n_taps):
+            lagged.append(_lagged(x, n_taps))
+            return lagged[-1]
+
+        name = "_ridge" if ridge_lambda else "_min_norm"
+        solver = getattr(ltv, name)
+
+        def recording_solver(a, y, **kwargs):
+            assert np.shares_memory(a, lagged[0]) and np.shares_memory(y, target.samples)
+            rows.append(a.shape[1])
+            return solver(a, y, **kwargs)
+
+        monkeypatch.setattr(ltv, "_lagged", recording_lagged)
+        monkeypatch.setattr(ltv, name, recording_solver)
+        fit_coeffs_least_squares(exc, target, FitConfig(N_TAPS, ridge_lambda, HOP / FS))
+        assert sorted(rows) == [100] + [HOP] * (len(rows) - 1)
 
     def test_a_block_error_reaches_the_caller_and_every_thread_ends(self, rng, monkeypatch):
         exc, target = singular_frame_inputs(rng)
@@ -770,13 +831,18 @@ class TestEstimateMatchesLevinsonLoop:
 
     @settings(max_examples=40, deadline=None)
     @given(mel=BANDED_MELS, n_taps=st.integers(2, 128), floor_db=st.floats(-90.0, -20.0))
+    # frame 12 has |k| = 0.987, so E = r0 (1 - k^2) cancels: 1.67e-16 off, while the
+    # 1 x 1 toeplitz(row[:-1]) has kappa 1 and toeplitz(row) has kappa 158
+    @example(mel=banded_mel(0.0, 3.25, 9, 13, 134217728), n_taps=2, floor_db=-49.0)
     def test_matches_solve_toeplitz(self, mel, n_taps, floor_db):
         """The predictor from ``scipy.linalg.solve_toeplitz``, within 4 n eps kappa max|h|.
 
         Both solvers lose accuracy with the condition number kappa of the
-        Toeplitz matrix; at n = n_taps, kappa up to 1.3e10 in these ranges
-        put the two up to 5.4e-7 apart.  On 24,639 frames drawn from these
-        ranges the largest gap was 0.59 n eps kappa max|h|.
+        n x n ``toeplitz(row)``, in which the error E is the Schur complement
+        of the (n - 1) x (n - 1) system for the predictor; by interlacing,
+        that kappa is never the smaller of the two.  On 24,657 frames drawn
+        from these ranges kappa reached 3.2e9, the two were up to 3.1e-7
+        apart, and the largest gap was 0.42 n eps kappa max|h|.
         """
         from scipy.linalg import solve_toeplitz, toeplitz
 
@@ -787,7 +853,7 @@ class TestEstimateMatchesLevinsonLoop:
         for row, got in zip(r, taps):
             a = solve_toeplitz(row[:-1], -row[1:])
             want = np.concatenate([[1.0], a]) / np.sqrt(row[0] + a @ row[1:])
-            kappa = np.linalg.cond(toeplitz(row[:-1]))
+            kappa = np.linalg.cond(toeplitz(row))
             tol = 4 * n_taps * np.finfo(np.float64).eps * kappa * np.abs(want).max()
             assert np.abs(got - want).max() <= tol
 
