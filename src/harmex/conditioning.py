@@ -8,6 +8,7 @@ downsampler, so conditioning tensors are reproducible without training.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -158,6 +159,8 @@ def export_conditioning(pyramid: ScalePyramid, path_prefix) -> list[str]:
     become dims in bundle order; returns the written paths.
     """
     check_type("pyramid", pyramid, ScalePyramid)
+    if not isinstance(path_prefix, (str, os.PathLike)):  # any object would format into a name
+        raise ConfigError(f"path_prefix must be str or PathLike, got {type(path_prefix).__name__}")
     written = []
     for level in pyramid.levels:
         data = np.stack(list(level.channels.values()), axis=1)

@@ -34,7 +34,7 @@ LTVF_MAGIC = b"LTVF"
 LOG10_FACTOR = 10.0 / math.log(10.0)  # natural-log power -> dB
 DEFAULT_N_TAPS = 64  # taps per frame of both coefficient sources
 
-# White-noise correction of ``minimum_phase_fir``: r[0] is scaled by 1 + WNC.
+# White-noise correction of ``_levinson``: r[0] is scaled by 1 + WNC.
 WNC = 1e-9
 
 # Min-norm fit (see ``_min_norm``): a frame's batched Cholesky answer is kept
@@ -319,33 +319,41 @@ def _diagonal_blocks(m: np.ndarray, start: int, size: int, count: int) -> np.nda
 def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
     """Minimum-phase FIR taps whose response approximates ``magnitude``.
 
-    ``magnitude`` is frames x (fft_size//2 + 1) finite linear magnitudes,
-    one row per frame, and the taps are frames x n_taps (n_taps at most
-    fft_size).  Each row's inverse power spectrum ``max(|M|, 1e-12)^-2`` has
-    autocorrelation r (``irfft``, in ``signal_core._blocks`` of rows).  The
-    Levinson-Durbin recursion, all rows at once, gives its order n_taps - 1
-    monic predictor A and error E: order m takes k = -(A . r[m:0:-1]) / E,
-    A[i] += k A[m - i] for i = 1..m, and E *= 1 - k^2.  E / |A|^2 models the
-    inverse power, so the taps A / sqrt(E) have |H|^2 close to |M|^2.  A
-    positive-definite r gives every |k| < 1, so A has all its zeros inside
-    the unit circle (Makhoul, "Linear prediction: a tutorial review", Proc.
-    IEEE 63, 1975).  Scaling r[0] by 1 + WNC (white-noise correction) keeps
-    r's smallest eigenvalue at least WNC * r[0], far above the recursion's
-    rounding, however deep the notches.
+    ``magnitude`` is frames x (fft_size//2 + 1) finite linear magnitudes
+    below 1e150, and the taps (frames x n_taps) are ``_levinson``'s of the
+    inverse power spectrum ``max(|M|, 1e-12)^-2``.
     """
     fft_size = check_integer("fft_size", fft_size, minimum=1)
-    n_taps = check_integer("n_taps", n_taps, minimum=1)
-    if n_taps > fft_size:
-        raise ConfigError(f"n_taps={n_taps} above fft_size={fft_size}")
     rows = check_array("envelope magnitudes", magnitude, 2)
     if rows.shape[1] != fft_size // 2 + 1:
         raise ConfigError(f"magnitude shape {rows.shape}: need frames x {fft_size // 2 + 1} bins")
     # below 1e150, every inverse power is a normal float64
     if not -1e150 < rows.min(initial=0.0) <= rows.max(initial=0.0) < 1e150:
         raise DomainError("envelope magnitudes must be below 1e150")
-    r = np.empty((n_taps, len(rows)))  # lags x rows, as A
-    for b in _blocks(0, len(rows), 8 * fft_size):  # about 8 row-sized transients per row
-        r[:, b] = np.fft.irfft(np.maximum(rows[b], 1e-12) ** -2.0, fft_size)[:, :n_taps].T
+    return _levinson(np.maximum(rows, 1e-12) ** -2.0, n_taps, fft_size)
+
+
+def _levinson(inv_power: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
+    """Minimum-phase taps (frames x n_taps, n_taps at most fft_size) from inverse powers.
+
+    Each row of ``inv_power``, frames x (fft_size//2 + 1) normal floats > 0,
+    has autocorrelation r (``irfft``, in ``signal_core._blocks`` of rows).
+    The Levinson-Durbin recursion, all rows at once, gives its order
+    n_taps - 1 monic predictor A and error E: order m takes k = -(A . r[m:0:-1]) / E,
+    A[i] += k A[m - i] for i = 1..m, and E *= 1 - k^2.  E / |A|^2 models the
+    inverse power, so the taps A / sqrt(E) have |H|^2 close to its inverse.  A
+    positive-definite r gives every |k| < 1, so A has all its zeros inside
+    the unit circle (Makhoul, "Linear prediction: a tutorial review", Proc.
+    IEEE 63, 1975).  Scaling r[0] by 1 + WNC (white-noise correction) keeps
+    r's smallest eigenvalue at least WNC * r[0], far above the recursion's
+    rounding, however deep the notches.
+    """
+    n_taps = check_integer("n_taps", n_taps, minimum=1)
+    if n_taps > fft_size:
+        raise ConfigError(f"n_taps={n_taps} above fft_size={fft_size}")
+    r = np.empty((n_taps, len(inv_power)))  # lags x rows, as A
+    for b in _blocks(0, len(inv_power), 8 * fft_size):  # about 8 row-sized transients per row
+        r[:, b] = np.fft.irfft(inv_power[b], fft_size)[:, :n_taps].T
     r[0] *= 1.0 + WNC
     a = np.zeros_like(r)
     a[0], e = 1.0, r[0].copy()
@@ -361,24 +369,27 @@ def estimate_coeffs_from_mel(
 ) -> LtvFirCoeffs:
     """Minimum-phase FIR per frame from a log-mel envelope.
 
-    The envelope (``_mel_magnitude``) is turned into taps by the
-    Levinson-Durbin recursion of ``minimum_phase_fir``, all frames in one call.
+    The log power (``_mel_log_power``) floored once at ``max(floor_db, -240)``
+    dB (-240 dB is ``minimum_phase_fir``'s 1e-12) is, in one ``exp``, the
+    inverse power spectrum that ``_levinson`` turns into taps, all frames at once.
     """
     check_type("mel", mel, MelSpectrogram)
     floor_db = check_array("floor_db", floor_db, 0)
-    with np.errstate(over="ignore", invalid="ignore"):  # minimum_phase_fir rejects inf or nan
-        taps = minimum_phase_fir(_mel_magnitude(mel, floor_db), n_taps, mel.config.fft_size)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the bound
+        level = np.maximum(_mel_log_power(mel), max(floor_db, -240.0) / LOG10_FACTOR)
+        if not level.max(initial=0.0) < 2.0 * math.log(1e150):  # magnitudes below 1e150
+            raise DomainError("envelope magnitudes must be below 1e150")
+        taps = _levinson(np.exp(-level), n_taps, mel.config.fft_size)
     return LtvFirCoeffs(taps, mel.hop_seconds, mel.sample_rate)
 
 
-def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
-    """Linear magnitude envelope per frame (frames x bins) from log-mel energies.
+def _mel_log_power(mel: MelSpectrogram) -> np.ndarray:
+    """Natural-log power envelope per frame (frames x bins) from log-mel energies.
 
     Each linear-frequency bin takes its log-mel energy by linear
     interpolation between the centres of the two bands around it, held flat
     beyond the first and the last centre; bins no band reaches take the
-    value of the nearest bin one does.  The log-magnitude is floored at
-    floor_db.
+    value of the nearest bin one does.
 
     Each band's energy is the envelope integrated over a triangle whose area
     grows with frequency, which would tilt the reconstruction upward by the
@@ -400,9 +411,7 @@ def _mel_magnitude(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
     w = np.clip((freqs - edges[j + 1]) / (edges[j + 2] - edges[j + 1]), 0.0, 1.0)
     log_power = np.take(bands, j, axis=1)
     log_power += w * (np.take(bands, np.minimum(j + 1, mel.n_mels - 1), axis=1) - log_power)
-
-    mag_db = np.maximum(LOG10_FACTOR * log_power, floor_db)
-    return 10.0 ** (mag_db / 20.0)
+    return log_power
 
 
 def write_coeffs(path, h: LtvFirCoeffs) -> None:

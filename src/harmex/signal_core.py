@@ -246,16 +246,17 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
     out = np.zeros(len(v))
     rng = np.random.default_rng(cfg.seed) if cfg.phase_init is PhaseInit.SEEDED_RANDOM else None
 
-    with np.errstate(over="ignore"):  # an amplitude that overflows: AudioSignal rejects the inf
+    with np.errstate(over="ignore"):  # an inf count fails its check, AudioSignal an inf amplitude
         for start, stop in _voiced_runs(v > 0):
             seg = v[start:stop]
             phi0 = 0.0 if rng is None else float(rng.uniform(0.0, TAU))
             base = (phi0 + np.cumsum(TAU * seg / fs)) % TAU
             base -= TAU * (base > math.pi)
 
-            k_count = np.floor(fs / (2.0 * seg)).astype(np.intp)
+            k_count = np.floor(fs / (2.0 * seg))
             if cfg.k_max_cap is not None:
                 np.minimum(k_count, cfg.k_max_cap, out=k_count)
+            check_count("harmonic count", float(k_count.max()))  # < 2**31: exact whole floats
 
             half = 0.5 * base
             den = np.sin(half)

@@ -15,7 +15,7 @@ from harmex import (
 from harmex.conditioning import decimation_taps
 from harmex.errors import AliasingError, DomainError, LengthMismatchError
 from harmex.ltv import FIT_EPS, FIT_GATE, LOG10_FACTOR, WNC, _check_geometry, _lagged
-from harmex.ltv import _mel_magnitude
+from harmex.ltv import _mel_log_power
 from harmex.metrics import MAG_FLOOR, MrStftConfig, MrStftLoss, _search_ratio
 from harmex.signal_core import TAU, _voiced_runs
 from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, StftConfig, frame_centers, hann
@@ -136,8 +136,8 @@ def decimate_full_rate(x: np.ndarray, factor: int) -> np.ndarray:
     return filtered[::factor][: len(x) // factor]
 
 
-def mel_magnitude_dense(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
-    """``ltv._mel_magnitude`` as a product with the filterbank over per-bin coverage.
+def mel_log_power_dense(mel: MelSpectrogram) -> np.ndarray:
+    """``ltv._mel_log_power`` as a product with the filterbank over per-bin coverage.
 
     The band-compensated log-mel energies go through the transpose of the
     filterbank and are divided by each bin's coverage; the bins no band
@@ -154,21 +154,23 @@ def mel_magnitude_dense(mel: MelSpectrogram, floor_db: float) -> np.ndarray:
     bins = np.arange(cfg.n_bins)
     for f in range(mel.n_frames):
         log_power[f] = np.interp(bins, bins[covered], log_power[f, covered])
-    return 10.0 ** (np.maximum(LOG10_FACTOR * log_power, floor_db) / 20.0)
+    return log_power
 
 
 def estimate_taps_loop(mel: MelSpectrogram, n_taps: int = 64, floor_db: float = -50.0) -> np.ndarray:
     """``ltv.estimate_coeffs_from_mel`` taps, one scalar Levinson-Durbin recursion per frame.
 
-    Each frame's autocorrelation r of its inverse power spectrum, r[0]
+    Each frame's autocorrelation r of its inverse power spectrum
+    ``exp(-max(log power, max(floor_db, -240) / LOG10_FACTOR))``, r[0]
     scaled by 1 + WNC, gives the monic predictor a and its error e one
     order m at a time: k = -sum_i a[i] r[m - i] / e, a[i] += k a[m - i],
     e *= 1 - k^2.  The taps are a / sqrt(e).
     """
     fft_size = mel.config.fft_size
     taps = np.zeros((mel.n_frames, n_taps))
-    for f, magnitude in enumerate(_mel_magnitude(mel, floor_db)):
-        r = np.fft.irfft(np.maximum(magnitude, 1e-12) ** -2.0, fft_size)[:n_taps].tolist()
+    floor = max(floor_db, -240.0) / LOG10_FACTOR
+    for f, inv_power in enumerate(np.exp(-np.maximum(_mel_log_power(mel), floor))):
+        r = np.fft.irfft(inv_power, fft_size)[:n_taps].tolist()
         r[0] *= 1.0 + WNC
         a, e = [1.0], r[0]
         for m in range(1, n_taps):

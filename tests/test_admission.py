@@ -5,7 +5,9 @@ a warning.
 Each case fills one field or argument with one drawn value and keeps the
 rest at small valid inputs.  Array fields get the value in an array of the
 shape they need.  No drawn value is a count that would allocate: counts
-reach their bounds checks before any array has that length.
+reach their bounds checks before any array has that length.  The cases run
+in a temporary working directory, where a valid path prefix such as ``"a"``
+may write its files.
 """
 
 import math
@@ -70,6 +72,7 @@ MEL = MelSpectrogram(np.zeros((4, 8)), StftConfig(128, 128, 64), FS)
 H = LtvFirCoeffs(np.ones((11, 4)), 0.01, FS)
 SAMPLE_F0 = SampleF0(np.full(1600, 200.0), FS)
 BUNDLE = ConditioningBundle({"noise": X.samples}, FS)
+PYRAMID = downsample_multiscale(BUNDLE, (1,))
 NEVER = os.path.join(os.devnull, "never")  # no file can be made there
 
 # the record arguments of the LTV entry points
@@ -175,6 +178,11 @@ CASES = {
     "interpolate_f0.n_samples": lambda v: interpolate_f0(TRACK, FS, v),
     "gaussian_noise.n_samples": lambda v: gaussian_noise(v, FS, 0),
     "gaussian_noise.seed": lambda v: gaussian_noise(10, FS, v),
+    "sine_excitation.f0.values": lambda v: sine_excitation(SampleF0(np.full(4, v), FS)),
+    "sine_excitation.f0.sample_rate": lambda v: sine_excitation(SampleF0(np.full(4, 200.0), v)),
+    "export_conditioning.path_prefix": lambda v: export_conditioning(PYRAMID, v),
+    "estimate_coeffs_from_mel.n_taps": lambda v: estimate_coeffs_from_mel(MEL, v),
+    "mel_spectrogram.n_mels": lambda v: mel_spectrogram(X, StftConfig(128, 128, 64), v),
     **LTV_RECORDS,
     **ANALYSIS_RECORDS,
     **PIPELINE_RECORDS,
@@ -183,7 +191,8 @@ CASES = {
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
-def test_returns_or_raises_a_harmex_error(call):
+def test_returns_or_raises_a_harmex_error(call, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     escapes = []
     for value in DRAWN:
         try:
@@ -251,6 +260,16 @@ def test_hand_made_pyramid_is_refused_before_export(tmp_path, make):
     with pytest.raises(HarmexError):
         export_conditioning(make(), tmp_path / "cond")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("prefix", [None, math.nan, 0, b"cond", ["cond"]])
+def test_export_takes_only_a_path_prefix(tmp_path, monkeypatch, prefix):
+    """Any other object would be formatted into the file names, ``None_x1.hmx`` and the like."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="path_prefix must be str or PathLike"):
+        export_conditioning(PYRAMID, prefix)
+    assert not list(tmp_path.iterdir())
+    assert export_conditioning(PYRAMID, tmp_path / "cond") == [f"{tmp_path / 'cond'}_x1.hmx"]
 
 
 def test_mr_stft_config_stores_a_tuple():

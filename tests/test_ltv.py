@@ -32,7 +32,7 @@ from harmex import (
     sine_excitation,
     write_coeffs,
 )
-from harmex.ltv import LOG10_FACTOR, WNC, _lagged, _mel_magnitude, _min_norm
+from harmex.ltv import LOG10_FACTOR, WNC, _lagged, _mel_log_power, _min_norm
 from harmex.spectral import MelSpectrogram, mel_edges, n_frames_for
 from conftest import FS, HOP, frequency_response, make_excitation
 from reference import (
@@ -40,7 +40,7 @@ from reference import (
     estimate_taps_loop,
     fit_min_norm_loop,
     fit_ridge_loop,
-    mel_magnitude_dense,
+    mel_log_power_dense,
     min_norm_solve,
 )
 
@@ -794,6 +794,24 @@ class TestEstimateFromMel:
         with pytest.raises(ConfigError):
             estimate_coeffs_from_mel(self.flat_mel(0.0), n_taps=2.5)
 
+    def test_floor_below_minus_240_db_is_minus_240_db(self):
+        """``floor_db`` and the 1e-12 magnitude floor of ``minimum_phase_fir`` are one floor."""
+        mel = banded_mel(-60.0, 4.5, 1, 4, 0)
+        assert (_mel_log_power(mel) < -240.0 / LOG10_FACTOR).any()  # the floor binds
+        want = estimate_coeffs_from_mel(mel, 32, -240.0).taps
+        for floor_db in (-240.5, -300.0, -1e308):
+            np.testing.assert_array_equal(estimate_coeffs_from_mel(mel, 32, floor_db).taps, want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_magnitudes_up_to_1e150(self):
+        """A level just under magnitude 1e150 gives finite taps; just over, a DomainError."""
+        peak = _mel_log_power(self.flat_mel(0.0, n_frames=1)).max()
+        bound = 2.0 * np.log(1e150)  # log power of magnitude 1e150
+        h = estimate_coeffs_from_mel(self.flat_mel(bound - peak - 1e-9, n_frames=1))
+        assert np.isfinite(h.taps).all()
+        with pytest.raises(DomainError, match="below 1e150"):
+            estimate_coeffs_from_mel(self.flat_mel(bound - peak + 1e-9, n_frames=1))
+
 
 def banded_mel(level, depth, smooth, n_frames, seed):
     """Log-mel frames of mean ``level`` whose bands stray by ``depth``, ``smooth`` bands at a time."""
@@ -847,8 +865,8 @@ class TestEstimateMatchesLevinsonLoop:
         from scipy.linalg import solve_toeplitz, toeplitz
 
         taps = estimate_coeffs_from_mel(mel, n_taps, floor_db).taps
-        magnitude = np.maximum(_mel_magnitude(mel, floor_db), 1e-12)
-        r = np.fft.irfft(magnitude ** -2.0, mel.config.fft_size)[:, :n_taps]
+        inv_power = np.exp(-np.maximum(_mel_log_power(mel), max(floor_db, -240.0) / LOG10_FACTOR))
+        r = np.fft.irfft(inv_power, mel.config.fft_size)[:, :n_taps]
         r[:, 0] *= 1.0 + WNC
         for row, got in zip(r, taps):
             a = solve_toeplitz(row[:-1], -row[1:])
@@ -873,15 +891,15 @@ def test_mel_magnitude_matches_dense_projection(rng):
         frames = -6.0 + 3.0 * rng.normal(size=(20, n_mels))
         mel = MelSpectrogram(frames, stft, fs, (f_min, f_max * fs))
         try:
-            want = mel_magnitude_dense(mel, -90.0)
+            want = mel_log_power_dense(mel)
         except ConfigError:  # a band covers no bin
             continue
         built += 1
         freqs = np.arange(stft.n_bins) * (fs / fft_size)
         past_first_centre += freqs[freqs > f_min][0] > mel_edges(n_mels, f_min, f_max * fs)[1]
-        for floor_db in (-50.0, -90.0):
-            got = _mel_magnitude(mel, floor_db)
-            np.testing.assert_allclose(got, mel_magnitude_dense(mel, floor_db), rtol=1e-13, atol=0)
+        # 2e-13 on the log power is rtol 1e-13 on its magnitude
+        got = _mel_log_power(mel)
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-13)
         if n_mels == 1:
             assert np.ptp(got, axis=1).max() == 0.0
     assert built >= 150 and past_first_centre > 0

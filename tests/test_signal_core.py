@@ -190,6 +190,15 @@ class TestSineExcitation:
         with pytest.raises(AliasingError):
             sine_excitation(type(sf)(bad, FS))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f0, fs", [(1e-300, FS), (200.0, 1e300)], ids=["tiny_f0", "huge_rate"])
+    def test_harmonic_count_beyond_2_31_rejected(self, f0, fs):
+        """Once a cast to intp that warned and gave zeros; a cap below 2**31 admits the same f0."""
+        with pytest.raises(ConfigError, match="harmonic count"):
+            sine_excitation(SampleF0(np.full(4, f0), fs))
+        capped = sine_excitation(SampleF0(np.full(4, f0), fs), ExcitationConfig(k_max_cap=3))
+        assert np.isfinite(capped.samples).all()
+
     def test_determinism(self):
         cfg = dict(phase_init=PhaseInit.SEEDED_RANDOM, seed=3)
         a = make_excitation(150.0, 8000, **cfg)

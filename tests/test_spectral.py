@@ -118,7 +118,7 @@ class TestMelFilterbank:
 
     @pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100])
     def test_covered_bins_form_one_run(self, fs):
-        """``ltv._mel_magnitude`` takes the bins strictly inside the outer edges as this run."""
+        """``ltv._mel_log_power`` takes the bins strictly inside the outer edges as this run."""
         settings = itertools.product(
             (64, 256, 1024, 2048), (1, 8, 40, 80, 128), (0.0, 50.0, 300.0), (3000.0, 7000.0, fs / 2)
         )
