@@ -30,7 +30,7 @@ from . import ltv, metrics, spectral, tensor_io, wav_io
 from .errors import ConfigError, HarmexError, check_count
 from .signal_core import (
     DEFAULT_HOP_SECONDS, DEFAULT_SAMPLE_RATE, ExcitationConfig, F0Track, PhaseInit,
-    gaussian_noise, interpolate_f0, read_f0_track, sine_excitation, write_f0_track,
+    gaussian_noise, hop_samples, interpolate_f0, read_f0_track, sine_excitation, write_f0_track,
 )
 from .spectral import StftConfig
 
@@ -221,7 +221,7 @@ def _demo_formant_coeffs(n_frames: int, stft: StftConfig, fs: float, rng) -> ltv
 
 def _cmd_demo(args, r):
     fs, hop_s, duration, seed = r["sample_rate"], r["hop"], r["duration"], r["seed"]
-    stft = StftConfig(hop_size=spectral.hop_samples(hop_s, fs))
+    stft = StftConfig(hop_size=hop_samples(hop_s, fs))
     n_frames = check_count("frames", duration / hop_s)
     n_samples = check_count("n_samples", duration * fs)
     excite_cfg = ExcitationConfig(seed=seed)  # rejects a bad seed before out_dir exists

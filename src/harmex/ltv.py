@@ -26,8 +26,8 @@ import numpy as np
 from . import tensor_io
 from .errors import ConfigError, DomainError, LengthMismatchError
 from .errors import check_array, check_count, check_integer, check_positive, check_type
-from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _each, _voiced_runs
-from .spectral import MelSpectrogram, hop_samples, mel_edges, mel_filterbank, n_frames_for
+from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _each, _voiced_runs, hop_samples
+from .spectral import MelSpectrogram, _mel_log_power, n_frames_for
 
 LTVF_MAGIC = b"LTVF"
 
@@ -67,10 +67,6 @@ class LtvFirCoeffs:
     def n_taps(self) -> int:
         return self.taps.shape[1]
 
-    @property
-    def hop_samples(self) -> int:
-        return hop_samples(self.hop_seconds, self.sample_rate)
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -95,7 +91,7 @@ def _check_geometry(x: AudioSignal, h: LtvFirCoeffs) -> int:
         )
     if len(x) == 0:
         raise DomainError("cannot filter an empty signal")
-    hop = h.hop_samples
+    hop = hop_samples(h.hop_seconds, h.sample_rate)
     expected = n_frames_for(len(x), hop)
     if abs(h.n_frames - expected) > 1:
         raise LengthMismatchError(
@@ -369,9 +365,9 @@ def estimate_coeffs_from_mel(
 ) -> LtvFirCoeffs:
     """Minimum-phase FIR per frame from a log-mel envelope.
 
-    The log power (``_mel_log_power``) floored once at ``max(floor_db, -240)``
-    dB (-240 dB is ``minimum_phase_fir``'s 1e-12) is, in one ``exp``, the
-    inverse power spectrum that ``_levinson`` turns into taps, all frames at once.
+    The log power (``spectral._mel_log_power``) floored once at ``max(floor_db, -240)`` dB
+    (-240 dB is ``minimum_phase_fir``'s 1e-12) is, in one ``exp``, the inverse power
+    spectrum that ``_levinson`` turns into taps, all frames at once.
     """
     check_type("mel", mel, MelSpectrogram)
     floor_db = check_array("floor_db", floor_db, 0)
@@ -381,37 +377,6 @@ def estimate_coeffs_from_mel(
             raise DomainError("envelope magnitudes must be below 1e150")
         taps = _levinson(np.exp(-level), n_taps, mel.config.fft_size)
     return LtvFirCoeffs(taps, mel.hop_seconds, mel.sample_rate)
-
-
-def _mel_log_power(mel: MelSpectrogram) -> np.ndarray:
-    """Natural-log power envelope per frame (frames x bins) from log-mel energies.
-
-    Each linear-frequency bin takes its log-mel energy by linear
-    interpolation between the centres of the two bands around it, held flat
-    beyond the first and the last centre; bins no band reaches take the
-    value of the nearest bin one does.
-
-    Each band's energy is the envelope integrated over a triangle whose area
-    grows with frequency, which would tilt the reconstruction upward by the
-    full log band area.  Half of that log area (re-centered on its mean so the
-    overall gain is unchanged) is subtracted before interpolation: this keeps
-    the response of a constant log-mel vector flat within a few dB while also
-    keeping the round trip from a smooth spectral envelope within a few dB.
-    """
-    cfg = mel.config
-    check_count("envelope bins", mel.n_frames * cfg.n_bins)
-    fbank = mel_filterbank(mel.n_mels, cfg.fft_size, mel.sample_rate, *mel.mel_range)
-    log_area = np.log(fbank.sum(axis=1))
-    bands = mel.frames - 0.5 * (log_area + log_area.mean())
-    edges = mel_edges(mel.n_mels, *mel.mel_range)  # band i peaks at edge i + 1
-    freqs = np.arange(cfg.n_bins) * (mel.sample_rate / cfg.fft_size)
-    reached = freqs[(edges[0] < freqs) & (freqs < edges[-1])]  # the bins some band reaches
-    freqs = np.clip(freqs, reached[0], reached[-1])
-    j = np.maximum(np.searchsorted(edges, freqs, side="right") - 2, 0)  # band peaking at or below
-    w = np.clip((freqs - edges[j + 1]) / (edges[j + 2] - edges[j + 1]), 0.0, 1.0)
-    log_power = np.take(bands, j, axis=1)
-    log_power += w * (np.take(bands, np.minimum(j + 1, mel.n_mels - 1), axis=1) - log_power)
-    return log_power
 
 
 def write_coeffs(path, h: LtvFirCoeffs) -> None:

@@ -24,8 +24,8 @@ from .errors import (
     check_positive,
     check_type,
 )
-from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds
-from .spectral import MelSpectrogram, StftConfig, _stft_blocks, frame_centers, n_frames_for
+from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds, frame_centers
+from .spectral import MelSpectrogram, StftConfig, _stft_blocks, n_frames_for
 
 MAG_FLOOR = 1e-7
 

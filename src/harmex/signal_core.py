@@ -185,6 +185,12 @@ def frame_bounds(track: F0Track, sample_rate: float, n_samples: int) -> np.ndarr
     return np.searchsorted(owner, np.arange(len(track) + 1))
 
 
+def frame_centers(n_frames: int, hop_seconds: float, sample_rate: float) -> np.ndarray:
+    """Sample nearest each center ``m * hop_seconds * sample_rate``, ties up; see refine_pitch."""
+    hop_samples(hop_seconds, sample_rate)
+    return np.floor(np.arange(n_frames) * (hop_seconds * sample_rate) + 0.5).astype(np.intp)
+
+
 def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> SampleF0:
     """Linearly interpolate a frame-level track to sample level.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, check_array, check_count, check_integer, check_positive
 from .errors import check_type
-from .signal_core import AudioSignal, _blocks, hop_samples
+from .signal_core import AudioSignal, _blocks
 
 MEL_FLOOR = 1e-5
 MEL_RANGE = (0.0, 8000.0)  # default f_min, f_max in Hz
@@ -87,12 +87,6 @@ class LoudnessTrack:
 
 def n_frames_for(n_samples: int, hop: int) -> int:
     return math.ceil(n_samples / hop)
-
-
-def frame_centers(n_frames: int, hop_seconds: float, sample_rate: float) -> np.ndarray:
-    """Sample nearest each center ``m * hop_seconds * sample_rate``, ties up; see refine_pitch."""
-    hop_samples(hop_seconds, sample_rate)
-    return np.floor(np.arange(n_frames) * (hop_seconds * sample_rate) + 0.5).astype(np.intp)
 
 
 def hann(m: int, periodic: bool) -> np.ndarray:
@@ -190,6 +184,37 @@ def mel_filterbank(
     if np.any(fbank.sum(axis=1) == 0):
         raise ConfigError("degenerate mel filterbank: a band covers no FFT bin")
     return fbank
+
+
+def _mel_log_power(mel: MelSpectrogram) -> np.ndarray:
+    """Natural-log power envelope per frame (frames x bins) from log-mel energies.
+
+    Each linear-frequency bin takes its log-mel energy by linear
+    interpolation between the centres of the two bands around it, held flat
+    beyond the first and the last centre; bins no band reaches take the
+    value of the nearest bin one does.
+
+    Each band's energy is the envelope integrated over a triangle whose area
+    grows with frequency, which would tilt the reconstruction upward by the
+    full log band area.  Half of that log area (re-centered on its mean so the
+    overall gain is unchanged) is subtracted before interpolation: this keeps
+    the response of a constant log-mel vector flat within a few dB while also
+    keeping the round trip from a smooth spectral envelope within a few dB.
+    """
+    cfg = mel.config
+    check_count("envelope bins", mel.n_frames * cfg.n_bins)
+    fbank = mel_filterbank(mel.n_mels, cfg.fft_size, mel.sample_rate, *mel.mel_range)
+    log_area = np.log(fbank.sum(axis=1))
+    bands = mel.frames - 0.5 * (log_area + log_area.mean())
+    edges = mel_edges(mel.n_mels, *mel.mel_range)  # band i peaks at edge i + 1
+    freqs = np.arange(cfg.n_bins) * (mel.sample_rate / cfg.fft_size)
+    reached = freqs[(edges[0] < freqs) & (freqs < edges[-1])]  # the bins some band reaches
+    freqs = np.clip(freqs, reached[0], reached[-1])
+    j = np.maximum(np.searchsorted(edges, freqs, side="right") - 2, 0)  # band peaking at or below
+    w = np.clip((freqs - edges[j + 1]) / (edges[j + 2] - edges[j + 1]), 0.0, 1.0)
+    log_power = np.take(bands, j, axis=1)
+    log_power += w * (np.take(bands, np.minimum(j + 1, mel.n_mels - 1), axis=1) - log_power)
+    return log_power
 
 
 def mel_spectrogram(

@@ -15,11 +15,10 @@ from harmex import (
 from harmex.conditioning import decimation_taps
 from harmex.errors import AliasingError, DomainError, LengthMismatchError
 from harmex.ltv import FIT_EPS, FIT_GATE, LOG10_FACTOR, WNC, _check_geometry, _lagged
-from harmex.ltv import _mel_log_power
 from harmex.metrics import MAG_FLOOR, MrStftConfig, MrStftLoss, _search_ratio
-from harmex.signal_core import TAU, _voiced_runs
-from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, StftConfig, frame_centers, hann
-from harmex.spectral import hop_samples, mel_filterbank, n_frames_for
+from harmex.signal_core import TAU, _voiced_runs, frame_centers, hop_samples
+from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, StftConfig, _mel_log_power, hann
+from harmex.spectral import mel_filterbank, n_frames_for
 
 
 def sine_excitation_loop(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) -> AudioSignal:
@@ -137,7 +136,7 @@ def decimate_full_rate(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def mel_log_power_dense(mel: MelSpectrogram) -> np.ndarray:
-    """``ltv._mel_log_power`` as a product with the filterbank over per-bin coverage.
+    """``spectral._mel_log_power`` as a product with the filterbank over per-bin coverage.
 
     The band-compensated log-mel energies go through the transpose of the
     filterbank and are divided by each bin's coverage; the bins no band

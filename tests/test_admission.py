@@ -60,7 +60,7 @@ from harmex import (
 )
 from harmex.conditioning import PyramidLevel
 from harmex.errors import check_array, check_integer
-from harmex.spectral import hop_samples
+from harmex.signal_core import hop_samples
 from harmex.tensor_io import write_mel_file
 from conftest import FS, make_excitation
 

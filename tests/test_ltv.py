@@ -32,8 +32,8 @@ from harmex import (
     sine_excitation,
     write_coeffs,
 )
-from harmex.ltv import LOG10_FACTOR, WNC, _lagged, _mel_log_power, _min_norm
-from harmex.spectral import MelSpectrogram, mel_edges, n_frames_for
+from harmex.ltv import LOG10_FACTOR, WNC, _lagged, _min_norm
+from harmex.spectral import MelSpectrogram, _mel_log_power, mel_edges, n_frames_for
 from conftest import FS, HOP, frequency_response, make_excitation
 from reference import (
     apply_ltv_loop,

@@ -25,8 +25,8 @@ from harmex import (
     stft_magnitude,
 )
 from harmex.metrics import DEFAULT_RESOLUTIONS
-from harmex.spectral import MEL_FLOOR, MelSpectrogram, frame_centers, hann, hop_samples, mel_edges
-from harmex.spectral import n_frames_for
+from harmex.signal_core import frame_centers, hop_samples
+from harmex.spectral import MEL_FLOOR, MelSpectrogram, hann, mel_edges, n_frames_for
 from conftest import FS, HOP
 from reference import loudness_loop, mel_spectrogram_whole, mr_stft_loss_whole, stft_magnitude_whole
 
@@ -118,7 +118,7 @@ class TestMelFilterbank:
 
     @pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100])
     def test_covered_bins_form_one_run(self, fs):
-        """``ltv._mel_log_power`` takes the bins strictly inside the outer edges as this run."""
+        """``spectral._mel_log_power`` takes the bins strictly inside the outer edges as this run."""
         settings = itertools.product(
             (64, 256, 1024, 2048), (1, 8, 40, 80, 128), (0.0, 50.0, 300.0), (3000.0, 7000.0, fs / 2)
         )
