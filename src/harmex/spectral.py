@@ -1,4 +1,4 @@
-"""STFT magnitudes, 80-band log-mel analysis, and log-RMS loudness.
+"""STFT magnitudes, 80-band log-mel analysis and its approximate inverse, and log-RMS loudness.
 
 All three extractors take their frames from ``_frames``: ``ceil(n_samples / hop)``
 frames, frame m centred on sample ``m * hop``, so features at one hop pair
@@ -224,12 +224,23 @@ def mel_spectrogram(
     f_min: float = MEL_RANGE[0],
     f_max: float = MEL_RANGE[1],
 ) -> MelSpectrogram:
-    """Log mel-power spectrogram: triangle filterbank over |STFT|^2, floored at MEL_FLOOR."""
+    """Log mel-power spectrogram: triangle filterbank over |STFT|^2, floored at MEL_FLOOR.
+
+    Band i is non-zero only strictly between edges i and i + 2, so the even bands tile the
+    bins without overlap, and so do the odd ones.  Per parity, one ``np.add.reduceat`` of the
+    weighted power sums each band from its first bin on to the next band's first bin (the
+    bins between weigh exactly 0).  No BLAS runs: the same bits at any thread count.
+    """
     blocks = _stft_blocks(x, cfg)
-    fbank_t = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max).T
-    frames = np.empty((n_frames_for(len(x), cfg.hop_size), fbank_t.shape[1]))
+    fbank = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
+    starts = np.argmax(fbank > 0, axis=1)  # every band has a bin
+    weights = [fbank[k::2].sum(axis=0) for k in (0, 1)]  # exact: one band per bin and parity
+    frames = np.empty((n_frames_for(len(x), cfg.hop_size), len(fbank)))
     for rows, mag in blocks:
-        frames[rows] = np.log(np.maximum((mag**2) @ fbank_t, MEL_FLOOR))
+        power, block = np.square(mag, out=mag), frames[rows]
+        for k in (0, 1):
+            block[:, k::2] = np.add.reduceat(power * weights[k], starts[k::2], axis=1)
+        np.log(np.maximum(block, MEL_FLOOR), out=block)
     return MelSpectrogram(frames, cfg, x.sample_rate, (f_min, f_max))
 
 

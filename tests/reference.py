@@ -157,19 +157,24 @@ def mel_log_power_dense(mel: MelSpectrogram) -> np.ndarray:
 
 
 def estimate_taps_loop(mel: MelSpectrogram, n_taps: int = 64, floor_db: float = -50.0) -> np.ndarray:
-    """``ltv.estimate_coeffs_from_mel`` taps, one scalar Levinson-Durbin recursion per frame.
+    """``ltv.estimate_coeffs_from_mel`` taps: ``levinson_loop`` of the inverse power
+    spectrum ``exp(-max(log power, max(floor_db, -240) / LOG10_FACTOR))``."""
+    floor = max(floor_db, -240.0) / LOG10_FACTOR
+    inv_power = np.exp(-np.maximum(_mel_log_power(mel), floor))
+    return levinson_loop(inv_power, n_taps, mel.config.fft_size)
 
-    Each frame's autocorrelation r of its inverse power spectrum
-    ``exp(-max(log power, max(floor_db, -240) / LOG10_FACTOR))``, r[0]
+
+def levinson_loop(inv_power: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
+    """``ltv._levinson`` taps, one scalar Levinson-Durbin recursion per row.
+
+    Each row's autocorrelation r of its inverse power spectrum, r[0]
     scaled by 1 + WNC, gives the monic predictor a and its error e one
     order m at a time: k = -sum_i a[i] r[m - i] / e, a[i] += k a[m - i],
     e *= 1 - k^2.  The taps are a / sqrt(e).
     """
-    fft_size = mel.config.fft_size
-    taps = np.zeros((mel.n_frames, n_taps))
-    floor = max(floor_db, -240.0) / LOG10_FACTOR
-    for f, inv_power in enumerate(np.exp(-np.maximum(_mel_log_power(mel), floor))):
-        r = np.fft.irfft(inv_power, fft_size)[:n_taps].tolist()
+    taps = np.zeros((len(inv_power), n_taps))
+    for f, row in enumerate(inv_power):
+        r = np.fft.irfft(row, fft_size)[:n_taps].tolist()
         r[0] *= 1.0 + WNC
         a, e = [1.0], r[0]
         for m in range(1, n_taps):

@@ -90,6 +90,17 @@ class TestFitFilterMetrics:
         assert code != 0
         assert json.loads(err)["category"] == "length-mismatch"
 
+    def test_mel_mae(self, tmp_path, f0_file, capsys):
+        from harmex import gaussian_noise, mel_mae, mel_spectrogram, write_wav
+
+        exc, noise = tmp_path / "exc.wav", tmp_path / "noise.wav"
+        run(capsys, "excite", str(f0_file), "--out", str(exc))
+        write_wav(noise, gaussian_noise(16000, 16000, 3))
+        code, out, _ = run(capsys, "metrics", str(exc), str(noise), "--mel-mae")
+        assert code == 0
+        want = mel_mae(mel_spectrogram(read_wav(exc)), mel_spectrogram(read_wav(noise)))
+        assert json.loads(out) == {"mel_mae": want}
+
     def test_pitch_metrics(self, tmp_path, f0_file, capsys):
         exc = tmp_path / "exc.wav"
         run(capsys, "excite", str(f0_file), "--out", str(exc))
@@ -261,7 +272,7 @@ def inputs(tmp_path, f0_file, capsys):
         snan[name].write_bytes(good.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
     return {"f0": f0_file, "wav": wav, "empty_wav": empty_wav, "mel": mel, "mel_v1": mel_v1,
             "loud": loud, "cond_x8": f"{cond}_x8.hmx", "no_frames": tmp_path / "no_frames.ltvf",
-            "loud_mel": loud_mel, **geometry, **bad_hops, "utf16_f0": utf16_f0, **snan,
+            "loud_mel": loud_mel, "ltvf": ltvf, **geometry, **bad_hops, "utf16_f0": utf16_f0, **snan,
             "out": tmp_path / "out.wav", "dir": tmp_path, "unmade": tmp_path / "unmade"}
 
 
@@ -292,6 +303,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (PITCH + ("--search-cents", "1e9"), None, "config"),
         (PITCH + ("--search-cents", "nan"), None, "config"),
         (PITCH + ("--hop", "1e-5"), None, "config"),
+        (("metrics", "{wav}", "{wav}", "--pitch-jitter"), None, "config"),
+        (("filter", "{wav}", "{ltvf}", "--out", "{out}"), {"interpolate_taps": "no"}, "config"),
         (("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--uv-error", "--hop", "1e-5"), None, "config"),
         (("estimate", "{mel}", "--hop-size", "160", "--out", "{out}"), None, "config"),
         (("fit", "{wav}", "{wav}", "--hop", "1e-5", "--out", "{out}"), None, "config"),
@@ -333,7 +346,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "ltvf-hop-below-one-sample", "mel-hop-mismatch",
         "f0-not-utf8", "n-taps-above-fft-size", "mel-overflow",
         "search-cents-negative", "search-cents-zero", "search-cents-1e9", "search-cents-nan",
-        "pitch-hop-below-one-sample", "uv-hop-below-one-sample",
+        "pitch-hop-below-one-sample", "pitch-jitter-without-f0", "interpolate-taps-str",
+        "uv-hop-below-one-sample",
         "estimate-unknown-flag", "fit-hop-below-one-sample",
         "fit-n-taps-3e9",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
@@ -361,6 +375,19 @@ def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, c
     assert len(lines) == 1
     assert json.loads(lines[0])["category"] == category
     assert not inputs["unmade"].exists()
+
+
+@pytest.mark.parametrize("text", [None, "{", "[1, 2]"], ids=["missing", "bad-json", "json-array"])
+def test_unusable_config_file_exits_1_with_one_json_error(tmp_path, f0_file, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "exc.wav"
+    code, _, err = run(capsys, "--config", str(cfg), "excite", str(f0_file), "--out", str(out))
+    assert code == 1
+    [line] = err.strip().splitlines()
+    assert json.loads(line)["category"] == "config"
+    assert not out.exists()
 
 
 MANIFEST_SUFFIXES = ("run.json", "run_config.json")

@@ -59,6 +59,8 @@ class TestStackChannels:
             ConditioningBundle({"noise": np.array([0.0, np.nan])}, FS)
         with pytest.raises(ConfigError, match="1-D"):
             ConditioningBundle({"noise": np.ones((2, 2))}, FS)
+        with pytest.raises(DomainError, match="at least one channel"):
+            ConditioningBundle({}, FS)
 
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ConfigError):

@@ -26,6 +26,7 @@ from harmex import (
     write_wav,
 )
 from harmex.tensor_io import HMX_LAYOUTS, read_mel_file, write_mel_file
+from harmex.wav_io import GUID_TAIL
 
 FS = 16000
 ENCODINGS = {WavEncoding.PCM16: np.int16, WavEncoding.FLOAT32: np.float32}
@@ -230,6 +231,9 @@ class TestWavRejects:
             _riff_with()[:30],  # truncated header
             _riff_with()[:-3],  # data chunk shorter than declared
             wav_bytes(b"\0" * 14, b""),  # fmt chunk too short
+            _riff_with((0xFFFE, 1, FS, 2 * FS, 2, 16)),  # extensible tag, 16-byte fmt
+            wav_bytes(struct.pack("<HHIIHHHHII", 0xFFFE, 1, FS, 2 * FS, 2, 16, 22, 16, 4, 1)
+                      + GUID_TAIL["<"][:11], b"\0\0" * 4),  # extensible, 39-byte fmt
             _riff_with()[:12],  # no chunks
             b"RIFF\0\0\0\0WAVEdata\0\0\0\0",  # data before fmt
             b"OggS" + bytes(40),
@@ -237,7 +241,8 @@ class TestWavRejects:
         ],
         ids=[
             "stereo", "uint8", "int32", "byte-rate", "rate-0", "alaw", "float-nan",
-            "truncated-header", "short-data", "short-fmt", "no-chunks", "data-before-fmt",
+            "truncated-header", "short-data", "short-fmt", "short-extensible-16",
+            "short-extensible-39", "no-chunks", "data-before-fmt",
             "not-riff", "empty",
         ],
     )
@@ -299,6 +304,12 @@ class TestFeatureFile:
         _, version, n_frames, n_dims, hop = struct.unpack("<4sIIId", raw[: struct.calcsize("<4sIIId")])
         assert (version, n_frames, n_dims) == (1, 160, 2)
         assert hop == pytest.approx(1 / FS)
+
+    def test_3d_data_rejected(self, tmp_path):
+        path = tmp_path / "feat.hmx"
+        with pytest.raises(FormatError, match="2-D"):
+            write_feature_file(path, np.zeros((2, 3, 4)), 0.01)
+        assert not path.exists()
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "feat.hmx"

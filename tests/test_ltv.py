@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 import time
@@ -40,6 +41,7 @@ from reference import (
     estimate_taps_loop,
     fit_min_norm_loop,
     fit_ridge_loop,
+    levinson_loop,
     mel_log_power_dense,
     min_norm_solve,
 )
@@ -62,6 +64,10 @@ def direct_convolution(x, taps):
 
 
 class TestApplyLtv:
+    def test_empty_signal_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            apply_ltv(AudioSignal(np.zeros(0), FS), delta_coeffs(1))
+
     def test_delta_is_identity(self, rng):
         x = AudioSignal(rng.normal(size=16000), FS)
         y = apply_ltv(x, delta_coeffs(100))
@@ -664,6 +670,25 @@ def test_each_after_an_error_hands_out_no_more_items(monkeypatch):
     assert len(done) < 999
 
 
+def test_each_raises_when_a_thread_does_not_start(monkeypatch):
+    """The second of three ``Thread.start`` calls fails: the first thread is joined, and
+    that error is raised."""
+    monkeypatch.setattr(signal_core, "WORKERS", 4)
+    error, start, started = RuntimeError("can't start new thread"), threading.Thread.start, []
+
+    def start_once(thread):
+        if started:
+            raise error
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    with pytest.raises(RuntimeError) as raised:
+        signal_core._each(lambda _: None, range(100))
+    assert raised.value is error
+    assert len(started) == 1 and not started[0].is_alive()
+
+
 def test_each_hands_out_every_item_once(monkeypatch):
     """64 threads on 20,000 items, switching as often as the interpreter allows."""
     monkeypatch.setattr(signal_core, "WORKERS", 64)
@@ -932,6 +957,23 @@ class TestMinimumPhaseFir:
         assert h.shape == (1, 32)
         resp = np.abs(np.fft.rfft(h, 1024))
         np.testing.assert_allclose(resp, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 7.0])
+    def test_flat_magnitude_keeps_its_gain(self, c):
+        """A flat magnitude c has r = [c^-2, 0, ...]: taps [c / sqrt(1 + WNC), 0, ...]."""
+        h = minimum_phase_fir(np.full((2, 513), c), 64, 1024)
+        np.testing.assert_allclose(h[:, 0], c / math.sqrt(1.0 + WNC), rtol=1e-15)
+        assert not h[:, 1:].any()
+
+    def test_matches_levinson_loop(self):
+        """A formant envelope with a 60 dB span, against the per-row recursion of its
+        inverse power spectrum, which the oracle forms on its own."""
+        freqs = np.linspace(0.0, FS / 2, 513)
+        mag_db = np.maximum(-0.5 * ((freqs - np.array([[700.0], [2600.0]])) / 150.0) ** 2, -60.0)
+        mag = 10 ** (mag_db / 20.0) * np.array([[1.0], [0.2]])
+        np.testing.assert_allclose(
+            minimum_phase_fir(mag, 64, 1024), levinson_loop(mag**-2.0, 64, 1024), rtol=0, atol=1e-12
+        )
 
     @pytest.mark.parametrize(
         "shape, n_taps, fft_size",

@@ -63,13 +63,18 @@ class TestMrStftLoss:
         with pytest.raises(ConfigError):
             mr_stft_loss(gaussian_noise(100, FS, 0), gaussian_noise(101, FS, 0))
 
+    def test_rate_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match="sample-rate"):
+            mr_stft_loss(gaussian_noise(8000, FS, 0), gaussian_noise(8000, 2 * FS, 1))
+
     def test_zero_reference_rejected(self):
         x = gaussian_noise(8000, FS, 0)
         with pytest.raises(DegenerateReferenceError):
             mr_stft_loss(x, AudioSignal(np.zeros(8000), FS))
 
     def test_same_bits_at_one_and_two_blas_threads(self):
-        """10 s of harmonic audio: long enough that a BLAS sum splits across threads."""
+        """The loss, the mel frames and the mel MAE of 10 s of harmonic audio: long enough
+        that a BLAS sum splits across threads (2 s stays below OpenBLAS's threshold)."""
         outputs = outputs_at_one_and_two_blas_threads(BLAS_THREADS_SCRIPT)
         assert len(outputs) == 1, outputs
 
@@ -87,14 +92,17 @@ def outputs_at_one_and_two_blas_threads(script: str, *args: str) -> set[str]:
 
 
 BLAS_THREADS_SCRIPT = """
+import hashlib
 import numpy as np
-from harmex import F0Track, interpolate_f0, mr_stft_loss, sine_excitation
+from harmex import F0Track, interpolate_f0, mel_mae, mel_spectrogram, mr_stft_loss, sine_excitation
 
 t = np.arange(1000) * 0.01
 f0 = np.where(t % 1.0 < 0.8, 120.0 * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t)), 0.0)
 x, y = (sine_excitation(interpolate_f0(F0Track(f0 * k), 16000, 160000)) for k in (1.0, 1.01))
 loss = mr_stft_loss(x, y)
 print(repr(loss.sc), repr(loss.mag))
+mel_x, mel_y = mel_spectrogram(x), mel_spectrogram(y)
+print(hashlib.sha256(mel_x.frames.tobytes()).hexdigest(), repr(mel_mae(mel_x, mel_y)))
 """
 
 ESTIMATE_SCRIPT = """

@@ -243,6 +243,11 @@ class TestF0TrackFile:
         np.testing.assert_allclose(back.values, track.values, atol=1e-6)
         assert back.hop_seconds == 0.010
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "f0.txt"
+        path.write_text("\n100.0\n  \n\n200.0\n\n")
+        np.testing.assert_array_equal(read_f0_track(path).values, [100.0, 200.0])
+
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("100.0\nnot-a-number\n")
