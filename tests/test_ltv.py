@@ -671,8 +671,8 @@ def test_each_after_an_error_hands_out_no_more_items(monkeypatch):
 
 
 def test_each_raises_when_a_thread_does_not_start(monkeypatch):
-    """The second of three ``Thread.start`` calls fails: the first thread is joined, and
-    that error is raised."""
+    """At four workers the second ``Thread.start`` fails: the one started thread is joined,
+    and that error is raised."""
     monkeypatch.setattr(signal_core, "WORKERS", 4)
     error, start, started = RuntimeError("can't start new thread"), threading.Thread.start, []
 

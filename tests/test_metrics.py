@@ -73,8 +73,8 @@ class TestMrStftLoss:
             mr_stft_loss(x, AudioSignal(np.zeros(8000), FS))
 
     def test_same_bits_at_one_and_two_blas_threads(self):
-        """The loss, the mel frames and the mel MAE of 10 s of harmonic audio: long enough
-        that a BLAS sum splits across threads (2 s stays below OpenBLAS's threshold)."""
+        """The loss, the mel frames and the mel MAE of 10 s of harmonic audio: long enough that
+        a BLAS sum splits across threads (2 s at 16 kHz can stay below OpenBLAS's threshold)."""
         outputs = outputs_at_one_and_two_blas_threads(BLAS_THREADS_SCRIPT)
         assert len(outputs) == 1, outputs
 
