@@ -64,6 +64,14 @@ class UndefinedMetricError(DomainError):
     category = "undefined-metric"
 
 
+def from_file(path, record, *args):
+    """``record(*args)``, where a HarmexError it raises becomes a FormatError naming ``path``."""
+    try:
+        return record(*args)
+    except HarmexError as exc:
+        raise FormatError(str(exc), path=path) from None
+
+
 def check_positive(name, value, *, allow_zero=False, error=ConfigError) -> None:
     """Raise ``error`` unless ``value`` is a finite real > 0 (>= 0 if allow_zero).
 

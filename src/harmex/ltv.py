@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor_io
 from .errors import ConfigError, DomainError, LengthMismatchError
-from .errors import check_array, check_count, check_integer, check_positive, check_type
+from .errors import check_array, check_count, check_integer, check_positive, check_type, from_file
 from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _each, _voiced_runs, hop_samples
 from .spectral import MelSpectrogram, _mel_log_power, n_frames_for
 
@@ -387,4 +387,4 @@ def write_coeffs(path, h: LtvFirCoeffs) -> None:
 
 def read_coeffs(path) -> LtvFirCoeffs:
     taps, header = tensor_io.read_tensor(path, LTVF_MAGIC, {1: ("hop_seconds", "sample_rate")})
-    return LtvFirCoeffs(taps, **header)
+    return from_file(path, LtvFirCoeffs, taps, header["hop_seconds"], header["sample_rate"])

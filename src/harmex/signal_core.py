@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, DomainError, LengthMismatchError
-from .errors import check_array, check_count, check_integer, check_positive, check_type
+from .errors import AliasingError, ConfigError, DomainError, FormatError, LengthMismatchError
+from .errors import check_array, check_count, check_integer, check_positive, check_type, from_file
 
 TAU = 2.0 * math.pi
 
@@ -282,6 +282,7 @@ def gaussian_noise(n_samples: int, sample_rate: float, seed: int) -> AudioSignal
 
 def read_f0_track(path, hop_seconds: float = DEFAULT_HOP_SECONDS) -> F0Track:
     """Read a plain-text pitch track: one decimal Hz value per line."""
+    check_positive("hop_seconds", hop_seconds)  # the caller's, not the file's
     values = []
     with open(path, encoding="utf-8", errors="replace") as fh:  # bad bytes fail float()
         for line_no, line in enumerate(fh, 1):
@@ -291,8 +292,8 @@ def read_f0_track(path, hop_seconds: float = DEFAULT_HOP_SECONDS) -> F0Track:
             try:
                 values.append(float(line))
             except ValueError:
-                raise ConfigError(f"bad f0 value on line {line_no}: {line!r}", path=path)
-    return F0Track(np.array(values, dtype=np.float64), hop_seconds)
+                raise FormatError(f"bad f0 value on line {line_no}: {line!r}", path=path)
+    return from_file(path, F0Track, values, hop_seconds)
 
 
 def write_f0_track(path, track: F0Track) -> None:

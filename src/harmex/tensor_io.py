@@ -1,14 +1,14 @@
 """The one binary codec, for feature tensors and LTV coefficient files.
 
-Layout (little-endian): 4-byte magic, u32 version, u32 n_rows,
-u32 n_cols, one f64 per header scalar of that version, then
-n_rows x n_cols f32 row-major.  ``LTVF`` coefficient files (version 1)
-have frames x taps and two scalars, hop_seconds then sample_rate.
-``HMX1`` feature tensors have frames x dims; version 1 has one scalar,
-hop_seconds, and version 2, written for mel spectrograms, follows it with
-the analysis geometry: sample_rate, fft_size, win_size, hop_size, f_min,
-f_max.  Readers raise ``FormatError`` on a bad magic or version, a short
-file, or a header scalar that is not finite and > 0 (f_min may be 0).
+Layout (little-endian): 4-byte magic, u32 version, u32 n_rows, u32 n_cols, one
+f64 per header scalar of that version, then n_rows x n_cols f32 row-major.
+``LTVF`` coefficient files (version 1) have frames x taps and two scalars,
+hop_seconds then sample_rate.  ``HMX1`` feature tensors have frames x dims;
+version 1 has one scalar, hop_seconds, and version 2, written for mel
+spectrograms, follows it with the analysis geometry: sample_rate, fft_size,
+win_size, hop_size, f_min, f_max.  Readers raise ``FormatError`` on a bad
+magic or version, a short file, a header scalar that is not finite and > 0
+(f_min may be 0), and any value the file's record refuses.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_positive, check_type
+from .errors import FormatError, check_positive, check_type, from_file
 from .spectral import MelSpectrogram, StftConfig
 
 HMX_MAGIC = b"HMX1"
@@ -97,22 +97,18 @@ def write_mel_file(path, mel) -> None:
 def read_mel_file(path) -> MelSpectrogram:
     """The ``MelSpectrogram`` of a version-2 ``HMX1`` file, its geometry from the header.
 
-    ``FormatError`` for a version-1 file (it has no geometry), sizes that
-    ``StftConfig`` rejects, a mel range that ``MelSpectrogram`` rejects, and
-    a hop_seconds other than hop_size / sample_rate.
+    ``FormatError`` for a version-1 file (it has no geometry), any value its
+    records refuse, and a hop_seconds other than hop_size / sample_rate.
     """
     bad = partial(FormatError, path=path)
     frames, h = read_tensor(path, HMX_MAGIC, HMX_LAYOUTS)
     if len(h) == 1:
         raise bad("file version 1 has no mel geometry; `harmex mel` writes version 2")
-    try:
-        stft = StftConfig(h["fft_size"], h["win_size"], h["hop_size"])
-        if not math.isclose(h["hop_seconds"], stft.hop_size / h["sample_rate"]):
-            rate = f"hop_size/sample_rate = {stft.hop_size}/{h['sample_rate']}"
-            raise bad(f"hop_seconds {h['hop_seconds']} differs from {rate}")
-        return MelSpectrogram(frames, stft, h["sample_rate"], (h["f_min"], h["f_max"]))
-    except ConfigError as exc:
-        raise bad(str(exc)) from None
+    stft = from_file(path, StftConfig, h["fft_size"], h["win_size"], h["hop_size"])
+    if not math.isclose(h["hop_seconds"], stft.hop_size / h["sample_rate"]):
+        rate = f"hop_size/sample_rate = {stft.hop_size}/{h['sample_rate']}"
+        raise bad(f"hop_seconds {h['hop_seconds']} differs from {rate}")
+    return from_file(path, MelSpectrogram, frames, stft, h["sample_rate"], (h["f_min"], h["f_max"]))
 
 
 def read_feature_file(path) -> tuple[np.ndarray, float]:

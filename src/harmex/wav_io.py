@@ -18,21 +18,20 @@ may carry tag 1 (PCM), tag 3 (IEEE float) or tag 0xFFFE
 (``WAVE_FORMAT_EXTENSIBLE``) with a PCM or float subformat.  The RIFF size
 field is not used.  Mono 16-bit PCM, 32-bit float and 64-bit float data are
 read as SciPy's ``wavfile.read`` reads them; everything else raises
-``FormatError``: other channel counts or sample widths, a zero sample rate,
-non-finite float samples, a truncated header or chunk, and bytes that are
-not RIFF/WAVE.  A ``data`` chunk shorter than its declared size is an error
-here, where SciPy only warns.
+``FormatError``: other channel counts or sample widths, a truncated header
+or chunk, bytes that are not RIFF/WAVE, and a rate (0) or samples (NaN, inf)
+that ``AudioSignal`` refuses.  A ``data`` chunk shorter than its declared
+size is an error here, where SciPy only warns.
 """
 
 from __future__ import annotations
 
 import struct
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_array, check_type
+from .errors import ConfigError, FormatError, check_array, check_type, from_file
 from .signal_core import AudioSignal
 from .tensor_io import _float32
 
@@ -63,8 +62,6 @@ def _sample_dtype(fmt: bytes, order: str, path) -> tuple[np.dtype, int]:
             tag = struct.unpack_from(order + "I", fmt, 24)[0]
     if channels != 1:
         raise FormatError(f"expected mono audio, got {channels} channels", path=path)
-    if rate == 0:
-        raise FormatError("sample rate 0 in fmt chunk", path=path)
     if tag == WAVE_PCM and byte_rate != rate * block_align:
         header = f"bytes/s {byte_rate} != rate {rate} x block align {block_align}"
         raise FormatError(f"inconsistent PCM header: {header}", path=path)
@@ -104,10 +101,7 @@ def read_wav(path) -> AudioSignal:
                 raise FormatError("data chunk before fmt chunk", path=path)
             dtype, rate = _sample_dtype(fmt, order, path)
             data = np.frombuffer(body, dtype, count=size // dtype.itemsize)
-            samples = check_array("float samples", data, 1, error=partial(FormatError, path=path))
-            if dtype.kind == "i":
-                samples /= 32767.0
-            return AudioSignal(samples, rate)
+            return from_file(path, AudioSignal, data / 32767.0 if dtype.kind == "i" else data, rate)
         pos += 8 + size + size % 2
     raise FormatError("no data chunk", path=path)
 

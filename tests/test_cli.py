@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmex
 from harmex import read_coeffs, read_feature_file, read_wav, write_feature_file
@@ -293,9 +297,9 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (CONDITION, {"factors": [8, 6]}, "config"),
         (("excite", "{f0}", "--out", "{dir}"), None, "io"),
         (("filter", "{wav}", "{nan_hop}", "--out", "{out}"), None, "format"),
-        (("filter", "{wav}", "{sub_hop}", "--out", "{out}"), None, "config"),
+        (("filter", "{wav}", "{sub_hop}", "--out", "{out}"), None, "format"),
         (("estimate", "{hop_mismatch_mel}", "--out", "{out}"), None, "format"),
-        (("excite", "{utf16_f0}", "--out", "{out}"), None, "config"),
+        (("excite", "{utf16_f0}", "--out", "{out}"), None, "format"),
         (("estimate", "{mel}", "--n-taps", "1500", "--out", "{out}"), None, "config"),
         (("estimate", "{loud_mel}", "--out", "{out}"), None, "domain"),
         (PITCH + ("--search-cents=-50",), None, "config"),
@@ -310,8 +314,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("fit", "{wav}", "{wav}", "--hop", "1e-5", "--out", "{out}"), None, "config"),
         (("fit", "{wav}", "{wav}", "--n-taps", "3000000000", "--out", "{out}"), None, "config"),
         (("mel", "{snan_wav}", "--out", "{out}"), None, "format"),
-        (("estimate", "{snan_mel}", "--out", "{out}"), None, "domain"),
-        (("filter", "{wav}", "{snan_ltvf}", "--out", "{out}"), None, "domain"),
+        (("estimate", "{snan_mel}", "--out", "{out}"), None, "format"),
+        (("filter", "{wav}", "{snan_ltvf}", "--out", "{out}"), None, "format"),
         (EXCITE + ("--hop", "1e308"), None, "config"),
         (EXCITE + ("--hop", "1e-5", "--n-samples", "100000"), None, "config"),
         (EXCITE + ("--sample-rate", "1e308"), None, "config"),
@@ -326,7 +330,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("fit", "{empty_wav}", "{empty_wav}", "--out", "{out}"), None, "domain"),
         (("loudness", "{empty_wav}", "--out", "{out}"), None, "domain"),
         (("mel", "{empty_wav}", "--out", "{out}"), None, "domain"),
-        (("filter", "{wav}", "{no_frames}", "--out", "{out}"), None, "config"),
+        (("filter", "{wav}", "{no_frames}", "--out", "{out}"), None, "format"),
         (("mel", "{wav}", "--n-mels", "0", "--out", "{out}"), None, "config"),
         (("estimate", "{zero_rate_mel}", "--out", "{out}"), None, "format"),
         (("estimate", "{mel_v1}", "--out", "{out}"), None, "format"),
@@ -451,3 +455,54 @@ def test_cli_never_imports_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "scipy": []}
+
+
+@pytest.fixture(scope="module")
+def demo_files(tmp_path_factory):
+    """A 1 s demo's f0, WAV and mel files and an ``.ltvf`` estimated from the mel file.
+
+    With its 100 mel frames, check_count refuses the largest fft_size one changed byte gives
+    (2**26), which would otherwise ask for gigabytes.
+    """
+    d = tmp_path_factory.mktemp("demo")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["demo", "--duration", "1", "--out-dir", str(d)]) == 0
+        assert main(["estimate", str(d / "target_mel.hmx"), "--out", str(d / "c.ltvf")]) == 0
+    return {"f0": d / "f0.txt", "wav": d / "excitation.wav", "mel": d / "target_mel.hmx",
+            "ltvf": d / "c.ltvf"}
+
+
+MUTATED_CALLS = {  # the file whose bytes change: the call that reads it
+    "f0": ("excite", "{f0}"),
+    "wav": ("filter", "{wav}", "{ltvf}"),
+    "ltvf": ("filter", "{wav}", "{ltvf}"),
+    "mel": ("estimate", "{mel}"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MUTATED_CALLS)),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=6),
+    keep=st.integers(0, 10**6),
+)
+def test_mutated_file_exits_0_or_1_with_one_json_error(
+    tmp_path_factory, demo_files, kind, edits, keep
+):
+    """Changed or truncated bytes of any file the CLI reads: a result, or one JSON error line."""
+    d = tmp_path_factory.mktemp("mutated")
+    mutated = d / demo_files[kind].name
+    raw = bytearray(demo_files[kind].read_bytes())
+    for pos, value in edits:
+        raw[pos % len(raw)] = value
+    mutated.write_bytes(bytes(raw[: keep % (len(raw) + 1)]))
+    files = {**demo_files, kind: mutated}
+    argv = [a.format(**files) for a in MUTATED_CALLS[kind]] + ["--out", str(d / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        [line] = err.getvalue().splitlines()
+        assert json.loads(line)["category"]

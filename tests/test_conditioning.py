@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,4 +212,4 @@ class TestExportConditioning:
         a = export_conditioning(pyramid, tmp_path / "a")
         b = export_conditioning(pyramid, tmp_path / "b")
         for pa, pb in zip(a, b):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()

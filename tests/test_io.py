@@ -12,13 +12,13 @@ from harmex import (
     ConfigError,
     DomainError,
     FormatError,
-    HarmexError,
     LtvFirCoeffs,
     WavEncoding,
     gaussian_noise,
     MelSpectrogram,
     StftConfig,
     read_coeffs,
+    read_f0_track,
     read_feature_file,
     read_wav,
     write_coeffs,
@@ -418,7 +418,7 @@ TENSOR_FILES = {  # kind: writer of a small valid file
 
 
 class TestTensorReadersReject:
-    """Mutated or truncated ``HMX1`` and ``LTVF`` bytes either read or raise a HarmexError."""
+    """Mutated or truncated ``HMX1`` and ``LTVF`` bytes either read or raise a FormatError."""
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
@@ -432,7 +432,7 @@ class TestTensorReadersReject:
     )
     # the last tap of the 80-byte file made the signaling NaN 0x7f800001
     @example(kind_reader=("ltvf", read_coeffs), edits=[(76, 0x01), (79, 0x7F)], keep=80)
-    def test_mutated_bytes_read_or_harmex_error(self, tmp_path_factory, kind_reader, edits, keep):
+    def test_mutated_bytes_read_or_format_error(self, tmp_path_factory, kind_reader, edits, keep):
         kind, reader = kind_reader
         path = tmp_path_factory.mktemp("mutated") / "m.bin"
         TENSOR_FILES[kind](path)
@@ -442,5 +442,44 @@ class TestTensorReadersReject:
         path.write_bytes(bytes(raw[: keep % (len(raw) + 1)]))
         try:
             reader(path)
-        except HarmexError:
+        except FormatError:
             pass
+
+
+def _rewrite(kind, path, fmt, offset, value, keep=None):
+    """A small valid ``kind`` file with ``value`` packed at ``offset``, cut to ``keep`` bytes."""
+    TENSOR_FILES[kind](path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw[:keep]))
+
+
+class TestRecordRefusalIsFormatError:
+    """A value in a file that the file's record refuses is a FormatError naming the file."""
+
+    @pytest.mark.parametrize(
+        "write, reader",
+        [
+            (lambda path: _rewrite("ltvf", path, "<f", -4, math.nan), read_coeffs),
+            (lambda path: _rewrite("ltvf", path, "<d", 16, 1e-5), read_coeffs),  # 0.16 samples
+            (lambda path: _rewrite("ltvf", path, "<I", 8, 0, keep=32), read_coeffs),
+            (lambda path: _rewrite("hmx-v2", path, "<f", -4, math.nan), read_mel_file),
+            (lambda path: path.write_text("100.0\n-5.0\n"), read_f0_track),
+            (lambda path: path.write_text("100.0\nnan\n"), read_f0_track),
+            (lambda path: path.write_bytes(_riff_with((1, 1, 0, 0, 2, 16))), read_wav),
+        ],
+        ids=["ltvf-nan-tap", "ltvf-hop-below-one-sample", "ltvf-no-rows", "mel-nan-frame",
+             "f0-negative", "f0-nan", "wav-rate-0"],
+    )
+    def test_names_the_file(self, tmp_path, write, reader):
+        path = tmp_path / "refused"
+        write(path)
+        with pytest.raises(FormatError) as info:
+            reader(path)
+        assert info.value.path == path and str(path) in str(info.value)
+
+    def test_callers_hop_stays_config(self, tmp_path):
+        path = tmp_path / "f0.txt"
+        path.write_text("100.0\n")
+        with pytest.raises(ConfigError):
+            read_f0_track(path, hop_seconds=-1)

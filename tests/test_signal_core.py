@@ -11,6 +11,7 @@ from harmex import (
     DomainError,
     ExcitationConfig,
     F0Track,
+    FormatError,
     LengthMismatchError,
     PhaseInit,
     SampleF0,
@@ -251,7 +252,7 @@ class TestF0TrackFile:
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("100.0\nnot-a-number\n")
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError):
             read_f0_track(path)
 
 
