@@ -56,7 +56,6 @@ from .spectral import (
     MelSpectrogram,
     StftConfig,
     loudness,
-    mel_filterbank,
     mel_spectrogram,
     stft_magnitude,
 )

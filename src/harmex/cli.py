@@ -368,9 +368,9 @@ def main(argv=None) -> int:
             files = {name: getattr(args, name) for name in names}
             path = command.manifest.format_map(vars(args))
             _write_run_config(path, args.subcommand, {**resolved, **files, **extra})
-    except (HarmexError, OSError) as exc:
-        category = getattr(exc, "category", "io")
-        print(json.dumps({"category": category, "message": str(exc)}), file=sys.stderr)
+    except (HarmexError, OSError, MemoryError) as exc:
+        category = getattr(exc, "category", "memory" if isinstance(exc, MemoryError) else "io")
+        print(json.dumps({"category": category, "message": str(exc) or repr(exc)}), file=sys.stderr)
         return 1
     return 0
 

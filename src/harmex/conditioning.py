@@ -124,13 +124,13 @@ def decimation_taps(factor: int) -> np.ndarray:
 
 
 def _decimate(x: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1 or len(x) == 0:
-        return x[: len(x) // factor].copy()
+    m = len(x) // factor  # only the kept outputs are computed
+    if factor == 1 or m == 0:  # no taps for a level that keeps no sample
+        return x[:m].copy()
     taps = decimation_taps(factor)
     half = len(taps) // 2
     # exact for ramps: odd reflection continues them, and the taps are symmetric
     padded = np.pad(x, (half, half), mode="reflect", reflect_type="odd")
-    m = len(x) // factor  # only the kept outputs are computed
     return sliding_window_view(padded, len(taps))[: m * factor : factor] @ taps[::-1]
 
 
@@ -141,6 +141,7 @@ def downsample_multiscale(
     check_type("bundle", bundle, ConditioningBundle)
     check_type("factors", factors, Sequence)
     factors = tuple(check_integer("factor", f, minimum=1) for f in factors)
+    check_count("decimation taps", 8 * max(factors, default=1) + 1)  # before any level is made
 
     levels = []
     current = dict(bundle.channels)

@@ -326,14 +326,15 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     # below 1e150, every inverse power is a normal float64
     if not -1e150 < rows.min(initial=0.0) <= rows.max(initial=0.0) < 1e150:
         raise DomainError("envelope magnitudes must be below 1e150")
-    return _levinson(np.maximum(rows, 1e-12) ** -2.0, n_taps, fft_size)
+    return _levinson(lambda b: np.maximum(rows[b], 1e-12) ** -2.0, len(rows), n_taps, fft_size)
 
 
-def _levinson(inv_power: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
-    """Minimum-phase taps (frames x n_taps, n_taps at most fft_size) from inverse powers.
+def _levinson(inv_power, n_rows: int, n_taps: int, fft_size: int) -> np.ndarray:
+    """Minimum-phase taps (n_rows x n_taps, n_taps at most fft_size) from inverse powers.
 
-    Each row of ``inv_power``, frames x (fft_size//2 + 1) normal floats > 0,
-    has autocorrelation r (``irfft``, in ``signal_core._blocks`` of rows).
+    ``inv_power(b)`` gives rows ``b``, a ``signal_core._blocks`` slice, of the
+    n_rows x (fft_size//2 + 1) inverse powers, normal floats > 0, and each row
+    becomes its autocorrelation r (``irfft``) before the next slice is asked for.
     The Levinson-Durbin recursion, all rows at once, gives its order
     n_taps - 1 monic predictor A and error E: order m takes k = -(A . r[m:0:-1]) / E,
     A[i] += k A[m - i] for i = 1..m, and E *= 1 - k^2.  E / |A|^2 models the
@@ -347,9 +348,9 @@ def _levinson(inv_power: np.ndarray, n_taps: int, fft_size: int) -> np.ndarray:
     n_taps = check_integer("n_taps", n_taps, minimum=1)
     if n_taps > fft_size:
         raise ConfigError(f"n_taps={n_taps} above fft_size={fft_size}")
-    r = np.empty((n_taps, len(inv_power)))  # lags x rows, as A
-    for b in _blocks(0, len(inv_power), 8 * fft_size):  # about 8 row-sized transients per row
-        r[:, b] = np.fft.irfft(inv_power[b], fft_size)[:, :n_taps].T
+    r = np.empty((n_taps, n_rows))  # lags x rows, as A
+    for b in _blocks(0, n_rows, 8 * fft_size):  # about 8 row-sized transients per row
+        r[:, b] = np.fft.irfft(inv_power(b), fft_size)[:, :n_taps].T
     r[0] *= 1.0 + WNC
     a = np.zeros_like(r)
     a[0], e = 1.0, r[0].copy()
@@ -367,15 +368,20 @@ def estimate_coeffs_from_mel(
 
     The log power (``spectral._mel_log_power``) floored once at ``max(floor_db, -240)`` dB
     (-240 dB is ``minimum_phase_fir``'s 1e-12) is, in one ``exp``, the inverse power
-    spectrum that ``_levinson`` turns into taps, all frames at once.
+    spectrum that ``_levinson`` turns into taps, one block of frames at a time.
     """
     check_type("mel", mel, MelSpectrogram)
-    floor_db = check_array("floor_db", floor_db, 0)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the bound
-        level = np.maximum(_mel_log_power(mel), max(floor_db, -240.0) / LOG10_FACTOR)
+    floor = max(check_array("floor_db", floor_db, 0), -240.0) / LOG10_FACTOR
+    log_power = _mel_log_power(mel)
+
+    def inv_power(rows):
+        level = np.maximum(log_power(rows), floor)
         if not level.max(initial=0.0) < 2.0 * math.log(1e150):  # magnitudes below 1e150
             raise DomainError("envelope magnitudes must be below 1e150")
-        taps = _levinson(np.exp(-level), n_taps, mel.config.fft_size)
+        return np.exp(-level)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the bound
+        taps = _levinson(inv_power, mel.n_frames, n_taps, mel.config.fft_size)
     return LtvFirCoeffs(taps, mel.hop_seconds, mel.sample_rate)
 
 

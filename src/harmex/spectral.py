@@ -6,6 +6,9 @@ row by row.
 
 Every STFT user, ``metrics.mr_stft_loss`` included, streams its frames in
 ``signal_core._blocks`` and reduces each block before it makes the next.
+Mel band i rises from edge i to 1 at edge i + 1 and falls to edge i + 2, so the bin at f,
+``edges[j] <= f < edges[j + 1]``, is in bands j and j - 1 only, and the even bands tile the
+bins, as do the odd ones: ``_mel_bins`` is that map, for mel analysis and its inverse.
 """
 
 from __future__ import annotations
@@ -162,37 +165,45 @@ def mel_edges(n_mels: int, f_min: float, f_max: float) -> np.ndarray:
     return mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
 
 
-def mel_filterbank(
-    n_mels: int,
-    fft_size: int,
-    sample_rate: float,
-    f_min: float = MEL_RANGE[0],
-    f_max: float = MEL_RANGE[1],
-) -> np.ndarray:
-    """Triangular mel filterbank, peak-normalized, shape n_mels x n_bins."""
+def _mel_bins(n_mels: int, fft_size: int, sample_rate: float, f_min: float, f_max: float):
+    """The mel bands as a per-bin map: the bin at f, ``edges[band] <= f < edges[band + 1]``,
+    weighs ``rise`` in band ``band`` and ``fall`` in band ``band - 1`` (0 if no such band) and
+    0 in the rest, with the even bands tiling the bins, as do the odd ones.  Band i ``starts``
+    at the first bin above edge i; ConfigError unless that bin is below edge i + 2."""
     n_mels = check_integer("n_mels", n_mels, minimum=1)
     fft_size = check_integer("fft_size", fft_size, minimum=1)
     check_count("mel filterbank entries", n_mels * (fft_size // 2 + 1))
     check_mel_range(f_min, f_max, sample_rate)
     edges = mel_edges(n_mels, f_min, f_max)
-    bin_freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
-
-    lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
-    up = (bin_freqs - lower) / np.maximum(center - lower, 1e-12)
-    down = (upper - bin_freqs) / np.maximum(upper - center, 1e-12)
-    fbank = np.maximum(0.0, np.minimum(up, down))
-    if np.any(fbank.sum(axis=1) == 0):
+    freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+    starts = np.searchsorted(freqs, edges[:-2], side="right")
+    if np.any(starts >= np.searchsorted(freqs, edges[2:])):
         raise ConfigError("degenerate mel filterbank: a band covers no FFT bin")
-    return fbank
+    band = np.searchsorted(edges, freqs, side="right") - 1
+    rise, fall = np.zeros((2, len(freqs)))
+    for weight, lowest in ((rise, 0), (fall, 1)):  # the one run of bins whose band has this slope
+        on = slice(*np.searchsorted(band, (lowest, n_mels + lowest)))
+        i, f = band[on] - lowest, freqs[on]
+        up = (f - edges[i]) / np.maximum(edges[i + 1] - edges[i], 1e-12)
+        down = (edges[i + 2] - f) / np.maximum(edges[i + 2] - edges[i + 1], 1e-12)
+        weight[on] = np.maximum(0.0, np.minimum(up, down))
+    return band, rise, fall, starts
 
 
-def _mel_log_power(mel: MelSpectrogram) -> np.ndarray:
-    """Natural-log power envelope per frame (frames x bins) from log-mel energies.
+def _band_sums(power: np.ndarray, out: np.ndarray, band, rise, fall, starts) -> np.ndarray:
+    """Band sums of the rows of ``power`` into ``out``: per parity, one ``np.add.reduceat`` from
+    each band's first bin to the next's (the bins between weigh 0), so no BLAS runs."""
+    for k in (0, 1):
+        out[:, k::2] = np.add.reduceat(power * np.where(band % 2 == k, rise, fall), starts[k::2], 1)
+    return out
 
-    Each linear-frequency bin takes its log-mel energy by linear
-    interpolation between the centres of the two bands around it, held flat
-    beyond the first and the last centre; bins no band reaches take the
-    value of the nearest bin one does.
+
+def _mel_log_power(mel: MelSpectrogram):
+    """The natural-log power envelope of log-mel energies, as a function of a slice of frames.
+
+    Each bin takes its log-mel energy by linear interpolation, by its ``rise``, between the
+    centres of its ``_mel_bins`` band and the one below, held flat beyond the first and the
+    last centre; bins no band reaches take the value of the nearest bin one does.
 
     Each band's energy is the envelope integrated over a triangle whose area
     grows with frequency, which would tilt the reconstruction upward by the
@@ -201,19 +212,21 @@ def _mel_log_power(mel: MelSpectrogram) -> np.ndarray:
     the response of a constant log-mel vector flat within a few dB while also
     keeping the round trip from a smooth spectral envelope within a few dB.
     """
-    cfg = mel.config
+    cfg, n_mels = mel.config, mel.n_mels
     check_count("envelope bins", mel.n_frames * cfg.n_bins)
-    fbank = mel_filterbank(mel.n_mels, cfg.fft_size, mel.sample_rate, *mel.mel_range)
-    log_area = np.log(fbank.sum(axis=1))
-    bands = mel.frames - 0.5 * (log_area + log_area.mean())
-    edges = mel_edges(mel.n_mels, *mel.mel_range)  # band i peaks at edge i + 1
-    freqs = np.arange(cfg.n_bins) * (mel.sample_rate / cfg.fft_size)
-    reached = freqs[(edges[0] < freqs) & (freqs < edges[-1])]  # the bins some band reaches
-    freqs = np.clip(freqs, reached[0], reached[-1])
-    j = np.maximum(np.searchsorted(edges, freqs, side="right") - 2, 0)  # band peaking at or below
-    w = np.clip((freqs - edges[j + 1]) / (edges[j + 2] - edges[j + 1]), 0.0, 1.0)
-    log_power = np.take(bands, j, axis=1)
-    log_power += w * (np.take(bands, np.minimum(j + 1, mel.n_mels - 1), axis=1) - log_power)
+    band, rise, fall, starts = _mel_bins(n_mels, cfg.fft_size, mel.sample_rate, *mel.mel_range)
+    area = _band_sums(np.ones((1, cfg.n_bins)), np.empty((1, n_mels)), band, rise, fall, starts)
+    offset = 0.5 * (np.log(area) + np.log(area).mean())
+    at = np.clip(np.arange(cfg.n_bins), *np.flatnonzero(rise + fall)[[0, -1]])  # the reached run
+    lower = np.maximum(band[at] - 1, 0)  # the band peaking at or below the bin
+    upper, w = np.minimum(lower + 1, n_mels - 1), np.where(band[at] > 0, rise[at], 0.0)
+
+    def log_power(rows) -> np.ndarray:
+        bands = mel.frames[rows] - offset
+        out = np.take(bands, lower, axis=1)
+        out += w * (np.take(bands, upper, axis=1) - out)
+        return out
+
     return log_power
 
 
@@ -224,22 +237,12 @@ def mel_spectrogram(
     f_min: float = MEL_RANGE[0],
     f_max: float = MEL_RANGE[1],
 ) -> MelSpectrogram:
-    """Log mel-power spectrogram: triangle filterbank over |STFT|^2, floored at MEL_FLOOR.
-
-    Band i is non-zero only strictly between edges i and i + 2, so the even bands tile the
-    bins without overlap, and so do the odd ones.  Per parity, one ``np.add.reduceat`` of the
-    weighted power sums each band from its first bin on to the next band's first bin (the
-    bins between weigh exactly 0).  No BLAS runs: the same bits at any thread count.
-    """
+    """Log mel power, ``_mel_bins``' bands over |STFT|^2 by blocks, floored at MEL_FLOOR."""
     blocks = _stft_blocks(x, cfg)
-    fbank = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
-    starts = np.argmax(fbank > 0, axis=1)  # every band has a bin
-    weights = [fbank[k::2].sum(axis=0) for k in (0, 1)]  # exact: one band per bin and parity
-    frames = np.empty((n_frames_for(len(x), cfg.hop_size), len(fbank)))
+    band, rise, fall, starts = _mel_bins(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
+    frames = np.empty((n_frames_for(len(x), cfg.hop_size), len(starts)))
     for rows, mag in blocks:
-        power, block = np.square(mag, out=mag), frames[rows]
-        for k in (0, 1):
-            block[:, k::2] = np.add.reduceat(power * weights[k], starts[k::2], axis=1)
+        block = _band_sums(np.square(mag, out=mag), frames[rows], band, rise, fall, starts)
         np.log(np.maximum(block, MEL_FLOOR), out=block)
     return MelSpectrogram(frames, cfg, x.sample_rate, (f_min, f_max))
 

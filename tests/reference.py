@@ -13,12 +13,13 @@ from harmex import (
     AudioSignal, ExcitationConfig, F0Track, FitConfig, LtvFirCoeffs, PhaseInit, SampleF0,
 )
 from harmex.conditioning import decimation_taps
-from harmex.errors import AliasingError, DomainError, LengthMismatchError
+from harmex.errors import AliasingError, ConfigError, DomainError, LengthMismatchError
+from harmex.errors import check_count, check_integer
 from harmex.ltv import FIT_EPS, FIT_GATE, LOG10_FACTOR, WNC, _check_geometry, _lagged
 from harmex.metrics import MAG_FLOOR, MrStftConfig, MrStftLoss, _search_ratio
 from harmex.signal_core import TAU, _voiced_runs, frame_centers, hop_samples
 from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, StftConfig, _mel_log_power, hann
-from harmex.spectral import mel_filterbank, n_frames_for
+from harmex.spectral import check_mel_range, mel_edges, n_frames_for
 
 
 def sine_excitation_loop(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) -> AudioSignal:
@@ -135,6 +136,31 @@ def decimate_full_rate(x: np.ndarray, factor: int) -> np.ndarray:
     return filtered[::factor][: len(x) // factor]
 
 
+# every band's triangle at every bin: the dense matrix ``spectral._mel_bins`` maps bin by bin
+def mel_filterbank_dense(
+    n_mels: int,
+    fft_size: int,
+    sample_rate: float,
+    f_min: float = MEL_RANGE[0],
+    f_max: float = MEL_RANGE[1],
+) -> np.ndarray:
+    """Triangular mel filterbank, peak-normalized, shape n_mels x n_bins."""
+    n_mels = check_integer("n_mels", n_mels, minimum=1)
+    fft_size = check_integer("fft_size", fft_size, minimum=1)
+    check_count("mel filterbank entries", n_mels * (fft_size // 2 + 1))
+    check_mel_range(f_min, f_max, sample_rate)
+    edges = mel_edges(n_mels, f_min, f_max)
+    bin_freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+
+    lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    up = (bin_freqs - lower) / np.maximum(center - lower, 1e-12)
+    down = (upper - bin_freqs) / np.maximum(upper - center, 1e-12)
+    fbank = np.maximum(0.0, np.minimum(up, down))
+    if np.any(fbank.sum(axis=1) == 0):
+        raise ConfigError("degenerate mel filterbank: a band covers no FFT bin")
+    return fbank
+
+
 def mel_log_power_dense(mel: MelSpectrogram) -> np.ndarray:
     """``spectral._mel_log_power`` as a product with the filterbank over per-bin coverage.
 
@@ -143,7 +169,7 @@ def mel_log_power_dense(mel: MelSpectrogram) -> np.ndarray:
     reaches then take, frame by frame, ``np.interp``'s held end values.
     """
     cfg = mel.config
-    fbank = mel_filterbank(mel.n_mels, cfg.fft_size, mel.sample_rate, *mel.mel_range)
+    fbank = mel_filterbank_dense(mel.n_mels, cfg.fft_size, mel.sample_rate, *mel.mel_range)
     coverage = fbank.sum(axis=0)
     covered = coverage > 0
     log_area = np.log(fbank.sum(axis=1))
@@ -160,7 +186,7 @@ def estimate_taps_loop(mel: MelSpectrogram, n_taps: int = 64, floor_db: float = 
     """``ltv.estimate_coeffs_from_mel`` taps: ``levinson_loop`` of the inverse power
     spectrum ``exp(-max(log power, max(floor_db, -240) / LOG10_FACTOR))``."""
     floor = max(floor_db, -240.0) / LOG10_FACTOR
-    inv_power = np.exp(-np.maximum(_mel_log_power(mel), floor))
+    inv_power = np.exp(-np.maximum(_mel_log_power(mel)(slice(None)), floor))
     return levinson_loop(inv_power, n_taps, mel.config.fft_size)
 
 
@@ -295,7 +321,7 @@ def mel_spectrogram_whole(
 ) -> MelSpectrogram:
     """``spectral.mel_spectrogram`` as one filterbank product over the whole power spectrogram."""
     mag = stft_magnitude_whole(x, cfg)
-    fbank = mel_filterbank(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
+    fbank = mel_filterbank_dense(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
     mel = (mag**2) @ fbank.T
     return MelSpectrogram(np.log(np.maximum(mel, MEL_FLOOR)), cfg, x.sample_rate, (f_min, f_max))
 

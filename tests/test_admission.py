@@ -44,7 +44,6 @@ from harmex import (
     harmonic_count,
     interpolate_f0,
     loudness,
-    mel_filterbank,
     mel_mae,
     mel_spectrogram,
     mr_stft_loss,
@@ -61,6 +60,7 @@ from harmex import (
 from harmex.conditioning import PyramidLevel
 from harmex.errors import check_array, check_integer
 from harmex.signal_core import hop_samples
+from harmex.spectral import MEL_RANGE, _mel_bins
 from harmex.tensor_io import write_mel_file
 from conftest import FS, make_excitation
 
@@ -159,11 +159,11 @@ CASES = {
     "refine_pitch.search_cents": lambda v: refine_pitch(X, TRACK, v),
     "pitch_jitter.search_cents": lambda v: pitch_jitter(X, TRACK, v),
     "interpolate_f0.sample_rate": lambda v: interpolate_f0(TRACK, v, 100),
-    "mel_filterbank.n_mels": lambda v: mel_filterbank(v, 128, FS),
-    "mel_filterbank.fft_size": lambda v: mel_filterbank(8, v, FS),
-    "mel_filterbank.sample_rate": lambda v: mel_filterbank(8, 128, v),
-    "mel_filterbank.f_min": lambda v: mel_filterbank(8, 128, FS, f_min=v),
-    "mel_filterbank.f_max": lambda v: mel_filterbank(8, 128, FS, f_max=v),
+    "_mel_bins.n_mels": lambda v: _mel_bins(v, 128, FS, *MEL_RANGE),
+    "_mel_bins.fft_size": lambda v: _mel_bins(8, v, FS, *MEL_RANGE),
+    "_mel_bins.sample_rate": lambda v: _mel_bins(8, 128, v, *MEL_RANGE),
+    "_mel_bins.f_min": lambda v: _mel_bins(8, 128, FS, v, MEL_RANGE[1]),
+    "_mel_bins.f_max": lambda v: _mel_bins(8, 128, FS, MEL_RANGE[0], v),
     "mel_spectrogram.f_min": lambda v: mel_spectrogram(X, StftConfig(128, 128, 64), 8, f_min=v),
     "mel_spectrogram.f_max": lambda v: mel_spectrogram(X, StftConfig(128, 128, 64), 8, f_max=v),
     "hop_samples.hop_seconds": lambda v: hop_samples(v, FS),

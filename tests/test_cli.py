@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmex
-from harmex import read_coeffs, read_feature_file, read_wav, write_feature_file
+from harmex import cli, read_coeffs, read_feature_file, read_wav, write_feature_file
 from harmex.cli import main
+from test_admission import DRAWN
 
 
 def run(capsys, *argv):
@@ -394,6 +395,22 @@ def test_unusable_config_file_exits_1_with_one_json_error(tmp_path, f0_file, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "exc", [MemoryError(), MemoryError("Unable to allocate 12.8 GiB")], ids=["bare", "numpy"]
+)
+def test_memory_error_exits_1_with_one_json_error(tmp_path, f0_file, capsys, monkeypatch, exc):
+    """A request past the memory it can get is category ``memory``, not a traceback."""
+
+    def exhausted(args, resolved):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "excite", cli.COMMANDS["excite"]._replace(run=exhausted))
+    code, _, err = run(capsys, "excite", str(f0_file), "--out", str(tmp_path / "exc.wav"))
+    assert code == 1
+    [line] = err.strip().splitlines()
+    assert json.loads(line) == {"category": "memory", "message": str(exc) or "MemoryError()"}
+
+
 MANIFEST_SUFFIXES = ("run.json", "run_config.json")
 REPLAYS = {  # subcommand: (input arguments, non-default options, output flag, output name)
     "excite": (["{f0}"], ["--amplitude", "0.3", "--phase-init", "random", "--seed", "7",
@@ -503,6 +520,41 @@ def test_mutated_file_exits_0_or_1_with_one_json_error(
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1)
+    if code == 1:
+        [line] = err.getvalue().splitlines()
+        assert json.loads(line)["category"]
+
+
+# the demo file each input argument of a subcommand reads
+ARGV_FILES = {"f0_file": "f0", "--f0": "f0", "coeff_file": "ltvf", "mel_file": "mel"}
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_drawn_flags_exit_0_or_1_with_one_json_error(tmp_path_factory, demo_files, data):
+    """Any subcommand with some of its flags, each a drawn value or its default, on the demo
+    files: a result, or one JSON error line."""
+    name = data.draw(st.sampled_from(sorted(cli.COMMANDS)), "subcommand")
+    command = cli.COMMANDS[name]
+    out = tmp_path_factory.mktemp("argv") / "out"
+    argv = [name]
+    for arg in command.files:
+        path = str(out) if arg.startswith("--out") else str(demo_files[ARGV_FILES.get(arg, "wav")])
+        argv += [arg, path] if arg.startswith("--") else [path]
+    if command.switches:
+        argv += data.draw(st.lists(st.sampled_from(command.switches), unique=True), "switches")
+    for key in data.draw(st.lists(st.sampled_from(sorted(command.options)), unique=True), "flags"):
+        coerce, default = command.options[key]
+        if coerce is cli._bool:  # the one flag without a value
+            argv.append("--no-interp-taps")
+        else:  # "--flag=value", so that "-inf" is not read as a flag
+            value = data.draw(st.sampled_from([*DRAWN, cli._jsonable(default)]), key)
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), argv
     if code == 1:
         [line] = err.getvalue().splitlines()
         assert json.loads(line)["category"]

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,24 @@ class TestDecimationTaps:
 
 
 class TestDownsampleMultiscale:
+    def test_level_that_keeps_no_sample_builds_no_taps(self):
+        """1 s at factor 10**6 keeps no sample; its 8e6 taps once took a 305 MiB peak."""
+        bundle = stack_channels(raw_excitation=AudioSignal(np.ones(FS), FS))
+        tracemalloc.start()
+        try:
+            pyramid = downsample_multiscale(bundle, (10**6, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(level.channels["raw_excitation"]) for level in pyramid.levels] == [0, 0]
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_taps_counted_for_every_level(self):
+        """A factor whose taps pass 2**31 is refused even where its level would keep no sample."""
+        bundle = stack_channels(raw_excitation=AudioSignal(np.ones(100), FS))
+        with pytest.raises(ConfigError, match="decimation taps"):
+            downsample_multiscale(bundle, (200, 10**15))
+
     def test_dc_preserved(self):
         bundle = stack_channels(raw_excitation=AudioSignal(np.full(4800, 0.37), FS))
         pyramid = downsample_multiscale(bundle)

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from harmex import (
     gaussian_noise,
     interpolate_f0,
     ltv,
-    mel_filterbank,
     minimum_phase_fir,
     read_coeffs,
     refine_pitch,
@@ -42,6 +42,7 @@ from reference import (
     fit_min_norm_loop,
     fit_ridge_loop,
     levinson_loop,
+    mel_filterbank_dense,
     mel_log_power_dense,
     min_norm_solve,
 )
@@ -750,20 +751,33 @@ class TestEstimateFromMel:
         assert frequency_response(h, 0, 1024).max() <= -50.0 + 6.0
 
     def test_single_band_peak_in_support(self):
-        from harmex import mel_filterbank
-
         frames = np.full((1, 80), np.log(1e-5))
         frames[0, 40] = 0.0
         mel = MelSpectrogram(frames, StftConfig(), FS)
         h = estimate_coeffs_from_mel(mel)
         peak_bin = int(np.argmax(frequency_response(h, 0, 1024)))
-        support = np.flatnonzero(mel_filterbank(80, 1024, FS)[40] > 0)
+        support = np.flatnonzero(mel_filterbank_dense(80, 1024, FS)[40] > 0)
         assert support.min() <= peak_bin <= support.max()
 
     def test_envelope_size_checked_before_allocation(self):
         mel = MelSpectrogram(np.zeros((2**22, 1)), StftConfig(), FS)  # 2**22 x 513 bins
         with pytest.raises(ConfigError, match="envelope bins"):
             estimate_coeffs_from_mel(mel)
+
+    def test_walks_blocks_of_frames(self):
+        """Peak traced memory on 64 frames at fft_size 2**16: each holds a 2 MiB envelope row.
+
+        Block by block it peaked at 2.7 MiB; with whole frames x bins arrays at 80.3 MiB.
+        """
+        mel = MelSpectrogram(np.random.default_rng(0).normal(-6.0, 2.0, (64, 80)),
+                             StftConfig(2**16, 640, 160), FS)
+        tracemalloc.start()
+        try:
+            estimate_coeffs_from_mel(mel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -805,9 +819,7 @@ class TestEstimateFromMel:
         # response of the produced taps matches the imposed envelope in-band
         freqs = np.arange(513) * FS / 1024
         mag_db = -6.0 - 6.0 * ((freqs - 2000.0) / 3000.0) ** 2
-        from harmex import mel_filterbank
-
-        fbank = mel_filterbank(80, 1024, FS)
+        fbank = mel_filterbank_dense(80, 1024, FS)
         power = (10 ** (mag_db / 10.0))[None, :] @ fbank.T
         mel = MelSpectrogram(np.log(power), StftConfig(), FS)
         h = estimate_coeffs_from_mel(mel, n_taps=N_TAPS)
@@ -822,7 +834,7 @@ class TestEstimateFromMel:
     def test_floor_below_minus_240_db_is_minus_240_db(self):
         """``floor_db`` and the 1e-12 magnitude floor of ``minimum_phase_fir`` are one floor."""
         mel = banded_mel(-60.0, 4.5, 1, 4, 0)
-        assert (_mel_log_power(mel) < -240.0 / LOG10_FACTOR).any()  # the floor binds
+        assert (_mel_log_power(mel)(slice(None)) < -240.0 / LOG10_FACTOR).any()  # the floor binds
         want = estimate_coeffs_from_mel(mel, 32, -240.0).taps
         for floor_db in (-240.5, -300.0, -1e308):
             np.testing.assert_array_equal(estimate_coeffs_from_mel(mel, 32, floor_db).taps, want)
@@ -830,7 +842,7 @@ class TestEstimateFromMel:
     @pytest.mark.filterwarnings("error")
     def test_magnitudes_up_to_1e150(self):
         """A level just under magnitude 1e150 gives finite taps; just over, a DomainError."""
-        peak = _mel_log_power(self.flat_mel(0.0, n_frames=1)).max()
+        peak = _mel_log_power(self.flat_mel(0.0, n_frames=1))(slice(None)).max()
         bound = 2.0 * np.log(1e150)  # log power of magnitude 1e150
         h = estimate_coeffs_from_mel(self.flat_mel(bound - peak - 1e-9, n_frames=1))
         assert np.isfinite(h.taps).all()
@@ -890,7 +902,8 @@ class TestEstimateMatchesLevinsonLoop:
         from scipy.linalg import solve_toeplitz, toeplitz
 
         taps = estimate_coeffs_from_mel(mel, n_taps, floor_db).taps
-        inv_power = np.exp(-np.maximum(_mel_log_power(mel), max(floor_db, -240.0) / LOG10_FACTOR))
+        level = np.maximum(_mel_log_power(mel)(slice(None)), max(floor_db, -240.0) / LOG10_FACTOR)
+        inv_power = np.exp(-level)
         r = np.fft.irfft(inv_power, mel.config.fft_size)[:, :n_taps]
         r[:, 0] *= 1.0 + WNC
         for row, got in zip(r, taps):
@@ -923,7 +936,7 @@ def test_mel_magnitude_matches_dense_projection(rng):
         freqs = np.arange(stft.n_bins) * (fs / fft_size)
         past_first_centre += freqs[freqs > f_min][0] > mel_edges(n_mels, f_min, f_max * fs)[1]
         # 2e-13 on the log power is rtol 1e-13 on its magnitude
-        got = _mel_log_power(mel)
+        got = _mel_log_power(mel)(slice(None))
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-13)
         if n_mels == 1:
             assert np.ptp(got, axis=1).max() == 0.0

@@ -17,7 +17,6 @@ from harmex import (
     gaussian_noise,
     interpolate_f0,
     loudness,
-    mel_filterbank,
     mel_spectrogram,
     mr_stft_loss,
     signal_core,
@@ -26,9 +25,11 @@ from harmex import (
 )
 from harmex.metrics import DEFAULT_RESOLUTIONS
 from harmex.signal_core import frame_centers, hop_samples
-from harmex.spectral import MEL_FLOOR, MelSpectrogram, hann, mel_edges, n_frames_for
+from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, _mel_bins, hann, mel_edges, n_frames_for
 from conftest import FS, HOP
-from reference import loudness_loop, mel_spectrogram_whole, mr_stft_loss_whole, stft_magnitude_whole
+from reference import (
+    loudness_loop, mel_filterbank_dense, mel_spectrogram_whole, mr_stft_loss_whole, stft_magnitude_whole,
+)
 
 
 def sine(freq, n, amp=0.5, fs=FS):
@@ -103,15 +104,51 @@ class TestStftMagnitude:
             StftConfig(**{name: value})
 
 
+def scattered_filterbank(n_mels, fft_size, fs, f_min=MEL_RANGE[0], f_max=MEL_RANGE[1]):
+    """``spectral._mel_bins`` scattered into the dense n_mels x n_bins filterbank."""
+    band, rise, fall, starts = _mel_bins(n_mels, fft_size, fs, f_min, f_max)
+    n_mels, bins = len(starts), np.arange(len(band))
+    fbank = np.zeros((n_mels, len(band)))
+    for weight, i in ((rise, band), (fall, band - 1)):
+        on = (0 <= i) & (i < n_mels)
+        fbank[i[on], bins[on]] = weight[on]
+    return fbank
+
+
 class TestMelFilterbank:
+    def test_bins_scatter_to_the_dense_filterbank_bit_for_bit(self):
+        """Every band's triangle at every bin, over geometries wide and narrow, tiny and huge
+        rates; each geometry the dense oracle refuses, ``_mel_bins`` refuses with its error."""
+        built = refused = 0
+        for fs, fft_size, n_mels, (f_min, f_max) in itertools.product(
+            (1e-3, 100.0, 8000.0, 16000.0, 22050.0, 44100.0, 1e9),
+            (1, 2, 16, 255, 256, 1000, 1024, 2048, 4096),
+            (1, 2, 3, 40, 80, 128, 300),
+            ((0.0, 0.5), (0.003, 0.45), (0.02, 0.375), (0.01, 0.02), (0.0, 1e-6)),
+        ):
+            args = (n_mels, fft_size, fs, f_min * fs, f_max * fs)
+            try:
+                want = mel_filterbank_dense(*args)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as got:
+                    _mel_bins(*args)
+                assert str(got.value) == str(exc), args
+                refused += 1
+                continue
+            built += 1
+            got = scattered_filterbank(*args)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), args
+            np.testing.assert_array_equal(_mel_bins(*args)[3], np.argmax(want > 0, axis=1))
+        assert built >= 800 and refused >= 800
+
     def test_shape_and_peak_normalization(self):
-        fbank = mel_filterbank(80, 1024, FS)
+        fbank = scattered_filterbank(80, 1024, FS)
         assert fbank.shape == (80, 513)
         assert fbank.max() <= 1.0 + 1e-12
         assert np.all(fbank.max(axis=1) > 0.5)
 
     def test_coverage_inside_band(self):
-        fbank = mel_filterbank(80, 1024, FS, 0.0, 8000.0)
+        fbank = scattered_filterbank(80, 1024, FS, 0.0, 8000.0)
         freqs = np.arange(513) * FS / 1024
         inside = (freqs > 0.0) & (freqs < 8000.0)
         assert np.all(fbank.sum(axis=0)[inside] > 0)
@@ -125,7 +162,7 @@ class TestMelFilterbank:
         built = 0
         for fft_size, n_mels, f_min, f_max in settings:
             try:
-                fbank = mel_filterbank(n_mels, fft_size, fs, f_min, min(f_max, fs / 2))
+                fbank = scattered_filterbank(n_mels, fft_size, fs, f_min, min(f_max, fs / 2))
             except ConfigError:  # a band covers no bin
                 continue
             built += 1
@@ -138,7 +175,7 @@ class TestMelFilterbank:
         edges = mel_edges(40, 125.0, 7000.0)
         assert len(edges) == 42
         np.testing.assert_allclose(edges[[0, -1]], [125.0, 7000.0], rtol=1e-12)
-        fbank = mel_filterbank(40, 1024, FS, 125.0, 7000.0)
+        fbank = scattered_filterbank(40, 1024, FS, 125.0, 7000.0)
         freqs = np.arange(513) * FS / 1024
         for i, band in enumerate(fbank):
             np.testing.assert_array_equal(band > 0, (edges[i] < freqs) & (freqs < edges[i + 2]))
@@ -146,14 +183,14 @@ class TestMelFilterbank:
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigError):
-            mel_filterbank(80, 1024, FS, 4000.0, 2000.0)
+            scattered_filterbank(80, 1024, FS, 4000.0, 2000.0)
         with pytest.raises(ConfigError):
-            mel_filterbank(80, 1024, FS, 0.0, 9000.0)
+            scattered_filterbank(80, 1024, FS, 0.0, 9000.0)
 
     @pytest.mark.parametrize("n_mels", [0, 2.5])
     def test_band_count_not_a_positive_whole_number_rejected(self, n_mels):
         with pytest.raises(ConfigError):
-            mel_filterbank(n_mels, 1024, FS)
+            scattered_filterbank(n_mels, 1024, FS)
         with pytest.raises(ConfigError):
             mel_spectrogram(gaussian_noise(FS, FS, 0), n_mels=n_mels)
 
@@ -259,7 +296,7 @@ def test_derived_sizes_checked_before_allocation():
     with pytest.raises(ConfigError, match="STFT bins"):  # 2 frames of 2**30 bins
         stft_magnitude(AudioSignal(np.zeros(161), FS), StftConfig(fft_size=2**31 - 1))
     with pytest.raises(ConfigError, match="mel filterbank entries"):
-        mel_filterbank(80, 10**15, FS)
+        _mel_bins(80, 10**15, FS, *MEL_RANGE)
 
 
 def voice_pair(n_samples: int) -> tuple[AudioSignal, AudioSignal]:
