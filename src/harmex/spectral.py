@@ -4,8 +4,9 @@ All three extractors take their frames from ``_frames``: ``ceil(n_samples / hop)
 frames, frame m centred on sample ``m * hop``, so features at one hop pair
 row by row.
 
-Every STFT user, ``metrics.mr_stft_loss`` included, streams its frames in
-``signal_core._blocks`` and reduces each block before it makes the next.
+Every STFT user, ``metrics.mr_stft_loss`` included, takes its frames from ``_stft_blocks`` in
+``signal_core._blocks`` and reduces each block as it makes it: ``mel_spectrogram`` walks them
+on one thread, ``stft_magnitude`` and the loss on ``signal_core._each``'s, same bits either way.
 Mel band i rises from edge i to 1 at edge i + 1 and falls to edge i + 2, so the bin at f,
 ``edges[j] <= f < edges[j + 1]``, is in bands j and j - 1 only, and the even bands tile the
 bins, as do the odd ones: ``_mel_bins`` is that map, for mel analysis and its inverse.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, check_array, check_count, check_integer, check_positive
 from .errors import check_type
-from .signal_core import AudioSignal, _blocks
+from .signal_core import AudioSignal, _blocks, _each
 
 MEL_FLOOR = 1e-5
 MEL_RANGE = (0.0, 8000.0)  # default f_min, f_max in Hz
@@ -123,23 +124,25 @@ def _frames(x: AudioSignal, win: int, hop: int) -> np.ndarray:
 
 
 def _stft_blocks(x: AudioSignal, cfg: StftConfig):
-    """Frame ``x`` now; return ``(rows, |rfft|)`` per ``_blocks`` of frames, windowed when reached."""
+    """Frame ``x`` now; return its ``_blocks`` of frames and a function giving the |rfft| of a
+    block's rows (into ``out`` if given), windowed when asked for.  The frames live as long as
+    that function."""
     segs = _frames(x, cfg.win_size, cfg.hop_size)
     check_count("STFT bins", len(segs) * cfg.n_bins)
     window = hann(cfg.win_size, periodic=True)
+
+    def magnitude(rows: slice, out=None) -> np.ndarray:
+        return np.abs(np.fft.rfft(segs[rows] * window, n=cfg.fft_size, axis=1), out=out)
+
     # a row's transients: its windowed frame, its complex spectrum and its magnitudes
-    return (
-        (rows, np.abs(np.fft.rfft(segs[rows] * window, n=cfg.fft_size, axis=1)))
-        for rows in _blocks(0, len(segs), cfg.win_size + 3 * cfg.n_bins)
-    )
+    return _blocks(0, len(segs), cfg.win_size + 3 * cfg.n_bins), magnitude
 
 
 def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Magnitude STFT with centered, reflect-padded, Hann-windowed frames."""
-    blocks = _stft_blocks(x, cfg)
+    blocks, magnitude = _stft_blocks(x, cfg)
     out = np.empty((n_frames_for(len(x), cfg.hop_size), cfg.n_bins))
-    for rows, mag in blocks:
-        out[rows] = mag
+    _each(lambda rows: magnitude(rows, out[rows]), blocks)
     return out
 
 
@@ -238,10 +241,11 @@ def mel_spectrogram(
     f_max: float = MEL_RANGE[1],
 ) -> MelSpectrogram:
     """Log mel power, ``_mel_bins``' bands over |STFT|^2 by blocks, floored at MEL_FLOOR."""
-    blocks = _stft_blocks(x, cfg)
+    blocks, magnitude = _stft_blocks(x, cfg)
     band, rise, fall, starts = _mel_bins(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
     frames = np.empty((n_frames_for(len(x), cfg.hop_size), len(starts)))
-    for rows, mag in blocks:
+    for rows in blocks:
+        mag = magnitude(rows)
         block = _band_sums(np.square(mag, out=mag), frames[rows], band, rise, fall, starts)
         np.log(np.maximum(block, MEL_FLOOR), out=block)
     return MelSpectrogram(frames, cfg, x.sample_rate, (f_min, f_max))

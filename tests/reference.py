@@ -17,7 +17,7 @@ from harmex.errors import AliasingError, ConfigError, DomainError, LengthMismatc
 from harmex.errors import check_count, check_integer
 from harmex.ltv import FIT_EPS, FIT_GATE, LOG10_FACTOR, WNC, _check_geometry, _lagged
 from harmex.metrics import MAG_FLOOR, MrStftConfig, MrStftLoss, _search_ratio
-from harmex.signal_core import TAU, _voiced_runs, frame_centers, hop_samples
+from harmex.signal_core import TAU, _blocks, _voiced_runs, frame_centers, hop_samples
 from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, StftConfig, _mel_log_power, hann
 from harmex.spectral import check_mel_range, mel_edges, n_frames_for
 
@@ -338,6 +338,28 @@ def mr_stft_loss_whole(
         sc_terms.append(np.sqrt(np.einsum("ij,ij->", d, d)) / np.sqrt(np.einsum("ij,ij->", my, my)))
         mag_terms.append(np.mean(np.abs(
             np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR)))))
+    return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))
+
+
+def mr_stft_loss_serial(
+    x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfig()
+) -> MrStftLoss:
+    """``metrics.mr_stft_loss`` as one thread's running sums over each resolution's ``_blocks``
+    of frames, with new arrays for every temporary: the same bits as the library at any
+    ``WORKERS`` and ``BLOCK_ELEMS``."""
+    sc_terms, mag_terms = [], []
+    for res in cfg.resolutions:
+        whole_x, whole_y = stft_magnitude_whole(x, res), stft_magnitude_whole(y, res)
+        diff_sq = ref_sq = log_l1 = 0.0
+        for rows in _blocks(0, len(whole_y), res.win_size + 3 * res.n_bins):
+            mx, my = whole_x[rows], whole_y[rows]
+            d = my - mx
+            diff_sq += np.einsum("ij,ij->", d, d)
+            ref_sq += np.einsum("ij,ij->", my, my)
+            log_l1 += np.sum(np.abs(
+                np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR))))
+        sc_terms.append(np.sqrt(diff_sq) / np.sqrt(ref_sq))
+        mag_terms.append(log_l1 / (n_frames_for(len(y), res.hop_size) * res.n_bins))
     return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))
 
 

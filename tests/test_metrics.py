@@ -18,6 +18,8 @@ from harmex import (
     F0Track,
     FitConfig,
     LossWeights,
+    MrStftConfig,
+    StftConfig,
     UndefinedMetricError,
     apply_ltv,
     combined_loss,
@@ -72,11 +74,27 @@ class TestMrStftLoss:
         with pytest.raises(DegenerateReferenceError):
             mr_stft_loss(x, AudioSignal(np.zeros(8000), FS))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_at", [500, None])
+    def test_reference_no_window_sees_rejected(self, x_at):
+        """At hop = win each sample is framed once, and the one at 120 starts a frame, where
+        the periodic Hann window is 0: that resolution's |Y| sums to 0.  Divided by it, sc
+        came out inf, or NaN when x is unseen too."""
+        y, x = np.zeros(2400), np.zeros(2400)
+        y[120] = 1.0
+        if x_at is not None:
+            x[x_at] = 1.0
+        cfg = MrStftConfig((StftConfig(512, 240, 240),))
+        with pytest.raises(DegenerateReferenceError, match=r"StftConfig\(fft_size=512, win_size=240"):
+            mr_stft_loss(AudioSignal(x, FS), AudioSignal(y, FS), cfg)
+
     def test_same_bits_at_one_and_two_blas_threads(self):
         """The loss, the mel frames and the mel MAE of 10 s of harmonic audio: long enough that
         a BLAS sum splits across threads (2 s at 16 kHz can stay below OpenBLAS's threshold)."""
         outputs = outputs_at_one_and_two_blas_threads(BLAS_THREADS_SCRIPT)
         assert len(outputs) == 1, outputs
+        loss_1, loss_2, _ = outputs.pop().splitlines()
+        assert loss_1 == loss_2  # at one and two workers
 
 
 def outputs_at_one_and_two_blas_threads(script: str, *args: str) -> set[str]:
@@ -94,13 +112,16 @@ def outputs_at_one_and_two_blas_threads(script: str, *args: str) -> set[str]:
 BLAS_THREADS_SCRIPT = """
 import hashlib
 import numpy as np
-from harmex import F0Track, interpolate_f0, mel_mae, mel_spectrogram, mr_stft_loss, sine_excitation
+from harmex import F0Track, interpolate_f0, mel_mae, mel_spectrogram, mr_stft_loss, signal_core
+from harmex import sine_excitation
 
 t = np.arange(1000) * 0.01
 f0 = np.where(t % 1.0 < 0.8, 120.0 * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t)), 0.0)
 x, y = (sine_excitation(interpolate_f0(F0Track(f0 * k), 16000, 160000)) for k in (1.0, 1.01))
-loss = mr_stft_loss(x, y)
-print(repr(loss.sc), repr(loss.mag))
+for workers in (1, 2):
+    signal_core.WORKERS = workers
+    loss = mr_stft_loss(x, y)
+    print(repr(loss.sc), repr(loss.mag))
 mel_x, mel_y = mel_spectrogram(x), mel_spectrogram(y)
 print(hashlib.sha256(mel_x.frames.tobytes()).hexdigest(), repr(mel_mae(mel_x, mel_y)))
 """

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,8 @@ from harmex.signal_core import frame_centers, hop_samples
 from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, _mel_bins, hann, mel_edges, n_frames_for
 from conftest import FS, HOP
 from reference import (
-    loudness_loop, mel_filterbank_dense, mel_spectrogram_whole, mr_stft_loss_whole, stft_magnitude_whole,
+    loudness_loop, mel_filterbank_dense, mel_spectrogram_whole, mr_stft_loss_serial, mr_stft_loss_whole,
+    stft_magnitude_whole,
 )
 
 
@@ -339,14 +341,53 @@ def test_streamed_stft_matches_whole_array_oracle(monkeypatch, elems, n_samples)
         assert np.array_equal(stft_magnitude(x, res), want), res
 
 
-@pytest.mark.parametrize("stage, bound_mib", [("mr_stft_loss", 8), ("mel_spectrogram", 6)])
-def test_stft_users_never_hold_a_whole_spectrogram(stage, bound_mib):
-    """Peak traced memory on 10 s at 16 kHz.
+class TestMrStftWorkers:
+    """``mr_stft_loss`` and ``stft_magnitude`` run their blocks on ``signal_core._each``'s threads."""
 
-    Streamed, the two peak near 4.0 and 3.2 MiB; whole-array STFTs peaked at
-    36.4 and 18.8 MiB.
+    @pytest.mark.parametrize("elems", [1, signal_core.BLOCK_ELEMS])
+    @pytest.mark.parametrize("n_samples", SIGNAL_LENGTHS.values(), ids=SIGNAL_LENGTHS.keys())
+    def test_same_bits_at_any_worker_count(self, monkeypatch, elems, n_samples):
+        """At 1, 2 and 64 workers: the serial running sums' bits, the whole-array magnitudes,
+        and every thread ended on return."""
+        x, y, *_, mags = whole_array_outputs(n_samples)
+        monkeypatch.setattr(signal_core, "BLOCK_ELEMS", elems)
+        want = mr_stft_loss_serial(x, y)
+        threads = threading.active_count()
+        for workers in (1, 2, 64):
+            monkeypatch.setattr(signal_core, "WORKERS", workers)
+            assert mr_stft_loss(x, y) == want, workers
+            assert threading.active_count() == threads
+            for res, mag in zip((*DEFAULT_RESOLUTIONS, StftConfig()), mags):
+                assert np.array_equal(stft_magnitude(x, res), mag), (workers, res)
+                assert threading.active_count() == threads
+
+
+def test_mr_stft_loss_frees_each_resolutions_frames(monkeypatch):
+    """Peak traced memory on 10 s at 16 kHz on one worker.
+
+    It reads 3.5-3.6 MiB, 4.0 MiB with new arrays for the log and difference
+    temporaries, and 5.0-5.1 MiB when a resolution's padded frames outlive it.
     """
     x, y, *_ = whole_array_outputs(10 * FS)
+    monkeypatch.setattr(signal_core, "WORKERS", 1)
+    tracemalloc.start()
+    try:
+        mr_stft_loss(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.25 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("stage, bound_mib", [("mr_stft_loss", 8), ("mel_spectrogram", 6)])
+def test_stft_users_never_hold_a_whole_spectrogram(monkeypatch, stage, bound_mib):
+    """Peak traced memory on 10 s at 16 kHz, at two workers.
+
+    Streamed, the two peak near 4.5 and 3.2 MiB; whole-array STFTs peaked at
+    36.4 and 18.8 MiB.  Each further worker holds about one more block of the loss.
+    """
+    x, y, *_ = whole_array_outputs(10 * FS)
+    monkeypatch.setattr(signal_core, "WORKERS", 2)
     call = {
         "mr_stft_loss": lambda: mr_stft_loss(x, y),
         "mel_spectrogram": lambda: mel_spectrogram(x),
