@@ -24,8 +24,8 @@ from .errors import (
     check_positive,
     check_type,
 )
-from .signal_core import AudioSignal, F0Track, _blocks, _each, frame_bounds, frame_centers
-from .spectral import MelSpectrogram, StftConfig, _stft_blocks, n_frames_for
+from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds, frame_centers
+from .spectral import MelSpectrogram, StftConfig, _stft_walk, n_frames_for
 
 MAG_FLOOR = 1e-7
 
@@ -89,7 +89,7 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
     sc_terms, mag_terms = [], []
     for res in cfg.resolutions:
         # each block's sums, added in block order as one running sum
-        diff_sq, ref_sq, log_l1 = np.cumsum(_resolution_sums(x, y, res), axis=0)[-1]
+        diff_sq, ref_sq, log_l1 = np.cumsum(_stft_walk((x, y), res, _block_sums)[1], axis=0)[-1]
         if ref_sq == 0:
             raise DegenerateReferenceError(f"reference has no energy under the windows of {res}")
         sc_terms.append(np.sqrt(diff_sq) / np.sqrt(ref_sq))
@@ -97,23 +97,13 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
     return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))
 
 
-def _resolution_sums(x: AudioSignal, y: AudioSignal, res: StftConfig) -> np.ndarray:
-    """One row per ``_stft_blocks`` block, its Σ(|Y|-|X|)², Σ|Y|² and log-magnitude L1, each
-    block on ``_each``'s threads; the frames of ``x`` and ``y`` are freed on return."""
-    blocks, magnitude_x = _stft_blocks(x, res)
-    _, magnitude_y = _stft_blocks(y, res)
-    sums = np.empty((len(blocks), 3))
-
-    def block(i: int) -> None:
-        mx, my = magnitude_x(blocks[i]), magnitude_y(blocks[i])
-        diff = my - mx
-        sums[i, :2] = _sum_sq(diff), _sum_sq(my)
-        for m in (mx, my):  # in place: elementwise, so the same bits as new arrays
-            np.log(np.maximum(m, MAG_FLOOR, out=m), out=m)
-        sums[i, 2] = np.sum(np.abs(np.subtract(my, mx, out=diff), out=diff))
-
-    _each(block, range(len(blocks)))
-    return sums
+def _block_sums(_, mx: np.ndarray, my: np.ndarray) -> tuple[float, float, float]:
+    """Σ(|Y|-|X|)², Σ|Y|² and the log-magnitude L1 of one block of frames."""
+    diff = my - mx
+    sums = _sum_sq(diff), _sum_sq(my)
+    for m in (mx, my):  # in place: elementwise, so the same bits as new arrays
+        np.log(np.maximum(m, MAG_FLOOR, out=m), out=m)
+    return (*sums, np.sum(np.abs(np.subtract(my, mx, out=diff), out=diff)))
 
 
 def _sum_sq(a: np.ndarray) -> float:

@@ -126,24 +126,24 @@ def _blocks(start: int, stop: int, row_elems: int) -> list[slice]:
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
-def _each(fn, items) -> None:
-    """Call ``fn`` on every item, on up to ``WORKERS`` threads that share one iterator.
+def _each(fn, items) -> list:
+    """``[fn(item) for item in items]``, called on up to ``WORKERS`` threads sharing one iterator.
 
     The caller's thread is one of them, so no thread starts for one worker or
     one item.  Each other runs in a copy of the caller's context, so the
     caller's ``np.errstate`` holds there too.  After an error no item is
     handed out; every thread is joined and the first exception is raised here.
     """
-    todo, lock, errors = iter(items), threading.Lock(), []
+    todo, lock, errors, results = enumerate(items), threading.Lock(), [], [None] * len(items)
 
     def work():
         while not errors:
             with lock:
-                item = next(todo, todo)  # the iterator itself marks the end
-            if item is todo:
+                item = next(todo, None)  # an (index, item) pair, or None at the end
+            if item is None:
                 return
             try:
-                fn(item)
+                results[item[0]] = fn(item[1])
             except BaseException as exc:  # raised again in the caller's thread
                 errors.append(exc)
 
@@ -160,17 +160,19 @@ def _each(fn, items) -> None:
         thread.join()
     if errors:
         raise errors[0]
+    return results
 
 
 def hop_samples(hop_seconds: float, sample_rate: float) -> int:
-    """The hop in whole samples; a non-finite hop or one rounding below 1 is an error."""
+    """The hop in whole samples; a non-finite hop, one rounding below 1 or one of 2**31 samples
+    or more is an error."""
     check_positive("sample_rate", sample_rate)
     hop = float(check_array("hop_seconds", hop_seconds, 0, error=ConfigError)) * sample_rate
     if not math.isfinite(hop):
         raise ConfigError(f"hop of {hop_seconds} s at fs={sample_rate} is not finite in samples")
     if round(hop) < 1:
         raise ConfigError(f"hop of {hop_seconds} s is not at least one sample at fs={sample_rate}")
-    return int(round(hop))
+    return check_count("hop in samples", hop)
 
 
 def frame_bounds(track: F0Track, sample_rate: float, n_samples: int) -> np.ndarray:

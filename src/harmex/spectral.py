@@ -4,9 +4,9 @@ All three extractors take their frames from ``_frames``: ``ceil(n_samples / hop)
 frames, frame m centred on sample ``m * hop``, so features at one hop pair
 row by row.
 
-Every STFT user, ``metrics.mr_stft_loss`` included, takes its frames from ``_stft_blocks`` in
-``signal_core._blocks`` and reduces each block as it makes it: ``mel_spectrogram`` walks them
-on one thread, ``stft_magnitude`` and the loss on ``signal_core._each``'s, same bits either way.
+Every STFT user, ``metrics.mr_stft_loss`` included, states only what it does with one block
+of magnitudes; ``_stft_walk`` frames the signals, checks the size, and runs those blocks on
+``signal_core._each``'s threads, the same bits at any thread count.
 Mel band i rises from edge i to 1 at edge i + 1 and falls to edge i + 2, so the bin at f,
 ``edges[j] <= f < edges[j + 1]``, is in bands j and j - 1 only, and the even bands tile the
 bins, as do the odd ones: ``_mel_bins`` is that map, for mel analysis and its inverse.
@@ -123,27 +123,27 @@ def _frames(x: AudioSignal, win: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(xp, win)[::hop]
 
 
-def _stft_blocks(x: AudioSignal, cfg: StftConfig):
-    """Frame ``x`` now; return its ``_blocks`` of frames and a function giving the |rfft| of a
-    block's rows (into ``out`` if given), windowed when asked for.  The frames live as long as
-    that function."""
-    segs = _frames(x, cfg.win_size, cfg.hop_size)
-    check_count("STFT bins", len(segs) * cfg.n_bins)
-    window = hann(cfg.win_size, periodic=True)
+def _stft_walk(signals, cfg: StftConfig, reduce, width: int = 0):
+    """Frame each of ``signals`` (of one length), then call ``reduce(out[rows], *mags)`` on each
+    ``_blocks`` slice of rows on ``_each``'s threads, ``mags`` the signals' |rfft| of those
+    windowed frames; ``out`` is a new frames x ``width`` array, made after the size check.
+    Returns ``out`` and the blocks' results in order.  The frames are freed on return."""
+    segs = [_frames(x, cfg.win_size, cfg.hop_size) for x in signals]
+    n = len(segs[0])
+    check_count("STFT bins", n * cfg.n_bins)
+    out, window = np.empty((n, width)), hann(cfg.win_size, periodic=True)
 
-    def magnitude(rows: slice, out=None) -> np.ndarray:
-        return np.abs(np.fft.rfft(segs[rows] * window, n=cfg.fft_size, axis=1), out=out)
+    def block(rows: slice):
+        mags = [np.abs(np.fft.rfft(s[rows] * window, n=cfg.fft_size, axis=1)) for s in segs]
+        return reduce(out[rows], *mags)
 
     # a row's transients: its windowed frame, its complex spectrum and its magnitudes
-    return _blocks(0, len(segs), cfg.win_size + 3 * cfg.n_bins), magnitude
+    return out, _each(block, _blocks(0, n, cfg.win_size + 3 * cfg.n_bins))
 
 
 def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Magnitude STFT with centered, reflect-padded, Hann-windowed frames."""
-    blocks, magnitude = _stft_blocks(x, cfg)
-    out = np.empty((n_frames_for(len(x), cfg.hop_size), cfg.n_bins))
-    _each(lambda rows: magnitude(rows, out[rows]), blocks)
-    return out
+    return _stft_walk((x,), cfg, np.copyto, cfg.n_bins)[0]
 
 
 def hz_to_mel(f):
@@ -241,13 +241,14 @@ def mel_spectrogram(
     f_max: float = MEL_RANGE[1],
 ) -> MelSpectrogram:
     """Log mel power, ``_mel_bins``' bands over |STFT|^2 by blocks, floored at MEL_FLOOR."""
-    blocks, magnitude = _stft_blocks(x, cfg)
+    check_type("signal", x, AudioSignal)
     band, rise, fall, starts = _mel_bins(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
-    frames = np.empty((n_frames_for(len(x), cfg.hop_size), len(starts)))
-    for rows in blocks:
-        mag = magnitude(rows)
-        block = _band_sums(np.square(mag, out=mag), frames[rows], band, rise, fall, starts)
-        np.log(np.maximum(block, MEL_FLOOR), out=block)
+
+    def log_bands(out: np.ndarray, mag: np.ndarray) -> None:
+        _band_sums(np.square(mag, out=mag), out, band, rise, fall, starts)
+        np.log(np.maximum(out, MEL_FLOOR), out=out)
+
+    frames, _ = _stft_walk((x,), cfg, log_bands, len(starts))
     return MelSpectrogram(frames, cfg, x.sample_rate, (f_min, f_max))
 
 

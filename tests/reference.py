@@ -19,6 +19,7 @@ from harmex.ltv import FIT_EPS, FIT_GATE, LOG10_FACTOR, WNC, _check_geometry, _l
 from harmex.metrics import MAG_FLOOR, MrStftConfig, MrStftLoss, _search_ratio
 from harmex.signal_core import TAU, _blocks, _voiced_runs, frame_centers, hop_samples
 from harmex.spectral import MEL_FLOOR, MEL_RANGE, MelSpectrogram, StftConfig, _mel_log_power, hann
+from harmex.spectral import _band_sums, _mel_bins
 from harmex.spectral import check_mel_range, mel_edges, n_frames_for
 
 
@@ -324,6 +325,24 @@ def mel_spectrogram_whole(
     fbank = mel_filterbank_dense(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
     mel = (mag**2) @ fbank.T
     return MelSpectrogram(np.log(np.maximum(mel, MEL_FLOOR)), cfg, x.sample_rate, (f_min, f_max))
+
+
+def mel_spectrogram_serial(
+    x: AudioSignal,
+    cfg: StftConfig = StftConfig(),
+    n_mels: int = 80,
+    f_min: float = MEL_RANGE[0],
+    f_max: float = MEL_RANGE[1],
+) -> np.ndarray:
+    """``spectral.mel_spectrogram``'s frames as one thread's walk over ``_blocks`` of frames:
+    the same bits as the library at any ``WORKERS`` and ``BLOCK_ELEMS``."""
+    whole = stft_magnitude_whole(x, cfg)
+    band, rise, fall, starts = _mel_bins(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
+    frames = np.empty((len(whole), n_mels))
+    for rows in _blocks(0, len(whole), cfg.win_size + 3 * cfg.n_bins):
+        block = _band_sums(np.square(whole[rows]), frames[rows], band, rise, fall, starts)
+        np.log(np.maximum(block, MEL_FLOOR), out=block)
+    return frames
 
 
 def mr_stft_loss_whole(

@@ -225,6 +225,20 @@ class TestDemo:
         report = json.loads((out / "metrics.json").read_text())
         assert report["mr_stft_filtered_vs_target"] < report["mr_stft_raw_vs_target"]
 
+    def test_default_demo_scores_are_pinned(self, tmp_path, capsys):
+        """The default demo's ``metrics.json``, which pins the formant envelope it filters with.
+
+        Held to AVX2 by ``NPY_DISABLE_CPU_FEATURES``, numpy moved these by at most 1.6e-11
+        relative, so 1e-9 holds at each SIMD dispatch level.
+        """
+        assert run(capsys, "demo", "--out-dir", str(tmp_path))[0] == 0
+        assert json.loads((tmp_path / "metrics.json").read_text()) == pytest.approx({
+            "mr_stft_raw_vs_target": 6.062311190706434,
+            "mr_stft_filtered_vs_target": 0.0343812291124838,
+            "pitch_jitter_cents": 6.923640349571255,
+            "uv_error_rate": 0.0,
+        }, rel=1e-9, abs=0)
+
 
 @pytest.fixture
 def inputs(tmp_path, f0_file, capsys):
@@ -269,6 +283,10 @@ def inputs(tmp_path, f0_file, capsys):
     no_frames = bytearray(ltvf.read_bytes()[:32])  # magic, 3 u32 and 2 f64: no taps follow
     struct.pack_into("<I", no_frames, 8, 0)  # the row count
     (tmp_path / "no_frames.ltvf").write_bytes(bytes(no_frames))
+    huge_hop = bytearray(ltvf.read_bytes()[:48])  # the header and one frame of four f32 taps
+    struct.pack_into("<I", huge_hop, 8, 1)  # the row count
+    struct.pack_into("<d", huge_hop, 16, 1e15)  # 1.6e19 samples at 16 kHz: one frame covers all
+    (tmp_path / "huge_hop.ltvf").write_bytes(bytes(huge_hop))
     utf16_f0 = tmp_path / "utf16_f0.txt"
     utf16_f0.write_bytes("100.0\n".encode("utf-16"))  # starts with the \xff\xfe mark
     snan = {}  # each file's last f32 value made a signaling NaN
@@ -277,6 +295,7 @@ def inputs(tmp_path, f0_file, capsys):
         snan[name].write_bytes(good.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
     return {"f0": f0_file, "wav": wav, "empty_wav": empty_wav, "mel": mel, "mel_v1": mel_v1,
             "loud": loud, "cond_x8": f"{cond}_x8.hmx", "no_frames": tmp_path / "no_frames.ltvf",
+            "huge_hop": tmp_path / "huge_hop.ltvf",
             "loud_mel": loud_mel, "ltvf": ltvf, **geometry, **bad_hops, "utf16_f0": utf16_f0, **snan,
             "out": tmp_path / "out.wav", "dir": tmp_path, "unmade": tmp_path / "unmade"}
 
@@ -314,6 +333,10 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("estimate", "{mel}", "--hop-size", "160", "--out", "{out}"), None, "config"),
         (("fit", "{wav}", "{wav}", "--hop", "1e-5", "--out", "{out}"), None, "config"),
         (("fit", "{wav}", "{wav}", "--n-taps", "3000000000", "--out", "{out}"), None, "config"),
+        # hops of 2**31 samples or more: each array they would size is refused before it is made
+        (("fit", "{wav}", "{wav}", "--hop", "1e15", "--out", "{out}"), None, "config"),
+        (("filter", "{wav}", "{huge_hop}", "--out", "{out}"), None, "format"),
+        (PITCH + ("--hop", "1e30"), None, "config"),
         (("mel", "{snan_wav}", "--out", "{out}"), None, "format"),
         (("estimate", "{snan_mel}", "--out", "{out}"), None, "format"),
         (("filter", "{wav}", "{snan_ltvf}", "--out", "{out}"), None, "format"),
@@ -354,7 +377,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "pitch-hop-below-one-sample", "pitch-jitter-without-f0", "interpolate-taps-str",
         "uv-hop-below-one-sample",
         "estimate-unknown-flag", "fit-hop-below-one-sample",
-        "fit-n-taps-3e9",
+        "fit-n-taps-3e9", "fit-hop-1e15", "ltvf-hop-1e15", "pitch-hop-1e30",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-hop-1e-5-n-samples", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
         "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
@@ -555,6 +578,46 @@ def test_drawn_flags_exit_0_or_1_with_one_json_error(tmp_path_factory, demo_file
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1), argv
+    if code == 1:
+        [line] = err.getvalue().splitlines()
+        assert json.loads(line)["category"]
+
+
+# config values besides the drawn scalars: a numeric string, a finite value whose products pass
+# 2**31 (a hop of 1e15 s), and JSON lists and objects
+CONFIG_EXTRAS = ["1.5", 1e15, [], [8, "a"], [1.5, None], {}, {"a": 1}, {"value": [0.01]}]
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_drawn_config_exits_0_or_1_with_one_json_error(tmp_path_factory, demo_files, data):
+    """Any subcommand, with a ``--config`` JSON object over some of its option keys, each a
+    drawn value, a list, an object or its default, on the demo files: a result, or one JSON
+    error line.
+
+    Two decisions stand here.  A numeric string such as ``"1.5"`` is accepted, since flag and
+    config values share one coercer and a flag is a string.  An ``OSError`` is categorized: the
+    CLI reports it as category ``io``, like any other error, in one JSON line.
+    """
+    name = data.draw(st.sampled_from(sorted(cli.COMMANDS)), "subcommand")
+    command = cli.COMMANDS[name]
+    d = tmp_path_factory.mktemp("config")
+    argv = [name]
+    for arg in command.files:
+        path = d / "out" if arg.startswith("--out") else demo_files[ARGV_FILES.get(arg, "wav")]
+        argv += [arg, str(path)] if arg.startswith("--") else [str(path)]
+    if command.switches:
+        argv += data.draw(st.lists(st.sampled_from(command.switches), unique=True), "switches")
+    config = {}
+    for key in data.draw(st.lists(st.sampled_from(sorted(command.options)), unique=True), "keys"):
+        default = cli._jsonable(command.options[key][1])
+        config[key] = data.draw(st.sampled_from([*DRAWN, *CONFIG_EXTRAS, default]), key)
+    (d / "config.json").write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(d / "config.json"), *argv])
+    assert code in (0, 1), (config, argv)
     if code == 1:
         [line] = err.getvalue().splitlines()
         assert json.loads(line)["category"]

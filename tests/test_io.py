@@ -26,6 +26,7 @@ from harmex import (
     write_wav,
 )
 from harmex.tensor_io import HMX_LAYOUTS, read_mel_file, write_mel_file
+from harmex import wav_io
 from harmex.wav_io import GUID_TAIL
 
 FS = 16000
@@ -131,6 +132,15 @@ class TestWritersRefuseWhatReadersRefuse:
         path = tmp_path / "edge.wav"
         write_wav(path, AudioSignal(np.array([3.4e38, -3.4e38]), FS))
         assert np.all(np.isfinite(read_wav(path).samples))
+
+    def test_wav_beyond_the_riff_size_field(self, tmp_path, monkeypatch):
+        """With the 32-bit size fields held to 100,000, 30,000 Float32 samples (120,000 bytes)
+        do not fit, as 2**30 samples do not fit 4 GiB."""
+        monkeypatch.setattr(wav_io, "U32_MAX", 100_000)
+        path = tmp_path / "long.wav"
+        with pytest.raises(FormatError, match="30000 samples do not fit a RIFF file"):
+            write_wav(path, AudioSignal(np.zeros(30_000), FS))
+        assert not path.exists()
 
     def test_pcm16_saturates_samples_whose_scaling_overflows(self, tmp_path):
         path = tmp_path / "sat.wav"

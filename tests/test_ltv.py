@@ -691,16 +691,23 @@ def test_each_raises_when_a_thread_does_not_start(monkeypatch):
 
 
 def test_each_hands_out_every_item_once(monkeypatch):
-    """64 threads on 20,000 items, switching as often as the interpreter allows."""
+    """64 threads on 20,000 items, switching as often as the interpreter allows: each item is
+    handed out once, and the results come back in item order."""
     monkeypatch.setattr(signal_core, "WORKERS", 64)
     done = []
+
+    def record(item):
+        done.append(item)
+        return -item
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        signal_core._each(done.append, range(20000))
+        results = signal_core._each(record, range(20000))
     finally:
         sys.setswitchinterval(interval)
     assert sorted(done) == list(range(20000))
+    assert results == [-item for item in range(20000)]
 
 
 def test_each_starts_no_thread_for_one_worker_or_item(monkeypatch):
