@@ -89,10 +89,11 @@ def check_positive(name, value, *, allow_zero=False, error=ConfigError) -> None:
 def check_count(name, value) -> int:
     """``round(value)`` for a length derived from other values, if in [0, 2**31).
 
-    Call it before any array has that length; NaN and inf are rejected too.
+    Call it before any array has that length; NaN and inf are rejected too, and
+    so is a value in [2**31 - 0.5, 2**31), which rounds to 2**31.
     """
-    if not 0 <= value < 2**31:
-        raise ConfigError(f"{name} of {value!r} is not in [0, 2**31)")
+    if not (0 <= value < 2**31 and round(value) < 2**31):
+        raise ConfigError(f"{name} of {value!r} does not round into [0, 2**31)")
     return round(value)
 
 

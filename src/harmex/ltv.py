@@ -2,9 +2,10 @@
 
 Coefficients change per analysis frame.  ``apply_ltv`` interpolates the tap
 vectors sample-by-sample between frame centers by default, which makes the
-constant-coefficient case exactly LTI; piecewise-constant application is
-available for workflows that need per-frame filtering to be exactly
-invertible by the per-frame least-squares fit.
+constant-coefficient case exactly LTI; piecewise-constant (held) application,
+one overlap-save FFT product per frame, is available for workflows that need
+per-frame filtering to be invertible, to rounding, by the per-frame
+least-squares fit.
 
 Coefficient sources:
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor_io
 from .errors import ConfigError, DomainError, LengthMismatchError
@@ -103,7 +105,7 @@ def _check_geometry(x: AudioSignal, h: LtvFirCoeffs) -> int:
 def _lagged(x: np.ndarray, n_taps: int) -> np.ndarray:
     """Matrix L with L[n, t] = x[n - t], zeros before the signal start."""
     xp = np.concatenate([np.zeros(n_taps - 1), x])
-    return np.lib.stride_tricks.sliding_window_view(xp, n_taps)[:, ::-1]
+    return sliding_window_view(xp, n_taps)[:, ::-1]
 
 
 def apply_ltv(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = True) -> AudioSignal:
@@ -113,25 +115,47 @@ def apply_ltv(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = True) ->
     linearly interpolated between frame centers (default) or held constant
     across each frame (interpolate_taps=False).
 
-    Each frame is one contraction of its lagged rows, ``a = lag @ h_f`` when
-    held and ``a + w * (b - a)`` with ``b = lag @ h_{f+1}`` when interpolated
-    (``w``: offset from the frame center in hops).  Equal taps make ``b - a``
-    exactly zero, so constant taps stay exactly LTI (``(1 - w) * a + w * b``
-    would round).  Frames go in ``signal_core._blocks`` of lagged signal.
+    Interpolated, each frame is one contraction of its lagged rows with its
+    own taps and the next frame's, ``a + w * (b - a)`` (``w``: offset from the
+    frame center in hops).  Equal taps make ``b - a`` exactly zero, so constant
+    taps stay exactly LTI (``(1 - w) * a + w * b`` would round).
+
+    Held, each frame is one overlap-save FFT product (Oppenheim & Schafer,
+    Discrete-Time Signal Processing, 3rd ed., sec. 8.7): the hop + n_taps - 1
+    samples that end at the frame's last sample and the frame's taps go
+    through ``rfft`` at the next power of two N, and the last hop samples of
+    the product's ``irfft`` are the frame's outputs, within rounding of the
+    per-tap sum.  The product is formed from real and imaginary parts:
+    numpy's complex ``*`` rounds differently at some SIMD dispatch levels,
+    while ``rfft``, ``irfft`` and real ufuncs do not.  A frame costs
+    O(N log N), so at hops well below n_taps this is slower than a direct
+    sum over the taps.  Frames go in ``signal_core._blocks`` in both modes.
     """
     hop = _check_geometry(x, h)
     n, n_taps = len(x), h.n_taps
     frames = n_frames_for(n, hop)  # x is zero-padded to fill the last frame
-    lag = _lagged(np.concatenate([x.samples, np.zeros(frames * hop - n)]), n_taps)
-    taps = h.taps[np.minimum(np.arange(frames + 1), h.n_frames - 1)]  # held past the last center
-    pairs = np.stack([taps[:-1], taps[1:]], -1) if interpolate_taps else taps[:-1, :, None]
-    w = np.arange(hop) / hop
-    lag_frames = lag.reshape(frames, hop, n_taps)  # a view, not a copy
+    xp = np.concatenate([np.zeros(n_taps - 1), x.samples, np.zeros(frames * hop - n)])
+    index = np.minimum(np.arange(frames + 1), h.n_frames - 1)  # taps held past the last center
     y = np.empty((frames, hop))
-    for b in _blocks(0, frames, hop * n_taps):
-        ab = lag_frames[b] @ pairs[b]
-        a = ab[..., 0]
-        y[b] = a + w * (ab[..., 1] - a) if interpolate_taps else a
+    if interpolate_taps:
+        lag = sliding_window_view(xp, n_taps)[:, ::-1].reshape(frames, hop, n_taps)  # a view
+        taps = h.taps[index]
+        pairs = np.stack([taps[:-1], taps[1:]], -1)
+        w = np.arange(hop) / hop
+        for b in _blocks(0, frames, hop * n_taps):
+            ab = lag[b] @ pairs[b]
+            a = ab[..., 0]
+            y[b] = a + w * (ab[..., 1] - a)
+    else:
+        size = hop + n_taps - 1
+        fft_size = 1 << (size - 1).bit_length()
+        segments = sliding_window_view(xp, size)[::hop]  # row f ends at frame f's last sample
+        for b in _blocks(0, frames, 8 * fft_size):  # about 8 fft_size transients per frame
+            xs, hs = np.fft.rfft(segments[b], fft_size), np.fft.rfft(h.taps[index[b]], fft_size)
+            re = xs.real * hs.real - xs.imag * hs.imag
+            xs.imag = xs.real * hs.imag + xs.imag * hs.real
+            xs.real = re
+            y[b] = np.fft.irfft(xs, fft_size)[:, n_taps - 1 : size]
     return AudioSignal(y.reshape(-1)[:n], x.sample_rate)
 
 
@@ -317,7 +341,8 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
 
     ``magnitude`` is frames x (fft_size//2 + 1) finite linear magnitudes
     below 1e150, and the taps (frames x n_taps) are ``_levinson``'s of the
-    inverse power spectrum ``max(|M|, 1e-12)^-2``.
+    inverse power spectrum ``1 / max(|M|, 1e-12)^2``, which, unlike ``** -2.0``,
+    rounds the same at every numpy SIMD dispatch level.
     """
     fft_size = check_integer("fft_size", fft_size, minimum=1)
     rows = check_array("envelope magnitudes", magnitude, 2)
@@ -326,7 +351,8 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     # below 1e150, every inverse power is a normal float64
     if not -1e150 < rows.min(initial=0.0) <= rows.max(initial=0.0) < 1e150:
         raise DomainError("envelope magnitudes must be below 1e150")
-    return _levinson(lambda b: np.maximum(rows[b], 1e-12) ** -2.0, len(rows), n_taps, fft_size)
+    inv_power = lambda b: 1.0 / np.square(np.maximum(rows[b], 1e-12))  # noqa: E731
+    return _levinson(inv_power, len(rows), n_taps, fft_size)
 
 
 def _levinson(inv_power, n_rows: int, n_taps: int, fft_size: int) -> np.ndarray:
@@ -354,8 +380,11 @@ def _levinson(inv_power, n_rows: int, n_taps: int, fft_size: int) -> np.ndarray:
     r[0] *= 1.0 + WNC
     a = np.zeros_like(r)
     a[0], e = 1.0, r[0].copy()
-    for m in range(1, n_taps):  # cumsum adds over i in order, as a per-frame loop does
-        k = -np.cumsum(a[:m] * r[m:0:-1], axis=0)[-1] / e
+    for m in range(1, n_taps):
+        s = a[0] * r[m]  # a running sum adds over i in order, as a per-frame loop does
+        for i in range(1, m):
+            s += a[i] * r[m - i]
+        k = -s / e
         a[1 : m + 1] += k * a[m - 1 :: -1]
         e *= 1.0 - k * k
     return np.ascontiguousarray((a / np.sqrt(e)).T)

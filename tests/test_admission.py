@@ -58,7 +58,7 @@ from harmex import (
     write_wav,
 )
 from harmex.conditioning import PyramidLevel
-from harmex.errors import check_array, check_integer
+from harmex.errors import check_array, check_count, check_integer
 from harmex.signal_core import hop_samples
 from harmex.spectral import MEL_RANGE, _mel_bins
 from harmex.tensor_io import write_mel_file
@@ -289,6 +289,16 @@ def test_check_array_categories():
     with pytest.raises(FormatError):
         check_array("x", [-1.0], 1, minimum=0, error=FormatError)
     assert check_array("x", np.float32([1.5]), 1).dtype == np.float64
+
+
+def test_check_count_checks_the_rounded_value():
+    """A value in [2**31 - 0.5, 2**31) rounds to 2**31; it was admitted as that count."""
+    assert check_count("n", 2**31 - 0.6) == 2**31 - 1
+    for value in (2**31 - 0.5, 2**31 - 0.3, 2.0**31, -0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="round into"):
+            check_count("n", value)
+    with pytest.raises(ConfigError):
+        hop_samples(2**31 - 0.3, 1.0)
 
 
 def test_check_integer_bounds_and_error():

@@ -1,9 +1,12 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,14 +59,6 @@ def delta_coeffs(n_frames, n_taps=N_TAPS):
     return LtvFirCoeffs(taps, 0.010, FS)
 
 
-def direct_convolution(x, taps):
-    """Oracle: y[n] = sum_t taps[t] * x[n-t], causal, zero initial state."""
-    y = np.zeros(len(x))
-    for t, tap in enumerate(taps):
-        y[t:] += tap * x[: len(x) - t]
-    return y
-
-
 class TestApplyLtv:
     def test_empty_signal_rejected(self):
         with pytest.raises(DomainError, match="empty"):
@@ -74,12 +69,13 @@ class TestApplyLtv:
         y = apply_ltv(x, delta_coeffs(100))
         np.testing.assert_array_equal(y.samples, x.samples)
 
-    def test_constant_coeffs_match_direct_convolution(self, rng):
+    @pytest.mark.parametrize("interpolate", [True, False], ids=["interpolated", "held"])
+    def test_constant_coeffs_match_direct_convolution(self, rng, interpolate):
         taps = rng.normal(size=N_TAPS) * 0.3
         h = LtvFirCoeffs(np.tile(taps, (100, 1)), 0.010, FS)
         x = AudioSignal(rng.normal(size=16000), FS)
-        y = apply_ltv(x, h)
-        np.testing.assert_allclose(y.samples, direct_convolution(x.samples, taps), atol=1e-12)
+        y = apply_ltv(x, h, interpolate)
+        np.testing.assert_allclose(y.samples, np.convolve(x.samples, taps)[:16000], atol=1e-12)
 
     def test_linearity_in_signal(self, rng):
         h = LtvFirCoeffs(rng.normal(size=(100, N_TAPS)), 0.010, FS)
@@ -120,9 +116,19 @@ class TestApplyLtv:
         sl = slice(f * HOP, (f + 1) * HOP)
         np.testing.assert_allclose(y.samples[sl], lag[sl] @ taps[f], atol=1e-12)
 
+    def test_held_frame_of_silence_is_exact_zeros(self, rng):
+        """Frames 6-9 (samples 960-1599) see only the silent samples 800-1599 through
+        their 64 taps; the FFT product of a zero segment is exactly zero."""
+        x = rng.normal(size=2400)
+        x[800:1600] = 0.0
+        h = LtvFirCoeffs(rng.normal(size=(15, N_TAPS)), 0.010, FS)
+        y = apply_ltv(AudioSignal(x, FS), h, interpolate_taps=False).samples
+        assert not y[960:1600].any()
+        assert y[959] != 0.0 and y[1600] != 0.0
+
 
 class TestApplyLtvMatchesTapLoop:
-    """The per-frame contractions against the per-tap pass they replaced."""
+    """Both tap modes against the per-tap pass that the per-frame contractions replaced."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -147,6 +153,37 @@ class TestApplyLtvMatchesTapLoop:
             rtol=0,
             atol=1e-12,
         )
+
+
+LEVEL_SCRIPT = """
+import hashlib
+import numpy as np
+from harmex import AudioSignal, LtvFirCoeffs, apply_ltv, minimum_phase_fir
+
+rng = np.random.default_rng(11)
+x = AudioSignal(rng.uniform(-1, 1, 16000), 16000)
+h = LtvFirCoeffs(rng.uniform(-1, 1, (100, 64)), 0.01, 16000)
+held = apply_ltv(x, h, interpolate_taps=False).samples
+taps = minimum_phase_fir(rng.uniform(1e-3, 3.0, (40, 513)), 64, 1024)
+print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (held, taps)))
+"""
+
+
+def test_held_filter_and_minimum_phase_same_bits_at_the_baseline_level(capsys):
+    """Held taps on 1 s and minimum-phase taps of 40 rows, here and in a process held to
+    numpy's baseline SIMD level, where its complex ``*`` and ``** -2.0`` round otherwise."""
+    exec(LEVEL_SCRIPT, {})
+    here = capsys.readouterr().out
+    env = {
+        **os.environ, "PYTHONPATH": str(Path(ltv.__file__).parents[1]),
+        # numpy's X86-64-v2 baseline on x86-64: every dispatch target above it disabled
+        "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    }
+    there = subprocess.run(
+        [sys.executable, "-c", LEVEL_SCRIPT], env=env,
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    assert there == here
 
 
 class TestFitLeastSquares:
@@ -991,9 +1028,8 @@ class TestMinimumPhaseFir:
         freqs = np.linspace(0.0, FS / 2, 513)
         mag_db = np.maximum(-0.5 * ((freqs - np.array([[700.0], [2600.0]])) / 150.0) ** 2, -60.0)
         mag = 10 ** (mag_db / 20.0) * np.array([[1.0], [0.2]])
-        np.testing.assert_allclose(
-            minimum_phase_fir(mag, 64, 1024), levinson_loop(mag**-2.0, 64, 1024), rtol=0, atol=1e-12
-        )
+        oracle = levinson_loop(1.0 / np.square(mag), 64, 1024)
+        np.testing.assert_allclose(minimum_phase_fir(mag, 64, 1024), oracle, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "shape, n_taps, fft_size",
