@@ -16,7 +16,6 @@ import numpy as np
 from harmex import (
     ExcitationConfig,
     F0Track,
-    PhaseInit,
     harmonic_count,
     interpolate_f0,
     sine_excitation,
@@ -38,9 +37,7 @@ track = F0Track(np.where(voiced, f0, 0.0), HOP_S)
 
 n_samples = n_frames * int(FS * HOP_S)
 sample_f0 = interpolate_f0(track, FS, n_samples)
-excitation = sine_excitation(
-    sample_f0, ExcitationConfig(phase_init=PhaseInit.SEEDED_RANDOM, seed=0)
-)
+excitation = sine_excitation(sample_f0, ExcitationConfig(seed=0))
 
 write_wav(out_dir / "excitation.wav", excitation)
 print(f"wrote {out_dir / 'excitation.wav'} ({n_samples} samples @ {FS} Hz)")

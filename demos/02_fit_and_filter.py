@@ -17,7 +17,6 @@ from harmex import (
     ExcitationConfig,
     F0Track,
     LtvFirCoeffs,
-    PhaseInit,
     StftConfig,
     apply_ltv,
     fit_coeffs_least_squares,
@@ -38,9 +37,7 @@ out_dir.mkdir(parents=True, exist_ok=True)
 n_frames = 100
 track = F0Track(np.full(n_frames, 180.0), 0.010)
 sample_f0 = interpolate_f0(track, FS, n_frames * HOP)
-excitation = sine_excitation(
-    sample_f0, ExcitationConfig(phase_init=PhaseInit.SEEDED_RANDOM, seed=1)
-)
+excitation = sine_excitation(sample_f0, ExcitationConfig(seed=1))
 
 # two formants that glide over the course of a second
 stft = StftConfig()

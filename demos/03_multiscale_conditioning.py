@@ -15,7 +15,6 @@ import numpy as np
 from harmex import (
     ExcitationConfig,
     F0Track,
-    PhaseInit,
     downsample_multiscale,
     export_conditioning,
     gaussian_noise,
@@ -35,9 +34,7 @@ n_frames = 200
 track = F0Track(np.full(n_frames, 150.0), 0.010)
 n_samples = n_frames * HOP
 sample_f0 = interpolate_f0(track, FS, n_samples)
-excitation = sine_excitation(
-    sample_f0, ExcitationConfig(phase_init=PhaseInit.SEEDED_RANDOM, seed=2)
-)
+excitation = sine_excitation(sample_f0, ExcitationConfig(seed=2))
 noise = gaussian_noise(n_samples, FS, seed=3)
 
 bundle = stack_channels(noise=noise, raw_excitation=excitation)

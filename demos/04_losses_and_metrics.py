@@ -14,7 +14,6 @@ from harmex import (
     AudioSignal,
     ExcitationConfig,
     F0Track,
-    PhaseInit,
     combined_loss,
     interpolate_f0,
     mr_stft_loss,
@@ -29,9 +28,7 @@ HOP = 160
 n_frames = 100
 track = F0Track(np.full(n_frames, 220.0), 0.010)
 sample_f0 = interpolate_f0(track, FS, n_frames * HOP)
-clean = sine_excitation(
-    sample_f0, ExcitationConfig(phase_init=PhaseInit.SEEDED_RANDOM, seed=4)
-)
+clean = sine_excitation(sample_f0, ExcitationConfig(seed=4))
 
 same = mr_stft_loss(clean, clean)
 print(f"loss(x, x):        sc={same.sc:.3g}  mag={same.mag:.3g}  total={same.total:.3g}")

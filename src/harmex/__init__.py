@@ -28,7 +28,6 @@ from .ltv import (
     write_coeffs,
 )
 from .metrics import (
-    LossWeights,
     MrStftConfig,
     MrStftLoss,
     combined_loss,
@@ -42,7 +41,6 @@ from .signal_core import (
     AudioSignal,
     ExcitationConfig,
     F0Track,
-    PhaseInit,
     SampleF0,
     gaussian_noise,
     harmonic_count,

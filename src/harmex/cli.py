@@ -27,9 +27,9 @@ import numpy as np
 
 from . import conditioning as cond
 from . import ltv, metrics, spectral, tensor_io, wav_io
-from .errors import ConfigError, HarmexError, check_count
+from .errors import ConfigError, HarmexError, check_count, check_integer
 from .signal_core import (
-    DEFAULT_HOP_SECONDS, DEFAULT_SAMPLE_RATE, ExcitationConfig, F0Track, PhaseInit,
+    DEFAULT_HOP_SECONDS, DEFAULT_SAMPLE_RATE, ExcitationConfig, F0Track,
     gaussian_noise, hop_samples, interpolate_f0, read_f0_track, sine_excitation, write_f0_track,
 )
 from .spectral import StftConfig
@@ -141,7 +141,7 @@ def _cmd_excite(args, r):
     n_samples = r["n_samples"]
     if n_samples is None:
         n_samples = check_count("n_samples", len(track) * r["hop"] * fs)
-    cfg = ExcitationConfig(r["amplitude"], r["phase_init"], r["seed"], r["k_max"])
+    cfg = ExcitationConfig(r["amplitude"], r["seed"], r["k_max"])
     excitation = sine_excitation(interpolate_f0(track, fs, n_samples), cfg)
     return {"clipped": wav_io.write_wav(args.out, excitation, r["encoding"])}
 
@@ -224,7 +224,7 @@ def _cmd_demo(args, r):
     stft = StftConfig(hop_size=hop_samples(hop_s, fs))
     n_frames = check_count("frames", duration / hop_s)
     n_samples = check_count("n_samples", duration * fs)
-    excite_cfg = ExcitationConfig(seed=seed)  # rejects a bad seed before out_dir exists
+    check_integer("seed", seed, minimum=0)  # before out_dir exists
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -234,7 +234,7 @@ def _cmd_demo(args, r):
     track = F0Track(np.where(voiced, f0, 0.0), hop_s)
     write_f0_track(out / "f0.txt", track)
 
-    excitation = sine_excitation(interpolate_f0(track, fs, n_samples), excite_cfg)
+    excitation = sine_excitation(interpolate_f0(track, fs, n_samples))
     wav_io.write_wav(out / "excitation.wav", excitation)
 
     envelope = _demo_formant_coeffs(n_frames, stft, fs, np.random.default_rng(seed))
@@ -285,7 +285,7 @@ COMMANDS = {
     "excite": Command(
         _cmd_excite, "synthesize sine excitation from an f0 track file", ("f0_file", "--out"), {
             **_SAMPLE_RATE, **_HOP,
-            **_from(ExcitationConfig, amplitude=_float, phase_init=PhaseInit, seed=_int),
+            **_from(ExcitationConfig, amplitude=_float, seed=_int),
             "k_max": (_int, _default(ExcitationConfig, "k_max_cap")),
             "n_samples": (_int, None),  # None: the length the f0 track covers
             **_ENCODING,

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, LengthMismatchError, check_array, check_count
 from .errors import check_integer, check_positive, check_type
-from .signal_core import AudioSignal
+from .signal_core import AudioSignal, _check_signals
 from .spectral import hann
 from .tensor_io import write_feature_file
 
@@ -92,15 +92,10 @@ def stack_channels(
     """Stack the provided signals in the fixed channel order."""
     parts = zip(CHANNEL_ORDER, (noise, raw_excitation, filtered_excitation))
     present = {name: sig for name, sig in parts if sig is not None}
-    for name, sig in present.items():
-        check_type(name, sig, AudioSignal)
     if not present:
         raise DomainError("no channels provided")
-    rates = {sig.sample_rate for sig in present.values()}
-    if len(rates) != 1:
-        raise ConfigError(f"sample rates differ: {sorted(rates)}")
-    channels = {name: sig.samples for name, sig in present.items()}  # the bundle checks lengths
-    return ConditioningBundle(channels, rates.pop())
+    _, rate = _check_signals(**present)
+    return ConditioningBundle({name: sig.samples for name, sig in present.items()}, rate)
 
 
 def decimation_taps(factor: int) -> np.ndarray:

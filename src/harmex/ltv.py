@@ -28,7 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import tensor_io
 from .errors import ConfigError, DomainError, LengthMismatchError
 from .errors import check_array, check_count, check_integer, check_positive, check_type, from_file
-from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _each, _voiced_runs, hop_samples
+from .signal_core import DEFAULT_HOP_SECONDS, AudioSignal, _blocks, _check_signals, _each
+from .signal_core import _voiced_runs, hop_samples
 from .spectral import MelSpectrogram, _mel_log_power, n_frames_for
 
 LTVF_MAGIC = b"LTVF"
@@ -139,11 +140,9 @@ def apply_ltv(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = True) ->
     y = np.empty((frames, hop))
     if interpolate_taps:
         lag = sliding_window_view(xp, n_taps)[:, ::-1].reshape(frames, hop, n_taps)  # a view
-        taps = h.taps[index]
-        pairs = np.stack([taps[:-1], taps[1:]], -1)
         w = np.arange(hop) / hop
         for b in _blocks(0, frames, hop * n_taps):
-            ab = lag[b] @ pairs[b]
+            ab = lag[b] @ np.stack([h.taps[index[b]], h.taps[index[b.start + 1 : b.stop + 1]]], -1)
             a = ab[..., 0]
             y[b] = a + w * (ab[..., 1] - a)
     else:
@@ -182,21 +181,13 @@ def fit_coeffs_least_squares(
     with the numpy calls of a serial walk, so the taps are the same bits at
     any thread count.
     """
-    check_type("excitation", excitation, AudioSignal)
-    check_type("target", target, AudioSignal)
+    n, fs = _check_signals(excitation=excitation, target=target)
     check_type("cfg", cfg, FitConfig)
-    if len(excitation) != len(target):
-        raise LengthMismatchError(
-            f"length mismatch: excitation {len(excitation)}, target {len(target)}"
-        )
-    if excitation.sample_rate != target.sample_rate:
-        raise ConfigError("sample-rate mismatch between excitation and target")
-    if len(excitation) == 0:
+    if n == 0:
         raise DomainError("cannot fit an empty signal")
 
-    fs = excitation.sample_rate
     hop = hop_samples(cfg.frame_hop_seconds, fs)
-    n, n_taps, lam = len(excitation), cfg.n_taps, cfg.ridge_lambda
+    n_taps, lam = cfg.n_taps, cfg.ridge_lambda
     frames, full = n_frames_for(n, hop), n // hop
     check_count("lagged samples", n + n_taps - 1)
     check_count("fitted taps", frames * n_taps)

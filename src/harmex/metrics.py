@@ -18,13 +18,12 @@ from .errors import (
     ConfigError,
     DegenerateReferenceError,
     DomainError,
-    LengthMismatchError,
     UndefinedMetricError,
     check_array,
     check_positive,
     check_type,
 )
-from .signal_core import AudioSignal, F0Track, _blocks, frame_bounds, frame_centers
+from .signal_core import AudioSignal, F0Track, _blocks, _check_signals, frame_bounds, frame_centers
 from .spectral import MelSpectrogram, StftConfig, _stft_walk, n_frames_for
 
 MAG_FLOOR = 1e-7
@@ -48,18 +47,6 @@ class MrStftConfig:
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    """Weights of the combined loss; defaults follow the training recipe."""
-
-    alpha: float = 200.0
-    beta: float = 4.0
-
-    def __post_init__(self):
-        check_positive("alpha", self.alpha, allow_zero=True, error=DomainError)
-        check_positive("beta", self.beta, allow_zero=True, error=DomainError)
-
-
-@dataclass(frozen=True)
 class MrStftLoss:
     sc: float
     mag: float
@@ -77,12 +64,7 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
     at 1e-7.  A reference that no window of a resolution sees has no sc_r and
     raises DegenerateReferenceError.
     """
-    check_type("x", x, AudioSignal)
-    check_type("y", y, AudioSignal)
-    if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
-    if x.sample_rate != y.sample_rate:
-        raise ConfigError("sample-rate mismatch")
+    n, _ = _check_signals(x=x, y=y)
     if not np.any(y.samples):
         raise DegenerateReferenceError("reference signal is identically zero")
 
@@ -93,7 +75,7 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
         if ref_sq == 0:
             raise DegenerateReferenceError(f"reference has no energy under the windows of {res}")
         sc_terms.append(np.sqrt(diff_sq) / np.sqrt(ref_sq))
-        mag_terms.append(log_l1 / (n_frames_for(len(y), res.hop_size) * res.n_bins))
+        mag_terms.append(log_l1 / (n_frames_for(n, res.hop_size) * res.n_bins))
     return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))
 
 
@@ -126,11 +108,14 @@ def mel_mae(x_mel: MelSpectrogram, y_mel: MelSpectrogram) -> float:
     return float(np.mean(np.abs(x_mel.frames - y_mel.frames)))
 
 
-def combined_loss(l_dec: float, l_adv: float, l_stft: float, w: LossWeights = LossWeights()) -> float:
-    """alpha * l_dec + beta * l_adv + l_stft."""
-    check_type("w", w, LossWeights)
+def combined_loss(
+    l_dec: float, l_adv: float, l_stft: float, alpha: float = 200.0, beta: float = 4.0
+) -> float:
+    """alpha * l_dec + beta * l_adv + l_stft; the default weights follow the training recipe."""
+    check_positive("alpha", alpha, allow_zero=True, error=DomainError)
+    check_positive("beta", beta, allow_zero=True, error=DomainError)
     l_dec, l_adv, l_stft = check_array("loss terms", (l_dec, l_adv, l_stft), 1).tolist()
-    return w.alpha * l_dec + w.beta * l_adv + l_stft
+    return alpha * l_dec + beta * l_adv + l_stft
 
 
 def _search_ratio(search_cents: float) -> float:

@@ -14,7 +14,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,13 +31,6 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 
 DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_HOP_SECONDS = 0.010
-
-
-class PhaseInit(Enum):
-    """Base-phase policy at each unvoiced-to-voiced onset."""
-
-    ZERO = "zero"
-    SEEDED_RANDOM = "random"
 
 
 @dataclass(frozen=True)
@@ -90,24 +82,43 @@ class AudioSignal:
         return len(self.samples)
 
 
+def _check_signals(**signals: AudioSignal) -> tuple[int, float]:
+    """The one length and sample rate of signals used together, named by keyword.
+
+    ConfigError if one is not an AudioSignal or the rates differ, then
+    LengthMismatchError if the lengths differ.
+    """
+    for name, sig in signals.items():
+        check_type(name, sig, AudioSignal)
+    found = ", ".join(f"{name} {len(sig)} at {sig.sample_rate}" for name, sig in signals.items())
+    if len({sig.sample_rate for sig in signals.values()}) > 1:
+        raise ConfigError(f"sample-rate mismatch: {found}")
+    if len({len(sig) for sig in signals.values()}) > 1:
+        raise LengthMismatchError(f"length mismatch: {found}")
+    first = next(iter(signals.values()))
+    return len(first), first.sample_rate
+
+
 @dataclass(frozen=True)
 class ExcitationConfig:
     """Synthesis knobs the pitch track does not determine.
 
     amplitude is a global scale applied to the harmonic sum; the default 0.1
     keeps an 80-harmonic excitation inside the nominal range.  1.0 recovers
-    the plain unit-amplitude sum.  k_max_cap freezes the harmonic count for
-    experiments where harmonics popping in and out is unwanted.
+    the plain unit-amplitude sum.  Each voiced onset starts the base phase at
+    0, or with a seed at a uniform draw in [0, 2*pi) from that seed's stream.
+    k_max_cap freezes the harmonic count for experiments where harmonics
+    popping in and out is unwanted.
     """
 
     amplitude: float = 0.1
-    phase_init: PhaseInit = PhaseInit.ZERO
-    seed: int = 0
+    seed: int | None = None
     k_max_cap: int | None = None
 
     def __post_init__(self):
         check_positive("amplitude", self.amplitude)
-        object.__setattr__(self, "seed", check_integer("seed", self.seed, minimum=0))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_integer("seed", self.seed, minimum=0))
         if self.k_max_cap is not None:
             cap = check_integer("k_max_cap", self.k_max_cap, minimum=1)
             object.__setattr__(self, "k_max_cap", cap)
@@ -236,7 +247,7 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
     Voiced samples are ``amplitude * sum_k sin(k * phi[n])`` with the base
     phase accumulated as ``phi[n] = phi[n-1] + 2*pi*f0[n]/fs`` and the
     harmonic count recomputed per sample; unvoiced samples are exactly zero.
-    The base phase restarts per cfg.phase_init at each voiced onset.
+    The base phase restarts per cfg.seed at each voiced onset.
 
     The sum is ``sum_{k=1..K} sin(k*phi) = sin(K*phi/2) * sin((K+1)*phi/2) /
     sin(phi/2)`` with each sample's own K, on every voiced sample and with no
@@ -252,7 +263,7 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
         raise AliasingError("f0 at or above Nyquist")
 
     out = np.zeros(len(v))
-    rng = np.random.default_rng(cfg.seed) if cfg.phase_init is PhaseInit.SEEDED_RANDOM else None
+    rng = None if cfg.seed is None else np.random.default_rng(cfg.seed)
 
     with np.errstate(over="ignore"):  # an inf count fails its check, AudioSignal an inf amplitude
         for start, stop in _voiced_runs(v > 0):

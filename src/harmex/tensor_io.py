@@ -41,7 +41,7 @@ def _float32(data: np.ndarray, path) -> np.ndarray:
 
 
 def write_tensor(path, magic: bytes, data: np.ndarray, *scalars: float, version: int = 1) -> None:
-    data = np.atleast_2d(np.asarray(data))
+    data = np.asarray(data)
     if data.ndim != 2:
         raise FormatError("tensor data must be 2-D (n_rows x n_cols)", path=path)
     payload = _float32(data, path)

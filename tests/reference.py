@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from harmex import (
-    AudioSignal, ExcitationConfig, F0Track, FitConfig, LtvFirCoeffs, PhaseInit, SampleF0,
+    AudioSignal, ExcitationConfig, F0Track, FitConfig, LtvFirCoeffs, SampleF0,
 )
 from harmex.conditioning import decimation_taps
 from harmex.errors import AliasingError, ConfigError, DomainError, LengthMismatchError
@@ -31,7 +31,7 @@ def sine_excitation_loop(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig(
         raise AliasingError("f0 at or above Nyquist")
 
     out = np.zeros(len(v))
-    rng = np.random.default_rng(cfg.seed) if cfg.phase_init is PhaseInit.SEEDED_RANDOM else None
+    rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
 
     for start, stop in _voiced_runs(v > 0):
         seg = v[start:stop]

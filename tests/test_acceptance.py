@@ -19,7 +19,6 @@ from harmex import (
     F0Track,
     FitConfig,
     LtvFirCoeffs,
-    PhaseInit,
     apply_ltv,
     combined_loss,
     downsample_multiscale,
@@ -52,9 +51,7 @@ def test_criterion_1_excitation_spectral_purity():
     n_samples = int(duration * FS)
     for f0 in (100.0, 200.0, 400.0):
         start = time.perf_counter()
-        x = make_excitation(
-            f0, n_samples, phase_init=PhaseInit.SEEDED_RANDOM, seed=0
-        )
+        x = make_excitation(f0, n_samples, seed=0)
         elapsed = time.perf_counter() - start
         if elapsed >= 1.0:
             failures.append(f"f0={f0}: synthesis took {elapsed:.2f}s (>= 1 s)")
@@ -78,9 +75,7 @@ def test_criterion_1_excitation_spectral_purity():
     values[60:] = 0.0
     track = F0Track(values, 0.010)
     sample_f0 = interpolate_f0(track, FS, 100 * HOP)
-    x = sine_excitation(
-        sample_f0, ExcitationConfig(phase_init=PhaseInit.SEEDED_RANDOM, seed=0)
-    )
+    x = sine_excitation(sample_f0, ExcitationConfig(seed=0))
     unvoiced = x.samples[sample_f0.values == 0.0]
     if not (unvoiced == 0.0).all():
         failures.append("unvoiced samples are not bit-exact zero")
@@ -108,7 +103,7 @@ def test_criterion_3_construct_then_recover():
     failures = []
     rng = np.random.default_rng(11)
     n = 16000
-    exc = make_excitation(220.0, n, phase_init=PhaseInit.SEEDED_RANDOM, seed=3)
+    exc = make_excitation(220.0, n, seed=3)
     n_frames = math.ceil(n / HOP)
     true = LtvFirCoeffs(rng.standard_normal((n_frames, 64)) * 0.1, 0.010, FS)
     target = apply_ltv(exc, true, interpolate_taps=False)
@@ -152,7 +147,7 @@ def test_criterion_4_fit_improves_spectral_match_on_synthetic_vowels():
     for i in range(10):
         rng = np.random.default_rng(100 + i)
         f0 = 140.0 + 18.0 * i
-        exc = make_excitation(f0, n, phase_init=PhaseInit.SEEDED_RANDOM, seed=i)
+        exc = make_excitation(f0, n, seed=i)
         envelope = formant_envelope_coeffs(n_frames, rng)
         target = apply_ltv(exc, envelope)
         fitted = fit_coeffs_least_squares(exc, target)
@@ -194,7 +189,7 @@ def test_criterion_6_quality_metric_sanity():
     failures = []
     n_frames = 100
     track = constant_track(220.0, n_frames)
-    exc = make_excitation(220.0, n_frames * HOP, phase_init=PhaseInit.SEEDED_RANDOM, seed=9)
+    exc = make_excitation(220.0, n_frames * HOP, seed=9)
     jitter = pitch_jitter(exc, track)
     if jitter >= 1.0:
         failures.append(f"self-jitter {jitter:.3f} cents >= 1")

@@ -26,7 +26,7 @@ from harmex import (
     FitConfig,
     FormatError,
     HarmexError,
-    LossWeights,
+    LengthMismatchError,
     LoudnessTrack,
     LtvFirCoeffs,
     MelSpectrogram,
@@ -97,7 +97,6 @@ ANALYSIS_RECORDS = {
     "refine_pitch.ref_f0": lambda v: refine_pitch(X, v),
     "uv_error_rate.x": lambda v: uv_error_rate(v, TRACK),
     "uv_error_rate.ref_f0": lambda v: uv_error_rate(X, v),
-    "combined_loss.w": lambda v: combined_loss(1.0, 1.0, 1.0, v),
 }
 
 # the record arguments of the synthesis, writer and conditioning entry points
@@ -118,7 +117,7 @@ PIPELINE_RECORDS = {
 }
 
 CASES = {
-    # the twelve record and config constructors
+    # the record and config constructors
     "F0Track.values": lambda v: F0Track(np.full(3, v)),
     "F0Track.hop_seconds": lambda v: F0Track(np.zeros(3), v),
     "SampleF0.values": lambda v: SampleF0(np.full(3, v), FS),
@@ -143,8 +142,6 @@ CASES = {
     "MelSpectrogram.f_max": lambda v: MelSpectrogram(np.zeros((4, 8)), StftConfig(), FS, (0.0, v)),
     "LoudnessTrack.values": lambda v: LoudnessTrack(np.full(3, v), 0.01),
     "LoudnessTrack.hop_seconds": lambda v: LoudnessTrack(np.zeros(3), v),
-    "LossWeights.alpha": lambda v: LossWeights(alpha=v),
-    "LossWeights.beta": lambda v: LossWeights(beta=v),
     "MrStftConfig.resolutions": lambda v: MrStftConfig(v),
     "MrStftConfig.resolutions[0]": lambda v: MrStftConfig([v]),
     "ConditioningBundle.channels": lambda v: ConditioningBundle({"noise": np.full(3, v)}, FS),
@@ -173,6 +170,8 @@ CASES = {
     "harmonic_count.f0": lambda v: harmonic_count(v, FS),
     "harmonic_count.sample_rate": lambda v: harmonic_count(100.0, v),
     "combined_loss.l_dec": lambda v: combined_loss(v, 1.0, 1.0),
+    "combined_loss.alpha": lambda v: combined_loss(1.0, 1.0, 1.0, alpha=v),
+    "combined_loss.beta": lambda v: combined_loss(1.0, 1.0, 1.0, beta=v),
     "downsample_multiscale.factors": lambda v: downsample_multiscale(BUNDLE, v),
     "downsample_multiscale.factors[0]": lambda v: downsample_multiscale(BUNDLE, (v,)),
     "interpolate_f0.n_samples": lambda v: interpolate_f0(TRACK, FS, v),
@@ -235,6 +234,29 @@ def test_pipeline_entry_points_take_only_their_records(call, value):
     """An array, a string, a mapping or another record where a record belongs is a ConfigError."""
     with pytest.raises(ConfigError, match="must be"):
         call(value)
+
+
+# the entry points that take two or more signals used together
+SIGNAL_PAIRS = {
+    "fit_coeffs_least_squares": fit_coeffs_least_squares,
+    "mr_stft_loss": mr_stft_loss,
+    "stack_channels": stack_channels,
+}
+
+
+@pytest.mark.parametrize("call", SIGNAL_PAIRS.values(), ids=SIGNAL_PAIRS.keys())
+@pytest.mark.parametrize(
+    "other, error, message",
+    [
+        (AudioSignal(X.samples, 2 * FS), ConfigError, "sample-rate mismatch"),
+        (AudioSignal(X.samples[:-1], FS), LengthMismatchError, "length mismatch"),
+    ],
+    ids=["rate", "length"],
+)
+def test_signals_used_together_share_one_rate_and_length(call, other, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call(X, other)
+    assert caught.type is error  # a rate mismatch is not a LengthMismatchError
 
 
 @pytest.mark.parametrize(

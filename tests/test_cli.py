@@ -51,6 +51,20 @@ class TestExcite:
         assert len(x) == 8000
         assert np.all(x.samples == 0.0)
 
+    def test_seed_sets_the_onset_phase_and_phase_init_is_ignored(self, tmp_path, f0_file, capsys):
+        """The seed alone sets the onset phases; a config key no option reads, such as ``phase_init``,
+        changes nothing."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phase_init": "random"}))
+        excite = ["excite", str(f0_file), "--out"]
+        assert run(capsys, *excite, str(tmp_path / "zero"))[0] == 0
+        assert run(capsys, "--config", str(cfg), *excite, str(tmp_path / "ignored"))[0] == 0
+        assert run(capsys, *excite, str(tmp_path / "seed"), "--seed", "3")[0] == 0
+        manifest = json.loads((tmp_path / "zero.run.json").read_text())
+        assert manifest["seed"] is None and "phase_init" not in manifest
+        zero = (tmp_path / "zero").read_bytes()
+        assert (tmp_path / "ignored").read_bytes() == zero != (tmp_path / "seed").read_bytes()
+
 
 class TestFitFilterMetrics:
     def test_construct_recover_via_cli(self, tmp_path, f0_file, capsys):
@@ -312,7 +326,6 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (EXCITE, {"seed": "abc"}, "config"),
         (EXCITE, {"amplitude": [1]}, "config"),
         (EXCITE + ("--k-max", "0"), None, "config"),
-        (EXCITE, {"phase_init": "bogus"}, "config"),
         (CONDITION + ("--factors", "8,x"), None, "config"),
         (CONDITION, {"factors": [8, 6]}, "config"),
         (("excite", "{f0}", "--out", "{dir}"), None, "io"),
@@ -345,7 +358,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (EXCITE + ("--sample-rate", "1e308"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--duration", "1e308"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--hop", "1e-300"), None, "config"),
-        (EXCITE + ("--phase-init", "random", "--seed", "-1"), None, "config"),
+        (EXCITE + ("--seed", "-1"), None, "config"),
+        (EXCITE + ("--phase-init", "random"), None, "config"),
         (("demo", "--out-dir", "{unmade}", "--seed", "-5"), None, "config"),
         # each of these three would allocate petabytes
         (("loudness", "{wav}", "--hop-size", "1000000000000000", "--out", "{out}"), None, "config"),
@@ -369,7 +383,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("bogus", "{wav}"), None, "config"),
     ],
     ids=[
-        "hop-nan", "seed-str", "amplitude-list", "k-max-zero", "phase-init-bogus",
+        "hop-nan", "seed-str", "amplitude-list", "k-max-zero",
         "factors-not-int", "factors-list", "out-is-dir", "ltvf-nan-hop",
         "ltvf-hop-below-one-sample", "mel-hop-mismatch",
         "f0-not-utf8", "n-taps-above-fft-size", "mel-overflow",
@@ -380,7 +394,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "fit-n-taps-3e9", "fit-hop-1e15", "ltvf-hop-1e15", "pitch-hop-1e30",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-hop-1e-5-n-samples", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
-        "excite-seed-negative", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
+        "excite-seed-negative", "excite-phase-init-flag", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
         "condition-factor-1e15", "fit-empty-wavs", "loudness-empty-wav", "mel-empty-wav",
         "filter-no-frames", "mel-n-mels-0",
         "estimate-sample-rate-0", "estimate-mel-v1", "estimate-f-max-above-nyquist",
@@ -436,7 +450,7 @@ def test_memory_error_exits_1_with_one_json_error(tmp_path, f0_file, capsys, mon
 
 MANIFEST_SUFFIXES = ("run.json", "run_config.json")
 REPLAYS = {  # subcommand: (input arguments, non-default options, output flag, output name)
-    "excite": (["{f0}"], ["--amplitude", "0.3", "--phase-init", "random", "--seed", "7",
+    "excite": (["{f0}"], ["--amplitude", "0.3", "--seed", "7",
                           "--k-max", "5", "--encoding", "pcm16"], "--out", "exc.wav"),
     "filter": (["{wav}", "{ltvf}"], ["--encoding", "pcm16", "--no-interp-taps"], "--out", "y.wav"),
     "estimate": (["{mel}"], ["--n-taps", "32", "--floor-db", "-40"], "--out", "est.ltvf"),

@@ -11,7 +11,6 @@ from harmex import (
     ConditioningBundle,
     ConfigError,
     DomainError,
-    LengthMismatchError,
     downsample_multiscale,
     export_conditioning,
     gaussian_noise,
@@ -47,10 +46,6 @@ class TestStackChannels:
         bundle = stack_channels(filtered_excitation=filt, noise=noise, raw_excitation=raw)
         assert bundle.names == ("noise", "raw_excitation", "filtered_excitation")
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(LengthMismatchError):
-            stack_channels(noise=gaussian_noise(160, FS, 0), raw_excitation=tone(100.0, 159))
-
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             stack_channels()
@@ -64,13 +59,6 @@ class TestStackChannels:
             ConditioningBundle({"noise": np.ones((2, 2))}, FS)
         with pytest.raises(DomainError, match="at least one channel"):
             ConditioningBundle({}, FS)
-
-    def test_rate_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            stack_channels(
-                noise=gaussian_noise(160, FS, 0),
-                raw_excitation=AudioSignal(np.zeros(160), 8000),
-            )
 
 
 class TestDecimationTaps:

@@ -315,10 +315,14 @@ class TestFeatureFile:
         assert (version, n_frames, n_dims) == (1, 160, 2)
         assert hop == pytest.approx(1 / FS)
 
-    def test_3d_data_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data", [np.float64(1.0), np.arange(5.0), np.zeros((2, 3, 4))], ids=["0d", "1d", "3d"]
+    )
+    def test_data_not_2d_rejected(self, tmp_path, data):
+        """No shape is guessed: a 1-D track as one row would read back as one 5-dim frame."""
         path = tmp_path / "feat.hmx"
         with pytest.raises(FormatError, match="2-D"):
-            write_feature_file(path, np.zeros((2, 3, 4)), 0.01)
+            write_feature_file(path, data, 0.01)
         assert not path.exists()
 
     def test_truncated_rejected(self, tmp_path):

@@ -240,18 +240,6 @@ class TestFitLeastSquares:
             rmse_raw = np.sqrt(np.mean((target.samples[sl] - exc.samples[sl]) ** 2))
             assert rmse_fit <= rmse_raw + 1e-9
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(LengthMismatchError):
-            fit_coeffs_least_squares(
-                AudioSignal(np.zeros(100), FS), AudioSignal(np.zeros(101), FS)
-            )
-
-    def test_sample_rate_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            fit_coeffs_least_squares(
-                AudioSignal(np.zeros(100), FS), AudioSignal(np.zeros(100), 8000)
-            )
-
     def test_empty_signal_rejected(self):
         x = AudioSignal(np.zeros(0), FS)
         for lam in (1e-6, 0.0):

@@ -17,7 +17,6 @@ from harmex import (
     DomainError,
     F0Track,
     FitConfig,
-    LossWeights,
     MrStftConfig,
     StftConfig,
     UndefinedMetricError,
@@ -60,14 +59,6 @@ class TestMrStftLoss:
         x = AudioSignal(rng.normal(size=8000), FS)
         y = AudioSignal(rng.normal(size=8000), FS)
         assert mr_stft_loss(x, y).total >= 0.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            mr_stft_loss(gaussian_noise(100, FS, 0), gaussian_noise(101, FS, 0))
-
-    def test_rate_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="sample-rate"):
-            mr_stft_loss(gaussian_noise(8000, FS, 0), gaussian_noise(8000, 2 * FS, 1))
 
     def test_zero_reference_rejected(self):
         x = gaussian_noise(8000, FS, 0)
@@ -230,9 +221,8 @@ class TestCombinedLoss:
         a=st.floats(-10, 10), b=st.floats(-10, 10), c=st.floats(-10, 10), s=st.floats(0.5, 4)
     )
     def test_linearity_by_superposition(self, a, b, c, s):
-        w = LossWeights()
-        lhs = combined_loss(s * a, s * b, s * c, w)
-        assert lhs == pytest.approx(s * combined_loss(a, b, c, w), rel=1e-9, abs=1e-9)
+        lhs = combined_loss(s * a, s * b, s * c)
+        assert lhs == pytest.approx(s * combined_loss(a, b, c), rel=1e-9, abs=1e-9)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):

@@ -13,7 +13,6 @@ from harmex import (
     F0Track,
     FormatError,
     LengthMismatchError,
-    PhaseInit,
     SampleF0,
     gaussian_noise,
     harmonic_count,
@@ -148,7 +147,7 @@ class TestSineExcitation:
 
     def test_spectrum_peaks_on_harmonic_bins(self):
         # 1 s at 200 Hz: harmonics sit exactly on DFT bins of the full buffer
-        out = make_excitation(200.0, FS, phase_init=PhaseInit.SEEDED_RANDOM, seed=7)
+        out = make_excitation(200.0, FS, seed=7)
         spectrum = np.abs(np.fft.rfft(out.samples))
         harmonic_bins = np.arange(1, 41) * 200
         peak_mean = spectrum[harmonic_bins].mean()
@@ -201,14 +200,13 @@ class TestSineExcitation:
         assert np.isfinite(capped.samples).all()
 
     def test_determinism(self):
-        cfg = dict(phase_init=PhaseInit.SEEDED_RANDOM, seed=3)
-        a = make_excitation(150.0, 8000, **cfg)
-        b = make_excitation(150.0, 8000, **cfg)
+        a = make_excitation(150.0, 8000, seed=3)
+        b = make_excitation(150.0, 8000, seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_random_phase_differs_from_zero_phase(self):
         a = make_excitation(150.0, 8000)
-        b = make_excitation(150.0, 8000, phase_init=PhaseInit.SEEDED_RANDOM, seed=3)
+        b = make_excitation(150.0, 8000, seed=3)
         assert not np.array_equal(a.samples, b.samples)
 
 
@@ -311,15 +309,14 @@ class TestSineExcitationMatchesHarmonicLoop:
     @given(
         f0=pitch_contours(),
         cap=st.none() | st.integers(1, 450),
-        phase=st.sampled_from(PhaseInit),
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.none() | st.integers(0, 2**32 - 1),
     )
-    @example(f0=SampleF0(np.full(3000, 20.0), FS), cap=None, phase=PhaseInit.ZERO, seed=0)
-    @example(f0=SampleF0(np.full(64, 4000.0), FS), cap=None, phase=PhaseInit.ZERO, seed=0)
-    @example(f0=SampleF0(np.full(3000, FS / 7), FS), cap=None, phase=PhaseInit.ZERO, seed=0)
-    @example(f0=SampleF0(np.full(3000, FS / 700), FS), cap=None, phase=PhaseInit.ZERO, seed=0)
-    def test_matches_loop(self, f0, cap, phase, seed):
-        cfg = ExcitationConfig(amplitude=0.1, phase_init=phase, seed=seed, k_max_cap=cap)
+    @example(f0=SampleF0(np.full(3000, 20.0), FS), cap=None, seed=None)
+    @example(f0=SampleF0(np.full(64, 4000.0), FS), cap=None, seed=None)
+    @example(f0=SampleF0(np.full(3000, FS / 7), FS), cap=None, seed=None)
+    @example(f0=SampleF0(np.full(3000, FS / 700), FS), cap=None, seed=None)
+    def test_matches_loop(self, f0, cap, seed):
+        cfg = ExcitationConfig(amplitude=0.1, seed=seed, k_max_cap=cap)
         out = sine_excitation(f0, cfg).samples
         np.testing.assert_allclose(out, sine_excitation_loop(f0, cfg).samples, rtol=0, atol=1e-12)
         assert np.all(out[f0.values == 0] == 0.0)
