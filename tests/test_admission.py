@@ -225,6 +225,17 @@ def test_analysis_entry_points_take_only_their_records(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("weight", ["alpha", "beta"])
+@pytest.mark.parametrize(
+    "value", [X.samples, "x", {"alpha": 200.0}, H],
+    ids=["samples", "string", "mapping", "ltv_coeffs"],
+)
+def test_combined_loss_weights_take_only_numbers(weight, value):
+    """An array, a string, a mapping or a record where a loss weight belongs is a DomainError."""
+    with pytest.raises(DomainError, match=f"{weight} must be finite"):
+        combined_loss(1.0, 1.0, 1.0, **{weight: value})
+
+
 @pytest.mark.parametrize("call", PIPELINE_RECORDS.values(), ids=PIPELINE_RECORDS.keys())
 @pytest.mark.parametrize(
     "value", [X.samples, "x", {"hop": 160}, StftConfig()],

@@ -216,6 +216,10 @@ class TestCombinedLoss:
     def test_alpha_only(self):
         assert combined_loss(1.0, 0.0, 0.0) == 200.0
 
+    def test_weights_as_keywords(self):
+        assert combined_loss(1.0, 10.0, 0.5, alpha=2.0, beta=0.0) == 2.5
+        assert combined_loss(1.0, 10.0, 0.5, beta=1.0) == 210.5
+
     @settings(max_examples=30, deadline=None)
     @given(
         a=st.floats(-10, 10), b=st.floats(-10, 10), c=st.floats(-10, 10), s=st.floats(0.5, 4)
