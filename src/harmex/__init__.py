@@ -58,6 +58,6 @@ from .spectral import (
     stft_magnitude,
 )
 from .tensor_io import read_feature_file, write_feature_file
-from .wav_io import WavEncoding, read_wav, write_wav
+from .wav_io import read_wav, write_wav
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -118,8 +117,6 @@ def _resolve(options: dict, args: argparse.Namespace, config: dict) -> dict:
 
 
 def _jsonable(value):
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     return value
@@ -277,7 +274,7 @@ class Command(NamedTuple):
     switches: tuple[str, ...] = ()
 
 
-_ENCODING = _from(wav_io.write_wav, encoding=wav_io.WavEncoding)
+_ENCODING = _from(wav_io.write_wav, encoding=str)
 _SAMPLE_RATE = {"sample_rate": (_float, DEFAULT_SAMPLE_RATE)}
 _HOP = {"hop": (_float, DEFAULT_HOP_SECONDS)}
 

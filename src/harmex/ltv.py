@@ -61,6 +61,7 @@ class LtvFirCoeffs:
         if 0 in self.taps.shape:
             raise ConfigError(f"taps of shape {self.taps.shape}: need frames x taps, both >= 1")
         hop_samples(self.hop_seconds, self.sample_rate)  # checks sample_rate first
+        check_positive("hop_seconds", self.hop_seconds)  # a numeric string passes hop_samples
 
     @property
     def n_frames(self) -> int:

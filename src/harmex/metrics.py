@@ -65,6 +65,7 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
     raises DegenerateReferenceError.
     """
     n, _ = _check_signals(x=x, y=y)
+    check_type("cfg", cfg, MrStftConfig)
     if not np.any(y.samples):
         raise DegenerateReferenceError("reference signal is identically zero")
 

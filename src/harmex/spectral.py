@@ -143,6 +143,7 @@ def _stft_walk(signals, cfg: StftConfig, reduce, width: int = 0):
 
 def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Magnitude STFT with centered, reflect-padded, Hann-windowed frames."""
+    check_type("cfg", cfg, StftConfig)
     return _stft_walk((x,), cfg, np.copyto, cfg.n_bins)[0]
 
 
@@ -242,6 +243,7 @@ def mel_spectrogram(
 ) -> MelSpectrogram:
     """Log mel power, ``_mel_bins``' bands over |STFT|^2 by blocks, floored at MEL_FLOOR."""
     check_type("signal", x, AudioSignal)
+    check_type("cfg", cfg, StftConfig)
     band, rise, fall, starts = _mel_bins(n_mels, cfg.fft_size, x.sample_rate, f_min, f_max)
 
     def log_bands(out: np.ndarray, mag: np.ndarray) -> None:

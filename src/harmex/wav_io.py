@@ -27,7 +27,6 @@ size is an error here, where SciPy only warns.
 from __future__ import annotations
 
 import struct
-from enum import Enum
 
 import numpy as np
 
@@ -43,11 +42,6 @@ GUID_TAIL = {
     "<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
     ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71",
 }
-
-
-class WavEncoding(Enum):
-    PCM16 = "pcm16"
-    FLOAT32 = "float32"
 
 
 def _sample_dtype(fmt: bytes, order: str, path) -> tuple[np.dtype, int]:
@@ -106,11 +100,11 @@ def read_wav(path) -> AudioSignal:
     raise FormatError("no data chunk", path=path)
 
 
-def write_wav(path, x: AudioSignal, encoding: WavEncoding = WavEncoding.FLOAT32) -> int:
+def write_wav(path, x: AudioSignal, encoding: str = "float32") -> int:
     """Write a mono WAV (byte layout above); returns the PCM16 clip count.
 
-    ``encoding`` is a ``WavEncoding`` or its value (``"pcm16"``,
-    ``"float32"``); anything else raises ``ConfigError``.
+    ``encoding`` is ``"float32"`` or ``"pcm16"``; anything else raises
+    ``ConfigError`` before the file is opened.
     The rounded rate must be in [1, U32_MAX // width], so that bytes/s fits
     32 bits, or ``FormatError`` is raised before the file is opened.  PCM16
     scales symmetrically by 32767 with saturation, and the count is the
@@ -119,18 +113,16 @@ def write_wav(path, x: AudioSignal, encoding: WavEncoding = WavEncoding.FLOAT32)
     for Float32, raised before the file is opened.
     """
     check_type("signal", x, AudioSignal)
-    try:
-        encoding = WavEncoding(encoding)
-    except ValueError:
-        raise ConfigError(f"unknown WAV encoding {encoding!r}") from None
+    if not isinstance(encoding, str) or encoding not in ("float32", "pcm16"):
+        raise ConfigError(f"unknown WAV encoding {encoding!r}")
     check_array("samples to write", x.samples, 1)  # a record's samples can be replaced
-    width = 2 if encoding is WavEncoding.PCM16 else 4
+    width = 2 if encoding == "pcm16" else 4
     rate = int(round(x.sample_rate))
     if not 1 <= rate <= U32_MAX // width:
         message = f"sample_rate {x.sample_rate!r} rounds outside [1, {U32_MAX // width}]"
-        raise FormatError(f"{message}, the rates a {encoding.value} WAV header holds", path=path)
+        raise FormatError(f"{message}, the rates a {encoding} WAV header holds", path=path)
     clipped = 0
-    if encoding is WavEncoding.PCM16:
+    if encoding == "pcm16":
         with np.errstate(over="ignore"):  # beyond 5e303 the product is inf, and saturates
             scaled = np.rint(x.samples * 32767.0)
         clipped = int(np.count_nonzero(np.abs(scaled) > 32767))

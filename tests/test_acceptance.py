@@ -6,12 +6,10 @@ Checks are asserted at their stated tolerances; a failing line means the
 guarantee does not hold as stated, not that the check was skipped.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from harmex import (
     AudioSignal,
@@ -24,7 +22,6 @@ from harmex import (
     downsample_multiscale,
     export_conditioning,
     fit_coeffs_least_squares,
-    gaussian_noise,
     harmonic_count,
     interpolate_f0,
     mr_stft_loss,

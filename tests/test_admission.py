@@ -87,10 +87,13 @@ LTV_RECORDS = {
 # the record arguments of the analysis entry points
 ANALYSIS_RECORDS = {
     "stft_magnitude.x": lambda v: stft_magnitude(v),
+    "stft_magnitude.cfg": lambda v: stft_magnitude(X, v),
     "mel_spectrogram.x": lambda v: mel_spectrogram(v),
+    "mel_spectrogram.cfg": lambda v: mel_spectrogram(X, v),
     "loudness.x": lambda v: loudness(v),
     "mr_stft_loss.x": lambda v: mr_stft_loss(v, X),
     "mr_stft_loss.y": lambda v: mr_stft_loss(X, v),
+    "mr_stft_loss.cfg": lambda v: mr_stft_loss(X, X, v),
     "mel_mae.x_mel": lambda v: mel_mae(v, MEL),
     "mel_mae.y_mel": lambda v: mel_mae(MEL, v),
     "refine_pitch.x": lambda v: refine_pitch(v, TRACK),
@@ -182,6 +185,7 @@ CASES = {
     "export_conditioning.path_prefix": lambda v: export_conditioning(PYRAMID, v),
     "estimate_coeffs_from_mel.n_taps": lambda v: estimate_coeffs_from_mel(MEL, v),
     "mel_spectrogram.n_mels": lambda v: mel_spectrogram(X, StftConfig(128, 128, 64), v),
+    "write_wav.encoding": lambda v: write_wav(NEVER, X, v),
     **LTV_RECORDS,
     **ANALYSIS_RECORDS,
     **PIPELINE_RECORDS,
@@ -253,6 +257,22 @@ SIGNAL_PAIRS = {
     "mr_stft_loss": mr_stft_loss,
     "stack_channels": stack_channels,
 }
+
+
+# the records that hold a hop in seconds
+HOPS = {
+    "F0Track": lambda hop: F0Track(np.zeros(3), hop),
+    "LoudnessTrack": lambda hop: LoudnessTrack(np.zeros(3), hop),
+    "FitConfig": lambda hop: FitConfig(frame_hop_seconds=hop),
+    "LtvFirCoeffs": lambda hop: LtvFirCoeffs(np.ones((101, 4)), hop, FS),
+}
+
+
+@pytest.mark.parametrize("make", HOPS.values(), ids=HOPS.keys())
+def test_a_numeric_string_is_not_a_hop(make):
+    """A record keeps the hop it is given, so a string that reads as one is refused, not stored."""
+    with pytest.raises(ConfigError, match="hop_seconds must be finite"):
+        make("0.01")
 
 
 @pytest.mark.parametrize("call", SIGNAL_PAIRS.values(), ids=SIGNAL_PAIRS.keys())

@@ -377,6 +377,9 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (("estimate", "{cond_x8}", "--out", "{out}"), None, "format"),
         (EXCITE + ("--amplitude", "1e308"), None, "domain"),
         (EXCITE + ("--amplitude", "1e38"), None, "format"),
+        # an encoding write_wav does not know, as a flag and from a config file: no file is made
+        (("excite", "{f0}", "--encoding", "bogus", "--out", "{unmade}"), None, "config"),
+        (("excite", "{f0}", "--out", "{unmade}"), {"encoding": ["pcm16"]}, "config"),
         (("fit", "{wav}", "{empty_wav}", "--out", "{out}"), None, "length-mismatch"),
         (("fit", "{wav}", "{wav}", "--out", "{out}", "--n-taps"), None, "config"),
         (("fit", "{wav}", "{wav}"), None, "config"),
@@ -400,6 +403,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "estimate-sample-rate-0", "estimate-mel-v1", "estimate-f-max-above-nyquist",
         "estimate-loudness-file",
         "estimate-conditioning-file", "excite-amplitude-1e308", "excite-amplitude-1e38",
+        "excite-encoding-bogus", "excite-encoding-list",
         "fit-length-mismatch",
         "usage-missing-value", "usage-missing-out", "usage-unknown-subcommand",
     ],

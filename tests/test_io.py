@@ -13,7 +13,6 @@ from harmex import (
     DomainError,
     FormatError,
     LtvFirCoeffs,
-    WavEncoding,
     gaussian_noise,
     MelSpectrogram,
     StftConfig,
@@ -30,7 +29,7 @@ from harmex import wav_io
 from harmex.wav_io import GUID_TAIL
 
 FS = 16000
-ENCODINGS = {WavEncoding.PCM16: np.int16, WavEncoding.FLOAT32: np.float32}
+ENCODINGS = {"pcm16": np.int16, "float32": np.float32}
 
 
 def wav_bytes(fmt: bytes, data: bytes, *extra: tuple[bytes, bytes], order: str = "<") -> bytes:
@@ -59,47 +58,49 @@ class TestWavIo:
         x = gaussian_noise(1000, FS, 9)
         x32 = AudioSignal(x.samples.astype(np.float32).astype(np.float64), FS)
         path = tmp_path / "f.wav"
-        write_wav(path, x32, WavEncoding.FLOAT32)
+        write_wav(path, x32, "float32")
         back = read_wav(path)
         assert back.sample_rate == FS
         np.testing.assert_array_equal(back.samples, x32.samples)
 
     def test_pcm16_full_scale(self, tmp_path):
         path = tmp_path / "p.wav"
-        write_wav(path, AudioSignal(np.array([1.0, -1.0, 0.0]), FS), WavEncoding.PCM16)
+        write_wav(path, AudioSignal(np.array([1.0, -1.0, 0.0]), FS), "pcm16")
         _, raw = wavfile.read(path)
         assert list(raw) == [32767, -32767, 0]
 
     def test_pcm16_round_trip_error_bound(self, tmp_path):
         x = AudioSignal(np.clip(gaussian_noise(2000, FS, 2).samples * 0.3, -1, 1), FS)
         path = tmp_path / "p.wav"
-        write_wav(path, x, WavEncoding.PCM16)
+        write_wav(path, x, "pcm16")
         back = read_wav(path)
         assert np.max(np.abs(back.samples - x.samples)) <= 1.0 / 32767
 
     def test_pcm16_saturation_and_clip_count(self, tmp_path):
         path = tmp_path / "c.wav"
         x = AudioSignal(np.array([1.5, 0.0]), FS)
-        assert write_wav(path, x, WavEncoding.PCM16) == 1
+        assert write_wav(path, x, "pcm16") == 1
         _, raw = wavfile.read(path)
         assert raw[0] == 32767
 
-    @pytest.mark.parametrize("value, tag", [("pcm16", 1), ("float32", 3)])
-    def test_encoding_given_by_value(self, tmp_path, value, tag):
-        """A string encoding writes what its ``WavEncoding`` member writes."""
-        x = AudioSignal(np.array([0.5, 1.5]), FS)
-        by_value, by_member = tmp_path / "v.wav", tmp_path / "m.wav"
-        clipped = write_wav(by_value, x, value)
-        assert clipped == write_wav(by_member, x, WavEncoding(value)) == (tag == 1)
-        assert by_value.read_bytes() == by_member.read_bytes()
-        assert struct.unpack_from("<H", by_value.read_bytes(), 20)[0] == tag
-        with pytest.raises(FormatError):  # the message names the encoding
-            write_wav(tmp_path / "r.wav", AudioSignal(np.zeros(4), 0.4), value)
+    @pytest.mark.parametrize("encoding, tag", [("pcm16", 1), ("float32", 3)])
+    def test_encoding_name_sets_the_format_tag(self, tmp_path, encoding, tag):
+        path = tmp_path / "e.wav"
+        assert write_wav(path, AudioSignal(np.array([0.5, 1.5]), FS), encoding) == (tag == 1)
+        assert struct.unpack_from("<H", path.read_bytes(), 20)[0] == tag
+        with pytest.raises(FormatError, match=f"a {encoding} WAV header"):
+            write_wav(tmp_path / "r.wav", AudioSignal(np.zeros(4), 0.4), encoding)
 
-    def test_unknown_encoding_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "encoding",
+        ["f64", "PCM16", None, True, np.array(["pcm16", "float32"]), {"pcm16": 1}],
+        ids=["f64", "upper-case", "none", "bool", "array", "mapping"],
+    )
+    def test_unknown_encoding_rejected(self, tmp_path, encoding):
+        """Only the two names: an array is refused before it reaches the membership test."""
         path = tmp_path / "u.wav"
-        with pytest.raises(ConfigError):
-            write_wav(path, AudioSignal(np.zeros(4), FS), "f64")
+        with pytest.raises(ConfigError, match="unknown WAV encoding"):
+            write_wav(path, AudioSignal(np.zeros(4), FS), encoding)
         assert not path.exists()
 
     def test_stereo_rejected(self, tmp_path):
@@ -177,7 +178,7 @@ class TestWavCodecMatchesScipy:
         x = AudioSignal(np.clip(gaussian_noise(n, FS, n).samples * 0.3, -1, 1), FS)
         ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
         write_wav(ours, x, encoding)
-        if encoding is WavEncoding.PCM16:
+        if encoding == "pcm16":
             data = np.clip(np.rint(x.samples * 32767.0), -32767, 32767).astype(np.int16)
         else:
             data = x.samples.astype(np.float32)
@@ -270,7 +271,7 @@ class TestWavRejects:
         keep=st.integers(0, 10**6),
     )
     # the last sample of the 86-byte Float32 file made the signaling NaN 0x7f800001
-    @example(encoding=WavEncoding.FLOAT32, edits=[(82, 0x01), (85, 0x7F)], keep=86)
+    @example(encoding="float32", edits=[(82, 0x01), (85, 0x7F)], keep=86)
     def test_mutated_bytes_read_or_format_error(self, tmp_path_factory, encoding, edits, keep):
         path = tmp_path_factory.mktemp("mutated") / "m.wav"
         write_wav(path, AudioSignal(np.linspace(-1, 1, 7), FS), encoding)
@@ -285,7 +286,7 @@ class TestWavRejects:
 
     @pytest.mark.parametrize(
         "rate, encoding",
-        [(0.4, WavEncoding.FLOAT32), (5e9, WavEncoding.PCM16), (2**31, WavEncoding.FLOAT32)],
+        [(0.4, "float32"), (5e9, "pcm16"), (2**31, "float32")],
         ids=["rounds-to-0", "above-u32", "byte-rate-above-u32"],
     )
     def test_rate_that_does_not_fit_the_header(self, tmp_path, rate, encoding):
