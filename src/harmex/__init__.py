@@ -50,7 +50,6 @@ from .signal_core import (
     write_f0_track,
 )
 from .spectral import (
-    LoudnessTrack,
     MelSpectrogram,
     StftConfig,
     loudness,

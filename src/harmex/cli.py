@@ -41,7 +41,7 @@ CONFIG_ENV = "HARMEX_CONFIG"
 # value, raising TypeError, ValueError or OverflowError on anything else.
 
 
-def _number(kind, *accepted):
+def _scalar(kind, *accepted):
     def coerce(value):
         if isinstance(value, bool) or not isinstance(value, (str, *accepted)):
             raise TypeError(f"expected {kind.__name__}, got {value!r}")
@@ -53,8 +53,8 @@ def _number(kind, *accepted):
     return coerce
 
 
-_int = _number(int, int)
-_float = _number(float, int, float)
+_int = _scalar(int, int)
+_float = _scalar(float, int, float)
 
 
 def _bool(value) -> bool:
@@ -169,8 +169,8 @@ def _cmd_mel(args, r):
 
 
 def _cmd_loudness(args, r):
-    track = spectral.loudness(wav_io.read_wav(args.wav_file), hop=r["hop_size"])
-    tensor_io.write_feature_file(args.out, track.values[:, None], track.hop_seconds)
+    values, hop_seconds = spectral.loudness(wav_io.read_wav(args.wav_file), hop=r["hop_size"])
+    tensor_io.write_feature_file(args.out, values[:, None], hop_seconds)
 
 
 def _cmd_metrics(args, r):
@@ -221,42 +221,39 @@ def _cmd_demo(args, r):
     stft = StftConfig(hop_size=hop_samples(hop_s, fs))
     n_frames = check_count("frames", duration / hop_s)
     n_samples = check_count("n_samples", duration * fs)
-    check_integer("seed", seed, minimum=0)  # before out_dir exists
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    check_integer("seed", seed, minimum=0)  # default_rng(-1) raises a bare ValueError
 
     frame_t = np.arange(n_frames) * hop_s
     f0 = 220.0 * (1.0 + 0.02 * np.sin(2 * math.pi * 5.0 * frame_t))
     voiced = (frame_t >= 0.2) & (frame_t <= duration - 0.2)
     track = F0Track(np.where(voiced, f0, 0.0), hop_s)
-    write_f0_track(out / "f0.txt", track)
-
     excitation = sine_excitation(interpolate_f0(track, fs, n_samples))
-    wav_io.write_wav(out / "excitation.wav", excitation)
-
     envelope = _demo_formant_coeffs(n_frames, stft, fs, np.random.default_rng(seed))
     target = ltv.apply_ltv(excitation, envelope)
-    wav_io.write_wav(out / "target.wav", target)
-
-    tensor_io.write_mel_file(out / "target_mel.hmx", spectral.mel_spectrogram(target, stft))
-    loud = spectral.loudness(target, hop=stft.hop_size)
-    tensor_io.write_feature_file(out / "target_loudness.hmx", loud.values[:, None], loud.hop_seconds)
-
+    mel = spectral.mel_spectrogram(target, stft)
+    loudness, loudness_hop = spectral.loudness(target, hop=stft.hop_size)
     fitted = ltv.fit_coeffs_least_squares(excitation, target, ltv.FitConfig(frame_hop_seconds=hop_s))
-    ltv.write_coeffs(out / "fitted.ltvf", fitted)
     filtered = ltv.apply_ltv(excitation, fitted)
-    wav_io.write_wav(out / "filtered.wav", filtered)
-
     report = {
         "mr_stft_raw_vs_target": metrics.mr_stft_loss(excitation, target).total,
         "mr_stft_filtered_vs_target": metrics.mr_stft_loss(filtered, target).total,
         "pitch_jitter_cents": metrics.pitch_jitter(excitation, track),
         "uv_error_rate": metrics.uv_error_rate(excitation, track),
     }
-    (out / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
-
     bundle = cond.stack_channels(gaussian_noise(n_samples, fs, seed + 1), excitation, filtered)
-    cond.export_conditioning(cond.downsample_multiscale(bundle), out / "conditioning")
+    pyramid = cond.downsample_multiscale(bundle)
+
+    out = Path(args.out_dir)  # made once every artifact is computed: a refused input leaves no file
+    out.mkdir(parents=True, exist_ok=True)
+    write_f0_track(out / "f0.txt", track)
+    wav_io.write_wav(out / "excitation.wav", excitation)
+    wav_io.write_wav(out / "target.wav", target)
+    tensor_io.write_mel_file(out / "target_mel.hmx", mel)
+    tensor_io.write_feature_file(out / "target_loudness.hmx", loudness[:, None], loudness_hop)
+    ltv.write_coeffs(out / "fitted.ltvf", fitted)
+    wav_io.write_wav(out / "filtered.wav", filtered)
+    (out / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
+    cond.export_conditioning(pyramid, out / "conditioning")
 
 
 # ---------------------------------------------------------------------- table
@@ -274,7 +271,7 @@ class Command(NamedTuple):
     switches: tuple[str, ...] = ()
 
 
-_ENCODING = _from(wav_io.write_wav, encoding=str)
+_ENCODING = _from(wav_io.write_wav, encoding=_scalar(str))
 _SAMPLE_RATE = {"sample_rate": (_float, DEFAULT_SAMPLE_RATE)}
 _HOP = {"hop": (_float, DEFAULT_HOP_SECONDS)}
 

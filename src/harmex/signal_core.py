@@ -218,7 +218,6 @@ def interpolate_f0(track: F0Track, sample_rate: float, n_samples: int) -> Sample
     hop = track.hop_seconds * sample_rate
     n_samples = check_count("n_samples", check_integer("n_samples", n_samples, minimum=0))
     coverage = (len(track) + 1) * hop  # through one hop past the last frame
-    check_positive("track coverage in samples", coverage, allow_zero=True)  # inf for a huge hop
     if n_samples > math.ceil(coverage):
         raise LengthMismatchError(
             f"n_samples={n_samples} exceeds track coverage {math.ceil(coverage)}"

@@ -74,21 +74,6 @@ class MelSpectrogram:
         return self.config.hop_size / self.sample_rate
 
 
-@dataclass(frozen=True)
-class LoudnessTrack:
-    """Per-frame log-RMS."""
-
-    values: np.ndarray
-    hop_seconds: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", check_array("loudness values", self.values, 1))
-        check_positive("hop_seconds", self.hop_seconds)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def n_frames_for(n_samples: int, hop: int) -> int:
     return math.ceil(n_samples / hop)
 
@@ -250,12 +235,18 @@ def mel_spectrogram(
         _band_sums(np.square(mag, out=mag), out, band, rise, fall, starts)
         np.log(np.maximum(out, MEL_FLOOR), out=out)
 
-    frames, _ = _stft_walk((x,), cfg, log_bands, len(starts))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge sample's frames are refused below
+        frames, _ = _stft_walk((x,), cfg, log_bands, len(starts))
     return MelSpectrogram(frames, cfg, x.sample_rate, (f_min, f_max))
 
 
-def loudness(x: AudioSignal, hop: int = StftConfig.hop_size) -> LoudnessTrack:
-    """Log-RMS of the hop-long frames of ``_frames``, centred on ``m * hop``, floored at MEL_FLOOR."""
+def loudness(x: AudioSignal, hop: int = StftConfig.hop_size) -> tuple[np.ndarray, float]:
+    """``(values, hop_seconds)``: the log-RMS of the hop-long frames of ``_frames``, centred on
+    ``m * hop`` and floored at MEL_FLOOR, and their hop, the pair ``read_feature_file`` returns."""
     hop = check_integer("hop", hop, minimum=1)
-    rms = np.sqrt(np.mean(_frames(x, hop, hop) ** 2, axis=1))
-    return LoudnessTrack(np.log(np.maximum(rms, MEL_FLOOR)), hop / x.sample_rate)
+    with np.errstate(over="ignore"):  # a huge sample squares to inf, refused below
+        rms = np.sqrt(np.mean(_frames(x, hop, hop) ** 2, axis=1))
+    values = check_array("loudness values", np.log(np.maximum(rms, MEL_FLOOR)), 1)
+    hop_seconds = hop / x.sample_rate
+    check_positive("hop_seconds", hop_seconds)
+    return values, hop_seconds

@@ -361,6 +361,9 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (EXCITE + ("--seed", "-1"), None, "config"),
         (EXCITE + ("--phase-init", "random"), None, "config"),
         (("demo", "--out-dir", "{unmade}", "--seed", "-5"), None, "config"),
+        # refused after the first artifacts are computed: the demo writes nothing
+        (("demo", "--out-dir", "{unmade}", "--sample-rate", "1000"), None, "config"),
+        (("demo", "--out-dir", "{unmade}", "--duration", "1e-9"), None, "config"),
         # each of these three would allocate petabytes
         (("loudness", "{wav}", "--hop-size", "1000000000000000", "--out", "{out}"), None, "config"),
         (("mel", "{wav}", "--fft-size", "1000000000000000", "--out", "{out}"), None, "config"),
@@ -397,7 +400,8 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "fit-n-taps-3e9", "fit-hop-1e15", "ltvf-hop-1e15", "pitch-hop-1e30",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-hop-1e-5-n-samples", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
-        "excite-seed-negative", "excite-phase-init-flag", "demo-seed-negative", "loudness-hop-1e15", "mel-fft-size-1e15",
+        "excite-seed-negative", "excite-phase-init-flag", "demo-seed-negative",
+        "demo-sample-rate-1000", "demo-duration-1e-9", "loudness-hop-1e15", "mel-fft-size-1e15",
         "condition-factor-1e15", "fit-empty-wavs", "loudness-empty-wav", "mel-empty-wav",
         "filter-no-frames", "mel-n-mels-0",
         "estimate-sample-rate-0", "estimate-mel-v1", "estimate-f-max-above-nyquist",
@@ -421,6 +425,19 @@ def test_bad_input_exits_1_with_one_json_error(tmp_path, inputs, capsys, argv, c
     assert len(lines) == 1
     assert json.loads(lines[0])["category"] == category
     assert not inputs["unmade"].exists()
+
+
+@pytest.mark.parametrize("value", [["pcm16"], None, 16], ids=["list", "null", "number"])
+def test_config_encoding_must_be_a_string(tmp_path, f0_file, capsys, value):
+    """A config value that is not a string is reported as itself, not as the name ``str`` makes of it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"encoding": value}))
+    out = tmp_path / "exc.wav"
+    code, _, err = run(capsys, "--config", str(cfg), "excite", str(f0_file), "--out", str(out))
+    assert code == 1
+    [line] = err.strip().splitlines()
+    assert json.loads(line) == {"category": "config", "message": f"invalid encoding: expected str, got {value!r}"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [None, "{", "[1, 2]"], ids=["missing", "bad-json", "json-array"])
