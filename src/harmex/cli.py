@@ -57,6 +57,15 @@ _int = _scalar(int, int)
 _float = _scalar(float, int, float)
 
 
+def _one_of(names):
+    def coerce(value):
+        if _scalar(str)(value) not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {value!r}")
+        return value
+
+    return coerce
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -219,6 +228,8 @@ def _demo_formant_coeffs(n_frames: int, stft: StftConfig, fs: float, rng) -> ltv
 def _cmd_demo(args, r):
     fs, hop_s, duration, seed = r["sample_rate"], r["hop"], r["duration"], r["seed"]
     stft = StftConfig(hop_size=hop_samples(hop_s, fs))
+    if not duration >= hop_s:
+        raise ConfigError(f"--duration {duration!r} s is shorter than one hop of {hop_s!r} s")
     n_frames = check_count("frames", duration / hop_s)
     n_samples = check_count("n_samples", duration * fs)
     check_integer("seed", seed, minimum=0)  # default_rng(-1) raises a bare ValueError
@@ -271,7 +282,7 @@ class Command(NamedTuple):
     switches: tuple[str, ...] = ()
 
 
-_ENCODING = _from(wav_io.write_wav, encoding=_scalar(str))
+_ENCODING = _from(wav_io.write_wav, encoding=_one_of(wav_io.ENCODINGS))
 _SAMPLE_RATE = {"sample_rate": (_float, DEFAULT_SAMPLE_RATE)}
 _HOP = {"hop": (_float, DEFAULT_HOP_SECONDS)}
 

@@ -57,12 +57,14 @@ class MrStftLoss:
 
 
 def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfig()) -> MrStftLoss:
-    """Spectral convergence + log-magnitude L1, averaged over resolutions.
+    """Spectral convergence + log-magnitude L1, averaged over resolutions, as ``MrStftLoss``.
 
     y is the reference: sc_r = || |Y|-|X| ||_F / || |Y| ||_F per resolution,
     mag_r the mean absolute log-magnitude difference with magnitudes floored
-    at 1e-7.  A reference that no window of a resolution sees has no sc_r and
-    raises DegenerateReferenceError.
+    at 1e-7.  Each sum adds its frames' ``_frame_sums`` in frame order, so
+    the loss is the same bits at any thread count and block size.  A
+    reference that no window of a resolution sees has no sc_r and raises
+    DegenerateReferenceError; a sum that overflows raises DomainError.
     """
     n, _ = _check_signals(x=x, y=y)
     check_type("cfg", cfg, MrStftConfig)
@@ -71,8 +73,9 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
 
     sc_terms, mag_terms = [], []
     for res in cfg.resolutions:
-        # each block's sums, added in block order as one running sum
-        diff_sq, ref_sq, log_l1 = np.cumsum(_stft_walk((x, y), res, _block_sums)[1], axis=0)[-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge sample's sums are refused below
+            sums = _stft_walk((x, y), res, _frame_sums, 3).sum(axis=0)
+        diff_sq, ref_sq, log_l1 = check_array(f"loss sums at {res}", sums, 1)
         if ref_sq == 0:
             raise DegenerateReferenceError(f"reference has no energy under the windows of {res}")
         sc_terms.append(np.sqrt(diff_sq) / np.sqrt(ref_sq))
@@ -80,18 +83,13 @@ def mr_stft_loss(x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfi
     return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))
 
 
-def _block_sums(_, mx: np.ndarray, my: np.ndarray) -> tuple[float, float, float]:
-    """Σ(|Y|-|X|)², Σ|Y|² and the log-magnitude L1 of one block of frames."""
+def _frame_sums(out: np.ndarray, mx: np.ndarray, my: np.ndarray) -> None:
+    """Each frame's Σ(|Y|-|X|)², Σ|Y|² and log-magnitude L1 into its row of ``out``."""
     diff = my - mx
-    sums = _sum_sq(diff), _sum_sq(my)
+    out[:, 0], out[:, 1] = np.einsum("ij,ij->i", diff, diff), np.einsum("ij,ij->i", my, my)
     for m in (mx, my):  # in place: elementwise, so the same bits as new arrays
         np.log(np.maximum(m, MAG_FLOOR, out=m), out=m)
-    return (*sums, np.sum(np.abs(np.subtract(my, mx, out=diff), out=diff)))
-
-
-def _sum_sq(a: np.ndarray) -> float:
-    """The sum of squares as an einsum, which adds in one order at any BLAS thread count."""
-    return np.einsum("ij,ij->", a, a)
+    np.sum(np.abs(np.subtract(my, mx, out=diff), out=diff), axis=1, out=out[:, 2])
 
 
 def mel_mae(x_mel: MelSpectrogram, y_mel: MelSpectrogram) -> float:
@@ -215,7 +213,9 @@ def _voicing_decisions(x: AudioSignal, ref_f0: F0Track, energy_threshold_db: flo
     count = np.diff(bounds)
     inside = count > 0
     # the windows tile [0, bounds[-1]), so each sum stops where the next starts
-    energy = np.add.reduceat(x.samples[: bounds[-1]] ** 2, bounds[:-1][inside])
+    with np.errstate(over="ignore"):  # a huge sample squares to inf, refused below
+        energy = np.add.reduceat(x.samples[: bounds[-1]] ** 2, bounds[:-1][inside])
+    check_array("frame energies", energy, 1)
     peak = float(np.max(np.abs(x.samples), initial=0.0))
     decided = np.zeros(len(ref_f0), dtype=bool)  # all unvoiced in silence: 0 > 0 is false
     decided[inside] = np.sqrt(energy / count[inside]) > peak * 10.0 ** (energy_threshold_db / 20.0)
@@ -231,7 +231,8 @@ def uv_error_rate(
     relative to the signal peak.  Frame m's window is the samples it owns in
     ``interpolate_f0`` (``signal_core.frame_bounds``), so windows tile the
     signal at any hop; a frame that owns none is decided unvoiced.  The hop
-    must round to at least one sample, and the threshold must be finite.
+    must round to at least one sample, and the threshold must be finite; a
+    frame energy that overflows raises DomainError.
     """
     check_type("signal", x, AudioSignal)
     check_type("ref_f0", ref_f0, F0Track)

@@ -137,24 +137,25 @@ def _blocks(start: int, stop: int, row_elems: int) -> list[slice]:
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
-def _each(fn, items) -> list:
-    """``[fn(item) for item in items]``, called on up to ``WORKERS`` threads sharing one iterator.
+def _each(fn, items) -> None:
+    """Call ``fn(item)`` for each of ``items`` on up to ``WORKERS`` threads sharing one iterator;
+    ``fn`` writes its output where its item says, and nothing comes back.
 
     The caller's thread is one of them, so no thread starts for one worker or
     one item.  Each other runs in a copy of the caller's context, so the
     caller's ``np.errstate`` holds there too.  After an error no item is
     handed out; every thread is joined and the first exception is raised here.
     """
-    todo, lock, errors, results = enumerate(items), threading.Lock(), [], [None] * len(items)
+    todo, lock, errors, end = iter(items), threading.Lock(), [], object()
 
     def work():
         while not errors:
             with lock:
-                item = next(todo, None)  # an (index, item) pair, or None at the end
-            if item is None:
+                item = next(todo, end)
+            if item is end:
                 return
             try:
-                results[item[0]] = fn(item[1])
+                fn(item)
             except BaseException as exc:  # raised again in the caller's thread
                 errors.append(exc)
 
@@ -171,7 +172,6 @@ def _each(fn, items) -> list:
         thread.join()
     if errors:
         raise errors[0]
-    return results
 
 
 def hop_samples(hop_seconds: float, sample_rate: float) -> int:

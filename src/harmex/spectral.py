@@ -4,9 +4,9 @@ All three extractors take their frames from ``_frames``: ``ceil(n_samples / hop)
 frames, frame m centred on sample ``m * hop``, so features at one hop pair
 row by row.
 
-Every STFT user, ``metrics.mr_stft_loss`` included, states only what it does with one block
-of magnitudes; ``_stft_walk`` frames the signals, checks the size, and runs those blocks on
-``signal_core._each``'s threads, the same bits at any thread count.
+Every STFT user, ``metrics.mr_stft_loss`` included, states only what it writes into the rows
+of one block of magnitudes; ``_stft_walk`` frames the signals, checks the size, and runs those
+blocks on ``signal_core._each``'s threads, the same bits at any thread count and block size.
 Mel band i rises from edge i to 1 at edge i + 1 and falls to edge i + 2, so the bin at f,
 ``edges[j] <= f < edges[j + 1]``, is in bands j and j - 1 only, and the even bands tile the
 bins, as do the odd ones: ``_mel_bins`` is that map, for mel analysis and its inverse.
@@ -108,11 +108,11 @@ def _frames(x: AudioSignal, win: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(xp, win)[::hop]
 
 
-def _stft_walk(signals, cfg: StftConfig, reduce, width: int = 0):
+def _stft_walk(signals, cfg: StftConfig, reduce, width: int) -> np.ndarray:
     """Frame each of ``signals`` (of one length), then call ``reduce(out[rows], *mags)`` on each
     ``_blocks`` slice of rows on ``_each``'s threads, ``mags`` the signals' |rfft| of those
-    windowed frames; ``out`` is a new frames x ``width`` array, made after the size check.
-    Returns ``out`` and the blocks' results in order.  The frames are freed on return."""
+    windowed frames.  Returns ``out``, a new frames x ``width`` array made after the size check,
+    which ``reduce`` fills row by row.  The frames are freed on return."""
     segs = [_frames(x, cfg.win_size, cfg.hop_size) for x in signals]
     n = len(segs[0])
     check_count("STFT bins", n * cfg.n_bins)
@@ -120,16 +120,17 @@ def _stft_walk(signals, cfg: StftConfig, reduce, width: int = 0):
 
     def block(rows: slice):
         mags = [np.abs(np.fft.rfft(s[rows] * window, n=cfg.fft_size, axis=1)) for s in segs]
-        return reduce(out[rows], *mags)
+        reduce(out[rows], *mags)
 
     # a row's transients: its windowed frame, its complex spectrum and its magnitudes
-    return out, _each(block, _blocks(0, n, cfg.win_size + 3 * cfg.n_bins))
+    _each(block, _blocks(0, n, cfg.win_size + 3 * cfg.n_bins))
+    return out
 
 
 def stft_magnitude(x: AudioSignal, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Magnitude STFT with centered, reflect-padded, Hann-windowed frames."""
     check_type("cfg", cfg, StftConfig)
-    return _stft_walk((x,), cfg, np.copyto, cfg.n_bins)[0]
+    return _stft_walk((x,), cfg, np.copyto, cfg.n_bins)
 
 
 def hz_to_mel(f):
@@ -236,7 +237,7 @@ def mel_spectrogram(
         np.log(np.maximum(out, MEL_FLOOR), out=out)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a huge sample's frames are refused below
-        frames, _ = _stft_walk((x,), cfg, log_bands, len(starts))
+        frames = _stft_walk((x,), cfg, log_bands, len(starts))
     return MelSpectrogram(frames, cfg, x.sample_rate, (f_min, f_max))
 
 

@@ -35,6 +35,7 @@ from .signal_core import AudioSignal
 from .tensor_io import _float32
 
 WAVE_PCM, WAVE_IEEE_FLOAT, WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+ENCODINGS = ("float32", "pcm16")  # the sample encodings write_wav writes
 U32_MAX = 0xFFFFFFFF
 # KSDATAFORMAT_SUBTYPE_* GUIDs end in these 12 bytes after the 4-byte tag;
 # the first three GUID fields follow the file's byte order (RFC 2361)
@@ -103,8 +104,8 @@ def read_wav(path) -> AudioSignal:
 def write_wav(path, x: AudioSignal, encoding: str = "float32") -> int:
     """Write a mono WAV (byte layout above); returns the PCM16 clip count.
 
-    ``encoding`` is ``"float32"`` or ``"pcm16"``; anything else raises
-    ``ConfigError`` before the file is opened.
+    ``encoding`` is one of ``ENCODINGS``, ``"float32"`` or ``"pcm16"``;
+    anything else raises ``ConfigError`` before the file is opened.
     The rounded rate must be in [1, U32_MAX // width], so that bytes/s fits
     32 bits, or ``FormatError`` is raised before the file is opened.  PCM16
     scales symmetrically by 32767 with saturation, and the count is the
@@ -113,7 +114,7 @@ def write_wav(path, x: AudioSignal, encoding: str = "float32") -> int:
     for Float32, raised before the file is opened.
     """
     check_type("signal", x, AudioSignal)
-    if not isinstance(encoding, str) or encoding not in ("float32", "pcm16"):
+    if not isinstance(encoding, str) or encoding not in ENCODINGS:
         raise ConfigError(f"unknown WAV encoding {encoding!r}")
     check_array("samples to write", x.samples, 1)  # a record's samples can be replaced
     width = 2 if encoding == "pcm16" else 4

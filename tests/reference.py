@@ -363,20 +363,21 @@ def mr_stft_loss_whole(
 def mr_stft_loss_serial(
     x: AudioSignal, y: AudioSignal, cfg: MrStftConfig = MrStftConfig()
 ) -> MrStftLoss:
-    """``metrics.mr_stft_loss`` as one thread's running sums over each resolution's ``_blocks``
-    of frames, with new arrays for every temporary: the same bits as the library at any
-    ``WORKERS`` and ``BLOCK_ELEMS``."""
+    """``metrics.mr_stft_loss`` as per-frame sums over each resolution's whole magnitudes, with
+    new arrays for every temporary, added frame by frame as Python floats: the same bits as the
+    library at any ``WORKERS`` and ``BLOCK_ELEMS``."""
     sc_terms, mag_terms = [], []
     for res in cfg.resolutions:
-        whole_x, whole_y = stft_magnitude_whole(x, res), stft_magnitude_whole(y, res)
+        mx, my = stft_magnitude_whole(x, res), stft_magnitude_whole(y, res)
+        d = my - mx
+        log_diff = np.abs(np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR)))
+        frames = zip(np.einsum("ij,ij->i", d, d), np.einsum("ij,ij->i", my, my),
+                     np.sum(log_diff, axis=1))
         diff_sq = ref_sq = log_l1 = 0.0
-        for rows in _blocks(0, len(whole_y), res.win_size + 3 * res.n_bins):
-            mx, my = whole_x[rows], whole_y[rows]
-            d = my - mx
-            diff_sq += np.einsum("ij,ij->", d, d)
-            ref_sq += np.einsum("ij,ij->", my, my)
-            log_l1 += np.sum(np.abs(
-                np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mx, MAG_FLOOR))))
+        for frame_diff_sq, frame_ref_sq, frame_log_l1 in frames:
+            diff_sq += float(frame_diff_sq)
+            ref_sq += float(frame_ref_sq)
+            log_l1 += float(frame_log_l1)
         sc_terms.append(np.sqrt(diff_sq) / np.sqrt(ref_sq))
         mag_terms.append(log_l1 / (n_frames_for(len(y), res.hop_size) * res.n_bins))
     return MrStftLoss(float(np.mean(sc_terms)), float(np.mean(mag_terms)))

@@ -186,6 +186,9 @@ CASES = {
     # a sample whose square overflows: refused as a non-finite feature, not warned about
     "loudness.samples": lambda v: loudness(AudioSignal(np.full(320, v), FS)),
     "mel_spectrogram.samples": lambda v: mel_spectrogram(AudioSignal(np.full(320, v), FS)),
+    "mr_stft_loss.x.samples": lambda v: mr_stft_loss(AudioSignal(np.full(len(X), v), FS), X),
+    "mr_stft_loss.y.samples": lambda v: mr_stft_loss(X, AudioSignal(np.full(len(X), v), FS)),
+    "uv_error_rate.samples": lambda v: uv_error_rate(AudioSignal(np.full(len(X), v), FS), TRACK),
     **LTV_RECORDS,
     **ANALYSIS_RECORDS,
     **PIPELINE_RECORDS,

@@ -357,13 +357,13 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (EXCITE + ("--hop", "1e-5", "--n-samples", "100000"), None, "config"),
         (EXCITE + ("--sample-rate", "1e308"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--duration", "1e308"), None, "config"),
+        (("demo", "--out-dir", "{unmade}", "--duration", "1e-9"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--hop", "1e-300"), None, "config"),
         (EXCITE + ("--seed", "-1"), None, "config"),
         (EXCITE + ("--phase-init", "random"), None, "config"),
         (("demo", "--out-dir", "{unmade}", "--seed", "-5"), None, "config"),
         # refused after the first artifacts are computed: the demo writes nothing
         (("demo", "--out-dir", "{unmade}", "--sample-rate", "1000"), None, "config"),
-        (("demo", "--out-dir", "{unmade}", "--duration", "1e-9"), None, "config"),
         # each of these three would allocate petabytes
         (("loudness", "{wav}", "--hop-size", "1000000000000000", "--out", "{out}"), None, "config"),
         (("mel", "{wav}", "--fft-size", "1000000000000000", "--out", "{out}"), None, "config"),
@@ -383,6 +383,9 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         # an encoding write_wav does not know, as a flag and from a config file: no file is made
         (("excite", "{f0}", "--encoding", "bogus", "--out", "{unmade}"), None, "config"),
         (("excite", "{f0}", "--out", "{unmade}"), {"encoding": ["pcm16"]}, "config"),
+        # refused before any input is read: these inputs do not exist
+        (("filter", "{dir}/missing.wav", "{dir}/missing.ltvf", "--encoding", "bogus",
+          "--out", "{unmade}"), None, "config"),
         (("fit", "{wav}", "{empty_wav}", "--out", "{out}"), None, "length-mismatch"),
         (("fit", "{wav}", "{wav}", "--out", "{out}", "--n-taps"), None, "config"),
         (("fit", "{wav}", "{wav}"), None, "config"),
@@ -399,15 +402,16 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "estimate-unknown-flag", "fit-hop-below-one-sample",
         "fit-n-taps-3e9", "fit-hop-1e15", "ltvf-hop-1e15", "pitch-hop-1e30",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
-        "excite-hop-1e308", "excite-hop-1e-5-n-samples", "excite-sample-rate-1e308", "demo-duration-1e308", "demo-hop-1e-300",
+        "excite-hop-1e308", "excite-hop-1e-5-n-samples", "excite-sample-rate-1e308", "demo-duration-1e308",
+        "demo-duration-1e-9", "demo-hop-1e-300",
         "excite-seed-negative", "excite-phase-init-flag", "demo-seed-negative",
-        "demo-sample-rate-1000", "demo-duration-1e-9", "loudness-hop-1e15", "mel-fft-size-1e15",
+        "demo-sample-rate-1000", "loudness-hop-1e15", "mel-fft-size-1e15",
         "condition-factor-1e15", "fit-empty-wavs", "loudness-empty-wav", "mel-empty-wav",
         "filter-no-frames", "mel-n-mels-0",
         "estimate-sample-rate-0", "estimate-mel-v1", "estimate-f-max-above-nyquist",
         "estimate-loudness-file",
         "estimate-conditioning-file", "excite-amplitude-1e308", "excite-amplitude-1e38",
-        "excite-encoding-bogus", "excite-encoding-list",
+        "excite-encoding-bogus", "excite-encoding-list", "filter-encoding-bogus-missing-inputs",
         "fit-length-mismatch",
         "usage-missing-value", "usage-missing-out", "usage-unknown-subcommand",
     ],
@@ -437,6 +441,15 @@ def test_config_encoding_must_be_a_string(tmp_path, f0_file, capsys, value):
     assert code == 1
     [line] = err.strip().splitlines()
     assert json.loads(line) == {"category": "config", "message": f"invalid encoding: expected str, got {value!r}"}
+    assert not out.exists()
+
+
+def test_demo_duration_below_one_hop_names_the_option(tmp_path, capsys):
+    out = tmp_path / "demo"
+    code, _, err = run(capsys, "demo", "--out-dir", str(out), "--duration", "0.009")
+    assert code == 1
+    message = "--duration 0.009 s is shorter than one hop of 0.01 s"
+    assert json.loads(err) == {"category": "config", "message": message}
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,14 @@ from harmex import (
     gaussian_noise,
     interpolate_f0,
     ltv,
+    mel_spectrogram,
     minimum_phase_fir,
+    mr_stft_loss,
     read_coeffs,
     refine_pitch,
     signal_core,
     sine_excitation,
+    stft_magnitude,
     write_coeffs,
 )
 from harmex.ltv import LOG10_FACTOR, WNC, _lagged, _min_norm
@@ -543,7 +547,8 @@ def test_block_size_changes_no_output(rng, monkeypatch, elems):
     and 100 frames (436 and 655 a block) per block; 1 << 15 holds 2, 4, and
     109 and 163, and 1 one row.  The fits see 40 full frames and a partial
     one, a dead gap, and 10-harmonic frames that the min-norm gate sends to
-    ``lstsq``.
+    ``lstsq``.  The STFT users see 34 to 162 frames of the 8,077-sample
+    target: 30, 7 and 1 of the loss's 2048-point frames to a block.
     """
     hop, n_taps = 200, 80
     n = 40 * hop + 77
@@ -568,6 +573,9 @@ def test_block_size_changes_no_output(rng, monkeypatch, elems):
             apply_ltv(exc, h, False).samples,
             estimate_coeffs_from_mel(mel).taps,
             refine_pitch(voice, track),
+            [*astuple(mr_stft_loss(exc, target))],
+            mel_spectrogram(target).frames,
+            stft_magnitude(target),
         ]
 
     expected = outputs()
@@ -717,22 +725,16 @@ def test_each_raises_when_a_thread_does_not_start(monkeypatch):
 
 def test_each_hands_out_every_item_once(monkeypatch):
     """64 threads on 20,000 items, switching as often as the interpreter allows: each item is
-    handed out once, and the results come back in item order."""
+    handed out once."""
     monkeypatch.setattr(signal_core, "WORKERS", 64)
     done = []
-
-    def record(item):
-        done.append(item)
-        return -item
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = signal_core._each(record, range(20000))
+        signal_core._each(done.append, range(20000))
     finally:
         sys.setswitchinterval(interval)
     assert sorted(done) == list(range(20000))
-    assert results == [-item for item in range(20000)]
 
 
 def test_each_starts_no_thread_for_one_worker_or_item(monkeypatch):

@@ -79,6 +79,15 @@ class TestMrStftLoss:
         with pytest.raises(DegenerateReferenceError, match=r"StftConfig\(fft_size=512, win_size=240"):
             mr_stft_loss(AudioSignal(x, FS), AudioSignal(y, FS), cfg)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("huge", ["x", "y"])
+    def test_sums_that_overflow_rejected(self, huge):
+        """1e200 squares past the float64 range: sc came out inf for a huge x, and NaN with a
+        warning for a huge y."""
+        x, y = gaussian_noise(1600, FS, 0), AudioSignal(np.full(1600, 1e200), FS)
+        with pytest.raises(DomainError, match="loss sums at StftConfig"):
+            mr_stft_loss(*((y, x) if huge == "x" else (x, y)))
+
     def test_same_bits_at_one_and_two_blas_threads(self):
         """The loss, the mel frames and the mel MAE of 10 s of harmonic audio: long enough that
         a BLAS sum splits across threads (2 s at 16 kHz can stay below OpenBLAS's threshold)."""
@@ -387,6 +396,11 @@ class TestUvErrorRate:
         """10 ** (threshold / 20) overflows from about 6166 dB; the decisions do not change there."""
         track = F0Track(np.concatenate([np.full(7, 100.0), np.zeros(3)]))
         assert uv_error_rate(gaussian_noise(1600, FS, 0), track, threshold_db) == 0.7
+
+    @pytest.mark.filterwarnings("error")
+    def test_energy_that_overflows_rejected(self):
+        with pytest.raises(DomainError, match="frame energies must be finite"):
+            uv_error_rate(AudioSignal(np.full(1600, 1e200), FS), F0Track(np.full(10, 100.0)))
 
     @pytest.mark.parametrize("threshold_db", [float("nan"), float("inf")])
     def test_non_finite_threshold_rejected(self, threshold_db):

@@ -326,8 +326,9 @@ SIGNAL_LENGTHS = {
 def test_streamed_stft_matches_whole_array_oracle(monkeypatch, elems, n_samples):
     """Every STFT user walks blocks of frames; the whole-array forms are the oracles.
 
-    The magnitudes are the same bits.  The loss's sums and the mel filterbank
-    product add in another order at block edges, so those match to rounding.
+    The magnitudes are the same bits.  The loss adds per-frame sums where its
+    oracle sums whole arrays, and the oracle's mel filterbank is a matrix
+    product, so those match to rounding.
     """
     x, y, loss, mel, mags = whole_array_outputs(n_samples)
     monkeypatch.setattr(signal_core, "BLOCK_ELEMS", elems)
@@ -342,10 +343,10 @@ class TestMrStftWorkers:
     """``mr_stft_loss``, ``stft_magnitude`` and ``mel_spectrogram`` run their blocks on
     ``signal_core._each``'s threads."""
 
-    @pytest.mark.parametrize("elems", [1, signal_core.BLOCK_ELEMS])
+    @pytest.mark.parametrize("elems", [1, 1 << 15, signal_core.BLOCK_ELEMS])
     @pytest.mark.parametrize("n_samples", SIGNAL_LENGTHS.values(), ids=SIGNAL_LENGTHS.keys())
     def test_same_bits_at_any_worker_count(self, monkeypatch, elems, n_samples):
-        """At 1, 2 and 64 workers: the serial running sums' bits, the whole-array magnitudes,
+        """At 1, 2 and 64 workers: the per-frame sums' bits, the whole-array magnitudes,
         the serial mel walk's bits, and every thread ended on return."""
         x, y, *_, mags = whole_array_outputs(n_samples)
         monkeypatch.setattr(signal_core, "BLOCK_ELEMS", elems)
