@@ -26,7 +26,8 @@ import numpy as np
 
 from . import conditioning as cond
 from . import ltv, metrics, spectral, tensor_io, wav_io
-from .errors import ConfigError, HarmexError, check_count, check_integer
+from .errors import ConfigError, DegenerateReferenceError, HarmexError, UndefinedMetricError
+from .errors import check_count, check_integer
 from .signal_core import (
     DEFAULT_HOP_SECONDS, DEFAULT_SAMPLE_RATE, ExcitationConfig, F0Track,
     gaussian_noise, hop_samples, interpolate_f0, read_f0_track, sine_excitation, write_f0_track,
@@ -245,12 +246,15 @@ def _cmd_demo(args, r):
     loudness, loudness_hop = spectral.loudness(target, hop=stft.hop_size)
     fitted = ltv.fit_coeffs_least_squares(excitation, target, ltv.FitConfig(frame_hop_seconds=hop_s))
     filtered = ltv.apply_ltv(excitation, fitted)
-    report = {
-        "mr_stft_raw_vs_target": metrics.mr_stft_loss(excitation, target).total,
-        "mr_stft_filtered_vs_target": metrics.mr_stft_loss(filtered, target).total,
-        "pitch_jitter_cents": metrics.pitch_jitter(excitation, track),
-        "uv_error_rate": metrics.uv_error_rate(excitation, track),
-    }
+    try:
+        report = {
+            "mr_stft_raw_vs_target": metrics.mr_stft_loss(excitation, target).total,
+            "mr_stft_filtered_vs_target": metrics.mr_stft_loss(filtered, target).total,
+            "pitch_jitter_cents": metrics.pitch_jitter(excitation, track),
+            "uv_error_rate": metrics.uv_error_rate(excitation, track),
+        }
+    except (DegenerateReferenceError, UndefinedMetricError) as exc:  # too few voiced frames
+        raise ConfigError(f"--duration {duration!r} s is too short for metrics: {exc}") from None
     bundle = cond.stack_channels(gaussian_noise(n_samples, fs, seed + 1), excitation, filtered)
     pyramid = cond.downsample_multiscale(bundle)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainError, LengthMismatchError, check_array, check_count
-from .errors import check_integer, check_positive, check_type
+from .errors import SAMPLE_LIMIT, ConfigError, DomainError, LengthMismatchError, check_array
+from .errors import check_count, check_integer, check_positive, check_type
 from .signal_core import AudioSignal, _check_signals
 from .spectral import hann
 from .tensor_io import write_feature_file
@@ -26,11 +26,11 @@ DEFAULT_FACTORS = (8, 6, 5)
 
 
 def _check_channels(channels) -> dict[str, np.ndarray]:
-    """``channels`` as a non-empty dict of equal-length 1-D arrays of finite samples."""
+    """``channels`` as a non-empty dict of equal-length 1-D arrays of samples, as AudioSignal's."""
     check_type("channels", channels, dict)
     if not channels:
         raise DomainError("need at least one channel")
-    checked = {name: check_array(f"channel {name}", v, 1) for name, v in channels.items()}
+    checked = {n: check_array(f"channel {n}", v, 1, limit=SAMPLE_LIMIT) for n, v in channels.items()}
     lengths = {len(v) for v in checked.values()}
     if len(lengths) != 1:
         raise LengthMismatchError(f"channel lengths differ: {sorted(lengths)}")

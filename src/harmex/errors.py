@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+SAMPLE_LIMIT = 1e60  # samples within it keep every stage's products and sums finite
+
 
 class HarmexError(Exception):
     """Base class for all harmex errors."""
@@ -115,8 +117,10 @@ def check_type(name, value, kind) -> None:
         raise ConfigError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
 
 
-def check_array(name, values, ndim, minimum=None, error=DomainError) -> np.ndarray:
-    """``values`` as a float64 array of ``ndim`` dimensions, finite and >= minimum.
+def check_array(name, values, ndim, minimum=None, error=DomainError, limit=None) -> np.ndarray:
+    """``values`` as a float64 array of ``ndim`` dimensions, finite and >= minimum,
+    or, given a ``limit``, strictly within +-limit: one ``min`` and one ``max``,
+    which NaN and inf fail too.
 
     ConfigError if they do not convert or have other dimensions, else ``error``.
     A float32 signaling NaN converts without its warning and fails as non-finite.
@@ -128,6 +132,9 @@ def check_array(name, values, ndim, minimum=None, error=DomainError) -> np.ndarr
         raise ConfigError(f"{name} must be real numbers: {exc}") from None
     if array.ndim != ndim:
         raise ConfigError(f"{name} must be {ndim}-D, got shape {array.shape}")
-    if not np.all(np.isfinite(array)) or (minimum is not None and np.any(array < minimum)):
+    if limit is not None:
+        if not -limit < array.min(initial=0.0) <= array.max(initial=0.0) < limit:
+            raise error(f"{name} must be finite and within +-{limit:.0e}".replace("e+", "e"))
+    elif not np.all(np.isfinite(array)) or (minimum is not None and np.any(array < minimum)):
         raise error(f"{name} must be finite" + ("" if minimum is None else f" and >= {minimum}"))
     return array

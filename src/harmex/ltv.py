@@ -36,6 +36,7 @@ LTVF_MAGIC = b"LTVF"
 
 LOG10_FACTOR = 10.0 / math.log(10.0)  # natural-log power -> dB
 DEFAULT_N_TAPS = 64  # taps per frame of both coefficient sources
+TAP_LIMIT = 1e150  # taps and envelope magnitudes lie within it: inverse powers stay normal
 
 # White-noise correction of ``_levinson``: r[0] is scaled by 1 + WNC.
 WNC = 1e-9
@@ -50,14 +51,15 @@ FIT_CHOLESKY = 0.1
 
 @dataclass(frozen=True)
 class LtvFirCoeffs:
-    """Per-frame FIR tap matrix defining a time-varying filter."""
+    """Per-frame FIR tap matrix defining a time-varying filter, taps within +-TAP_LIMIT."""
 
     taps: np.ndarray  # n_frames x n_taps
     hop_seconds: float
     sample_rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "taps", check_array("filter coefficients", self.taps, 2))
+        taps = check_array("filter coefficients", self.taps, 2, limit=TAP_LIMIT)
+        object.__setattr__(self, "taps", taps)
         if 0 in self.taps.shape:
             raise ConfigError(f"taps of shape {self.taps.shape}: need frames x taps, both >= 1")
         hop_samples(self.hop_seconds, self.sample_rate)  # checks sample_rate first
@@ -178,7 +180,8 @@ def fit_coeffs_least_squares(
     solves each ``signal_core._blocks`` slice of a run of live full frames,
     and a live partial last frame on its own, as views of the lagged matrix;
     ``np.linalg.lstsq`` then finishes, in the same item, every frame of the
-    slice the solver leaves uncertified.  Each item writes only its own rows,
+    slice the solver leaves uncertified or cannot solve on its own
+    (``_solve_block``).  Each item writes only its own rows,
     with the numpy calls of a serial walk, so the taps are the same bits at
     any thread count.
     """
@@ -205,7 +208,8 @@ def fit_coeffs_least_squares(
 
     def fit(b):  # a slice of live frames; slicing ends the partial last frame at n
         rows, k = slice(b.start * hop, b.stop * hop), b.stop - b.start
-        taps[b], left = solve(lag[rows].reshape(k, -1, n_taps), y[rows].reshape(k, -1, 1))
+        a, yb = lag[rows].reshape(k, -1, n_taps), y[rows].reshape(k, -1, 1)
+        taps[b], left = _solve_block(solve, a, yb)
         for f in b.start + np.flatnonzero(left):
             rows = slice(f * hop, (f + 1) * hop)
             taps[f] = np.linalg.lstsq(lag[rows], y[rows], rcond=None)[0]
@@ -218,6 +222,19 @@ def fit_coeffs_least_squares(
     return LtvFirCoeffs(taps, hop / fs, fs)
 
 
+def _solve_block(solve, a, y) -> tuple[np.ndarray, np.ndarray]:
+    """``solve(a, y)`` for a block of frames, or, if it raises ``LinAlgError`` (a Gram
+    it cannot factor), ``solve`` on each frame alone: a frame whose own solve raises
+    is left uncertified, with zero taps, and the others keep their solver's taps."""
+    try:
+        return solve(a, y)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros((1, a.shape[2])), np.ones(1, bool)
+        x, left = zip(*(_solve_block(solve, a[f : f + 1], y[f : f + 1]) for f in range(len(a))))
+        return np.concatenate(x), np.concatenate(left)
+
+
 def _ridge(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Ridge taps, ``(A^T A + lambda I) h = A^T y``, of a batch of frames, all certified.
 
@@ -226,14 +243,16 @@ def _ridge(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.nda
     view sums in the same order as one frame's 2-D product, so the taps equal
     the per-frame solve bit for bit, while a contiguous copy goes through
     BLAS, moves A^T y by 1 ulp, and with lambda = 1e-6 (kappa up to about
-    1e8) moves the taps by about 1e-9.
+    1e8) moves the taps by about 1e-9.  When lambda is below the rounding of
+    a frame's Gram (a constant 1e5 excitation gives 160 * 1e10), that Gram
+    can be exactly singular and ``solve`` raises; the frame's min-norm
+    ``lstsq`` taps in the walk are ridge's limit as lambda goes to 0.
     """
     at = a.transpose(0, 2, 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # LtvFirCoeffs rejects what overflows
-        g = at @ a
-        d = np.arange(a.shape[2])
-        g[:, d, d] += lam
-        return np.linalg.solve(g, at @ y)[..., 0], np.zeros(len(a), bool)
+    g = at @ a
+    d = np.arange(a.shape[2])
+    g[:, d, d] += lam
+    return np.linalg.solve(g, at @ y)[..., 0], np.zeros(len(a), bool)
 
 
 def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +281,8 @@ def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Fewer rows than taps make every G singular, so such a block is returned
     uncertified before any factoring.  Any other singular G (rank below
     n_taps) fails the Cholesky or, by rounding, gives an R with drift above
-    3 (on 4,000 rank-deficient sine frames); a batch in which one G is not
-    positive definite is retried one frame at a time.
+    3 (on 4,000 rank-deficient sine frames); a G that is not positive
+    definite raises ``LinAlgError`` for the walk to retry.
     """
     frames, rows, n_taps = a.shape
     if rows < n_taps:  # G = A^T A is singular
@@ -271,13 +290,7 @@ def _min_norm(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.ascontiguousarray(a)
     at = a.transpose(0, 2, 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # these fail the gate
-        try:
-            r = np.linalg.cholesky(at @ a).transpose(0, 2, 1)
-        except np.linalg.LinAlgError:
-            if frames == 1:
-                return np.zeros((1, n_taps)), np.ones(1, bool)
-            x, bad = zip(*(_min_norm(a[f : f + 1], y[f : f + 1]) for f in range(frames)))
-            return np.concatenate(x), np.concatenate(bad)
+        r = np.linalg.cholesky(at @ a).transpose(0, 2, 1)
         inv = _upper_inverse(r)
         inv_t = inv.transpose(0, 2, 1)
         x = inv @ (inv_t @ (at @ y))
@@ -332,17 +345,14 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int, fft_size: int) -> np.n
     """Minimum-phase FIR taps whose response approximates ``magnitude``.
 
     ``magnitude`` is frames x (fft_size//2 + 1) finite linear magnitudes
-    below 1e150, and the taps (frames x n_taps) are ``_levinson``'s of the
+    below TAP_LIMIT, and the taps (frames x n_taps) are ``_levinson``'s of the
     inverse power spectrum ``1 / max(|M|, 1e-12)^2``, which, unlike ``** -2.0``,
     rounds the same at every numpy SIMD dispatch level.
     """
     fft_size = check_integer("fft_size", fft_size, minimum=1)
-    rows = check_array("envelope magnitudes", magnitude, 2)
+    rows = check_array("envelope magnitudes", magnitude, 2, limit=TAP_LIMIT)
     if rows.shape[1] != fft_size // 2 + 1:
         raise ConfigError(f"magnitude shape {rows.shape}: need frames x {fft_size // 2 + 1} bins")
-    # below 1e150, every inverse power is a normal float64
-    if not -1e150 < rows.min(initial=0.0) <= rows.max(initial=0.0) < 1e150:
-        raise DomainError("envelope magnitudes must be below 1e150")
     inv_power = lambda b: 1.0 / np.square(np.maximum(rows[b], 1e-12))  # noqa: E731
     return _levinson(inv_power, len(rows), n_taps, fft_size)
 
@@ -397,8 +407,8 @@ def estimate_coeffs_from_mel(
 
     def inv_power(rows):
         level = np.maximum(log_power(rows), floor)
-        if not level.max(initial=0.0) < 2.0 * math.log(1e150):  # magnitudes below 1e150
-            raise DomainError("envelope magnitudes must be below 1e150")
+        if not level.max(initial=0.0) < 2.0 * math.log(TAP_LIMIT):  # magnitudes below it
+            raise DomainError(f"envelope magnitudes must be below {TAP_LIMIT:.0e}".replace("+", ""))
         return np.exp(-level)
 
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the bound

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, DomainError, FormatError, LengthMismatchError
-from .errors import check_array, check_count, check_integer, check_positive, check_type, from_file
+from .errors import SAMPLE_LIMIT, AliasingError, ConfigError, DomainError, FormatError
+from .errors import LengthMismatchError, check_array, check_count, check_integer, check_positive
+from .errors import check_type, from_file
 
 TAU = 2.0 * math.pi
 
@@ -69,13 +70,14 @@ class SampleF0:
 
 @dataclass(frozen=True)
 class AudioSignal:
-    """Mono waveform with its sample rate; nominal amplitude range [-1, 1]."""
+    """Mono waveform with its sample rate; nominal range [-1, 1], admitted within +-SAMPLE_LIMIT."""
 
     samples: np.ndarray
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", check_array("audio samples", self.samples, 1))
+        samples = check_array("audio samples", self.samples, 1, limit=SAMPLE_LIMIT)
+        object.__setattr__(self, "samples", samples)
         check_positive("sample_rate", self.sample_rate)
 
     def __len__(self):

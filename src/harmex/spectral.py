@@ -236,8 +236,7 @@ def mel_spectrogram(
         _band_sums(np.square(mag, out=mag), out, band, rise, fall, starts)
         np.log(np.maximum(out, MEL_FLOOR), out=out)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge sample's frames are refused below
-        frames = _stft_walk((x,), cfg, log_bands, len(starts))
+    frames = _stft_walk((x,), cfg, log_bands, len(starts))
     return MelSpectrogram(frames, cfg, x.sample_rate, (f_min, f_max))
 
 
@@ -245,9 +244,8 @@ def loudness(x: AudioSignal, hop: int = StftConfig.hop_size) -> tuple[np.ndarray
     """``(values, hop_seconds)``: the log-RMS of the hop-long frames of ``_frames``, centred on
     ``m * hop`` and floored at MEL_FLOOR, and their hop, the pair ``read_feature_file`` returns."""
     hop = check_integer("hop", hop, minimum=1)
-    with np.errstate(over="ignore"):  # a huge sample squares to inf, refused below
-        rms = np.sqrt(np.mean(_frames(x, hop, hop) ** 2, axis=1))
-    values = check_array("loudness values", np.log(np.maximum(rms, MEL_FLOOR)), 1)
+    rms = np.sqrt(np.mean(_frames(x, hop, hop) ** 2, axis=1))
+    values = np.log(np.maximum(rms, MEL_FLOOR))
     hop_seconds = hop / x.sample_rate
     check_positive("hop_seconds", hop_seconds)
     return values, hop_seconds

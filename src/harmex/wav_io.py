@@ -30,7 +30,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_array, check_type, from_file
+from .errors import SAMPLE_LIMIT, ConfigError, FormatError, check_array, check_type, from_file
 from .signal_core import AudioSignal
 from .tensor_io import _float32
 
@@ -116,7 +116,7 @@ def write_wav(path, x: AudioSignal, encoding: str = "float32") -> int:
     check_type("signal", x, AudioSignal)
     if not isinstance(encoding, str) or encoding not in ENCODINGS:
         raise ConfigError(f"unknown WAV encoding {encoding!r}")
-    check_array("samples to write", x.samples, 1)  # a record's samples can be replaced
+    check_array("samples to write", x.samples, 1, limit=SAMPLE_LIMIT)  # x.samples can be replaced
     width = 2 if encoding == "pcm16" else 4
     rate = int(round(x.sample_rate))
     if not 1 <= rate <= U32_MAX // width:
@@ -124,8 +124,7 @@ def write_wav(path, x: AudioSignal, encoding: str = "float32") -> int:
         raise FormatError(f"{message}, the rates a {encoding} WAV header holds", path=path)
     clipped = 0
     if encoding == "pcm16":
-        with np.errstate(over="ignore"):  # beyond 5e303 the product is inf, and saturates
-            scaled = np.rint(x.samples * 32767.0)
+        scaled = np.rint(x.samples * 32767.0)
         clipped = int(np.count_nonzero(np.abs(scaled) > 32767))
         data = np.clip(scaled, -32767, 32767).astype("<i2")
         fmt = struct.pack("<HHIIHH", WAVE_PCM, 1, rate, 2 * rate, 2, 16)

@@ -71,7 +71,11 @@ def apply_ltv_loop(x: AudioSignal, h: LtvFirCoeffs, interpolate_taps: bool = Tru
 
 
 def fit_ridge_loop(excitation: AudioSignal, target: AudioSignal, cfg: FitConfig) -> np.ndarray:
-    """``ltv.fit_coeffs_least_squares`` taps with ridge_lambda > 0: one ``np.linalg.solve`` per frame."""
+    """``ltv.fit_coeffs_least_squares`` taps with ridge_lambda > 0: one ``np.linalg.solve`` per frame.
+
+    A frame whose Gram plus lambda is exactly singular (lambda below its rounding) gets
+    its ``np.linalg.lstsq`` taps, the min-norm limit of ridge as lambda goes to 0.
+    """
     hop = hop_samples(cfg.frame_hop_seconds, excitation.sample_rate)
     n = len(excitation)
     lag = _lagged(excitation.samples, cfg.n_taps)
@@ -83,7 +87,10 @@ def fit_ridge_loop(excitation: AudioSignal, target: AudioSignal, cfg: FitConfig)
         if block.any():
             gram = block.T @ block
             gram[np.diag_indices_from(gram)] += cfg.ridge_lambda
-            taps[f] = np.linalg.solve(gram, block.T @ y[sl])
+            try:
+                taps[f] = np.linalg.solve(gram, block.T @ y[sl])
+            except np.linalg.LinAlgError:
+                taps[f] = np.linalg.lstsq(block, y[sl], rcond=None)[0]
     return taps
 
 

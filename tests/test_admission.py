@@ -57,7 +57,8 @@ from harmex import (
     write_wav,
 )
 from harmex.conditioning import PyramidLevel
-from harmex.errors import check_array, check_count, check_integer
+from harmex.errors import SAMPLE_LIMIT, check_array, check_count, check_integer
+from harmex.ltv import TAP_LIMIT, minimum_phase_fir
 from harmex.signal_core import hop_samples
 from harmex.spectral import MEL_RANGE, _mel_bins
 from harmex.tensor_io import write_mel_file
@@ -66,6 +67,7 @@ from conftest import FS, make_excitation
 DRAWN = [0, -1, 2.5, 1e-300, 1e308, math.inf, -math.inf, math.nan, True, None, "a"]
 
 X = make_excitation(200.0, 1600)
+ONES = AudioSignal(np.ones(len(X)), FS)  # full scale: a tap of 1e308 overflows a sum of four
 TRACK = F0Track(np.full(10, 200.0))
 MEL = MelSpectrogram(np.zeros((4, 8)), StftConfig(128, 128, 64), FS)
 H = LtvFirCoeffs(np.ones((11, 4)), 0.01, FS)
@@ -183,12 +185,20 @@ CASES = {
     "estimate_coeffs_from_mel.n_taps": lambda v: estimate_coeffs_from_mel(MEL, v),
     "mel_spectrogram.n_mels": lambda v: mel_spectrogram(X, StftConfig(128, 128, 64), v),
     "write_wav.encoding": lambda v: write_wav(NEVER, X, v),
-    # a sample whose square overflows: refused as a non-finite feature, not warned about
+    # a sample whose square overflows: refused as the signal is made, beyond SAMPLE_LIMIT
     "loudness.samples": lambda v: loudness(AudioSignal(np.full(320, v), FS)),
     "mel_spectrogram.samples": lambda v: mel_spectrogram(AudioSignal(np.full(320, v), FS)),
     "mr_stft_loss.x.samples": lambda v: mr_stft_loss(AudioSignal(np.full(len(X), v), FS), X),
     "mr_stft_loss.y.samples": lambda v: mr_stft_loss(X, AudioSignal(np.full(len(X), v), FS)),
     "uv_error_rate.samples": lambda v: uv_error_rate(AudioSignal(np.full(len(X), v), FS), TRACK),
+    "stft_magnitude.samples": lambda v: stft_magnitude(AudioSignal(np.full(320, v), FS)),
+    "apply_ltv.samples": lambda v: apply_ltv(AudioSignal(np.full(len(X), v), FS), H),
+    "apply_ltv.taps": lambda v: apply_ltv(ONES, LtvFirCoeffs(np.full((11, 4), v), 0.01, FS)),
+    "refine_pitch.samples": lambda v: refine_pitch(AudioSignal(np.full(len(X), v), FS), TRACK),
+    "pitch_jitter.samples": lambda v: pitch_jitter(AudioSignal(np.full(len(X), v), FS), TRACK),
+    "downsample_multiscale.channels": lambda v: downsample_multiscale(
+        ConditioningBundle({"noise": np.full(len(X), v)}, FS)
+    ),
     **LTV_RECORDS,
     **ANALYSIS_RECORDS,
     **PIPELINE_RECORDS,
@@ -344,6 +354,11 @@ def test_check_array_categories():
     with pytest.raises(FormatError):
         check_array("x", [-1.0], 1, minimum=0, error=FormatError)
     assert check_array("x", np.float32([1.5]), 1).dtype == np.float64
+    for values in ([1e60], [-1e60], [0.0, math.nan], [-math.inf], signaling_nan):
+        with pytest.raises(DomainError, match="must be finite and within \\+-1e60"):
+            check_array("x", values, 1, limit=1e60)
+    assert check_array("x", [0.99e60, -0.99e60], 1, limit=1e60).tolist() == [0.99e60, -0.99e60]
+    assert check_array("x", np.zeros((0, 3)), 2, limit=1e60).shape == (0, 3)
 
 
 def test_check_count_checks_the_rounded_value():
@@ -361,3 +376,64 @@ def test_check_integer_bounds_and_error():
     for value in (2.0**31, 0, 1.5, math.nan, None, "a"):
         with pytest.raises(FormatError, match="whole number"):
             check_integer("n", value, 1, 2**31 - 1, error=FormatError)
+
+
+BIG, BIG_TAP = 0.99 * SAMPLE_LIMIT, 0.99 * TAP_LIMIT
+ALTERNATING = (-1.0) ** np.arange(len(X))
+MIN_NORM = FitConfig(ridge_lambda=0.0)
+
+
+def pyramid_samples(x):
+    """Every channel of every level of the pyramid of ``x`` and X, as one array."""
+    levels = downsample_multiscale(stack_channels(x, X)).levels
+    return np.concatenate([c for level in levels for c in level.channels.values()])
+
+
+# every public stage that takes samples or taps, on X's length and TRACK's frames;
+# each returns the values the test checks, which must be finite
+AT_LIMIT_STAGES = {
+    "stft_magnitude": lambda x, h: stft_magnitude(x),
+    "mel_spectrogram": lambda x, h: mel_spectrogram(x).frames,
+    "loudness": lambda x, h: loudness(x)[0],
+    "mr_stft_loss.x": lambda x, h: mr_stft_loss(x, X).total,
+    "mr_stft_loss.y": lambda x, h: mr_stft_loss(X, x).total,
+    "mel_mae": lambda x, h: mel_mae(mel_spectrogram(x), mel_spectrogram(X)),
+    "refine_pitch": lambda x, h: np.nan_to_num(refine_pitch(x, TRACK)),  # NaN: no pitch found
+    "pitch_jitter": lambda x, h: pitch_jitter(x, TRACK),
+    "uv_error_rate": lambda x, h: uv_error_rate(x, TRACK),
+    "apply_ltv.interpolated": lambda x, h: apply_ltv(x, h).samples,
+    "apply_ltv.held": lambda x, h: apply_ltv(x, h, interpolate_taps=False).samples,
+    "fit.ridge.excitation": lambda x, h: fit_coeffs_least_squares(x, X).taps,
+    "fit.ridge.target": lambda x, h: fit_coeffs_least_squares(X, x).taps,
+    "fit.min_norm.excitation": lambda x, h: fit_coeffs_least_squares(x, X, MIN_NORM).taps,
+    "fit.min_norm.target": lambda x, h: fit_coeffs_least_squares(X, x, MIN_NORM).taps,
+    "estimate_coeffs_from_mel": lambda x, h: estimate_coeffs_from_mel(mel_spectrogram(x)).taps,
+    "minimum_phase_fir": lambda x, h: minimum_phase_fir(np.abs(h.taps[:, :3]), 4, 4),
+    "downsample_multiscale": lambda x, h: pyramid_samples(x),
+    "write_wav.pcm16": lambda x, h: write_wav(os.devnull, x, "pcm16"),
+    "write_wav.float32": lambda x, h: write_wav(os.devnull, x),
+    "write_coeffs": lambda x, h: write_coeffs(os.devnull, h) or 0.0,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stage", AT_LIMIT_STAGES.values(), ids=AT_LIMIT_STAGES.keys())
+@pytest.mark.parametrize(
+    "samples, taps",
+    [
+        (np.full(len(X), BIG), H.taps),
+        (BIG * ALTERNATING, H.taps),
+        (X.samples, np.full(H.taps.shape, BIG_TAP)),
+        (X.samples, BIG_TAP * ALTERNATING[: H.taps.size].reshape(H.taps.shape)),
+        (BIG * ALTERNATING, np.full(H.taps.shape, BIG_TAP)),
+        (1e-95 * X.samples, np.full(H.taps.shape, BIG_TAP)),  # a filtered output below the limit
+    ],
+    ids=["constant", "alternating", "constant_taps", "alternating_taps", "both", "tiny_samples"],
+)
+def test_every_stage_at_the_limits_returns_finite_values_or_a_harmex_error(stage, samples, taps):
+    """Samples at 0.99 * SAMPLE_LIMIT and taps at 0.99 * TAP_LIMIT, admitted: no stage warns."""
+    try:
+        out = stage(AudioSignal(samples, FS), LtvFirCoeffs(taps, 0.01, FS))
+    except HarmexError:
+        return
+    assert np.all(np.isfinite(out))

@@ -358,6 +358,9 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         (EXCITE + ("--sample-rate", "1e308"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--duration", "1e308"), None, "config"),
         (("demo", "--out-dir", "{unmade}", "--duration", "1e-9"), None, "config"),
+        # only frames from 0.2 s to 0.2 s before the end are voiced: no voice, then too little
+        (("demo", "--out-dir", "{unmade}", "--duration", "0.3"), None, "config"),
+        (("demo", "--out-dir", "{unmade}", "--duration", "0.41"), None, "config"),
         (("demo", "--out-dir", "{dir}", "--hop", "1e-300"), None, "config"),
         (EXCITE + ("--seed", "-1"), None, "config"),
         (EXCITE + ("--phase-init", "random"), None, "config"),
@@ -403,7 +406,7 @@ PITCH = ("metrics", "{wav}", "{wav}", "--f0", "{f0}", "--pitch-jitter")
         "fit-n-taps-3e9", "fit-hop-1e15", "ltvf-hop-1e15", "pitch-hop-1e30",
         "wav-signaling-nan", "mel-signaling-nan", "ltvf-signaling-nan",
         "excite-hop-1e308", "excite-hop-1e-5-n-samples", "excite-sample-rate-1e308", "demo-duration-1e308",
-        "demo-duration-1e-9", "demo-hop-1e-300",
+        "demo-duration-1e-9", "demo-duration-0.3", "demo-duration-0.41", "demo-hop-1e-300",
         "excite-seed-negative", "excite-phase-init-flag", "demo-seed-negative",
         "demo-sample-rate-1000", "loudness-hop-1e15", "mel-fft-size-1e15",
         "condition-factor-1e15", "fit-empty-wavs", "loudness-empty-wav", "mel-empty-wav",

@@ -24,6 +24,7 @@ from harmex import (
     write_feature_file,
     write_wav,
 )
+from harmex.errors import SAMPLE_LIMIT
 from harmex.tensor_io import HMX_LAYOUTS, read_mel_file, write_mel_file
 from harmex import wav_io
 from harmex.wav_io import GUID_TAIL
@@ -111,9 +112,10 @@ class TestWavIo:
 
     def test_nonfinite_rejected(self, tmp_path):
         x = AudioSignal(np.zeros(4), FS)
-        object.__setattr__(x, "samples", np.array([np.nan, 0, 0, 0]))
-        with pytest.raises(DomainError):
-            write_wav(tmp_path / "n.wav", x)
+        for bad in (np.nan, SAMPLE_LIMIT):  # replaced samples are checked again, limit and all
+            object.__setattr__(x, "samples", np.array([bad, 0, 0, 0]))
+            with pytest.raises(DomainError):
+                write_wav(tmp_path / "n.wav", x)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -143,9 +145,10 @@ class TestWritersRefuseWhatReadersRefuse:
             write_wav(path, AudioSignal(np.zeros(30_000), FS))
         assert not path.exists()
 
-    def test_pcm16_saturates_samples_whose_scaling_overflows(self, tmp_path):
+    def test_pcm16_saturates_samples_up_to_the_sample_limit(self, tmp_path):
         path = tmp_path / "sat.wav"
-        assert write_wav(path, AudioSignal(np.array([1e308, -1e308, 0.5]), FS), "pcm16") == 2
+        big = 0.99 * SAMPLE_LIMIT
+        assert write_wav(path, AudioSignal(np.array([big, -big, 0.5]), FS), "pcm16") == 2
         _, raw = wavfile.read(path)
         assert list(raw) == [32767, -32767, 16384]
 
@@ -239,6 +242,7 @@ class TestWavRejects:
             _riff_with((1, 1, 0, 0, 2, 16)),  # rate 0
             _riff_with((6, 1, FS, FS, 1, 8)),  # A-law
             _riff_with((3, 1, FS, 4 * FS, 4, 32), np.array([0, np.nan], "<f4").tobytes()),
+            _riff_with((3, 1, FS, 8 * FS, 8, 64), np.array([0, SAMPLE_LIMIT], "<f8").tobytes()),
             _riff_with()[:30],  # truncated header
             _riff_with()[:-3],  # data chunk shorter than declared
             wav_bytes(b"\0" * 14, b""),  # fmt chunk too short
@@ -251,7 +255,7 @@ class TestWavRejects:
             b"",
         ],
         ids=[
-            "stereo", "uint8", "int32", "byte-rate", "rate-0", "alaw", "float-nan",
+            "stereo", "uint8", "int32", "byte-rate", "rate-0", "alaw", "float-nan", "double-at-limit",
             "truncated-header", "short-data", "short-fmt", "short-extensible-16",
             "short-extensible-39", "no-chunks", "data-before-fmt",
             "not-riff", "empty",

@@ -40,7 +40,7 @@ from harmex import (
     stft_magnitude,
     write_coeffs,
 )
-from harmex.ltv import LOG10_FACTOR, WNC, _lagged, _min_norm
+from harmex.ltv import LOG10_FACTOR, WNC, _lagged, _min_norm, _solve_block
 from harmex.spectral import MelSpectrogram, _mel_log_power, mel_edges, n_frames_for
 from conftest import FS, HOP, frequency_response, make_excitation
 from reference import (
@@ -253,14 +253,22 @@ class TestFitLeastSquares:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
     def test_huge_excitation_fails_the_ridge_fit_without_a_warning(self, scale):
-        """The ridge Gram overflows to non-finite taps, a DomainError; the min-norm fit
-        sends such frames to lstsq and stays finite."""
+        """The ridge Gram overflowed to non-finite taps; such an excitation is now refused
+        as it is made, beyond errors.SAMPLE_LIMIT."""
         noise = np.random.default_rng(0).standard_normal(4 * HOP)
-        exc, target = AudioSignal(scale * noise, FS), AudioSignal(noise, FS)
         with pytest.raises(DomainError, match="finite"):
+            exc, target = AudioSignal(scale * noise, FS), AudioSignal(noise, FS)
             fit_coeffs_least_squares(exc, target)
-        taps = fit_coeffs_least_squares(exc, target, FitConfig(ridge_lambda=0.0)).taps
-        assert np.all(np.isfinite(taps))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("level", [1e5, 1e10])
+    def test_constant_excitation_above_the_ridge_rounding(self, level):
+        """A constant excitation puts lambda = 1e-6 below the rounding of its frames' Gram
+        (160 * level**2), so their solve meets an exact zero pivot; those frames get their
+        min-norm lstsq taps, and frame 0, whose lagged rows start with zeros, its ridge taps."""
+        exc, target = AudioSignal(np.full(10 * HOP, level), FS), gaussian_noise(10 * HOP, FS, 1)
+        taps = fit_coeffs_least_squares(exc, target).taps
+        np.testing.assert_array_equal(taps, fit_ridge_loop(exc, target, FitConfig()))
 
     def test_hop_below_one_sample_rejected(self):
         x = AudioSignal(np.ones(100), FS)
@@ -531,7 +539,7 @@ class TestMinNormMatchesSolve:
         fit = r @ (0.1 * rng.normal(size=(n_frames, n_taps, 1)))
         y = np.concatenate([fit, 1e-3 * rng.normal(size=(n_frames, extra_rows, 1))], axis=1)
 
-        x, uncertified = _min_norm(a, y)
+        x, uncertified = _solve_block(_min_norm, a, y)  # as the fit walks a block
         want, want_uncertified = min_norm_solve(a, y)
         assert uncertified[zero_frames].all()
         both = ~uncertified & ~want_uncertified
