@@ -28,6 +28,10 @@ from .spectral import MelSpectrogram, StftConfig, _stft_walk, n_frames_for
 
 MAG_FLOOR = 1e-7
 
+# refine_pitch's padded shapes: a frame's window rounds up to a multiple of
+# WIDTH_STEP samples and its lag count to a multiple of LAG_STEP
+WIDTH_STEP, LAG_STEP = 32, 16
+
 DEFAULT_RESOLUTIONS = (
     StftConfig(fft_size=512, win_size=240, hop_size=50),
     StftConfig(fft_size=1024, win_size=600, hop_size=120),
@@ -122,26 +126,36 @@ def _search_ratio(search_cents: float) -> float:
     return 2.0 ** (search_cents / 1200.0)
 
 
-def _peak_lags(segs: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
-    """Sub-sample lag of each row's normalized autocorrelation peak.
+def _peak_lags(
+    x: np.ndarray, start: np.ndarray, lag_lo: np.ndarray, lag_hi: np.ndarray, width: int,
+    n_lags: int,
+) -> np.ndarray:
+    """Sub-sample lag of each frame's normalized autocorrelation peak.
 
-    Each row of ``segs`` is 2 * lag_hi samples: its first lag_hi (one
-    max-period window) are correlated with the windows shifted by lag_lo ..
-    lag_hi.  A peak pinned to either end of that range gives NaN, and so
-    does a silent row, whose correlations are all 0.
+    Frame f correlates its one-max-period window ``x[start[f] : start[f] + lag_hi[f]]``
+    with the windows shifted by lag_lo[f] .. lag_hi[f].  Every frame of the pass
+    has the same padded shape: its window is zero from lag_hi[f] to ``width``,
+    and its lags past lag_hi[f], up to lag_lo[f] + n_lags - 1, are computed but
+    never chosen.  A peak pinned to either end of the frame's own range gives
+    NaN, and so does a silent frame, whose correlations are all 0.
     """
-    base = segs[:, :lag_hi]
-    shifted = sliding_window_view(segs, lag_hi, axis=1)[:, lag_lo : lag_hi + 1]
+    mask = (np.arange(width) < lag_hi[:, None]).astype(float)  # each frame's own window
+    # a read past the signal's end takes its last sample: the product is 0, or on a lag never chosen
+    reads = np.arange(width + n_lags - 1)
+    base = np.take(x, start[:, None] + reads[:width], mode="clip") * mask
+    segs = np.take(x, (start + lag_lo)[:, None] + reads, mode="clip")
     # per-window energies: differencing a cumulative sum would cancel when a
     # loud stretch precedes a quiet one
-    energy = np.einsum("fij,fij->fi", shifted, shifted)
+    energy = np.einsum("fij,fj->fi", sliding_window_view(segs * segs, width, axis=1), mask)
     denom = np.sqrt(np.einsum("fj,fj->f", base, base)[:, None] * energy)
-    num = np.einsum("fij,fj->fi", shifted, base)
+    num = np.einsum("fij,fj->fi", sliding_window_view(segs, width, axis=1), base)
     corr = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0)
 
+    last = lag_hi - lag_lo  # each frame's own last lag, at least 2
+    corr[np.arange(n_lags) > last[:, None]] = -np.inf
     best = np.argmax(corr, axis=1)
     rows = np.arange(len(corr))
-    mid = np.clip(best, 1, corr.shape[1] - 2)
+    mid = np.clip(best, 1, last - 1)
     c_prev, c_0, c_next = corr[rows, mid - 1], corr[rows, mid], corr[rows, mid + 1]
     # parabolic sub-sample refinement
     curvature = c_prev - 2.0 * c_0 + c_next
@@ -149,6 +163,10 @@ def _peak_lags(segs: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
         0.5 * (c_prev - c_next), curvature, out=np.zeros_like(curvature), where=curvature != 0
     )
     return np.where(best == mid, lag_lo + best + delta, np.nan)
+
+
+def _round_up(n: np.ndarray, step: int) -> np.ndarray:
+    return -(-n // step) * step
 
 
 def refine_pitch(
@@ -163,8 +181,11 @@ def refine_pitch(
     parabola.  Returns one value per frame: the refined Hz for voiced frames
     where the search succeeds, NaN elsewhere (unvoiced, window out of range,
     silent, or the correlation peak pinned to the search boundary).  Frame m
-    centers on the sample nearest ``m * hop_seconds * fs``; frames sharing a
-    lag range are computed together.
+    centers on the sample nearest ``m * hop_seconds * fs``.  Frames are
+    computed together in padded shapes: a frame's window rounds up to a
+    multiple of WIDTH_STEP samples and its lag count to a multiple of
+    LAG_STEP, from its own range alone, so the padding, which is zero or never
+    chosen, leaves each frame's result to its own samples and range.
     """
     check_type("signal", x, AudioSignal)
     check_type("ref_f0", ref_f0, F0Track)
@@ -180,15 +201,17 @@ def refine_pitch(
     start = centers[frames] - lag_hi  # each segment is 2 * lag_hi centered on its frame
     ok = (lag_hi - lag_lo >= 2) & (start >= 0) & (start + 2 * lag_hi <= len(x))
     frames, start = frames[ok], start[ok].astype(np.intp)
-    lag_ranges = np.stack([lag_lo[ok], lag_hi[ok]], axis=1).astype(np.intp)
-    ranges, group = np.unique(lag_ranges, axis=0, return_inverse=True)
+    lag_lo, lag_hi = lag_lo[ok].astype(np.intp), lag_hi[ok].astype(np.intp)
+    shape = np.stack([_round_up(lag_hi, WIDTH_STEP), _round_up(lag_hi - lag_lo + 1, LAG_STEP)], 1)
+    shapes, group = np.unique(shape, axis=0, return_inverse=True)
 
-    for g, (lo, hi) in enumerate(ranges.tolist()):
+    for g, (width, n_lags) in enumerate(shapes.tolist()):
         members = np.flatnonzero(group.reshape(-1) == g)
-        for b in _blocks(0, len(members), 2 * hi):  # 2 * hi gathered samples per frame
-            chunk = members[b]
-            segs = sliding_window_view(x.samples, 2 * hi)[start[chunk]]
-            out[frames[chunk]] = fs / _peak_lags(segs, lo, hi)
+        # per frame: mask, indices, window and base (width each), the segment's indices,
+        # samples and squares (width + lags each), and five arrays over lags
+        for b in _blocks(0, len(members), 4 * width + 3 * (width + n_lags) + 5 * n_lags):
+            f = members[b]
+            out[frames[f]] = fs / _peak_lags(x.samples, start[f], lag_lo[f], lag_hi[f], width, n_lags)
     return out
 
 

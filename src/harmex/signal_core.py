@@ -196,8 +196,19 @@ def frame_bounds(track: F0Track, sample_rate: float, n_samples: int) -> np.ndarr
     """
     hop_samples(track.hop_seconds, sample_rate)
     hop = track.hop_seconds * sample_rate
-    owner = np.floor((np.arange(n_samples) + hop / 2) / hop)
-    return np.searchsorted(owner, np.arange(len(track) + 1))
+    m = np.arange(len(track) + 1)
+
+    def past(n):  # sample n belongs to frame m or a later one, by the owner map's own rounding
+        return np.floor((n + hop / 2) / hop) >= m
+
+    bounds = np.clip(np.ceil(m * hop - hop / 2), 0, n_samples).astype(np.intp)
+    # the owner map is monotone and the estimate off by rounding: a step or two settles each bound
+    while True:
+        down = (bounds > 0) & past(bounds - 1)
+        up = (bounds < n_samples) & ~past(bounds)
+        if not (down.any() or up.any()):
+            return bounds
+        bounds += up.view(np.int8) - down.view(np.int8)
 
 
 def frame_centers(n_frames: int, hop_seconds: float, sample_rate: float) -> np.ndarray:
@@ -255,6 +266,8 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
     fallback.  phi > pi is first folded to phi - 2*pi, exact by Sterbenz's
     lemma, so that sin(phi/2) keeps full relative precision next to multiples
     of 2*pi (unfolded, phi/2 sits next to pi there); phi = 0 gives 0.
+    Since |sum_k sin(k*phi)| <= K, an amplitude whose product with the largest
+    K reaches SAMPLE_LIMIT is a DomainError naming it, before any synthesis.
     """
     check_type("f0", f0, SampleF0)
     check_type("cfg", cfg, ExcitationConfig)
@@ -263,11 +276,21 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
     if np.any(v >= fs / 2):
         raise AliasingError("f0 at or above Nyquist")
 
-    out = np.zeros(len(v))
-    rng = None if cfg.seed is None else np.random.default_rng(cfg.seed)
+    voiced = v > 0
+    with np.errstate(over="ignore"):  # an inf count fails its check or gives way to the cap
+        k_top = float(np.floor(fs / (2.0 * v.min(where=voiced, initial=np.inf))))
+        if cfg.k_max_cap is not None:
+            k_top = min(k_top, cfg.k_max_cap)
+        check_count("harmonic count", k_top)  # < 2**31: every count is an exact whole float
+        if cfg.amplitude * k_top >= SAMPLE_LIMIT:  # |sum_k sin(k*phi)| <= K
+            raise DomainError(
+                f"amplitude {cfg.amplitude!r} times the largest harmonic count {k_top:.0f} "
+                f"reaches the sample limit {SAMPLE_LIMIT:.0e}".replace("e+", "e")
+            )
 
-    with np.errstate(over="ignore"):  # an inf count fails its check, AudioSignal an inf amplitude
-        for start, stop in _voiced_runs(v > 0):
+        out = np.zeros(len(v))
+        rng = None if cfg.seed is None else np.random.default_rng(cfg.seed)
+        for start, stop in _voiced_runs(voiced):
             seg = v[start:stop]
             phi0 = 0.0 if rng is None else float(rng.uniform(0.0, TAU))
             base = (phi0 + np.cumsum(TAU * seg / fs)) % TAU
@@ -276,7 +299,6 @@ def sine_excitation(f0: SampleF0, cfg: ExcitationConfig = ExcitationConfig()) ->
             k_count = np.floor(fs / (2.0 * seg))
             if cfg.k_max_cap is not None:
                 np.minimum(k_count, cfg.k_max_cap, out=k_count)
-            check_count("harmonic count", float(k_count.max()))  # < 2**31: exact whole floats
 
             half = 0.5 * base
             den = np.sin(half)

@@ -447,6 +447,17 @@ def test_config_encoding_must_be_a_string(tmp_path, f0_file, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("amplitude", ["1e59", "1e308"])
+def test_excite_amplitude_beyond_the_sample_limit_names_it(tmp_path, f0_file, capsys, amplitude):
+    """36 harmonics of 220 Hz times the amplitude reach 1e60: refused before synthesis."""
+    out = tmp_path / "exc.wav"
+    code, _, err = run(capsys, "excite", str(f0_file), "--amplitude", amplitude, "--out", str(out))
+    assert code == 1
+    message = f"amplitude {amplitude} times the largest harmonic count 36 reaches the sample limit 1e60"
+    assert json.loads(err) == {"category": "domain", "message": message}
+    assert not out.exists()
+
+
 def test_demo_duration_below_one_hop_names_the_option(tmp_path, capsys):
     out = tmp_path / "demo"
     code, _, err = run(capsys, "demo", "--out-dir", str(out), "--duration", "0.009")
@@ -597,6 +608,7 @@ def test_mutated_file_exits_0_or_1_with_one_json_error(
     if code == 1:
         [line] = err.getvalue().splitlines()
         assert json.loads(line)["category"]
+        assert [p.name for p in d.iterdir()] == [mutated.name]  # a failing call leaves no file
 
 
 # the demo file each input argument of a subcommand reads
@@ -632,6 +644,7 @@ def test_drawn_flags_exit_0_or_1_with_one_json_error(tmp_path_factory, demo_file
     if code == 1:
         [line] = err.getvalue().splitlines()
         assert json.loads(line)["category"]
+        assert not any(out.parent.iterdir()), argv  # a failing call leaves no file
 
 
 # config values besides the drawn scalars: a numeric string, a finite value whose products pass
@@ -672,3 +685,4 @@ def test_drawn_config_exits_0_or_1_with_one_json_error(tmp_path_factory, demo_fi
     if code == 1:
         [line] = err.getvalue().splitlines()
         assert json.loads(line)["category"]
+        assert [p.name for p in d.iterdir()] == ["config.json"], (config, argv)  # no file is left

@@ -551,9 +551,9 @@ def test_block_size_changes_no_output(rng, monkeypatch, elems):
     """Every blocked stage gives the same bits at any ``signal_core.BLOCK_ELEMS``.
 
     The default holds 8 fit or filter frames of 200 x 80, 16 of the
-    estimator's 60 autocorrelation rows, and all of ``refine_pitch``'s 150
-    and 100 frames (436 and 655 a block) per block; 1 << 15 holds 2, 4, and
-    109 and 163, and 1 one row.  The fits see 40 full frames and a partial
+    estimator's 60 autocorrelation rows, and 87 of ``refine_pitch``'s 150
+    frames at 120 Hz and all 100 at 180 Hz (87 and 113 a block) per block;
+    1 << 15 holds 2, 4, and 21 and 28, and 1 one row.  The fits see 40 full frames and a partial
     one, a dead gap, and 10-harmonic frames that the min-norm gate sends to
     ``lstsq``.  The STFT users see 34 to 162 frames of the 8,077-sample
     target: 30, 7 and 1 of the loss's 2048-point frames to a block.

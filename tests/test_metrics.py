@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import harmex
@@ -33,7 +33,7 @@ from harmex import (
     sine_excitation,
     uv_error_rate,
 )
-from harmex.metrics import _voicing_decisions
+from harmex.metrics import LAG_STEP, WIDTH_STEP, _voicing_decisions
 from conftest import FS, HOP, formant_envelope_coeffs, make_excitation
 from reference import refine_pitch_loop, voicing_decisions_loop
 
@@ -346,6 +346,45 @@ class TestRefinePitchMatchesLoop:
     def test_search_cents_upper_bound_allowed(self):
         track = F0Track(np.full(100, 200.0))
         assert pitch_jitter(make_excitation(200.0, 16000), track, 1200.0) < 1.0
+
+
+class TestRefinePitchFrameAlone:
+    """A frame's refined pitch depends on its own samples and lag range, not on the frames that
+    share its padded shape."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(2, 9).map(lambda k: k * WIDTH_STEP),
+        n_lags=st.integers(1, 8).map(lambda j: j * LAG_STEP),
+        offsets=st.lists(st.one_of(st.none(), st.floats(-2.0, 3.0)), max_size=20),
+        hop=st.sampled_from([160, 220.5]),
+        noise=st.sampled_from([0.01, 100.0]),
+    )
+    @example(seed=0, width=128, n_lags=32, offsets=[], hop=160, noise=0.01)
+    def test_same_bits_as_the_frame_alone(self, seed, width, n_lags, offsets, hop, noise):
+        """Reference periods ``width + d - 0.5`` for d = -1, 0, 1, 2 give lag_hi = width + d: on
+        a multiple of WIDTH_STEP and one past it.  The search is set so that d = 0 has n_lags
+        lags, a multiple of LAG_STEP.  The drawn offsets add frames at other periods, so frames
+        of one shape differ in range, and None is an unvoiced frame.  Under loud noise a peak
+        can fall anywhere, the padding's lags included."""
+        lag_lo = width + 1 - n_lags
+        assume(2 <= lag_lo and width - 0.5 <= 4 * (lag_lo + 0.5))  # within 1200 cents
+        search_cents = 600.0 * math.log2((width - 0.5) / (lag_lo + 0.5))
+        ratio = 2.0 ** (search_cents / 1200.0)
+        rng = np.random.default_rng(seed)
+        drawn = rng.permutation(np.array([-1.0, 0.0, 1.0, 2.0, *offsets], dtype=object))
+        values = np.array([0.0 if d is None else FS * ratio / (width + d - 0.5) for d in drawn])
+        track = F0Track(values, hop / FS)
+        assert {math.ceil(FS / (f / ratio)) for f in values[values > 0]} >= {width, width + 1}
+
+        n = int(len(values) * hop)
+        x = sine_excitation(interpolate_f0(track, FS, n)).samples + noise * rng.standard_normal(n)
+        together = refine_pitch(AudioSignal(x, FS), track, search_cents)
+        for m in np.flatnonzero(track.voiced_mask):
+            alone = np.where(np.arange(len(values)) == m, values, 0.0)
+            got = refine_pitch(AudioSignal(x, FS), F0Track(alone, hop / FS), search_cents)
+            assert np.array_equal(got[m], together[m], equal_nan=True), m
 
 
 class TestHopBelowOneSample:

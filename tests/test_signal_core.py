@@ -21,6 +21,7 @@ from harmex import (
     sine_excitation,
     write_f0_track,
 )
+from harmex.signal_core import frame_bounds
 from conftest import FS, constant_track, make_excitation
 from reference import interpolate_f0_loop, sine_excitation_loop
 
@@ -112,6 +113,31 @@ class TestInterpolateF0MatchesLoop:
         assert np.array_equal(fast, interpolate_f0_loop(track, fs, n).values)
 
 
+class TestFrameBounds:
+    """Each bound from the frame count against the owner map of every sample."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_frames=st.integers(0, 400),
+        fs=st.sampled_from([8000.0, 11025.0, 16000.0, 22050.0, 44100.0, 48000.0]),
+        hop_seconds=st.one_of(
+            st.sampled_from([0.01, 220.5 / 22050.0, 1 / 300, 0.6 / 16000.0]),
+            st.floats(1e-4, 0.05),
+        ),
+        length_frac=st.floats(0.0, 1.5),
+    )
+    @example(n_frames=20, fs=22050.0, hop_seconds=160 / 22050.0, length_frac=21 / 20)
+    def test_same_bounds_as_the_owner_map(self, n_frames, fs, hop_seconds, length_frac):
+        hop = hop_seconds * fs
+        if round(hop) < 1:
+            return
+        n = int(length_frac * (n_frames + 1) * hop)
+        owner = np.floor((np.arange(n) + hop / 2) / hop)
+        want = np.searchsorted(owner, np.arange(n_frames + 1))
+        track = F0Track(np.zeros(n_frames), hop_seconds)
+        assert np.array_equal(frame_bounds(track, fs, n), want)
+
+
 class TestHarmonicCount:
     @pytest.mark.parametrize(
         "f0,expected", [(100.0, 80), (4000.0, 2), (9000.0, 0), (200.0, 40)]
@@ -198,6 +224,19 @@ class TestSineExcitation:
             sine_excitation(SampleF0(np.full(4, f0), fs))
         capped = sine_excitation(SampleF0(np.full(4, f0), fs), ExcitationConfig(k_max_cap=3))
         assert np.isfinite(capped.samples).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitude", [1e60 / 36, 1e59, 1e308])
+    def test_amplitude_times_harmonics_at_the_sample_limit_rejected(self, amplitude):
+        """36 harmonics of 220 Hz: the error names the amplitude, not the samples it would make."""
+        with pytest.raises(DomainError, match=f"amplitude {amplitude!r}".replace("e+", "e")):
+            make_excitation(220.0, 1600, amplitude=amplitude)
+
+    def test_amplitude_below_the_sample_limit_synthesizes(self):
+        """The bound counts the largest K of all voiced samples; a cap lowers it."""
+        assert np.abs(make_excitation(220.0, 1600, amplitude=0.99e60 / 36).samples).max() < 1e60
+        capped = make_excitation(220.0, 1600, amplitude=1e59, k_max_cap=9)
+        assert np.abs(capped.samples).max() <= 9e59
 
     def test_determinism(self):
         a = make_excitation(150.0, 8000, seed=3)
