@@ -146,9 +146,9 @@ def _peak_lags(
     segs = np.take(x, (start + lag_lo)[:, None] + reads, mode="clip")
     # per-window energies: differencing a cumulative sum would cancel when a
     # loud stretch precedes a quiet one
-    energy = np.einsum("fij,fj->fi", sliding_window_view(segs * segs, width, axis=1), mask)
-    denom = np.sqrt(np.einsum("fj,fj->f", base, base)[:, None] * energy)
-    num = np.einsum("fij,fj->fi", sliding_window_view(segs, width, axis=1), base)
+    energy = np.vecdot(sliding_window_view(segs * segs, width, axis=1), mask[:, None])
+    denom = np.sqrt(np.vecdot(base, base)[:, None] * energy)
+    num = np.vecdot(sliding_window_view(segs, width, axis=1), base[:, None])
     corr = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0)
 
     last = lag_hi - lag_lo  # each frame's own last lag, at least 2
